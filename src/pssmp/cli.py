@@ -157,7 +157,12 @@ def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("PSSMP_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise DomainError(f"PSSMP_SEED must be an integer, got {env!r}") from None
 
 
 def _params(args) -> StableParams:

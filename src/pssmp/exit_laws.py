@@ -49,6 +49,10 @@ class ExitWindow:
     u: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.v) and math.isfinite(self.u)):
+            raise DomainError(
+                f"window needs finite v and u, got v={self.v}, u={self.u}"
+            )
         if not (self.v < 0.0 < self.u):
             raise DomainError(f"window requires v < 0 < u, got v={self.v}, u={self.u}")
 
@@ -84,6 +88,17 @@ class ExitLawQuery:
         if v is None or v >= 0.0:
             raise DomainError("lower barrier v < 0 required")
         return v
+
+
+def _log_expm1(x: float) -> float:
+    """log(e^x - 1) for x > 0, finite wherever the result is.
+
+    Above x = 1 it is x + log(1 - e^-x), which does not overflow at large
+    x; below, e^x - 1 is formed by expm1 so small x keep their digits.
+    """
+    if x <= 1.0:
+        return math.log(math.expm1(x))
+    return x + math.log1p(-math.exp(-x))
 
 
 def _gamma_exponent(kind: Kind, p: StableParams) -> float:
@@ -125,7 +140,7 @@ def exit_density_two_sided(q: ExitLawQuery) -> float:
     gamma = _gamma_exponent(q.kind, p)
     ar, arh = p.alpha_rho, p.alpha_rho_hat
     theta = q.theta
-    log_common = arh * math.log(math.expm1(u)) + ar * math.log(-math.expm1(v))
+    log_common = arh * _log_expm1(u) + ar * math.log(-math.expm1(v))
     if q.direction is Direction.UP:
         if creeping_side(p, Direction.UP):
             return 0.0
@@ -150,7 +165,7 @@ def exit_density_two_sided(q: ExitLawQuery) -> float:
             log_common
             + gamma * (v - theta)
             - ar * (v + math.log(-math.expm1(-theta)))
-            - arh * math.log(math.exp(u) - math.exp(v - theta))
+            - arh * (v - theta + _log_expm1(u - v + theta))
             - math.log1p(-math.exp(v - theta))
         )
         return math.sin(math.pi * ar) / math.pi * math.exp(log_val)
@@ -174,7 +189,7 @@ def exit_density_one_sided(q: ExitLawQuery) -> float:
         if theta == 0.0:
             return math.inf if arh > 0 else 0.0
         log_val = (
-            arh * math.log(math.expm1(u))
+            arh * _log_expm1(u)
             + (gamma - ar - arh - 1.0) * (u + theta)
             - arh * math.log(-math.expm1(-theta))
             - math.log(-math.expm1(-u - theta))

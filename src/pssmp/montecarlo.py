@@ -41,6 +41,7 @@ SIDE_LABELS = ("up", "down", "killed", "censored")
 
 _MAX_GRID_POINTS = 10**8
 _BLOCK = 1024
+_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise DomainError("n_paths must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise DomainError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.step <= 0.0:
             raise DomainError("step must be positive")
         if self.max_time <= 0.0:
@@ -128,20 +131,82 @@ def _h_exponent(kind: Kind, p: StableParams) -> float:
     return 0.0
 
 
-def _simulate_one(draw, max_steps, rng, eu, ev):
-    """Run one path to exit; returns (raw position, steps, exited)."""
-    x = 1.0
-    done = 0
-    while done < max_steps:
-        n = min(_BLOCK, max_steps - done)
-        pos = x + np.cumsum(draw(rng, n))
-        hit = np.flatnonzero((pos >= eu) | (pos <= ev))
-        if hit.size:
-            k = int(hit[0])
-            return float(pos[k]), done + k + 1, True
-        x = float(pos[-1])
-        done += n
-    return x, done, False
+def _run_paths(draw, n_paths, seed, max_steps, eu, ev):
+    """Run every path to exit; returns (raw position, steps, exited) arrays.
+
+    Path i draws its increments from path_rng(seed, i) in blocks of
+    _BLOCK (the last one cut at the horizon) and stops at the first
+    position at or beyond a barrier.  Up to _BATCH paths advance in
+    lockstep, one row each: a block of every row is drawn, summed and
+    scanned in one pass, and a finished path's row goes at once to the
+    next path.  Each stream is consumed in the same chunks as a path run
+    alone, so the result does not depend on the batching.
+    """
+    pos = np.ones(n_paths)
+    steps = np.zeros(n_paths, dtype=np.int64)
+    exited = np.zeros(n_paths, dtype=bool)
+    if max_steps < 1:
+        return pos, steps, exited
+    rows = min(_BATCH, n_paths)
+    buf = np.empty((rows, _BLOCK))
+    hit = np.empty((rows, _BLOCK), dtype=bool)
+    below = np.empty((rows, _BLOCK), dtype=bool)
+    path = np.arange(rows)  # path index held by each row
+    rngs = [path_rng(seed, i) for i in range(rows)]
+    x = np.ones(rows)  # position at the end of the row's last block
+    done = np.zeros(rows, dtype=np.int64)  # steps taken by the row's path
+    next_path = rows
+    live = rows  # rows 0..live-1 hold a running path
+    while live:
+        # A block is cut only at the horizon and ends its path there, so
+        # every running path has taken a whole number of blocks, and a row
+        # with less than a block left has max_steps % _BLOCK steps left.
+        cut = max_steps - done[:live] < _BLOCK
+        groups = [(np.flatnonzero(~cut), _BLOCK)]
+        if cut.any():
+            groups.append((np.flatnonzero(cut), max_steps % _BLOCK))
+        freed = []
+        for sel, n in groups:
+            k = sel.size
+            if k == 0:
+                continue
+            out = buf[:k] if n == _BLOCK else None
+            blk = draw([rngs[r] for r in sel], n, out=out)
+            np.cumsum(blk, axis=1, out=blk)
+            blk += x[sel, None]
+            h, b = hit[:k, :n], below[:k, :n]
+            np.greater_equal(blk, eu, out=h)
+            np.less_equal(blk, ev, out=b)
+            h |= b
+            first = h.argmax(axis=1)
+            crossed = h[np.arange(k), first]
+            j = np.flatnonzero(crossed)
+            ended = sel[j]
+            pos[path[ended]] = blk[j, first[j]]
+            steps[path[ended]] = done[ended] + first[j] + 1
+            exited[path[ended]] = True
+            on = sel[~crossed]
+            x[on] = blk[~crossed, -1]
+            done[on] += n
+            horizon = on[done[on] >= max_steps]
+            pos[path[horizon]] = x[horizon]
+            steps[path[horizon]] = done[horizon]
+            freed += ended.tolist() + horizon.tolist()
+        # Hand each freed row to the next path; with none left, move the
+        # last running row into it.  Descending order means every row above
+        # the one being filled is already settled.
+        for r in sorted(freed, reverse=True):
+            if next_path < n_paths:
+                path[r], rngs[r], x[r], done[r] = (
+                    next_path, path_rng(seed, next_path), 1.0, 0
+                )
+                next_path += 1
+            else:
+                live -= 1
+                path[r], rngs[r], x[r], done[r] = (
+                    path[live], rngs[live], x[live], done[live]
+                )
+    return pos, steps, exited
 
 
 def simulate_exit(
@@ -157,11 +222,23 @@ def simulate_exit(
     kind classifies nonpositive positions as killed; the conditioned
     kinds assign the Doob weight at the exit position and censor ruined
     paths (weight 0).  Horizon exhaustion also censors.
+
+    Path i is defined on its own stream path_rng(cfg.seed, i), drawn in
+    blocks of 1024 increments (the last one cut at the horizon).  The
+    paths are run in lockstep batches of 32, one matrix pass per block;
+    a finished path frees its row for the next one at once.  Streams and
+    results are bit-identical to running each path alone.
     """
     if isinstance(kind, LampertiKind):
         kind = kind.kind
     p.require_two_sided()
-    eu, ev = math.exp(window.u), math.exp(window.v)
+    try:
+        eu = math.exp(window.u)
+    except OverflowError:
+        raise DomainError(
+            f"upper barrier e^u overflows a float at u={window.u}"
+        ) from None
+    ev = math.exp(window.v)
     draw = increment_sampler(p, cfg.step)
     h_exp = _h_exponent(kind, p)
     n = cfg.n_paths
@@ -169,13 +246,10 @@ def simulate_exit(
     side = np.empty(n, dtype=np.int8)
     theta = np.full(n, np.nan)
     h_weight = np.zeros(n)
-    steps = np.zeros(n, dtype=np.int64)
-
+    pos, steps, exited = _run_paths(draw, n, cfg.seed, cfg.max_steps, eu, ev)
     for i in range(n):
-        rng = path_rng(cfg.seed, i)
-        x, used, exited = _simulate_one(draw, cfg.max_steps, rng, eu, ev)
-        steps[i] = used
-        if not exited:
+        x = float(pos[i])
+        if not exited[i]:
             side[i] = SIDE_CENSORED
             continue
         if x >= eu:

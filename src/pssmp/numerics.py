@@ -199,9 +199,8 @@ def sum_series(
         # block to the next, the remaining tail is bounded by a geometric
         # sum of block envelopes.
         if k >= 11:
-            mags = [abs(x) for x in terms]
-            m1 = max(mags[-6:])
-            m0 = max(mags[-12:-6])
+            m1 = max(abs(x) for x in terms[-6:])
+            m0 = max(abs(x) for x in terms[-12:-6])
             if m1 <= 0.5 * m0 and 6.0 * m1 <= tol:
                 return SeriesValue(total, 6.0 * m1, k + 1, True)
         if t == 0.0 and k == 0:

@@ -213,19 +213,47 @@ def path_rng(seed: int, path_index: int) -> np.random.Generator:
     """Counter-based generator for one simulated path.
 
     Keyed by (seed, path_index) through a 128-bit Philox key so streams
-    are independent of scheduling and worker count.
+    are independent of scheduling and worker count.  Both must lie in
+    [0, 2^64): each fills one 64-bit half of the key.
     """
-    key = ((int(seed) & (2**64 - 1)) << 64) | (int(path_index) & (2**64 - 1))
-    return np.random.Generator(np.random.Philox(key=key))
+    seed, path_index = int(seed), int(path_index)
+    if not (0 <= seed < 2**64 and 0 <= path_index < 2**64):
+        raise DomainError(
+            f"seed and path index must lie in [0, 2^64), got {seed} and {path_index}"
+        )
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | path_index))
+
+
+def _workspace(count: int):
+    """take(shape) -> `count` C-contiguous float arrays of that shape.
+
+    The arrays are views of buffers kept between calls, regrown only when
+    a larger shape is asked for; each call overwrites the previous views.
+    """
+    flat = [np.empty(0) for _ in range(count)]
+
+    def take(shape):
+        size = shape[0] * shape[1]
+        if flat[0].size < size:
+            flat[:] = [np.empty(size) for _ in range(count)]
+        return [f[:size].reshape(shape) for f in flat]
+
+    return take
 
 
 def increment_sampler(p: StableParams, dt: float):
     """Vectorized sampler of stable increments over time step dt.
 
-    Returns draw(rng, n) -> ndarray of n independent increments.  Uses
-    the trigonometric construction from uniform and exponential variates;
-    the skewness is chosen so that P(X_1 > 0) = rho, and increments scale
-    as dt^(1/alpha).
+    Returns draw(rngs, n, out=None) -> ndarray of shape (len(rngs), n):
+    row r holds n independent increments drawn from rngs[r], which
+    supplies n uniforms and then (unless alpha = 1) n exponentials.
+    ``out``, a C-contiguous float array of that shape, receives the
+    increments in place.  Uses the trigonometric construction from
+    uniform and exponential variates; the skewness is chosen so that
+    P(X_1 > 0) = rho, and increments scale as dt^(1/alpha).  Each row is
+    bit-identical to the same transform applied to that generator alone.
+    The sampler keeps its scratch buffers between calls, so one sampler
+    must not draw in two threads at once.
     """
     if dt <= 0.0:
         raise DomainError("dt must be positive")
@@ -235,9 +263,15 @@ def increment_sampler(p: StableParams, dt: float):
             raise DomainError("alpha = 1 supported only in the symmetric case")
         scale = dt  # Cauchy: linear scaling
 
-        def draw_cauchy(rng, n):
-            v = (rng.random(n) - 0.5) * math.pi
-            return scale * np.tan(v)
+        def draw_cauchy(rngs, n, out=None):
+            v = np.empty((len(rngs), n)) if out is None else out
+            for rng, row in zip(rngs, v):
+                rng.random(out=row)
+            v -= 0.5
+            v *= math.pi
+            np.tan(v, out=v)
+            v *= scale
+            return v
 
         return draw_cauchy
 
@@ -249,14 +283,36 @@ def increment_sampler(p: StableParams, dt: float):
         )
     scale = dt ** (1.0 / alpha)
     cos_at0 = math.cos(a_theta0)
+    take = _workspace(3)
 
-    def draw(rng, n):
-        v = (rng.random(n) - 0.5) * math.pi
-        w = rng.standard_exponential(n)
-        num = np.sin(alpha * (v + theta0))
-        den = (cos_at0 * np.cos(v)) ** (1.0 / alpha)
-        tail = (np.cos(a_theta0 + (alpha - 1.0) * v) / w) ** ((1.0 - alpha) / alpha)
-        return scale * num / den * tail
+    def draw(rngs, n, out=None):
+        # In-place form of
+        #   v = (U - 1/2) pi,  W ~ Exp(1),
+        #   scale * sin(alpha (v + theta0)) / (cos_at0 cos v)^(1/alpha)
+        #         * (cos(a_theta0 + (alpha - 1) v) / W)^((1 - alpha)/alpha),
+        # evaluated in that operation order.
+        v = np.empty((len(rngs), n)) if out is None else out
+        w, num, den = take(v.shape)
+        for rng, v_row, w_row in zip(rngs, v, w):
+            rng.random(out=v_row)
+            rng.standard_exponential(out=w_row)
+        v -= 0.5
+        v *= math.pi
+        np.add(v, theta0, out=num)
+        num *= alpha
+        np.sin(num, out=num)
+        np.cos(v, out=den)
+        den *= cos_at0
+        den **= 1.0 / alpha
+        num *= scale
+        num /= den
+        np.multiply(v, alpha - 1.0, out=den)  # den now holds the tail factor
+        den += a_theta0
+        np.cos(den, out=den)
+        den /= w
+        den **= (1.0 - alpha) / alpha
+        np.multiply(num, den, out=v)
+        return v
 
     return draw
 
@@ -265,4 +321,4 @@ def sample_stable_increment(
     p: StableParams, dt: float, stream: np.random.Generator
 ) -> float:
     """Single exact-in-law stable increment over time dt."""
-    return float(increment_sampler(p, dt)(stream, 1)[0])
+    return float(increment_sampler(p, dt)([stream], 1)[0, 0])

@@ -540,7 +540,10 @@ def _suite_montecarlo(seed, n_paths=200, step=2e-3, **_):
         )
     )
 
-    up_run = simulate_exit(Kind.UP, p, w, SimConfig(n_paths, step, seed + 1))
+    # Derived seeds wrap inside the [0, 2^64) seed range.
+    up_run = simulate_exit(
+        Kind.UP, p, w, SimConfig(n_paths, step, (seed + 1) % 2**64)
+    )
     cdf, _ = overshoot_cdf_interpolant(Kind.UP, p, Direction.UP, window=w)
     sel = up_run.side == SIDE_UP
     theta, hw = up_run.theta[sel], up_run.h_weight[sel]
@@ -566,7 +569,9 @@ def _suite_montecarlo(seed, n_paths=200, step=2e-3, **_):
         )
     )
 
-    down_run = simulate_exit(Kind.DOWN, p, w, SimConfig(n_paths, step, seed + 2))
+    down_run = simulate_exit(
+        Kind.DOWN, p, w, SimConfig(n_paths, step, (seed + 2) % 2**64)
+    )
     pos = down_run.exit_position()
     reweighted = down_run.h_weight * np.where(np.isnan(pos), 0.0, pos)
     up_event = (down_run.side == SIDE_UP).astype(float)
@@ -611,6 +616,8 @@ def run_suite(suite: str, seed: int = 0, **kwargs) -> dict:
         raise DomainError(
             f"unknown suite {suite!r}; choose from {', '.join(SUITES)} or all"
         )
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must lie in [0, 2^64), got {seed}")
     names = SUITES if suite == "all" else (suite,)
     t0 = time.perf_counter()
     checks = []

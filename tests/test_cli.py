@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pssmp
 from pssmp.cli import LAWS, load_config, main, parse_grid
 from pssmp.errors import ConfigurationError, DomainError
 from pssmp.exit_laws import min_cdf_up
@@ -129,6 +133,9 @@ class TestSimulate:
         monkeypatch.setenv("PSSMP_SEED", "77")
         _, out, _ = run(capsys, "simulate", "--n-paths", "2", "--step", "5e-3")
         assert "# seed=77" in out
+        monkeypatch.setenv("PSSMP_SEED", "abc")
+        rc, _, err = run(capsys, "simulate", "--n-paths", "2", "--step", "5e-3")
+        assert rc == 2 and "PSSMP_SEED" in err
 
 
 class TestVerify:
@@ -169,6 +176,40 @@ class TestExitCodes:
             capsys, "simulate", "--n-paths", "1", "--step", "1e-8"
         )
         assert rc == 3
+
+    def test_seed_outside_64_bits_is_2(self, capsys):
+        # Seeds are not masked: -1 and 2^64 - 1 would otherwise share a stream.
+        for seed in ("-1", str(2**64)):
+            rc, out, err = run(capsys, "simulate", "--n-paths", "2", "--seed", seed)
+            assert rc == 2 and "seed" in err and out == ""
+        top = str(2**64 - 1)
+        rc, _, _ = run(
+            capsys, "simulate", "--n-paths", "2", "--step", "5e-3", "--seed", top
+        )
+        assert rc == 0
+        rc, _, err = run(capsys, "verify", "esscher", "--seed", "-1")
+        assert rc == 2 and "seed" in err
+
+    def test_barrier_overflow_in_simulate_is_2(self):
+        src = os.path.dirname(os.path.dirname(pssmp.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pssmp.cli", "simulate", "--u", "800"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:") and "overflow" in proc.stderr
+
+    def test_large_barriers_in_eval_are_finite(self, capsys):
+        rc, out, _ = run(
+            capsys, "eval", "--law", "exit-two-sided", "--u", "800", "--v", "-800"
+        )
+        assert rc == 0
+        lines = [l for l in out.splitlines() if l and not l.startswith("#")]
+        values = [float(l.split(",")[1]) for l in lines[1:]]
+        assert values and all(math.isfinite(v) for v in values)
 
     def test_missing_config_file_is_2(self, capsys):
         assert run(capsys, "eval", "--law", "psi", "--config", "/nope.cfg")[0] == 2

@@ -6,6 +6,7 @@ from pssmp.errors import DomainError
 from pssmp.exit_laws import (
     Direction,
     ExitLawQuery,
+    _log_expm1,
     ExitWindow,
     creeping_side,
     exit_density_one_sided,
@@ -192,6 +193,12 @@ class TestQueryValidation:
         with pytest.raises(DomainError):
             ExitWindow(v=0.5, u=1.0)
 
+    def test_window_must_be_finite(self):
+        inf = math.inf
+        for v, u in ((-inf, inf), (-0.5, inf), (-inf, 0.5), (math.nan, 0.5)):
+            with pytest.raises(DomainError):
+                ExitWindow(v, u)
+
     def test_negative_theta(self):
         with pytest.raises(DomainError):
             ExitLawQuery(Kind.STAR, P, Direction.UP, -0.1, window=W)
@@ -200,3 +207,26 @@ class TestQueryValidation:
         q = ExitLawQuery(Kind.STAR, P, Direction.UP, 0.5, u=0.5)
         with pytest.raises(DomainError):
             q.barrier_down()
+
+
+class TestLargeBarriers:
+    @pytest.mark.parametrize("u", [1.0 + 1e-9, 1.5, 3.0, 10.0, 40.0, 300.0, 700.0])
+    def test_log_expm1_matches_direct_form(self, u):
+        assert _log_expm1(u) == pytest.approx(math.log(math.expm1(u)), rel=1e-15)
+
+    @pytest.mark.parametrize("u", [1e-12, 1e-3, 0.5, 1.0])
+    def test_log_expm1_small_argument_is_direct_form(self, u):
+        assert _log_expm1(u) == math.log(math.expm1(u))
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_densities_finite_where_e_u_overflows(self, kind, direction):
+        # e^800 overflows a float; the log-scale densities do not need it.
+        far = ExitWindow(-800.0, 800.0)
+        for theta in (0.01, 1.0, 30.0):
+            two = _dens2(kind, P, direction, theta, far)
+            barrier = {"u": 800.0} if direction is Direction.UP else {"v": -800.0}
+            q = ExitLawQuery(kind, P, direction, theta, **barrier)
+            one = exit_density_one_sided(q)
+            assert math.isfinite(two) and two >= 0.0
+            assert math.isfinite(one) and one >= 0.0

@@ -5,6 +5,7 @@ import pytest
 
 from pssmp.errors import BudgetError, DomainError
 from pssmp.exit_laws import ExitWindow, exit_mass_two_sided, Direction
+from pssmp import montecarlo
 from pssmp.montecarlo import (
     SIDE_CENSORED,
     SIDE_DOWN,
@@ -19,7 +20,7 @@ from pssmp.montecarlo import (
     simulate_exit,
     step_refinement_report,
 )
-from pssmp.stable import Kind, StableParams
+from pssmp.stable import Kind, StableParams, increment_sampler, path_rng
 
 P = StableParams(1.5, 0.5)
 W = ExitWindow(v=-0.5, u=0.5)
@@ -103,9 +104,99 @@ class TestSimulation:
         se = math.sqrt(target * (1.0 - target) / CFG.n_paths)
         assert abs(up - target) < 3.0 * se + 0.05
 
+    def test_seed_range(self):
+        SimConfig(1, 1e-3, 2**64 - 1)
+        for seed in (-1, 2**64):
+            with pytest.raises(DomainError):
+                SimConfig(1, 1e-3, seed)
+
+    def test_barrier_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="overflows"):
+            simulate_exit(Kind.STAR, P, ExitWindow(-0.5, 800.0), SimConfig(1, 1e-3, 0))
+
     def test_budget_cap(self):
         with pytest.raises(BudgetError):
             SimConfig(n_paths=10, step=1e-8, seed=0, max_time=50.0)
+
+
+def _per_path(draw, n_paths, seed, max_steps, eu, ev):
+    """The per-path definition of the grid simulation: path i alone on
+    path_rng(seed, i), block by block, to its first barrier crossing."""
+    pos = np.ones(n_paths)
+    steps = np.zeros(n_paths, dtype=np.int64)
+    exited = np.zeros(n_paths, dtype=bool)
+    for i in range(n_paths):
+        rng, x, done = path_rng(seed, i), 1.0, 0
+        while done < max_steps:
+            n = min(1024, max_steps - done)
+            path = x + np.cumsum(draw([rng], n)[0])
+            hit = np.flatnonzero((path >= eu) | (path <= ev))
+            if hit.size:
+                k = int(hit[0])
+                pos[i], steps[i], exited[i] = path[k], done + k + 1, True
+                break
+            x, done = float(path[-1]), done + n
+        else:
+            pos[i], steps[i] = x, done
+    return pos, steps, exited
+
+
+class TestLockstepBatch:
+    """The batched simulator reproduces the per-path definition bit for bit."""
+
+    @pytest.mark.parametrize(
+        "kind, p, window, cfg",
+        [
+            (Kind.STAR, P, W, SimConfig(70, 2e-3, 11)),
+            (Kind.UP, P, W, SimConfig(70, 2e-3, 11)),
+            (Kind.DOWN, P, W, SimConfig(70, 2e-3, 11)),
+            (Kind.UP, P, W, SimConfig(5, 2e-3, 12)),
+            # Several blocks per path, so rows pass from path to path mid-run.
+            (Kind.STAR, P, W, SimConfig(70, 1e-4, 17)),
+            (Kind.STAR, StableParams(0.8, 0.3), W, SimConfig(40, 2e-3, 13)),
+            (Kind.DOWN, StableParams(0.8, 0.7), W, SimConfig(40, 2e-3, 14)),
+            (Kind.STAR, StableParams(1.0, 0.5), W, SimConfig(40, 2e-3, 15)),
+            # 2500 steps: two whole blocks, then a cut one of 452 steps.
+            (Kind.UP, P, ExitWindow(-3.0, 3.0), SimConfig(40, 1e-3, 16, max_time=2.5)),
+        ],
+    )
+    def test_matches_per_path_definition(self, monkeypatch, kind, p, window, cfg):
+        batched = simulate_exit(kind, p, window, cfg)
+        monkeypatch.setattr(montecarlo, "_run_paths", _per_path)
+        single = simulate_exit(kind, p, window, cfg)
+        assert np.array_equal(batched.side, single.side)
+        assert np.array_equal(batched.theta, single.theta, equal_nan=True)
+        assert np.array_equal(batched.h_weight, single.h_weight)
+        assert np.array_equal(batched.steps_used, single.steps_used)
+
+    def test_horizon_case_censors_several_paths(self):
+        s = simulate_exit(
+            Kind.UP, P, ExitWindow(-3.0, 3.0), SimConfig(40, 1e-3, 16, max_time=2.5)
+        )
+        assert s.config.max_steps % 1024 != 0
+        censored = s.steps_used == s.config.max_steps
+        assert np.count_nonzero(censored) >= 3
+        assert np.all(s.side[censored] == SIDE_CENSORED)
+
+    def test_draws_match_per_path_count(self):
+        # Each path draws whole blocks up to its exit, the last block cut
+        # at the horizon: nothing is drawn for a row that has no path.
+        cfg = SimConfig(50, 1e-3, 3, max_time=2.5)
+        base = increment_sampler(P, cfg.step)
+        drawn = []
+
+        def counting_draw(rngs, n, out=None):
+            drawn.append(len(rngs) * n)
+            return base(rngs, n, out=out)
+
+        window = ExitWindow(-3.0, 3.0)
+        _, steps, _ = montecarlo._run_paths(
+            counting_draw, cfg.n_paths, cfg.seed, cfg.max_steps,
+            math.exp(window.u), math.exp(window.v),
+        )
+        per_path = np.minimum(-(-steps // 1024) * 1024, cfg.max_steps)
+        assert np.any(steps == cfg.max_steps)
+        assert sum(drawn) == int(per_path.sum())
 
 
 class TestRefinement:

@@ -125,11 +125,45 @@ class TestSampling:
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
 
+    def test_seed_and_index_range(self):
+        # Each fills one 64-bit half of the Philox key; nothing is masked.
+        path_rng(2**64 - 1, 2**64 - 1)
+        for seed, index in ((-1, 0), (2**64, 0), (0, -1), (0, 2**64)):
+            with pytest.raises(DomainError):
+                path_rng(seed, index)
+
+    @pytest.mark.parametrize("alpha, rho", [(1.5, 0.5), (0.8, 0.3), (1.0, 0.5)])
+    def test_rows_match_per_stream_transform(self, alpha, rho):
+        # Row r of a batched draw equals the transform written out on
+        # rng r alone: n uniforms, then n exponentials, same operation order.
+        p, dt, n = StableParams(alpha, rho), 1e-3, 1000
+        theta0 = math.pi * (rho - 0.5)
+        a_theta0 = alpha * theta0
+
+        def reference(rng):
+            v = (rng.random(n) - 0.5) * math.pi
+            if alpha == 1.0:
+                return dt * np.tan(v)
+            w = rng.standard_exponential(n)
+            num = np.sin(alpha * (v + theta0))
+            den = (math.cos(a_theta0) * np.cos(v)) ** (1.0 / alpha)
+            tail = (np.cos(a_theta0 + (alpha - 1.0) * v) / w) ** ((1.0 - alpha) / alpha)
+            return dt ** (1.0 / alpha) * num / den * tail
+
+        draw = increment_sampler(p, dt)
+        expected = np.array([reference(path_rng(4, i)) for i in range(3)])
+        batch = draw([path_rng(4, i) for i in range(3)], n)
+        assert batch.shape == (3, n)
+        assert np.array_equal(batch, expected)
+        out = np.empty((3, n))
+        assert draw([path_rng(4, i) for i in range(3)], n, out=out) is out
+        assert np.array_equal(out, expected)
+
     def test_sign_frequency_matches_rho(self):
         for rho in (0.5, 0.7):
             p = StableParams(1.2, rho)
             draw = increment_sampler(p, 1.0)
-            x = draw(path_rng(7, 0), 200_000)
+            x = draw([path_rng(7, 0)], 200_000)[0]
             freq = float(np.mean(x > 0.0))
             se = math.sqrt(rho * (1.0 - rho) / x.size)
             assert abs(freq - rho) < 4.0 * se
@@ -138,8 +172,9 @@ class TestSampling:
         # Increments over dt equal dt^(1/alpha) times unit increments in law.
         p = StableParams(1.5, 0.5)
         n = 100_000
-        x1 = increment_sampler(p, 1.0)(path_rng(3, 0), n)
-        x2 = increment_sampler(p, 0.25)(path_rng(3, 1), n) * 0.25 ** (-1.0 / p.alpha)
+        x1 = increment_sampler(p, 1.0)([path_rng(3, 0)], n)[0]
+        x2 = increment_sampler(p, 0.25)([path_rng(3, 1)], n)[0]
+        x2 *= 0.25 ** (-1.0 / p.alpha)
         qs = np.linspace(0.05, 0.95, 19)
         q1 = np.quantile(x1, qs)
         q2 = np.quantile(x2, qs)
@@ -147,7 +182,7 @@ class TestSampling:
 
     def test_median_zero_when_symmetric(self):
         p = StableParams(1.5, 0.5)
-        x = increment_sampler(p, 1.0)(path_rng(11, 0), 100_000)
+        x = increment_sampler(p, 1.0)([path_rng(11, 0)], 100_000)[0]
         assert abs(np.median(x)) < 0.02
 
     def test_infeasible_skew_rejected(self):
@@ -157,7 +192,7 @@ class TestSampling:
 
     def test_cauchy_case(self):
         p = StableParams(1.0, 0.5)
-        x = increment_sampler(p, 1.0)(path_rng(5, 0), 50_000)
+        x = increment_sampler(p, 1.0)([path_rng(5, 0)], 50_000)[0]
         # quartiles of the standard-ish Cauchy sit at +-scale
         frac = float(np.mean(np.abs(x) < np.median(np.abs(x))))
         assert frac == pytest.approx(0.5, abs=0.02)
