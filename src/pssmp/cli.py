@@ -88,6 +88,8 @@ def parse_grid(spec: str) -> np.ndarray:
     if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
         raise DomainError(f"bad grid spec {spec!r}; expected A:B:N[:log]")
     a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"grid endpoints must be finite, got {spec!r}")
     if n < 2:
         raise DomainError("grid needs at least 2 points")
     if len(parts) == 4:
@@ -230,8 +232,10 @@ def _eval_rows(args):
 
     if law == "rogozin-density":
         a = args.a if args.a is not None else 2.0
-        meta += [("a", a), ("x", min(x, a / 2.0) if x >= a else x)]
+        # A start point outside (0, a) falls back to a/2; the metadata
+        # records the point evaluated.
         x0 = x if 0.0 < x < a else a / 2.0
+        meta += [("a", a), ("x", x0)]
         return (
             ("y", "value"),
             [(y, rogozin_overshoot_density(p, a, x0, y)) for y in grid],

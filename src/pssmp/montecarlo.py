@@ -41,6 +41,7 @@ SIDE_LABELS = ("up", "down", "killed", "censored")
 
 _MAX_GRID_POINTS = 10**8
 _BLOCK = 1024
+_HALF = _BLOCK // 2
 _BATCH = 32
 
 
@@ -134,13 +135,19 @@ def _h_exponent(kind: Kind, p: StableParams) -> float:
 def _run_paths(draw, n_paths, seed, max_steps, eu, ev):
     """Run every path to exit; returns (raw position, steps, exited) arrays.
 
-    Path i draws its increments from path_rng(seed, i) in blocks of
-    _BLOCK (the last one cut at the horizon) and stops at the first
-    position at or beyond a barrier.  Up to _BATCH paths advance in
-    lockstep, one row each: a block of every row is drawn, summed and
-    scanned in one pass, and a finished path's row goes at once to the
-    next path.  Each stream is consumed in the same chunks as a path run
-    alone, so the result does not depend on the batching.
+    Path i draws from path_rng(seed, i) in blocks of _BLOCK steps (the
+    last one cut at the horizon): the block's uniforms first, then the
+    exponentials of its first _HALF steps, then those of the rest.  The
+    path stops at the first position at or beyond a barrier, so a path
+    that stops in the first half of a block never draws the second.  Up
+    to _BATCH paths advance in lockstep, one row each: every row draws
+    its block's uniforms, and each half is transformed, summed and
+    scanned in one pass over the rows still running.  The running sum is
+    carried raw from half to half and the block start added after the
+    cumsum, so positions equal those of one cumsum over the whole block.
+    A finished path's row goes at once to the next path, whose stream
+    re-keys the row's generator in place.  Each stream is consumed as by
+    a path run alone, so the result does not depend on the batching.
     """
     pos = np.ones(n_paths)
     steps = np.zeros(n_paths, dtype=np.int64)
@@ -148,9 +155,11 @@ def _run_paths(draw, n_paths, seed, max_steps, eu, ev):
     if max_steps < 1:
         return pos, steps, exited
     rows = min(_BATCH, n_paths)
-    buf = np.empty((rows, _BLOCK))
-    hit = np.empty((rows, _BLOCK), dtype=bool)
-    below = np.empty((rows, _BLOCK), dtype=bool)
+    uni = np.empty((rows, _BLOCK))
+    # Flat buffers, viewed as C-contiguous (running rows, half length).
+    buf = np.empty(rows * _HALF)
+    hit = np.empty(rows * _HALF, dtype=bool)
+    below = np.empty(rows * _HALF, dtype=bool)
     path = np.arange(rows)  # path index held by each row
     rngs = [path_rng(seed, i) for i in range(rows)]
     x = np.ones(rows)  # position at the end of the row's last block
@@ -167,39 +176,57 @@ def _run_paths(draw, n_paths, seed, max_steps, eu, ev):
             groups.append((np.flatnonzero(cut), max_steps % _BLOCK))
         freed = []
         for sel, n in groups:
-            k = sel.size
-            if k == 0:
+            if sel.size == 0:
                 continue
-            out = buf[:k] if n == _BLOCK else None
-            blk = draw([rngs[r] for r in sel], n, out=out)
-            np.cumsum(blk, axis=1, out=blk)
-            blk += x[sel, None]
-            h, b = hit[:k, :n], below[:k, :n]
-            np.greater_equal(blk, eu, out=h)
-            np.less_equal(blk, ev, out=b)
-            h |= b
-            first = h.argmax(axis=1)
-            crossed = h[np.arange(k), first]
-            j = np.flatnonzero(crossed)
-            ended = sel[j]
-            pos[path[ended]] = blk[j, first[j]]
-            steps[path[ended]] = done[ended] + first[j] + 1
-            exited[path[ended]] = True
-            on = sel[~crossed]
-            x[on] = blk[~crossed, -1]
-            done[on] += n
-            horizon = on[done[on] >= max_steps]
-            pos[path[horizon]] = x[horizon]
-            steps[path[horizon]] = done[horizon]
-            freed += ended.tolist() + horizon.tolist()
+            for j, r in enumerate(sel):
+                rngs[r].random(out=uni[j, :n])
+            act = np.arange(sel.size)  # uni rows of the paths still running
+            carry = np.empty(sel.size)  # raw partial sum at the end of a half
+            for lo in range(0, n, _HALF):
+                m, k = min(_HALF, n - lo), act.size
+                on = sel[act]
+                shape = (k, m)
+                blk = draw(
+                    [rngs[r] for r in on], m,
+                    out=buf[: k * m].reshape(shape),
+                    uniforms=uni[act, lo : lo + m],
+                )
+                if lo:
+                    blk[:, 0] += carry[act]
+                np.cumsum(blk, axis=1, out=blk)
+                carry[act] = blk[:, -1]
+                blk += x[on, None]
+                h = hit[: k * m].reshape(shape)
+                b = below[: k * m].reshape(shape)
+                np.greater_equal(blk, eu, out=h)
+                np.less_equal(blk, ev, out=b)
+                h |= b
+                first = h.argmax(axis=1)
+                crossed = h[np.arange(k), first]
+                j = np.flatnonzero(crossed)
+                ended = on[j]
+                pos[path[ended]] = blk[j, first[j]]
+                steps[path[ended]] = done[ended] + lo + first[j] + 1
+                exited[path[ended]] = True
+                freed += ended.tolist()
+                act = act[~crossed]
+                if act.size == 0:
+                    break
+            if act.size:
+                on = sel[act]
+                x[on] = blk[~crossed, -1]
+                done[on] += n
+                horizon = on[done[on] >= max_steps]
+                pos[path[horizon]] = x[horizon]
+                steps[path[horizon]] = done[horizon]
+                freed += horizon.tolist()
         # Hand each freed row to the next path; with none left, move the
         # last running row into it.  Descending order means every row above
         # the one being filled is already settled.
         for r in sorted(freed, reverse=True):
             if next_path < n_paths:
-                path[r], rngs[r], x[r], done[r] = (
-                    next_path, path_rng(seed, next_path), 1.0, 0
-                )
+                path[r], x[r], done[r] = next_path, 1.0, 0
+                rngs[r] = path_rng(seed, next_path, reuse=rngs[r])
                 next_path += 1
             else:
                 live -= 1
@@ -224,10 +251,13 @@ def simulate_exit(
     paths (weight 0).  Horizon exhaustion also censors.
 
     Path i is defined on its own stream path_rng(cfg.seed, i), drawn in
-    blocks of 1024 increments (the last one cut at the horizon).  The
-    paths are run in lockstep batches of 32, one matrix pass per block;
-    a finished path frees its row for the next one at once.  Streams and
-    results are bit-identical to running each path alone.
+    blocks of 1024 steps (the last one cut at the horizon): the block's
+    1024 uniforms, then the exponentials of its first 512 steps, then
+    those of the rest, which a path that exits in the first half never
+    draws.  The paths are run in lockstep batches of 32, one matrix pass
+    per half-block over the paths still running; a finished path frees
+    its row for the next one at once.  Streams and results are
+    bit-identical to running each path alone.
     """
     if isinstance(kind, LampertiKind):
         kind = kind.kind

@@ -209,19 +209,38 @@ def _skew_angle(p: StableParams) -> float:
     return math.pi * (p.rho - 0.5)
 
 
-def path_rng(seed: int, path_index: int) -> np.random.Generator:
+def path_rng(
+    seed: int, path_index: int, reuse: np.random.Generator | None = None
+) -> np.random.Generator:
     """Counter-based generator for one simulated path.
 
     Keyed by (seed, path_index) through a 128-bit Philox key so streams
     are independent of scheduling and worker count.  Both must lie in
-    [0, 2^64): each fills one 64-bit half of the key.
+    [0, 2^64): each fills one 64-bit half of the key.  With ``reuse``, a
+    Philox generator made here before, that generator is re-keyed in
+    place (counter 0, key [path_index, seed], empty buffer) and returned:
+    it then gives the same stream as a new one, whatever it drew before,
+    without the entropy-seeded set-up of a new bit generator.
     """
     seed, path_index = int(seed), int(path_index)
     if not (0 <= seed < 2**64 and 0 <= path_index < 2**64):
         raise DomainError(
             f"seed and path index must lie in [0, 2^64), got {seed} and {path_index}"
         )
-    return np.random.Generator(np.random.Philox(key=(seed << 64) | path_index))
+    if reuse is None:
+        return np.random.Generator(np.random.Philox(key=(seed << 64) | path_index))
+    reuse.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([path_index, seed], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return reuse
 
 
 def _workspace(count: int):
@@ -241,16 +260,31 @@ def _workspace(count: int):
     return take
 
 
+def _centred_uniforms(rngs, v, uniforms):
+    """v = U - 1/2, row r of U drawn from rngs[r] unless ``uniforms`` gives it."""
+    if uniforms is None:
+        for rng, row in zip(rngs, v):
+            rng.random(out=row)
+        v -= 0.5
+    else:
+        np.subtract(uniforms, 0.5, out=v)
+
+
 def increment_sampler(p: StableParams, dt: float):
     """Vectorized sampler of stable increments over time step dt.
 
-    Returns draw(rngs, n, out=None) -> ndarray of shape (len(rngs), n):
-    row r holds n independent increments drawn from rngs[r], which
-    supplies n uniforms and then (unless alpha = 1) n exponentials.
-    ``out``, a C-contiguous float array of that shape, receives the
-    increments in place.  Uses the trigonometric construction from
+    Returns draw(rngs, n, out=None, uniforms=None) -> ndarray of shape
+    (len(rngs), n): row r holds n independent increments drawn from
+    rngs[r], which supplies n uniforms and then (unless alpha = 1) n
+    exponentials.  ``uniforms``, an array of that shape, gives rows of
+    uniforms the caller has already drawn from those generators; each
+    row then draws only its n exponentials.  ``out``, a C-contiguous
+    float array of that shape, receives the increments in place (it may
+    be ``uniforms`` itself).  Uses the trigonometric construction from
     uniform and exponential variates; the skewness is chosen so that
-    P(X_1 > 0) = rho, and increments scale as dt^(1/alpha).  Each row is
+    P(X_1 > 0) = rho, and increments scale as dt^(1/alpha).  For alpha > 1
+    that needs rho in [1 - 1/alpha, 1/alpha]; outside it no strictly
+    stable law exists and DomainError is raised.  Each row is
     bit-identical to the same transform applied to that generator alone.
     The sampler keeps its scratch buffers between calls, so one sampler
     must not draw in two threads at once.
@@ -263,11 +297,9 @@ def increment_sampler(p: StableParams, dt: float):
             raise DomainError("alpha = 1 supported only in the symmetric case")
         scale = dt  # Cauchy: linear scaling
 
-        def draw_cauchy(rngs, n, out=None):
+        def draw_cauchy(rngs, n, out=None, uniforms=None):
             v = np.empty((len(rngs), n)) if out is None else out
-            for rng, row in zip(rngs, v):
-                rng.random(out=row)
-            v -= 0.5
+            _centred_uniforms(rngs, v, uniforms)
             v *= math.pi
             np.tan(v, out=v)
             v *= scale
@@ -275,17 +307,21 @@ def increment_sampler(p: StableParams, dt: float):
 
         return draw_cauchy
 
+    # For alpha > 1 both alpha*rho and alpha*(1 - rho) must be at most 1,
+    # else cos(a_theta0 + (alpha - 1) v) turns negative on part of the
+    # range of v and the power below is NaN.
+    if alpha > 1.0 and max(p.alpha_rho, p.alpha_rho_hat) > 1.0 + _BOUNDARY_TOL:
+        raise DomainError(
+            f"no strictly stable law with alpha={alpha}, rho={p.rho}: "
+            "for alpha > 1, rho must lie in [1 - 1/alpha, 1/alpha]"
+        )
     theta0 = _skew_angle(p)
     a_theta0 = alpha * theta0
-    if abs(a_theta0) >= math.pi / 2.0 - 1e-12:
-        raise DomainError(
-            f"no strictly stable law with alpha={alpha}, rho={p.rho}"
-        )
     scale = dt ** (1.0 / alpha)
     cos_at0 = math.cos(a_theta0)
     take = _workspace(3)
 
-    def draw(rngs, n, out=None):
+    def draw(rngs, n, out=None, uniforms=None):
         # In-place form of
         #   v = (U - 1/2) pi,  W ~ Exp(1),
         #   scale * sin(alpha (v + theta0)) / (cos_at0 cos v)^(1/alpha)
@@ -293,10 +329,9 @@ def increment_sampler(p: StableParams, dt: float):
         # evaluated in that operation order.
         v = np.empty((len(rngs), n)) if out is None else out
         w, num, den = take(v.shape)
-        for rng, v_row, w_row in zip(rngs, v, w):
-            rng.random(out=v_row)
+        _centred_uniforms(rngs, v, uniforms)
+        for rng, w_row in zip(rngs, w):
             rng.standard_exponential(out=w_row)
-        v -= 0.5
         v *= math.pi
         np.add(v, theta0, out=num)
         num *= alpha

@@ -34,6 +34,11 @@ class TestGridAndConfig:
             with pytest.raises(DomainError):
                 parse_grid(bad)
 
+    def test_parse_grid_rejects_non_finite_endpoints(self):
+        for bad in ("nan:1:3", "0:inf:3", "-inf:1:3", "1:nan:3:log"):
+            with pytest.raises(DomainError, match="finite"):
+                parse_grid(bad)
+
     def test_load_config(self, tmp_path):
         f = tmp_path / "run.cfg"
         f.write_text("# comment\nalpha = 1.2\nc-minus=2.0\n\nseed=9\n")
@@ -85,6 +90,17 @@ class TestEval:
         assert rc == 0, err
         rows = [l for l in out.splitlines() if l and not l.startswith("#")]
         assert len(rows) >= 2
+
+    def test_rogozin_metadata_records_evaluated_x(self, capsys):
+        # A start point outside (0, a) is evaluated at a/2 = 1; the
+        # metadata says so, and the rows are those of --x 1.
+        _, inside, _ = run(capsys, "eval", "--law", "rogozin-density", "--x", "1")
+        rows = [l for l in inside.splitlines() if not l.startswith("#")]
+        for x in ("-3", "0", "2", "5"):
+            rc, out, _ = run(capsys, "eval", "--law", "rogozin-density", "--x", x)
+            assert rc == 0
+            assert "# x=1\n" in out and f"# x={x}\n" not in out
+            assert [l for l in out.splitlines() if not l.startswith("#")] == rows
 
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "out.csv"
@@ -210,6 +226,12 @@ class TestExitCodes:
         lines = [l for l in out.splitlines() if l and not l.startswith("#")]
         values = [float(l.split(",")[1]) for l in lines[1:]]
         assert values and all(math.isfinite(v) for v in values)
+
+    def test_non_finite_grid_is_2(self, capsys):
+        rc, out, err = run(
+            capsys, "eval", "--law", "exit-two-sided", "--grid", "nan:1:3"
+        )
+        assert rc == 2 and out == "" and "finite" in err
 
     def test_missing_config_file_is_2(self, capsys):
         assert run(capsys, "eval", "--law", "psi", "--config", "/nope.cfg")[0] == 2

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pssmp.errors import BudgetError, DomainError
 from pssmp.exit_laws import ExitWindow, exit_mass_two_sided, Direction
@@ -161,13 +162,7 @@ class TestLockstepBatch:
         ],
     )
     def test_matches_per_path_definition(self, monkeypatch, kind, p, window, cfg):
-        batched = simulate_exit(kind, p, window, cfg)
-        monkeypatch.setattr(montecarlo, "_run_paths", _per_path)
-        single = simulate_exit(kind, p, window, cfg)
-        assert np.array_equal(batched.side, single.side)
-        assert np.array_equal(batched.theta, single.theta, equal_nan=True)
-        assert np.array_equal(batched.h_weight, single.h_weight)
-        assert np.array_equal(batched.steps_used, single.steps_used)
+        _assert_matches_per_path(monkeypatch, kind, p, window, cfg)
 
     def test_horizon_case_censors_several_paths(self):
         s = simulate_exit(
@@ -178,25 +173,118 @@ class TestLockstepBatch:
         assert np.count_nonzero(censored) >= 3
         assert np.all(s.side[censored] == SIDE_CENSORED)
 
+    # Window (-0.3, 0.3) at step 1e-4, seed 29 or 27: paths last about 1200
+    # steps, so exits fall in both halves of the first blocks and in the
+    # block cut at the horizon, and some paths are censored.
+    NARROW = ExitWindow(-0.3, 0.3)
+
+    @pytest.mark.parametrize(
+        "p, cfg, cut",
+        [
+            # 2348 steps: two whole blocks, then a cut one of 300 (one half).
+            (P, SimConfig(100, 1e-4, 29, max_time=0.2348), 300),
+            # 2747 steps: the cut block of 699 has a whole half and 187 more.
+            (P, SimConfig(100, 1e-4, 29, max_time=0.2748), 699),
+            (StableParams(1.0, 0.5), SimConfig(100, 1e-4, 29, max_time=0.2748), 699),
+        ],
+    )
+    def test_cut_block_halves_match_per_path(self, monkeypatch, p, cfg, cut):
+        assert cfg.max_steps % 1024 == cut
+        batched = _assert_matches_per_path(monkeypatch, Kind.STAR, p, self.NARROW, cfg)
+        exited = batched.side != SIDE_CENSORED
+        into_cut = batched.steps_used - (cfg.max_steps - cut)
+        assert np.any(exited & (into_cut > 0))
+        if cut > 512:
+            assert np.any(exited & (into_cut > 512))
+        assert np.any(~exited)
+
+    def test_exits_in_both_halves_and_last_columns(self, monkeypatch):
+        cfg = SimConfig(100, 1e-4, 27)
+        batched = _assert_matches_per_path(monkeypatch, Kind.STAR, P, self.NARROW, cfg)
+        col = (batched.steps_used - 1) % 1024  # column of the exit in its block
+        exited = batched.side != SIDE_CENSORED
+        assert np.any(exited & (col < 512)) and np.any(exited & (col >= 512))
+        # Exits on the last column of each half: 511 ends the first half,
+        # 1023 the whole block.
+        assert np.any(exited & (col == 511)) and np.any(exited & (col == 1023))
+
+    def test_reused_stream_equals_fresh_stream(self):
+        # Re-keying resets the counter, the buffered block of Philox output
+        # and the buffered 32-bit half that a float32 draw leaves behind.
+        g = path_rng(8, 3)
+        g.random(7)
+        g.standard_exponential(5)
+        g.random(3, dtype=np.float32)
+        assert path_rng(8, 40, reuse=g) is g
+        fresh = path_rng(8, 40)
+        assert np.array_equal(g.random(50), fresh.random(50))
+        assert np.array_equal(g.standard_exponential(50), fresh.standard_exponential(50))
+        assert np.array_equal(
+            g.random(5, dtype=np.float32), fresh.random(5, dtype=np.float32)
+        )
+        with pytest.raises(DomainError):
+            path_rng(8, 2**64, reuse=g)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        alpha=st.one_of(st.just(1.0), st.floats(0.5, 1.95)),
+        skew=st.floats(0.02, 0.98),
+        v=st.floats(-1.0, -0.05),
+        u=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+        # More than the 32 rows half of the time, so rows pass between paths.
+        n_paths=st.one_of(st.integers(1, 40), st.integers(33, 40)),
+        step=st.sampled_from([1e-3, 1e-4]),
+        max_time=st.floats(0.01, 0.5),
+    )
+    def test_property_bit_equal_to_per_path(
+        self, alpha, skew, v, u, seed, n_paths, step, max_time
+    ):
+        # skew places rho inside the two-sided range: (0, 1) for alpha < 1,
+        # (1 - 1/alpha, 1/alpha) for alpha > 1; Cauchy only at rho = 1/2.
+        lo = max(0.0, 1.0 - 1.0 / alpha)
+        p = StableParams(alpha, 0.5 if alpha == 1.0 else lo + skew * (1.0 - 2.0 * lo))
+        assert p.two_sided
+        cfg = SimConfig(n_paths, step, seed, max_time=max_time)
+        draw = increment_sampler(p, step)
+        args = (n_paths, seed, cfg.max_steps, math.exp(u), math.exp(v))
+        for got, want in zip(montecarlo._run_paths(draw, *args), _per_path(draw, *args)):
+            assert np.array_equal(got, want)
+
     def test_draws_match_per_path_count(self):
-        # Each path draws whole blocks up to its exit, the last block cut
-        # at the horizon: nothing is drawn for a row that has no path.
+        # Each path draws whole blocks up to the block of its exit, and of
+        # that block only the halves up to the exit; the last block is cut
+        # at the horizon.  Nothing is drawn for a row that has no path.
         cfg = SimConfig(50, 1e-3, 3, max_time=2.5)
         base = increment_sampler(P, cfg.step)
         drawn = []
 
-        def counting_draw(rngs, n, out=None):
+        def counting_draw(rngs, n, out=None, uniforms=None):
             drawn.append(len(rngs) * n)
-            return base(rngs, n, out=out)
+            return base(rngs, n, out=out, uniforms=uniforms)
 
         window = ExitWindow(-3.0, 3.0)
         _, steps, _ = montecarlo._run_paths(
             counting_draw, cfg.n_paths, cfg.seed, cfg.max_steps,
             math.exp(window.u), math.exp(window.v),
         )
-        per_path = np.minimum(-(-steps // 1024) * 1024, cfg.max_steps)
+        per_path = np.minimum(-(-steps // 512) * 512, cfg.max_steps)
+        whole_blocks = np.minimum(-(-steps // 1024) * 1024, cfg.max_steps)
         assert np.any(steps == cfg.max_steps)
-        assert sum(drawn) == int(per_path.sum())
+        assert sum(drawn) == int(per_path.sum()) < int(whole_blocks.sum())
+
+
+def _assert_matches_per_path(monkeypatch, kind, p, window, cfg):
+    """Run simulate_exit batched and per path; assert bit equality."""
+    batched = simulate_exit(kind, p, window, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(montecarlo, "_run_paths", _per_path)
+        single = simulate_exit(kind, p, window, cfg)
+    assert np.array_equal(batched.side, single.side)
+    assert np.array_equal(batched.theta, single.theta, equal_nan=True)
+    assert np.array_equal(batched.h_weight, single.h_weight)
+    assert np.array_equal(batched.steps_used, single.steps_used)
+    return batched
 
 
 class TestRefinement:

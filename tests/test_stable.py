@@ -158,6 +158,11 @@ class TestSampling:
         out = np.empty((3, n))
         assert draw([path_rng(4, i) for i in range(3)], n, out=out) is out
         assert np.array_equal(out, expected)
+        # Uniforms drawn by the caller, then transformed in place.
+        rngs = [path_rng(4, i) for i in range(3)]
+        uniforms = np.array([rng.random(n) for rng in rngs])
+        assert draw(rngs, n, out=uniforms, uniforms=uniforms) is uniforms
+        assert np.array_equal(uniforms, expected)
 
     def test_sign_frequency_matches_rho(self):
         for rho in (0.5, 0.7):
@@ -187,8 +192,28 @@ class TestSampling:
 
     def test_infeasible_skew_rejected(self):
         # alpha in (1,2) bounds rho to [1 - 1/alpha, 1/alpha].
-        with pytest.raises(DomainError):
-            increment_sampler(StableParams(1.8, 0.9), 1.0)
+        for alpha, rho in ((1.8, 0.9), (1.5, 0.3), (1.5, 0.7), (1.2, 1.0 / 1.2 + 1e-6)):
+            with pytest.raises(DomainError, match="rho must lie in"):
+                increment_sampler(StableParams(alpha, rho), 1.0)
+
+    def test_feasible_skew_near_boundary_gives_finite_increments(self):
+        cases = [
+            StableParams(1.5, 1.0 - 1.0 / 1.5 + 1e-6),
+            StableParams(1.5, 1.0 / 1.5 - 1e-6),
+            StableParams.spectrally_negative_case(1.5),
+            StableParams.spectrally_positive_case(1.5),
+        ]
+        with np.errstate(all="raise"):
+            for p in cases:
+                x = increment_sampler(p, 1e-3)([path_rng(1, 0)], 20_000)[0]
+                assert np.all(np.isfinite(x))
+
+    def test_every_two_sided_pair_is_accepted(self):
+        for alpha in np.linspace(0.1, 1.95, 38):
+            for rho in np.linspace(0.01, 0.99, 99):
+                p = StableParams(float(alpha), float(rho))
+                if p.two_sided and abs(alpha - 1.0) >= 1e-12:
+                    increment_sampler(p, 1e-3)
 
     def test_cauchy_case(self):
         p = StableParams(1.0, 0.5)
