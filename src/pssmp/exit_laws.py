@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .numerics import integrate_adaptive, log_gamma
+from .numerics import _log_expm1, integrate_adaptive, log_gamma
 from .stable import Kind, LampertiKind, StableParams
 
 __all__ = [
@@ -90,21 +90,6 @@ class ExitLawQuery:
         return v
 
 
-def _log_expm1(x: float) -> float:
-    """log(e^x - 1) for x > 0, finite wherever the result is.
-
-    Above x = 1 it is x + log(1 - e^-x), which does not overflow at large
-    x; below, e^x - 1 is formed by expm1 so small x keep their digits.
-    """
-    if x <= 1.0:
-        return math.log(math.expm1(x))
-    return x + math.log1p(-math.exp(-x))
-
-
-def _gamma_exponent(kind: Kind, p: StableParams) -> float:
-    return LampertiKind.for_params(kind, p).gamma_exponent
-
-
 def creeping_side(p: StableParams, direction: Direction) -> bool:
     """True when the given exit direction can only happen by creeping.
 
@@ -137,7 +122,7 @@ def exit_density_two_sided(q: ExitLawQuery) -> float:
     p = q.params
     _validate_mode(p)
     u, v = q.barrier_up(), q.barrier_down()
-    gamma = _gamma_exponent(q.kind, p)
+    gamma = LampertiKind.for_params(q.kind, p).gamma_exponent
     ar, arh = p.alpha_rho, p.alpha_rho_hat
     theta = q.theta
     log_common = arh * _log_expm1(u) + ar * math.log(-math.expm1(v))
@@ -179,7 +164,7 @@ def exit_density_one_sided(q: ExitLawQuery) -> float:
     """
     p = q.params
     _validate_mode(p)
-    gamma = _gamma_exponent(q.kind, p)
+    gamma = LampertiKind.for_params(q.kind, p).gamma_exponent
     ar, arh = p.alpha_rho, p.alpha_rho_hat
     theta = q.theta
     if q.direction is Direction.UP:

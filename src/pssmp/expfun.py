@@ -421,8 +421,6 @@ def fit_loglog_slope(xs, ys) -> float:
 class TailCheck(Enum):
     UP_RIGHT = "up-right"  # density of I at large x, UP spectrally negative case
     STAR_LEFT = "star-left"  # CDF near 0 of I for the killed case
-    DOWN_RIGHT = "down-right"  # documented only: no computable density
-    UP_LEFT = "up-left"  # documented only: needs the two-sided entrance density
 
 
 def tail_exponent_check(model: ExpFunctionalModel, which: TailCheck, n_points: int = 9):
@@ -432,21 +430,8 @@ def tail_exponent_check(model: ExpFunctionalModel, which: TailCheck, n_points: i
     a decade of large x; the law is positive stable of index 1/alpha, so
     the slope is -(1 + 1/alpha) (the survival P(I >= x) would give
     -1/alpha).  STAR_LEFT fits the CDF
-    P(I <= x) of the killed functional over a decade of small x.  The
-    other two enum members are not computable from the implemented
-    densities and raise a domain error explaining why.
+    P(I <= x) of the killed functional over a decade of small x.
     """
-    if which is TailCheck.DOWN_RIGHT:
-        raise DomainError(
-            "no closed-form density exists for the conditioned-to-hit-zero "
-            "functional; its tail exponent is documented, not computed"
-        )
-    if which is TailCheck.UP_LEFT:
-        raise DomainError(
-            "the two-sided left tail needs the excursion entrance density, "
-            "which has no closed form; documented, not computed"
-        )
-
     if which is TailCheck.UP_RIGHT:
         model._require(ExpCase.UP_SPECTRALLY_NEGATIVE, "UP_RIGHT tail")
         xs = np.geomspace(200.0, 2000.0, n_points) / model.c

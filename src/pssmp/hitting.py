@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NumericError
-from .stable import Kind, killed_resolvent_u
+from .stable import Kind, LampertiKind, StableParams, killed_resolvent_u
 
 __all__ = [
     "HitQuery",
@@ -113,18 +113,16 @@ def hit_closed_ratio(q: HitQuery) -> float:
 def hit_prob_lamperti(kind: Kind, alpha: float, v: float, u: float) -> float:
     """P(the log-scale process hits v before u), symmetric case only.
 
-    UP carries the tilt exponent alpha/2, DOWN carries alpha/2 - 1, both
-    applied to the process-scale position e^v of the lower target.
+    The kind's h-exponent at rho = 1/2 (alpha/2 for UP, alpha/2 - 1 for
+    DOWN) is applied to the process-scale position e^v of the lower
+    target.
     """
     if not (v < 0.0 < u):
         raise DomainError("need v < 0 < u")
-    if kind is Kind.UP:
-        expo = alpha / 2.0
-    elif kind is Kind.DOWN:
-        expo = alpha / 2.0 - 1.0
-    else:
+    if kind is Kind.STAR:
         raise DomainError("two-point hitting is defined for the UP and DOWN kinds")
     f = hit_closed_ratio(HitQuery(alpha, 1.0, math.exp(v), math.exp(u)))
+    expo = LampertiKind.for_params(kind, StableParams(alpha, 0.5)).h_exponent
     prob = math.exp(v) ** expo * f
     if not (-1e-10 <= prob <= 1.0 + 1e-10):
         raise NumericError(

@@ -124,14 +124,6 @@ class ExitSampleSet:
         return float(np.sum(self.h_weight * event) / self.config.n_paths)
 
 
-def _h_exponent(kind: Kind, p: StableParams) -> float:
-    if kind is Kind.UP:
-        return p.alpha_rho
-    if kind is Kind.DOWN:
-        return p.alpha_rho - 1.0
-    return 0.0
-
-
 def _run_paths(draw, n_paths, seed, max_steps, eu, ev):
     """Run every path to exit; returns (raw position, steps, exited) arrays.
 
@@ -270,7 +262,7 @@ def simulate_exit(
         ) from None
     ev = math.exp(window.v)
     draw = increment_sampler(p, cfg.step)
-    h_exp = _h_exponent(kind, p)
+    h_exp = LampertiKind.for_params(kind, p).h_exponent
     n = cfg.n_paths
 
     side = np.empty(n, dtype=np.int8)

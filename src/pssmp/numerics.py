@@ -70,6 +70,17 @@ def log_gamma(x: float) -> float:
     return float(_special.gammaln(x))
 
 
+def _log_expm1(x: float) -> float:
+    """log(e^x - 1) for x > 0, finite wherever the result is.
+
+    Above x = 1 it is x + log(1 - e^-x), which does not overflow at large
+    x; below, e^x - 1 is formed by expm1 so small x keep their digits.
+    """
+    if x <= 1.0:
+        return math.log(math.expm1(x))
+    return x + math.log1p(-math.exp(-x))
+
+
 def gamma_signed(x: float) -> float:
     """Gamma function with correct sign for any non-pole real argument.
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from scipy.special import rgamma
 
 from .errors import ConfigurationError, DomainError
-from .numerics import integrate_adaptive, log_gamma
+from .numerics import _log_expm1, integrate_adaptive, log_gamma
 
 __all__ = [
     "Case",
@@ -34,6 +34,9 @@ __all__ = [
     "triple_law_total_mass",
     "triple_law_K_printed_upneg",
 ]
+
+# (e^phi - 1)^-a / a underflows to 0 beyond phi = 745 for every a > 1.
+_LOG_PHI_MAX = math.log(745.0)
 
 
 class Case(Enum):
@@ -146,111 +149,99 @@ def _check_point(s: SpectralCase, pt: TripleLawPoint):
         raise DomainError("need theta >= 0, phi >= eta, eta in [0, |barrier|]")
 
 
-def _jump_neg(a: float, s: float) -> float:
-    """Levy-density factor e^(-a s) (1 - e^-s)^(-1-a), stable for all s > 0."""
+def _jump(a: float, s: float) -> float:
+    """Levy-density factor e^(-a s) (1 - e^-s)^(-1-a) = e^s (e^s - 1)^(-1-a)."""
     if s <= 0.0:
         return math.inf
     return math.exp(-a * s - (1.0 + a) * math.log(-math.expm1(-s)))
 
 
-def _jump_pos(a: float, s: float) -> float:
-    """Levy-density factor e^s (e^s - 1)^(-1-a), stable for all s > 0."""
-    if s <= 0.0:
-        return math.inf
-    # e^s (e^s - 1)^(-1-a) = e^(-a s) (1 - e^-s)^(-1-a) * e^(-s) * e^s ... in
-    # log form directly:
-    return math.exp(s - (1.0 + a) * (s + math.log(-math.expm1(-s))))
+def _jump_tail(a: float, phi: float) -> float:
+    """The theta integral in closed form: int_phi^inf J = (e^phi - 1)^(-a) / a."""
+    return math.exp(-a * _log_expm1(phi)) / a
 
 
 def _kernel(s: SpectralCase, barrier: float):
-    """Unnormalized triple-law kernel as a function of (theta, phi, eta)."""
-    a = s.alpha
-    if s.case is Case.UP_NEG:
-        v = barrier
+    """(A, q) of the kernel A(eta) e^(-q (phi - eta)) J(theta + phi).
 
-        def k(theta, phi, eta):
-            w = v + eta  # in (v, 0]
-            return (-math.expm1(w)) ** (a - 2.0) * math.exp(w) * _jump_neg(a, theta + phi)
-
-        return k
-    if s.case is Case.DOWN_POS:
-        x = barrier
-
-        def k(theta, phi, eta):
-            w = eta - x  # in [-x, 0]
-            return (-math.expm1(w)) ** (a - 2.0) * math.exp(w) * _jump_pos(a, theta + phi)
-
-        return k
+    In depth coordinates w = eta - |barrier|, UpNeg and DownPos share A
+    and q = 0; DownNeg carries the ladder killing rate q.
+    """
+    a, depth, q = s.alpha, abs(barrier), 0.0
     if s.case is Case.DOWN_NEG:
         if s.q_ladder is None:
             raise ConfigurationError(
                 "the DownNeg triple law needs q_ladder (descending ladder killing rate)"
             )
         q = s.q_ladder
-        v = barrier
 
-        def k(theta, phi, eta):
-            w = v + eta
-            return (
-                math.exp(-q * (phi - eta))
-                * (math.exp(-w) + a - 2.0)
-                * (-math.expm1(w)) ** (a - 2.0)
-                * _jump_neg(a, theta + phi)
-            )
+    def A(eta):
+        w = eta - depth
+        lead = math.exp(-w) + a - 2.0 if q else math.exp(w)
+        return lead * (-math.expm1(w)) ** (a - 2.0)
 
-        return k
-    raise DomainError(f"unknown case {s.case!r}")
+    return A, q
 
 
-def _nested_triple_integral(kernel, depth, order="theta-inner", tol=1e-8):
-    """Integrate kernel over {eta in [0, depth], phi >= eta, theta >= 0}.
+def _phi_inner_mass(s: SpectralCase, barrier: float, tol: float) -> float:
+    """Kernel mass with phi integrated inside eta, in r = log(phi).
 
-    Two nesting orders are provided so normalization can be verified by
-    an independent integration route.
+    In r, the phi^-a rise near a small eta is a plain exponential.  Both
+    routes integrate A / A(0): A(0) has the size of the mass (e^-|barrier|
+    for UpNeg, e^|barrier| for DownNeg), so the absolute tolerance acts as
+    a relative one at every barrier.
     """
-    if order == "theta-inner":
+    A, q = _kernel(s, barrier)
+    a0 = A(0.0)
 
-        def phi_integrand(eta):
-            def inner(phi):
-                return integrate_adaptive(
-                    lambda t: kernel(t, phi, eta), 0.0, math.inf, tol=tol * 1e-2
-                ).value
+    def over_phi(eta):
+        def f(r):
+            phi = math.exp(r)
+            return math.exp(-q * (phi - eta)) * _jump_tail(s.alpha, phi) * phi
 
-            return integrate_adaptive(inner, eta, math.inf, tol=tol * 1e-1).value
+        inner = integrate_adaptive(f, math.log(eta), _LOG_PHI_MAX, tol * 1e-2)
+        return A(eta) / a0 * inner.value
 
-        return integrate_adaptive(phi_integrand, 0.0, depth, tol=tol).value
+    return a0 * integrate_adaptive(over_phi, 0.0, abs(barrier), tol=tol).value
 
-    # eta-innermost route
-    def theta_integrand():
-        def outer(theta):
-            def mid(phi):
-                top = min(phi, depth)
-                if top <= 0.0:
-                    return 0.0
-                return integrate_adaptive(
-                    lambda e: kernel(theta, phi, e), 0.0, top, tol=tol * 1e-2
-                ).value
 
-            return integrate_adaptive(mid, 0.0, math.inf, tol=tol * 1e-1).value
+def _eta_inner_mass(s: SpectralCase, barrier: float, K: float, tol: float) -> float:
+    """Mass of kernel / K with eta inside phi; phi is split at |barrier|."""
+    A, q = _kernel(s, barrier)
+    a0 = A(0.0)
+    depth = abs(barrier)
 
-        return integrate_adaptive(outer, 0.0, math.inf, tol=tol).value
+    def over_eta(phi):
+        def f(eta):
+            return A(eta) / a0 * math.exp(-q * (phi - eta))
 
-    return theta_integrand()
+        inner = integrate_adaptive(f, 0.0, min(phi, depth), tol * 1e-2)
+        return _jump_tail(s.alpha, phi) * inner.value * (a0 / K)
+
+    near = integrate_adaptive(over_eta, 0.0, depth, tol).value
+    return near + integrate_adaptive(over_eta, depth, math.inf, tol).value
 
 
 @lru_cache(maxsize=64)
 def _cached_K(case, alpha, m, q_ladder, barrier, tol):
-    s = SpectralCase(case, alpha, m, q_ladder)
-    depth = abs(barrier)
-    return _nested_triple_integral(_kernel(s, barrier), depth, "theta-inner", tol)
+    return _phi_inner_mass(SpectralCase(case, alpha, m, q_ladder), barrier, tol)
 
 
 def triple_law_K(s: SpectralCase, barrier: float, tol: float = 1e-8) -> float:
-    """Normalizing constant of the triple law, by nested quadrature."""
+    """Normalizing constant of the triple law.
+
+    The theta integral is closed form; (eta, phi) is integrated by
+    adaptive quadrature, phi inside eta.
+    """
     depth = -barrier if s.case in (Case.UP_NEG, Case.DOWN_NEG) else barrier
     if depth <= 0.0:
         raise DomainError("barrier on the wrong side for this case")
-    K = _cached_K(s.case, s.alpha, s.m, s.q_ladder, barrier, tol)
+    try:
+        K = _cached_K(s.case, s.alpha, s.m, s.q_ladder, barrier, tol)
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(
+            f"the triple-law kernel leaves the float range at barrier={barrier}"
+        ) from None
     if not (K > 0.0 and math.isfinite(K)):
         raise DomainError(f"degenerate normalizing constant K={K!r}")
     return K
@@ -260,18 +251,19 @@ def triple_law_density(s: SpectralCase, pt: TripleLawPoint) -> float:
     """Normalized joint density of (overshoot, undershoot, prior extremum)."""
     _check_point(s, pt)
     K = triple_law_K(s, pt.barrier)
-    return _kernel(s, pt.barrier)(pt.theta, pt.phi, pt.eta) / K
+    if pt.eta == abs(pt.barrier):
+        return math.inf  # the integrable pole of (1 - e^w)^(alpha - 2) at w = 0
+    A, q = _kernel(s, pt.barrier)
+    J = _jump(s.alpha, pt.theta + pt.phi)
+    return A(pt.eta) * math.exp(-q * (pt.phi - pt.eta)) * J / K
 
 
 def triple_law_total_mass(s: SpectralCase, barrier: float, tol: float = 1e-7) -> float:
-    """Integral of the normalized density via an independent nesting order.
+    """Integral of the normalized density, eta inside phi (K has phi inside eta).
 
     Should equal 1; deviations measure quadrature (not modelling) error.
     """
-    depth = abs(barrier)
-    K = triple_law_K(s, barrier)
-    alt = _nested_triple_integral(_kernel(s, barrier), depth, "eta-inner", tol)
-    return alt / K
+    return _eta_inner_mass(s, barrier, triple_law_K(s, barrier), tol)
 
 
 def triple_law_K_printed_upneg(s: SpectralCase, v: float) -> float:

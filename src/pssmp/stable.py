@@ -122,22 +122,29 @@ class LampertiKind:
     The tilt exponent is the power of the space variable carried by the
     Levy density: 1 for the killed process, alpha*rho + 1 for the
     process conditioned to stay positive, alpha*rho for the process
-    conditioned to hit 0 continuously.  Only the killed process carries
-    a killing rate (c_minus / alpha).
+    conditioned to hit 0 continuously.  The h-exponent is the power of
+    the position in the Doob weight x^h of the kind (grid Monte Carlo,
+    two-point hitting): 0, alpha*rho and alpha*rho - 1 in the same
+    order.  Both are formed from alpha*rho directly, since
+    (alpha*rho + 1) - 1 differs from alpha*rho in the last bit for many
+    (alpha, rho).  Only the killed process carries a killing rate
+    (c_minus / alpha).
     """
 
     kind: Kind
     gamma_exponent: float
+    h_exponent: float
     killing_rate: float = 0.0
 
     @classmethod
     def for_params(cls, kind: Kind, p: StableParams) -> "LampertiKind":
+        ar = p.alpha_rho
         if kind is Kind.STAR:
-            return cls(kind, 1.0, p.c_minus / p.alpha)
+            return cls(kind, 1.0, 0.0, p.c_minus / p.alpha)
         if kind is Kind.UP:
-            return cls(kind, p.alpha_rho + 1.0, 0.0)
+            return cls(kind, ar + 1.0, ar, 0.0)
         if kind is Kind.DOWN:
-            return cls(kind, p.alpha_rho, 0.0)
+            return cls(kind, ar, ar - 1.0, 0.0)
         raise DomainError(f"unknown kind {kind!r}")
 
 

@@ -282,6 +282,8 @@ def _suite_scale(seed, **_):
             triple_law_total_mass(s, -1.0),
             1.0,
             1e-5,
+            detail="K integrates phi inside eta, the mass eta inside phi; "
+            "both use the closed-form theta integral",
         )
     )
     return checks

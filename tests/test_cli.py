@@ -227,6 +227,17 @@ class TestExitCodes:
         values = [float(l.split(",")[1]) for l in lines[1:]]
         assert values and all(math.isfinite(v) for v in values)
 
+    def test_triple_law_at_the_barrier_is_infinite(self, capsys):
+        rc, out, _ = run(capsys, "eval", "--law", "triple-law", "--eta", "1")
+        assert rc == 0
+        lines = [l for l in out.splitlines() if l and not l.startswith("#")]
+        values = [float(l.split(",")[1]) for l in lines[1:]]
+        assert values and all(v == math.inf for v in values)
+
+    def test_triple_law_beyond_float_range_is_2(self, capsys):
+        rc, out, err = run(capsys, "eval", "--law", "triple-law", "--v", "-800")
+        assert rc == 2 and out == "" and "float range" in err
+
     def test_non_finite_grid_is_2(self, capsys):
         rc, out, err = run(
             capsys, "eval", "--law", "exit-two-sided", "--grid", "nan:1:3"

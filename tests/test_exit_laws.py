@@ -6,7 +6,6 @@ from pssmp.errors import DomainError
 from pssmp.exit_laws import (
     Direction,
     ExitLawQuery,
-    _log_expm1,
     ExitWindow,
     creeping_side,
     exit_density_one_sided,
@@ -19,7 +18,7 @@ from pssmp.exit_laws import (
     min_cdf_up,
     overshoot_cdf_interpolant,
 )
-from pssmp.numerics import integrate_adaptive
+from pssmp.numerics import _log_expm1, integrate_adaptive
 from pssmp.stable import Kind, StableParams, rogozin_overshoot_density
 
 P = StableParams(1.5, 0.5)

@@ -196,9 +196,3 @@ class TestTailExponents:
         # Measured growth of the CDF near 0: linear.
         slope = tail_exponent_check(STAR, TailCheck.STAR_LEFT)
         assert slope == pytest.approx(1.0, abs=0.05)
-
-    def test_documented_only_checks_raise(self):
-        with pytest.raises(DomainError):
-            tail_exponent_check(UP, TailCheck.DOWN_RIGHT)
-        with pytest.raises(DomainError):
-            tail_exponent_check(UP, TailCheck.UP_LEFT)

@@ -5,6 +5,8 @@ import pytest
 from pssmp.errors import ConfigurationError, DomainError
 from pssmp.numerics import integrate_adaptive
 from pssmp.scale import (
+    _jump,
+    _jump_tail,
     Case,
     SpectralCase,
     default_m,
@@ -130,6 +132,18 @@ class TestTripleLaws:
         d = triple_law_density(s, TripleLawPoint(-1.0, 0.2, 0.5, 0.3))
         assert 0.0 < d < math.inf
 
+    @pytest.mark.parametrize(
+        "case,barrier,q",
+        [
+            (Case.UP_NEG, -1.0, None),
+            (Case.DOWN_POS, 1.0, None),
+            (Case.DOWN_NEG, -1.0, 1.0),
+        ],
+    )
+    def test_density_at_the_barrier_is_infinite(self, case, barrier, q):
+        s = SpectralCase(case, 1.5, q_ladder=q)
+        assert triple_law_density(s, TripleLawPoint(barrier, 0.2, 1.5, 1.0)) == math.inf
+
     def test_printed_upneg_constant_is_comparison_only(self):
         # The one-dimensional closed-form candidate is finite and positive
         # but disagrees with the quadrature normalization; reports flag the
@@ -140,3 +154,72 @@ class TestTripleLaws:
         assert printed > 0.0 and quad > 0.0
         with pytest.raises(DomainError):
             triple_law_K_printed_upneg(SpectralCase(Case.DOWN_POS, 1.5), -1.0)
+
+
+class TestSeparableKernel:
+    # Reference constants from a three-level nested quadrature (theta, phi
+    # and eta each by adaptive quadrature, tol 1e-8) at alpha 1.5, |barrier| 1.
+    NESTED_K_UPNEG = 0.8584502556565086
+    NESTED_K_DOWNNEG_Q1 = 2.490611439841679
+
+    @pytest.mark.parametrize("a", [1.2, 1.5, 1.8])
+    @pytest.mark.parametrize("phi", [1e-3, 0.1, 1.0, 5.0, 30.0])
+    def test_closed_form_theta_tail(self, a, phi):
+        # int_phi^inf J, by quadrature in r = log(s) and scaled by
+        # e^(a phi) so that every phi integrates to a value of order one.
+        scale = math.exp(a * phi)
+        quad = integrate_adaptive(
+            lambda r: _jump(a, math.exp(r)) * math.exp(r) * scale,
+            math.log(phi),
+            math.log(800.0),
+            tol=1e-13,
+        ).value
+        assert _jump_tail(a, phi) * scale == pytest.approx(quad, rel=1e-9)
+
+    @pytest.mark.parametrize("depth", [0.25, 1.0])
+    def test_upneg_and_downpos_share_the_kernel(self, depth):
+        up = SpectralCase(Case.UP_NEG, 1.5)
+        down = SpectralCase(Case.DOWN_POS, 1.5)
+        assert triple_law_K(up, -depth) == triple_law_K(down, depth)
+        for theta, phi, eta in ((0.2, 0.5, 0.1), (1.0, 0.3, 0.2)):
+            assert triple_law_density(
+                up, TripleLawPoint(-depth, theta, phi, eta)
+            ) == triple_law_density(down, TripleLawPoint(depth, theta, phi, eta))
+
+    def test_K_matches_nested_quadrature(self):
+        for case, barrier in ((Case.UP_NEG, -1.0), (Case.DOWN_POS, 1.0)):
+            K = triple_law_K(SpectralCase(case, 1.5), barrier)
+            assert K == pytest.approx(self.NESTED_K_UPNEG, rel=1e-12)
+        K = triple_law_K(SpectralCase(Case.DOWN_NEG, 1.5, q_ladder=1.0), -1.0)
+        assert K == pytest.approx(self.NESTED_K_DOWNNEG_Q1, rel=1e-10)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+    @pytest.mark.parametrize("depth", [1.0, 0.25])
+    @pytest.mark.parametrize(
+        "case,sign,q",
+        [
+            (Case.UP_NEG, -1.0, None),
+            (Case.DOWN_POS, 1.0, None),
+            (Case.DOWN_NEG, -1.0, 1.0),
+        ],
+    )
+    def test_self_normalization_grid(self, alpha, depth, case, sign, q):
+        s = SpectralCase(case, alpha, q_ladder=q)
+        assert triple_law_total_mass(s, sign * depth) == pytest.approx(1.0, abs=1e-5)
+
+    @pytest.mark.parametrize(
+        "case,sign,q",
+        [
+            (Case.UP_NEG, -1.0, None),
+            (Case.DOWN_POS, 1.0, None),
+            (Case.DOWN_NEG, -1.0, 1.0),
+        ],
+    )
+    def test_far_barriers(self, case, sign, q):
+        # K is about 4e-22 (UpNeg, DownPos) and 5e21 (DownNeg) at
+        # |barrier| 50, far from the quadrature's absolute tolerance.
+        s = SpectralCase(case, 1.5, q_ladder=q)
+        assert triple_law_total_mass(s, sign * 50.0) == pytest.approx(1.0, abs=1e-5)
+        # Past |barrier| ~ 710 the kernel leaves the float range.
+        with pytest.raises(DomainError):
+            triple_law_total_mass(s, sign * 800.0)

@@ -61,6 +61,16 @@ class TestStableParams:
         assert down.gamma_exponent == pytest.approx(p.alpha_rho)
         assert up.killing_rate == 0.0 == down.killing_rate
 
+    @pytest.mark.parametrize("alpha", [0.8, 1.2, 1.5, 1.8])
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.7])
+    def test_h_exponent_is_formed_from_alpha_rho(self, alpha, rho):
+        # Exact equality: (alpha*rho + 1) - 1 would miss alpha*rho in the
+        # last bit for several of these pairs.
+        p = StableParams(alpha, rho)
+        assert LampertiKind.for_params(Kind.STAR, p).h_exponent == 0.0
+        assert LampertiKind.for_params(Kind.UP, p).h_exponent == p.alpha_rho
+        assert LampertiKind.for_params(Kind.DOWN, p).h_exponent == p.alpha_rho - 1.0
+
 
 class TestTwoSidedExit:
     def test_overshoot_mass_equals_beta_probability(self):
