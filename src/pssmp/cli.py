@@ -4,6 +4,10 @@ Three subcommands: ``eval`` tabulates any registered law over a grid,
 ``simulate`` streams per-path exit records, ``verify`` runs the named
 cross-validation suite and emits a versioned JSON report.  Output is
 plain CSV/JSON so any downstream tool can consume it.
+
+Two tables drive it: ``_OPTIONS`` (each option's type or allowed values
+and default, read by the parser and the config-file reader alike) and
+``_LAW_TABLE`` (each law's CSV header, default grid and row function).
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,30 +55,58 @@ from .scale import (
 from .stable import Kind, StableParams, rogozin_overshoot_density
 from .verify import report_passed, run_suite
 
-LAWS = (
-    "rogozin-density",
-    "exit-two-sided",
-    "exit-one-sided",
-    "min-cdf-up",
-    "max-cdf-down",
-    "extrema-star",
-    "scale-fn",
-    "psi",
-    "ruin",
-    "triple-law",
-    "hit-two-point",
-    "expfun-density",
-    "expfun-moments",
-    "entrance-density",
-    "tails",
-)
 
-_KINDS = {"up": Kind.UP, "star": Kind.STAR, "down": Kind.DOWN}
-_CASES = {
-    "up-neg": Case.UP_NEG,
-    "down-neg": Case.DOWN_NEG,
-    "down-pos": Case.DOWN_POS,
+def _finite(text: str) -> float:
+    """float() for numeric options, with nan and +-inf refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+# Option -> (type, or the tuple of allowed values; default used when neither
+# a flag nor the config file sets it, None where it depends on the law or
+# the command).  The parser keeps None as its default so that config values
+# can fill in what the command line left out.  ``suite`` is the positional
+# argument of ``verify``; every other entry is a ``--flag``.
+_OPTIONS = {
+    "suite": (str, None),
+    "law": (str, None),
+    "kind": (tuple(sorted(k.value for k in Kind)), "up"),
+    "case": (tuple(sorted(c.value for c in Case)), "up-neg"),
+    "direction": (("up", "down"), "up"),
+    "which": (("max", "min"), "max"),
+    "alpha": (_finite, 1.5),
+    "rho": (_finite, 0.5),
+    "c_plus": (_finite, 1.0),
+    "c_minus": (_finite, 1.0),
+    "u": (_finite, 0.5),
+    "v": (_finite, -0.5),
+    "x": (_finite, 1.0),
+    "a": (_finite, None),
+    "b": (_finite, 2.0),
+    "t": (_finite, 1.0),
+    "m": (_finite, None),
+    "q_ladder": (_finite, None),
+    "phi": (_finite, None),
+    "eta": (_finite, None),
+    "grid": (str, None),
+    "n_paths": (int, 1000),
+    "step": (_finite, 1e-3),
+    "seed": (int, None),
+    "out": (str, None),
 }
+
+
+def _arg(args, name: str, default=None):
+    """The option's value, else ``default``, else its ``_OPTIONS`` default."""
+    value = getattr(args, name, None)
+    if value is not None:
+        return value
+    return default if default is not None else _OPTIONS[name][1]
 
 
 def _fmt(x) -> str:
@@ -114,45 +147,33 @@ def load_config(path: str) -> dict:
     return values
 
 
-_CONFIG_CASTS = {
-    "alpha": float,
-    "rho": float,
-    "c_plus": float,
-    "c_minus": float,
-    "u": float,
-    "v": float,
-    "x": float,
-    "a": float,
-    "b": float,
-    "t": float,
-    "m": float,
-    "q_ladder": float,
-    "phi": float,
-    "eta": float,
-    "step": float,
-    "n_paths": int,
-    "seed": int,
-    "law": str,
-    "kind": str,
-    "case": str,
-    "direction": str,
-    "which": str,
-    "grid": str,
-    "out": str,
-    "suite": str,
-}
+def _cast(key: str, raw: str):
+    """Convert and check a config value as the parser does the same flag."""
+    if key not in _OPTIONS:
+        raise ConfigurationError(f"unknown config key {key!r}")
+    spec = _OPTIONS[key][0]
+    if isinstance(spec, tuple):
+        if raw in spec:
+            return raw
+        problem = f"invalid choice: {raw!r} (choose from {', '.join(spec)})"
+    else:
+        try:
+            return spec(raw)
+        except ValueError:
+            problem = f"invalid {spec.__name__} value: {raw!r}"
+        except argparse.ArgumentTypeError as exc:
+            problem = str(exc)
+    raise ConfigurationError(f"config key {key!r}: {problem}")
 
 
 def _merge_config(args: argparse.Namespace):
     """Apply config-file values where the command line left the default."""
     if not args.config:
         return
-    file_values = load_config(args.config)
-    for key, raw in file_values.items():
-        if key not in _CONFIG_CASTS:
-            raise ConfigurationError(f"unknown config key {key!r}")
+    for key, raw in load_config(args.config).items():
+        value = _cast(key, raw)
         if getattr(args, key, None) is None:
-            setattr(args, key, _CONFIG_CASTS[key](raw))
+            setattr(args, key, value)
 
 
 def _resolve_seed(args) -> int:
@@ -167,20 +188,24 @@ def _resolve_seed(args) -> int:
         raise DomainError(f"PSSMP_SEED must be an integer, got {env!r}") from None
 
 
+_PARAM_KEYS = ("alpha", "rho", "c_plus", "c_minus")
+
+
 def _params(args) -> StableParams:
-    return StableParams(
-        args.alpha if args.alpha is not None else 1.5,
-        args.rho if args.rho is not None else 0.5,
-        args.c_plus if args.c_plus is not None else 1.0,
-        args.c_minus if args.c_minus is not None else 1.0,
-    )
+    """The stable parameters and their metadata pairs."""
+    p = StableParams(*(_arg(args, k) for k in _PARAM_KEYS))
+    return p, [(k, getattr(p, k)) for k in _PARAM_KEYS]
 
 
 def _window(args) -> ExitWindow:
-    return ExitWindow(
-        args.v if args.v is not None else -0.5,
-        args.u if args.u is not None else 0.5,
-    )
+    return ExitWindow(_arg(args, "v"), _arg(args, "u"))
+
+
+def _expfun_model(p: StableParams, star: bool = False) -> ExpFunctionalModel:
+    """UP spectrally negative model (weight c_minus), or STAR (c_plus)."""
+    if star:
+        return ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, p.alpha, p.c_plus)
+    return ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, p.alpha, p.c_minus)
 
 
 def _emit(lines, out):
@@ -192,195 +217,200 @@ def _emit(lines, out):
         sys.stdout.write(text)
 
 
-def _meta_block(pairs) -> list:
+def _emit_csv(meta, header, rows, out):
+    """Write '#'-prefixed metadata lines, the header line and %.17g rows."""
     lines = [f"# artifact_version={__version__}"]
-    for k, v in pairs:
-        lines.append(f"# {k}={_fmt(v)}")
-    return lines
+    lines += [f"# {k}={_fmt(v)}" for k, v in meta]
+    lines.append(header)
+    lines += [",".join(_fmt(val) for val in row) for row in rows]
+    _emit(lines, out)
 
 
-def _eval_rows(args):
-    """Dispatch one law evaluation: returns (header, rows, metadata pairs)."""
-    law = args.law
-    p = _params(args)
-    meta = [("law", law), ("alpha", p.alpha), ("rho", p.rho),
-            ("c_plus", p.c_plus), ("c_minus", p.c_minus)]
-    grid = parse_grid(args.grid) if args.grid else None
-    default = {
-        "rogozin-density": "0.01:5:50",
-        "exit-two-sided": "0.01:5:50",
-        "exit-one-sided": "0.01:5:50",
-        "min-cdf-up": "0:5:50",
-        "max-cdf-down": "0:5:50",
-        "extrema-star": "0.01:5:50",
-        "scale-fn": "0.01:5:50",
-        "psi": "0:8:50",
-        "ruin": "0.1:5:50",
-        "triple-law": "0.01:3:50",
-        "hit-two-point": "0.6:1.9:20",
-        "expfun-density": "0.2:20:50:log",
-        "expfun-moments": "1:5:5",
-        "entrance-density": "0.05:10:50:log",
-    }
-    if grid is None and law in default:
-        grid = parse_grid(default[law])
+# ------------------------------------------------------------------ laws
+#
+# Each row function takes (args, params, grid) and returns the metadata
+# pairs that follow the stable parameters, then the CSV rows.
 
-    kind = _KINDS[args.kind] if args.kind else Kind.UP
-    case = _CASES[args.case] if args.case else Case.UP_NEG
-    direction = Direction.DOWN if args.direction == "down" else Direction.UP
-    x = args.x if args.x is not None else 1.0
 
-    if law == "rogozin-density":
-        a = args.a if args.a is not None else 2.0
-        # A start point outside (0, a) falls back to a/2; the metadata
-        # records the point evaluated.
-        x0 = x if 0.0 < x < a else a / 2.0
-        meta += [("a", a), ("x", x0)]
-        return (
-            ("y", "value"),
-            [(y, rogozin_overshoot_density(p, a, x0, y)) for y in grid],
-            meta,
-        )
-    if law in ("exit-two-sided", "exit-one-sided"):
-        meta += [("kind", kind.value), ("direction", direction.value)]
-        if law == "exit-two-sided":
-            w = _window(args)
-            meta += [("u", w.u), ("v", w.v)]
-            rows = [
-                (t, exit_density_two_sided(ExitLawQuery(kind, p, direction, t, window=w)))
-                for t in grid
-            ]
-        else:
-            if direction is Direction.UP:
-                u = args.u if args.u is not None else 0.5
-                meta += [("u", u)]
-                rows = [
-                    (t, exit_density_one_sided(ExitLawQuery(kind, p, direction, t, u=u)))
-                    for t in grid
-                ]
-            else:
-                v = args.v if args.v is not None else -0.5
-                meta += [("v", v)]
-                rows = [
-                    (t, exit_density_one_sided(ExitLawQuery(kind, p, direction, t, v=v)))
-                    for t in grid
-                ]
-        return ("theta", "value"), rows, meta
-    if law == "min-cdf-up":
-        return ("z", "value"), [(z, min_cdf_up(p, z)) for z in grid], meta
-    if law == "max-cdf-down":
-        return ("z", "value"), [(z, max_cdf_down(p, z)) for z in grid], meta
-    if law == "extrema-star":
-        which = args.which or "max"
-        meta += [("which", which)]
-        return (
-            ("z", "value"),
-            [(z, extrema_density_star(p, z, which=which)) for z in grid],
-            meta,
-        )
-    if law in ("scale-fn", "psi", "ruin"):
-        s = SpectralCase(case, p.alpha, m=args.m, q_ladder=args.q_ladder)
-        meta += [("case", case.value), ("m", s.mean)]
-        if law == "scale-fn":
-            return ("x", "value"), [(z, scale_fn(s, z)) for z in grid], meta
-        if law == "psi":
-            fn = psi_up if case is Case.UP_NEG else psi_down
-            return ("theta", "value"), [(t, fn(s, t)) for t in grid], meta
-        meta += [("x", x)]
-        return ("y", "value"), [(y, ruin_probability(s, x, y)) for y in grid], meta
-    if law == "triple-law":
-        s = SpectralCase(case, p.alpha, m=args.m, q_ladder=args.q_ladder)
-        barrier = (
-            (args.v if args.v is not None else -1.0)
-            if case in (Case.UP_NEG, Case.DOWN_NEG)
-            else (args.u if args.u is not None else 1.0)
-        )
-        eta = args.eta if args.eta is not None else abs(barrier) / 2.0
-        phi = args.phi if args.phi is not None else eta + 0.5
-        meta += [("case", case.value), ("barrier", barrier), ("phi", phi), ("eta", eta)]
-        rows = [
-            (t, triple_law_density(s, TripleLawPoint(barrier, t, phi, eta)))
-            for t in grid
-        ]
-        return ("theta", "value"), rows, meta
-    if law == "hit-two-point":
-        a = args.a if args.a is not None else 0.5
-        b = args.b if args.b is not None else 2.0
-        meta += [("a", a), ("b", b)]
-        rows = [
-            (xx, hit_closed_ratio(HitQuery(p.alpha, xx, a, b)))
-            for xx in grid
-            if min(abs(xx - a), abs(xx - b)) > 1e-6
-        ]
-        return ("x", "value"), rows, meta
-    if law == "expfun-density":
-        meta += [("kind", kind.value)]
-        if kind is Kind.STAR:
-            model = ExpFunctionalModel(
-                ExpCase.STAR_SPECTRALLY_POSITIVE, p.alpha, p.c_plus
-            )
-            vals = [expfun.density_I_star(model, xx) for xx in grid]
-        else:
-            model = ExpFunctionalModel(
-                ExpCase.UP_SPECTRALLY_NEGATIVE, p.alpha, p.c_minus
-            )
-            vals = [expfun.density_I(model, xx) for xx in grid]
-        rows = [(xx, sv.value, sv.tail_bound) for xx, sv in zip(grid, vals)]
-        return ("x", "value", "error_bound"), rows, meta
-    if law == "expfun-moments":
-        model = ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, p.alpha, p.c_minus)
-        ks = sorted({max(1, int(round(k))) for k in grid})
-        return ("k", "value"), [(float(k), expfun.neg_moment_I(model, k)) for k in ks], meta
-    if law == "entrance-density":
-        t = args.t if args.t is not None else 1.0
-        meta += [("t", t)]
-        model = ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, p.alpha, p.c_minus)
-        rows = []
-        for xx in grid:
-            sv = expfun.entrance_density(model, t, xx)
-            rows.append((xx, sv.value, sv.tail_bound))
-        return ("x", "value", "error_bound"), rows, meta
-    if law == "tails":
-        up = ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, p.alpha, p.c_minus)
-        star = ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, p.alpha, p.c_plus)
-        rows = [
-            ("up-right", expfun.tail_exponent_check(up, TailCheck.UP_RIGHT)),
-            ("star-left", expfun.tail_exponent_check(star, TailCheck.STAR_LEFT)),
-        ]
-        return ("check", "slope"), rows, meta
-    raise DomainError(f"unknown law {law!r}")
+def _rogozin_density(args, p, grid):
+    a, x = _arg(args, "a", 2.0), _arg(args, "x")
+    # A start point outside (0, a) falls back to a/2; the metadata
+    # records the point evaluated.
+    x0 = x if 0.0 < x < a else a / 2.0
+    rows = [(y, rogozin_overshoot_density(p, a, x0, y)) for y in grid]
+    return [("a", a), ("x", x0)], rows
+
+
+def _exit_meta(args):
+    kind, direction = Kind(_arg(args, "kind")), Direction(_arg(args, "direction"))
+    return kind, direction, [("kind", kind.value), ("direction", direction.value)]
+
+
+def _exit_two_sided(args, p, grid):
+    kind, direction, meta = _exit_meta(args)
+    w = _window(args)
+    rows = [
+        (t, exit_density_two_sided(ExitLawQuery(kind, p, direction, t, window=w)))
+        for t in grid
+    ]
+    return meta + [("u", w.u), ("v", w.v)], rows
+
+
+def _exit_one_sided(args, p, grid):
+    kind, direction, meta = _exit_meta(args)
+    side = "u" if direction is Direction.UP else "v"
+    barrier = {side: _arg(args, side)}
+    rows = [
+        (t, exit_density_one_sided(ExitLawQuery(kind, p, direction, t, **barrier)))
+        for t in grid
+    ]
+    return meta + list(barrier.items()), rows
+
+
+def _pointwise(fn):
+    """Row function of a law of (params, z) alone."""
+    return lambda args, p, grid: ([], [(z, fn(p, z)) for z in grid])
+
+
+def _extrema_star(args, p, grid):
+    which = _arg(args, "which")
+    rows = [(z, extrema_density_star(p, z, which=which)) for z in grid]
+    return [("which", which)], rows
+
+
+def _spectral(args, p):
+    """The spectrally one-sided case, with its metadata pairs."""
+    case = Case(_arg(args, "case"))
+    s = SpectralCase(case, p.alpha, m=args.m, q_ladder=args.q_ladder)
+    return s, [("case", s.case.value), ("m", s.mean)]
+
+
+def _scale_fn(args, p, grid):
+    s, meta = _spectral(args, p)
+    return meta, [(z, scale_fn(s, z)) for z in grid]
+
+
+def _psi(args, p, grid):
+    s, meta = _spectral(args, p)
+    fn = psi_up if s.case is Case.UP_NEG else psi_down
+    return meta, [(t, fn(s, t)) for t in grid]
+
+
+def _ruin(args, p, grid):
+    s, meta = _spectral(args, p)
+    x = _arg(args, "x")
+    return meta + [("x", x)], [(y, ruin_probability(s, x, y)) for y in grid]
+
+
+def _triple_law(args, p, grid):
+    s, _ = _spectral(args, p)
+    if s.case in (Case.UP_NEG, Case.DOWN_NEG):
+        barrier = _arg(args, "v", -1.0)
+    else:
+        barrier = _arg(args, "u", 1.0)
+    eta = _arg(args, "eta", abs(barrier) / 2.0)
+    phi = _arg(args, "phi", eta + 0.5)
+    meta = [("case", s.case.value), ("barrier", barrier), ("phi", phi), ("eta", eta)]
+    rows = [
+        (t, triple_law_density(s, TripleLawPoint(barrier, t, phi, eta))) for t in grid
+    ]
+    return meta, rows
+
+
+def _hit_two_point(args, p, grid):
+    a, b = _arg(args, "a", 0.5), _arg(args, "b")
+    rows = [
+        (xx, hit_closed_ratio(HitQuery(p.alpha, xx, a, b)))
+        for xx in grid
+        if min(abs(xx - a), abs(xx - b)) > 1e-6
+    ]
+    return [("a", a), ("b", b)], rows
+
+
+def _with_bounds(grid, series_values):
+    """Rows (x, value, error bound) of a series density."""
+    return [(xx, sv.value, sv.tail_bound) for xx, sv in zip(grid, series_values)]
+
+
+def _expfun_density(args, p, grid):
+    kind = Kind(_arg(args, "kind"))
+    model = _expfun_model(p, star=kind is Kind.STAR)
+    density = expfun.density_I_star if kind is Kind.STAR else expfun.density_I
+    vals = [density(model, xx) for xx in grid]
+    return [("kind", kind.value)], _with_bounds(grid, vals)
+
+
+def _expfun_moments(args, p, grid):
+    model = _expfun_model(p)
+    ks = sorted({max(1, int(round(k))) for k in grid})
+    return [], [(float(k), expfun.neg_moment_I(model, k)) for k in ks]
+
+
+def _entrance_density(args, p, grid):
+    t = _arg(args, "t")
+    model = _expfun_model(p)
+    vals = [expfun.entrance_density(model, t, xx) for xx in grid]
+    return [("t", t)], _with_bounds(grid, vals)
+
+
+def _tails(args, p, grid):
+    up, star = _expfun_model(p), _expfun_model(p, star=True)
+    rows = [
+        ("up-right", expfun.tail_exponent_check(up, TailCheck.UP_RIGHT)),
+        ("star-left", expfun.tail_exponent_check(star, TailCheck.STAR_LEFT)),
+    ]
+    return [], rows
+
+
+class _Law(NamedTuple):
+    header: str
+    grid: str | None  # default grid spec; None for a law that takes no grid
+    rows: Callable
+
+
+_LAW_TABLE = {
+    "rogozin-density": _Law("y,value", "0.01:5:50", _rogozin_density),
+    "exit-two-sided": _Law("theta,value", "0.01:5:50", _exit_two_sided),
+    "exit-one-sided": _Law("theta,value", "0.01:5:50", _exit_one_sided),
+    "min-cdf-up": _Law("z,value", "0:5:50", _pointwise(min_cdf_up)),
+    "max-cdf-down": _Law("z,value", "0:5:50", _pointwise(max_cdf_down)),
+    "extrema-star": _Law("z,value", "0.01:5:50", _extrema_star),
+    "scale-fn": _Law("x,value", "0.01:5:50", _scale_fn),
+    "psi": _Law("theta,value", "0:8:50", _psi),
+    "ruin": _Law("y,value", "0.1:5:50", _ruin),
+    "triple-law": _Law("theta,value", "0.01:3:50", _triple_law),
+    "hit-two-point": _Law("x,value", "0.6:1.9:20", _hit_two_point),
+    "expfun-density": _Law("x,value,error_bound", "0.2:20:50:log", _expfun_density),
+    "expfun-moments": _Law("k,value", "1:5:5", _expfun_moments),
+    "entrance-density": _Law(
+        "x,value,error_bound", "0.05:10:50:log", _entrance_density
+    ),
+    "tails": _Law("check,slope", None, _tails),
+}
+LAWS = tuple(_LAW_TABLE)
 
 
 def cmd_eval(args) -> int:
-    if not args.law or args.law not in LAWS:
+    law = _LAW_TABLE.get(args.law)
+    if law is None:
         raise DomainError(
             f"--law must be one of: {', '.join(LAWS)} (got {args.law!r})"
         )
-    header, rows, meta = _eval_rows(args)
-    lines = _meta_block(meta)
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(val) for val in row))
-    _emit(lines, args.out)
+    p, meta = _params(args)
+    spec = args.grid or law.grid
+    grid = parse_grid(spec) if spec else None
+    law_meta, rows = law.rows(args, p, grid)
+    _emit_csv([("law", args.law)] + meta + law_meta, law.header, rows, args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    kind = _KINDS[args.kind] if args.kind else Kind.STAR
-    p = _params(args)
+    kind = Kind(_arg(args, "kind", "star"))
+    p, param_meta = _params(args)
     w = _window(args)
-    cfg = SimConfig(
-        args.n_paths if args.n_paths is not None else 1000,
-        args.step if args.step is not None else 1e-3,
-        _resolve_seed(args),
-    )
+    cfg = SimConfig(_arg(args, "n_paths"), _arg(args, "step"), _resolve_seed(args))
     sample = simulate_exit(kind, p, w, cfg)
-    meta = [
-        ("kind", kind.value),
-        ("alpha", p.alpha),
-        ("rho", p.rho),
-        ("c_plus", p.c_plus),
-        ("c_minus", p.c_minus),
+    meta = [("kind", kind.value)] + param_meta + [
         ("u", w.u),
         ("v", w.v),
         ("n_paths", cfg.n_paths),
@@ -389,21 +419,12 @@ def cmd_simulate(args) -> int:
         ("max_time", cfg.max_time),
         ("censored", sample.n_censored),
     ]
-    lines = _meta_block(meta)
-    lines.append("path_id,side,theta,h_weight,steps_used")
-    for i in range(cfg.n_paths):
-        lines.append(
-            ",".join(
-                (
-                    str(i),
-                    SIDE_LABELS[sample.side[i]],
-                    _fmt(float(sample.theta[i])),
-                    _fmt(float(sample.h_weight[i])),
-                    str(int(sample.steps_used[i])),
-                )
-            )
-        )
-    _emit(lines, args.out)
+    rows = [
+        (i, SIDE_LABELS[sample.side[i]], float(sample.theta[i]),
+         float(sample.h_weight[i]), int(sample.steps_used[i]))
+        for i in range(cfg.n_paths)
+    ]
+    _emit_csv(meta, "path_id,side,theta,h_weight,steps_used", rows, args.out)
     return 0
 
 
@@ -415,12 +436,7 @@ def cmd_verify(args) -> int:
     if args.step is not None:
         kwargs["step"] = args.step
     report = run_suite(suite, seed=_resolve_seed(args), **kwargs)
-    text = json.dumps(report, indent=2, default=float)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    _emit([json.dumps(report, indent=2, default=float)], args.out)
     return 0 if report_passed(report) else 1
 
 
@@ -433,32 +449,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("eval", "simulate", "verify"):
         sp = sub.add_parser(name)
-        if name == "verify":
-            sp.add_argument("suite", nargs="?", default=None)
-        sp.add_argument("--law", default=None)
-        sp.add_argument("--kind", choices=sorted(_KINDS), default=None)
-        sp.add_argument("--case", choices=sorted(_CASES), default=None)
-        sp.add_argument("--direction", choices=("up", "down"), default=None)
-        sp.add_argument("--which", choices=("max", "min"), default=None)
-        sp.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--rho", type=float, default=None)
-        sp.add_argument("--c-plus", dest="c_plus", type=float, default=None)
-        sp.add_argument("--c-minus", dest="c_minus", type=float, default=None)
-        sp.add_argument("--u", type=float, default=None)
-        sp.add_argument("--v", type=float, default=None)
-        sp.add_argument("--x", type=float, default=None)
-        sp.add_argument("--a", type=float, default=None)
-        sp.add_argument("--b", type=float, default=None)
-        sp.add_argument("--t", type=float, default=None)
-        sp.add_argument("--m", type=float, default=None)
-        sp.add_argument("--q-ladder", dest="q_ladder", type=float, default=None)
-        sp.add_argument("--phi", type=float, default=None)
-        sp.add_argument("--eta", type=float, default=None)
-        sp.add_argument("--grid", default=None)
-        sp.add_argument("--n-paths", dest="n_paths", type=int, default=None)
-        sp.add_argument("--step", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", default=None)
+        for dest, (spec, _) in _OPTIONS.items():
+            check = {"choices": spec} if isinstance(spec, tuple) else {"type": spec}
+            if dest == "suite":
+                if name == "verify":
+                    sp.add_argument("suite", nargs="?", default=None, **check)
+                continue
+            sp.add_argument("--" + dest.replace("_", "-"), default=None, **check)
         sp.add_argument("--config", default=None)
     return parser
 

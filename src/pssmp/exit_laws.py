@@ -111,6 +111,45 @@ def _validate_mode(p: StableParams):
         )
 
 
+def _exit_density(q: ExitLawQuery, u: float, v: float) -> float:
+    """Overshoot density on the window (v, u), off the creeping side.
+
+    Every factor that involves the far barrier is written so that it is
+    exactly 0 when that barrier is infinite (log 1 or log1p(0)), never
+    inf - inf; u = +inf or v = -inf gives the one-sided law.
+    """
+    p = q.params
+    gamma = LampertiKind.for_params(q.kind, p).gamma_exponent
+    ar, arh = p.alpha_rho, p.alpha_rho_hat
+    theta = q.theta
+    if q.direction is Direction.UP:
+        if theta == 0.0:
+            return math.inf if arh > 0 else 0.0
+        # All factors of e^(u+theta) collected in log scale so large
+        # overshoots neither overflow nor lose the exponential decay.
+        log_val = (
+            arh * _log_expm1(u)
+            + ar * math.log(-math.expm1(v))
+            + (gamma - arh - ar - 1.0) * (u + theta)
+            - arh * math.log(-math.expm1(-theta))
+            - ar * math.log1p(-math.exp(v - u - theta))
+            - math.log(-math.expm1(-u - theta))
+        )
+        return math.sin(math.pi * arh) / math.pi * math.exp(log_val)
+    if theta == 0.0:
+        return math.inf if ar > 0 else 0.0
+    # arh * [log(e^u - 1) - log(e^(u-v+theta) - 1) - (v - theta)], with the
+    # linear parts cancelled by hand.
+    log_val = (
+        ar * math.log(-math.expm1(v))
+        + gamma * (v - theta)
+        - ar * (v + math.log(-math.expm1(-theta)))
+        + arh * (math.log(-math.expm1(-u)) - math.log(-math.expm1(v - theta - u)))
+        - math.log1p(-math.exp(v - theta))
+    )
+    return math.sin(math.pi * ar) / math.pi * math.exp(log_val)
+
+
 def exit_density_two_sided(q: ExitLawQuery) -> float:
     """Overshoot density at theta for the two-sided exit problem.
 
@@ -119,80 +158,25 @@ def exit_density_two_sided(q: ExitLawQuery) -> float:
     undershoot below v on the complementary event.  Sub-probability
     density in theta; on a creeping side it is identically zero.
     """
-    p = q.params
-    _validate_mode(p)
+    _validate_mode(q.params)
     u, v = q.barrier_up(), q.barrier_down()
-    gamma = LampertiKind.for_params(q.kind, p).gamma_exponent
-    ar, arh = p.alpha_rho, p.alpha_rho_hat
-    theta = q.theta
-    log_common = arh * _log_expm1(u) + ar * math.log(-math.expm1(v))
-    if q.direction is Direction.UP:
-        if creeping_side(p, Direction.UP):
-            return 0.0
-        if theta == 0.0:
-            return math.inf if arh > 0 else 0.0
-        # All factors of e^(u+theta) collected in log scale so large
-        # overshoots neither overflow nor lose the exponential decay.
-        log_val = (
-            log_common
-            + (gamma - arh - ar - 1.0) * (u + theta)
-            - arh * math.log(-math.expm1(-theta))
-            - ar * math.log1p(-math.exp(v - u - theta))
-            - math.log(-math.expm1(-u - theta))
-        )
-        return math.sin(math.pi * arh) / math.pi * math.exp(log_val)
-    else:
-        if creeping_side(p, Direction.DOWN):
-            return 0.0
-        if theta == 0.0:
-            return math.inf if ar > 0 else 0.0
-        log_val = (
-            log_common
-            + gamma * (v - theta)
-            - ar * (v + math.log(-math.expm1(-theta)))
-            - arh * (v - theta + _log_expm1(u - v + theta))
-            - math.log1p(-math.exp(v - theta))
-        )
-        return math.sin(math.pi * ar) / math.pi * math.exp(log_val)
+    if creeping_side(q.params, q.direction):
+        return 0.0
+    return _exit_density(q, u, v)
 
 
 def exit_density_one_sided(q: ExitLawQuery) -> float:
     """Overshoot density for the one-sided exit problem.
 
     The limit of the two-sided density as the opposite barrier recedes:
-    v -> -inf for direction UP, u -> +inf for direction DOWN.
+    the same kernel with v = -inf for direction UP, u = +inf for DOWN.
     """
-    p = q.params
-    _validate_mode(p)
-    gamma = LampertiKind.for_params(q.kind, p).gamma_exponent
-    ar, arh = p.alpha_rho, p.alpha_rho_hat
-    theta = q.theta
+    _validate_mode(q.params)
+    if creeping_side(q.params, q.direction):
+        return 0.0
     if q.direction is Direction.UP:
-        if creeping_side(p, Direction.UP):
-            return 0.0
-        u = q.barrier_up()
-        if theta == 0.0:
-            return math.inf if arh > 0 else 0.0
-        log_val = (
-            arh * _log_expm1(u)
-            + (gamma - ar - arh - 1.0) * (u + theta)
-            - arh * math.log(-math.expm1(-theta))
-            - math.log(-math.expm1(-u - theta))
-        )
-        return math.sin(math.pi * arh) / math.pi * math.exp(log_val)
-    else:
-        if creeping_side(p, Direction.DOWN):
-            return 0.0
-        v = q.barrier_down()
-        if theta == 0.0:
-            return math.inf if ar > 0 else 0.0
-        log_val = (
-            ar * math.log(-math.expm1(v))
-            + gamma * (v - theta)
-            - ar * (v + math.log(-math.expm1(-theta)))
-            - math.log1p(-math.exp(v - theta))
-        )
-        return math.sin(math.pi * ar) / math.pi * math.exp(log_val)
+        return _exit_density(q, q.barrier_up(), -math.inf)
+    return _exit_density(q, math.inf, q.barrier_down())
 
 
 def _mass(density, tol=1e-9) -> float:

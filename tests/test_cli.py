@@ -1,14 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pssmp
-from pssmp.cli import LAWS, load_config, main, parse_grid
+from pssmp.cli import _LAW_TABLE, LAWS, load_config, main, parse_grid
 from pssmp.errors import ConfigurationError, DomainError
 from pssmp.exit_laws import min_cdf_up
 from pssmp.stable import StableParams
@@ -70,21 +74,7 @@ class TestEval:
         assert "# law=psi" in out
         assert "# alpha=1.3" in out
 
-    @pytest.mark.parametrize(
-        "law",
-        [
-            "rogozin-density",
-            "exit-two-sided",
-            "exit-one-sided",
-            "min-cdf-up",
-            "max-cdf-down",
-            "scale-fn",
-            "psi",
-            "ruin",
-            "hit-two-point",
-            "expfun-moments",
-        ],
-    )
+    @pytest.mark.parametrize("law", LAWS)
     def test_laws_evaluate_cleanly(self, capsys, law):
         rc, out, err = run(capsys, "eval", "--law", law, "--grid", "0.2:2:5")
         assert rc == 0, err
@@ -111,7 +101,13 @@ class TestEval:
         assert dest.read_text().startswith("# artifact_version=")
 
     def test_law_registry_complete(self):
-        assert len(LAWS) == 15 and len(set(LAWS)) == 15
+        assert LAWS == tuple(_LAW_TABLE)
+        for name, law in _LAW_TABLE.items():
+            assert law.header.split(",")[-1] in ("value", "error_bound", "slope")
+            if name == "tails":
+                assert law.grid is None
+            else:
+                assert len(parse_grid(law.grid)) >= 2
 
 
 class TestSimulate:
@@ -180,6 +176,10 @@ class TestExitCodes:
         assert run(capsys, "eval", "--law", "psi", "--grid", "junk")[0] == 2
         assert run(capsys, "eval", "--law", "psi", "--alpha", "3.0")[0] == 2
         assert run(capsys, "eval", "--no-such-flag")[0] == 2
+        # Non-finite numbers are refused before they reach a law (psi
+        # printed nan rows for --m nan).
+        assert run(capsys, "eval", "--law", "psi", "--m", "nan")[0] == 2
+        assert run(capsys, "eval", "--law", "exit-one-sided", "--u", "inf")[0] == 2
 
     def test_one_sided_parameters_rejected_where_two_sided_needed(self, capsys):
         rc, _, err = run(
@@ -268,10 +268,99 @@ class TestConfigPrecedence:
         )
         assert "# alpha=1.2" in out2
 
-    def test_unknown_config_key_is_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "alpah=1.2",
+            "config=other.cfg",
+            "kind=sideways",
+            "case=nope",
+            "direction=sideways",
+            "alpha=abc",
+            "seed=1.5",
+            "m=nan",
+        ],
+    )
+    def test_unknown_config_key_is_2(self, capsys, tmp_path, line):
+        # Config values pass the same type and choice checks as flags.
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("alpah=1.2\n")
-        rc, _, err = run(
-            capsys, "eval", "--law", "psi", "--config", str(cfg)
+        cfg.write_text(line + "\n")
+        rc, out, err = run(
+            capsys, "eval", "--law", "exit-two-sided", "--config", str(cfg)
         )
-        assert rc == 2 and "alpah" in err
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and line.partition("=")[0] in err
+
+    def test_config_suite_reaches_verify(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("suite=no-such-suite\n")
+        rc, _, err = run(capsys, "verify", "--config", str(cfg))
+        assert rc == 2 and "unknown suite 'no-such-suite'" in err
+
+    def test_config_values_are_cast(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kind=star\ndirection=down\nc-minus=2\ngrid=0.5:2:3\n")
+        _, from_file, _ = run(
+            capsys, "eval", "--law", "exit-two-sided", "--config", str(cfg)
+        )
+        _, from_flags, _ = run(
+            capsys, "eval", "--law", "exit-two-sided", "--kind", "star",
+            "--direction", "down", "--c-minus", "2", "--grid", "0.5:2:3",
+        )
+        assert from_file == from_flags and "# direction=down" in from_file
+
+
+# Laws that answer in milliseconds at any parameters, so the fuzz test can
+# draw many requests; the slow laws run once each in TestEval.
+_FAST_LAWS = (
+    "rogozin-density",
+    "exit-two-sided",
+    "exit-one-sided",
+    "min-cdf-up",
+    "max-cdf-down",
+    "scale-fn",
+    "psi",
+    "ruin",
+    "hit-two-point",
+)
+_FUZZ_OPTIONS = (
+    "kind", "case", "direction", "which", "alpha", "rho", "c-plus", "c-minus",
+    "u", "v", "x", "a", "b", "t", "m", "q-ladder", "phi", "eta", "grid",
+)
+_FUZZ_VALUES = (
+    "1.5", "0.5", "-0.5", "0.3", "2", "1", "0", "-1", "1e-300", "800", "-800",
+    "nan", "inf", "-inf", "abc", "", "up", "down", "star", "max", "min",
+    "up-neg", "down-neg", "down-pos", "0.2:2:3", "1:5:3:log", "0:1:1", "1:2:3:cubic",
+)
+
+
+class TestFuzz:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        law=st.sampled_from(_FAST_LAWS),
+        options=st.dictionaries(
+            st.sampled_from(_FUZZ_OPTIONS),
+            st.tuples(st.sampled_from(_FUZZ_VALUES), st.booleans()),
+            max_size=6,
+        ),
+    )
+    def test_exit_code_is_documented(self, law, options):
+        # Each option is given as a flag or as a config-file line.
+        argv = ["eval", "--law", law]
+        lines = []
+        for name, (value, as_flag) in options.items():
+            if as_flag:
+                argv.append(f"--{name}={value}")
+            else:
+                lines.append(f"{name}={value}")
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "run.cfg")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv + ["--config", cfg])
+        assert rc in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        rows = [l for l in out.getvalue().splitlines() if not l.startswith("#")]
+        assert "nan" not in ",".join(rows)

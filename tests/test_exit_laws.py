@@ -94,6 +94,22 @@ class TestOneSidedLimit:
             )
             assert two == pytest.approx(one, rel=1e-8)
 
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("alpha, rho", [(1.5, 0.5), (0.8, 0.3), (1.2, 0.7)])
+    def test_far_barrier_at_700_is_one_sided_to_rounding(self, direction, alpha, rho):
+        # Every factor that carries the far barrier differs from 1 by about
+        # e^-700 there, so the two-sided kernel must give the one-sided law.
+        p = StableParams(alpha, rho)
+        if direction is Direction.UP:
+            far, barrier = ExitWindow(-700.0, 0.5), {"u": 0.5}
+        else:
+            far, barrier = ExitWindow(-0.5, 700.0), {"v": -0.5}
+        for kind in Kind:
+            for theta in (0.01, 1.0, 20.0):
+                two = _dens2(kind, p, direction, theta, far)
+                q = ExitLawQuery(kind, p, direction, theta, **barrier)
+                assert two == pytest.approx(exit_density_one_sided(q), rel=1e-13)
+
 
 class TestStarIsExitLawOfStable:
     """The killed kind in log scale is the plain stable exit law after
