@@ -319,11 +319,8 @@ def _triple_law(args, p, grid):
 
 def _hit_two_point(args, p, grid):
     a, b = _arg(args, "a", 0.5), _arg(args, "b")
-    rows = [
-        (xx, hit_closed_ratio(HitQuery(p.alpha, xx, a, b)))
-        for xx in grid
-        if min(abs(xx - a), abs(xx - b)) > 1e-6
-    ]
+    # A point on a target gives 1 at a and 0 at b; one near a target exits 2.
+    rows = [(xx, hit_closed_ratio(HitQuery(p.alpha, xx, a, b))) for xx in grid]
     return [("a", a), ("b", b)], rows
 
 

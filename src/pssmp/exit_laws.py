@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .numerics import _log_expm1, integrate_adaptive, log_gamma
+from .numerics import _exp_or_inf, _log_expm1, integrate_adaptive, log_gamma
 from .stable import Kind, LampertiKind, StableParams
 
 __all__ = [
@@ -74,19 +74,19 @@ class ExitLawQuery:
     v: float | None = None
 
     def __post_init__(self):
-        if self.theta < 0.0:
-            raise DomainError("theta must be nonnegative")
+        if not self.theta >= 0.0:
+            raise DomainError(f"theta must be nonnegative, got {self.theta}")
 
     def barrier_up(self) -> float:
         u = self.window.u if self.window is not None else self.u
-        if u is None or u <= 0.0:
-            raise DomainError("upper barrier u > 0 required")
+        if u is None or not 0.0 < u < math.inf:
+            raise DomainError("finite upper barrier u > 0 required")
         return u
 
     def barrier_down(self) -> float:
         v = self.window.v if self.window is not None else self.v
-        if v is None or v >= 0.0:
-            raise DomainError("lower barrier v < 0 required")
+        if v is None or not -math.inf < v < 0.0:
+            raise DomainError("finite lower barrier v < 0 required")
         return v
 
 
@@ -303,11 +303,12 @@ def max_cdf_down(p: StableParams, z: float) -> float:
 def extrema_density_star(p: StableParams, z: float, which: str = "max") -> float:
     """Density of the all-time maximum or minimum of the killed process.
 
-    The maximum has the closed beta-type form.  The minimum is computed
-    from first principles as d/dz P(no passage below -z), evaluated by
-    quadrature of the one-sided down exit law plus central differences;
-    see ``extrema_min_star_as_printed`` for the (non-integrable)
-    closed-form candidate, kept for documentation only.
+    Both are beta-type laws in closed form.  The killed process drops
+    below -z with probability I_{e^-z}(1 - alpha*rho, alpha*rho), the
+    one-sided down exit mass; differentiating gives the minimum density
+    (e^z - 1)^(alpha*rho - 1) / (Gamma(alpha*rho) Gamma(1 - alpha*rho)).
+    Both densities diverge at z = 0 and are inf wherever they exceed the
+    float range.
     """
     p.require_two_sided()
     if z < 0.0:
@@ -317,29 +318,26 @@ def extrema_density_star(p: StableParams, z: float, which: str = "max") -> float
         if z == 0.0:
             return math.inf if ar < 1.0 else 0.0
         const = math.exp(log_gamma(p.alpha) - log_gamma(ar) - log_gamma(arh))
-        return const * math.exp(-z * arh) * (-math.expm1(-z)) ** (ar - 1.0)
+        try:
+            return const * math.exp(-z * arh) * (-math.expm1(-z)) ** (ar - 1.0)
+        except OverflowError:  # only at subnormal z, where 1 - e^-z = z
+            return _exp_or_inf(math.log(const) + (ar - 1.0) * math.log(z))
     if which == "min":
         if z == 0.0:
-            return 0.0
-        h = min(1e-5, z / 4.0)
-
-        def no_drop_below(zz):
-            if zz <= 0.0:
-                return 0.0
-            return 1.0 - exit_mass_one_sided(
-                Kind.STAR, p, Direction.DOWN, -zz, tol=1e-10
-            )
-
-        return (no_drop_below(z + h) - no_drop_below(z - h)) / (2.0 * h)
+            return math.inf
+        log_norm = log_gamma(ar) + log_gamma(1.0 - ar)
+        return _exp_or_inf((ar - 1.0) * _log_expm1(z) - log_norm)
     raise DomainError(f"which must be 'max' or 'min', got {which!r}")
 
 
 def extrema_min_star_as_printed(p: StableParams, z: float) -> float:
-    """Closed-form candidate for the killed process's minimum density.
+    """Printed candidate for the killed process's minimum density.
 
     (e^z - 1)^(alpha*rho) / (Gamma(alpha*rho) * Gamma(1 - alpha*rho)):
-    grows without bound in z, so it cannot be a probability density; it
-    is exposed only so reports can show it next to the derived law.
+    the closed form of ``extrema_density_star(which="min")`` with the
+    exponent alpha*rho in place of alpha*rho - 1.  It grows without bound
+    in z, so it cannot be a probability density; it is exposed only so
+    reports can show it next to the derived law.
     """
     p.require_two_sided()
     if z < 0.0:

@@ -71,8 +71,8 @@ class ExpFunctionalModel:
     def __post_init__(self):
         if not (1.0 < self.alpha < 2.0):
             raise DomainError("alpha must lie in (1, 2)")
-        if self.jump_weight <= 0.0:
-            raise DomainError("jump weight must be positive")
+        if not (0.0 < self.jump_weight < math.inf):
+            raise DomainError("jump weight must be positive and finite")
 
     @property
     def c(self) -> float:

@@ -2,8 +2,9 @@
 
 Given a symmetric stable process on the positive half-line killed at 0,
 the probability of hitting one of two target points first is computed by
-two independent routes: the cofactor ratio from the 3x3 occupation-
-density matrix, and the closed ratio of occupation densities.  Both are
+two routes: the cofactor ratio from the 3x3 occupation-density matrix,
+and the closed ratio of occupation densities.  Both evaluate the same
+closed-form occupation density ``killed_resolvent_u``.  Both are
 homogeneous of degree zero in the overall density normalization, which
 a dedicated invariance test exploits.
 """
@@ -28,7 +29,11 @@ _COINCIDENCE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class HitQuery:
-    """Start point x and two positive targets a, b, all distinct."""
+    """Start point x and two distinct positive targets a, b.
+
+    x may sit exactly on a target (the target is then hit at time 0), but
+    not merely near one, where the occupation matrix degenerates.
+    """
 
     alpha: float
     x: float
@@ -40,26 +45,38 @@ class HitQuery:
         if not (1.0 < self.alpha < 2.0):
             raise DomainError("points are hit only for alpha in (1, 2)")
         pts = (self.x, self.a, self.b)
-        if min(pts) <= 0.0:
-            raise DomainError("x, a, b must be positive")
+        if not all(0.0 < pt < math.inf for pt in pts):
+            raise DomainError("x, a, b must be positive and finite")
         scale = max(pts)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if abs(pts[i] - pts[j]) < _COINCIDENCE_TOL * scale:
-                    raise DomainError(
-                        "near-coincident points degenerate the occupation matrix"
-                    )
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            gap = abs(pts[i] - pts[j])
+            if gap < _COINCIDENCE_TOL * scale and (gap > 0.0 or (i, j) == (1, 2)):
+                raise DomainError(
+                    "near-coincident points degenerate the occupation matrix"
+                )
+
+
+def _on_target(q: HitQuery) -> float | None:
+    """1 or 0 when x is a or b itself, else None."""
+    return {q.a: 1.0, q.b: 0.0}.get(q.x)
 
 
 def _u_matrix(q: HitQuery):
+    """U over {x, a, b}, divided by its largest entry.
+
+    u is homogeneous in the points, so without the division the scale of
+    the points would reach the cofactors and overflow or underflow them.
+    """
     pts = (q.x, q.a, q.b)
-    return [
+    mat = [
         [
             killed_resolvent_u(q.alpha, pi, pj, prefactor_scale=q.prefactor_scale)
             for pj in pts
         ]
         for pi in pts
     ]
+    norm = max(abs(v) for row in mat for v in row)
+    return [[v / norm for v in row] for row in mat]
 
 
 def _cofactor(mat, i, j):
@@ -75,6 +92,8 @@ def hit_matrix_method(q: HitQuery) -> float:
     With U the occupation-density matrix over {x, a, b} and Q = -U^-1,
     the probability is -q(x, a)/q(x, x), i.e. a ratio of cofactors of U.
     """
+    if (hit := _on_target(q)) is not None:
+        return hit
     mat = _u_matrix(q)
     # inv(U)[0][1] = C10/det, inv(U)[0][0] = C00/det; the determinant and
     # overall density normalization cancel in the ratio.
@@ -82,10 +101,10 @@ def hit_matrix_method(q: HitQuery) -> float:
     c10 = _cofactor(mat, 1, 0)
     if c00 == 0.0:
         raise NumericError("singular occupation matrix: vanishing cofactor")
-    norm = max(abs(v) for row in mat for v in row)
     det = sum(mat[0][j] * _cofactor(mat, 0, j) for j in range(3))
     cof_max = max(abs(_cofactor(mat, i, j)) for i in range(3) for j in range(3))
-    condition = 3.0 * norm * 3.0 * cof_max / abs(det) if det else math.inf
+    # With entries at most 1, 3 * 3 * cof_max / |det| bounds |U| |U^-1|.
+    condition = 9.0 * cof_max / abs(det) if det else math.inf
     if condition > 1e12:
         raise NumericError(
             "ill-conditioned occupation matrix", detail={"condition": condition}
@@ -95,6 +114,8 @@ def hit_matrix_method(q: HitQuery) -> float:
 
 def hit_closed_ratio(q: HitQuery) -> float:
     """Same probability via the printed ratio of occupation densities."""
+    if (hit := _on_target(q)) is not None:
+        return hit
 
     def u(p1, p2):
         return killed_resolvent_u(q.alpha, p1, p2, prefactor_scale=q.prefactor_scale)

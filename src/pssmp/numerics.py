@@ -81,6 +81,14 @@ def _log_expm1(x: float) -> float:
     return x + math.log1p(-math.exp(-x))
 
 
+def _exp_or_inf(x: float) -> float:
+    """e^x, or inf where it exceeds the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def gamma_signed(x: float) -> float:
     """Gamma function with correct sign for any non-pole real argument.
 

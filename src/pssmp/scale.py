@@ -74,10 +74,10 @@ class SpectralCase:
     def __post_init__(self):
         if not (1.0 < self.alpha < 2.0):
             raise DomainError("alpha must lie in (1, 2) for one-sided cases")
-        if self.m is not None and self.m <= 0.0:
-            raise DomainError("m must be positive")
-        if self.q_ladder is not None and self.q_ladder <= 0.0:
-            raise DomainError("q_ladder must be positive")
+        if self.m is not None and not (0.0 < self.m < math.inf):
+            raise DomainError("m must be positive and finite")
+        if self.q_ladder is not None and not (0.0 < self.q_ladder < math.inf):
+            raise DomainError("q_ladder must be positive and finite")
 
     @property
     def mean(self) -> float:

@@ -13,8 +13,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import hyp2f1
 
 from .errors import DomainError
+
+# integrate_adaptive is not called here.  It stays imported because
+# bench/test_bench.py asserts stable.integrate_adaptive is the numerics one.
 from .numerics import integrate_adaptive, log_gamma, reg_incomplete_beta
 
 __all__ = [
@@ -52,8 +56,8 @@ class StableParams:
             raise DomainError(f"alpha must lie in (0, 2), got {self.alpha}")
         if not (0.0 < self.rho < 1.0):
             raise DomainError(f"rho must lie in (0, 1), got {self.rho}")
-        if self.c_plus < 0.0 or self.c_minus < 0.0:
-            raise DomainError("jump weights must be nonnegative")
+        if not (0.0 <= self.c_plus < math.inf and 0.0 <= self.c_minus < math.inf):
+            raise DomainError("jump weights must be finite and nonnegative")
 
     @property
     def alpha_rho(self) -> float:
@@ -181,34 +185,32 @@ def exit_up_probability(p: StableParams, a: float, x: float) -> float:
     return reg_incomplete_beta(p.alpha_rho, p.alpha_rho_hat, x / a)
 
 
-def _resolvent_prefactor(alpha: float) -> float:
-    # Ratio-only quantity downstream; see hitting module for the
-    # invariance test that makes the normalization choice irrelevant.
-    return 1.0 / (2.0**alpha * math.exp(log_gamma(alpha / 2.0)))
-
-
 def killed_resolvent_u(
     alpha: float, x: float, y: float, prefactor_scale: float = 1.0
 ) -> float:
     """Occupation density u(x, y) of the symmetric stable process killed at 0.
 
+    u = kappa |x-y|^(alpha-1) int_0^s t^(a-1) (1+t)^(-1/2) dt with
+    a = alpha/2 and s = 4xy/(x-y)^2 (Blumenthal, Getoor & Ray 1961); the
+    integral is (s^a / a) 2F1(1/2, a; a+1; -s) in closed form.
     ``prefactor_scale`` multiplies the overall constant; every consumer of
     u takes ratios in which it cancels, and tests exploit that.
     """
     if not (1.0 < alpha < 2.0):
         raise DomainError("resolvent density requires alpha in (1, 2)")
-    if x <= 0.0 or y <= 0.0:
-        raise DomainError("x and y must be positive")
-    kappa = prefactor_scale * _resolvent_prefactor(alpha)
+    if not (0.0 < x < math.inf and 0.0 < y < math.inf):
+        raise DomainError("x and y must be positive and finite")
+    kappa = prefactor_scale / (2.0**alpha * math.exp(log_gamma(alpha / 2.0)))
     if x == y:
         # Analytic diagonal limit: the integral diverges like the
         # prefactor |x-y|^(alpha-1) vanishes.
         return kappa * (2.0 * x) ** (alpha - 1.0) * 2.0 / (alpha - 1.0)
-    s = 4.0 * x * y / (x - y) ** 2
-    inner = integrate_adaptive(
-        lambda t: t ** (alpha / 2.0 - 1.0) / math.sqrt(1.0 + t), 0.0, s, tol=1e-12
-    )
-    return kappa * abs(x - y) ** (alpha - 1.0) * inner.value
+    d = abs(x - y)
+    # Each quotient is formed first, so s stays in range wherever 4xy/d^2 is.
+    s = 4.0 * (x / d) * (y / d)
+    a = alpha / 2.0
+    inner = s**a / a * float(hyp2f1(0.5, a, a + 1.0, -s))
+    return kappa * d ** (alpha - 1.0) * inner
 
 
 def _skew_angle(p: StableParams) -> float:

@@ -156,12 +156,12 @@ def _suite_esscher(seed, n_draws=200, **_):
 def star_min_derived_mass(
     p: StableParams, z_lo: float = 0.05, z_hi: float = 6.0
 ) -> float:
-    """Total mass of the derived all-time-minimum density of the killed kind.
+    """Total mass of the all-time-minimum density of the killed kind.
 
-    Quadrature of the differentiated density over [z_lo, z_hi]; the head
-    and tail pieces are the exactly complementary CDF values (one minus
-    the probability of ever dropping below the cutoff), so the sum
-    measures how consistently the derivative construction integrates.
+    Two routes: quadrature of the closed-form density over [z_lo, z_hi],
+    and for the head and tail the complementary CDF values (one minus the
+    probability of ever dropping below the cutoff) by quadrature of the
+    one-sided down exit law.  The sum measures how well they agree.
     """
     head = 1.0 - exit_mass_one_sided(Kind.STAR, p, Direction.DOWN, -z_lo, tol=1e-10)
     body = integrate_adaptive(
@@ -211,7 +211,9 @@ def _suite_extrema(seed, **_):
             star_min_derived_mass(p),
             1e-5,
             status="finding",
-            detail="derived construction integrates to 1; compare the quoted form below",
+            detail="quadrature of the closed-form density on [0.05, 6], head and "
+            "tail by quadrature of the one-sided down exit law; compare the "
+            "quoted form below",
         )
     )
     printed_ratio = extrema_min_star_as_printed(p, 4.0) / extrema_min_star_as_printed(
@@ -225,7 +227,8 @@ def _suite_extrema(seed, **_):
             None,
             status="finding",
             detail="quoted min density grows with z (ratio at z=4 vs z=2), "
-            "so it is not integrable",
+            "so it is not integrable: it is the closed form with exponent "
+            "alpha*rho in place of alpha*rho - 1",
         )
     )
     return checks
@@ -292,6 +295,7 @@ def _suite_hitting(seed, **_):
             worst,
             1e-10,
             passed=worst <= 1e-10,
+            detail="both routes share killed_resolvent_u (closed form in 2F1)",
         )
     )
     q1 = HitQuery(1.5, 1.0, 0.5, 2.0)

@@ -244,6 +244,58 @@ class TestExitCodes:
         )
         assert rc == 2 and out == "" and "finite" in err
 
+    def test_hit_two_point_keeps_points_on_targets(self, capsys):
+        # x = a has hit a at time 0 (probability 1), x = b has hit b (0).
+        for grid, first, last in (("0.5:0.6:3", "1", None), ("1.9:2:3", None, "0")):
+            rc, out, _ = run(
+                capsys, "eval", "--law", "hit-two-point", "--a", "0.5", "--grid", grid
+            )
+            rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
+            assert rc == 0 and len(rows) == 3
+            assert first is None or rows[0][1] == first
+            assert last is None or rows[-1][1] == last
+
+    @pytest.mark.parametrize(
+        "opts", [["--a", "2"], ["--a", "0.5", "--grid", "0.500000001:1:2"]]
+    )
+    def test_hit_two_point_equal_or_near_targets_are_2(self, capsys, opts):
+        rc, out, err = run(capsys, "eval", "--law", "hit-two-point", *opts)
+        assert rc == 2 and out == "" and "near-coincident" in err
+
+    @pytest.mark.parametrize(
+        "opts",
+        [
+            ["--b", "5e-324"],
+            ["--a", "1e200", "--b", "2e200", "--grid", "1.2e200:1.8e200:3"],
+            ["--a", "1e-300", "--b", "2e-300", "--grid", "1.2e-300:1.8e-300:3"],
+        ],
+    )
+    def test_hit_two_point_at_extreme_scales(self, capsys, opts):
+        rc, out, err = run(capsys, "eval", "--law", "hit-two-point", *opts)
+        assert rc == 0, err
+        rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+        assert rows and all(0.0 <= float(l.split(",")[1]) <= 1.0 for l in rows)
+
+    def test_hit_two_point_is_scale_invariant(self, capsys):
+        def values(*opts):
+            _, out, _ = run(capsys, "eval", "--law", "hit-two-point", *opts)
+            rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+            return [float(l.split(",")[1]) for l in rows]
+
+        unit = values("--a", "1", "--b", "2", "--grid", "1.2:1.8:3")
+        big = values("--a", "1e200", "--b", "2e200", "--grid", "1.2e200:1.8e200:3")
+        assert big == pytest.approx(unit, rel=1e-14)
+
+    @pytest.mark.parametrize("which", ["max", "min"])
+    def test_extrema_star_beyond_float_range_is_inf(self, capsys, which):
+        rc, out, err = run(
+            capsys, "eval", "--law", "extrema-star", "--alpha", "0.02",
+            "--rho", "0.5", "--which", which, "--grid", "5e-324:1:2",
+        )
+        assert rc == 0, err
+        rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
+        assert rows[0][1] == "inf" and 0.0 < float(rows[1][1]) < math.inf
+
     def test_missing_config_file_is_2(self, capsys):
         assert run(capsys, "eval", "--law", "psi", "--config", "/nope.cfg")[0] == 2
 
@@ -328,7 +380,8 @@ _FUZZ_OPTIONS = (
     "u", "v", "x", "a", "b", "t", "m", "q-ladder", "phi", "eta", "grid",
 )
 _FUZZ_VALUES = (
-    "1.5", "0.5", "-0.5", "0.3", "2", "1", "0", "-1", "1e-300", "800", "-800",
+    "1.5", "0.5", "-0.5", "0.3", "2", "1", "0", "-1", "1e-300", "5e-324", "1e200",
+    "800", "-800",
     "nan", "inf", "-inf", "abc", "", "up", "down", "star", "max", "min",
     "up-neg", "down-neg", "down-pos", "0.2:2:3", "1:5:3:log", "0:1:1", "1:2:3:cubic",
 )

@@ -18,7 +18,7 @@ from pssmp.exit_laws import (
     min_cdf_up,
     overshoot_cdf_interpolant,
 )
-from pssmp.numerics import _log_expm1, integrate_adaptive
+from pssmp.numerics import _log_expm1, integrate_adaptive, reg_incomplete_beta
 from pssmp.stable import Kind, StableParams, rogozin_overshoot_density
 
 P = StableParams(1.5, 0.5)
@@ -156,6 +156,73 @@ class TestExtremaLaws:
         assert extrema_min_star_as_printed(P, 6.0) > extrema_min_star_as_printed(
             P, 3.0
         )
+
+
+def _min_density_by_difference(p, z):
+    """Central difference of P(no drop below -z), each side by quadrature."""
+    h = min(1e-5, z / 4.0)
+
+    def no_drop_below(zz):
+        return 1.0 - exit_mass_one_sided(Kind.STAR, p, Direction.DOWN, -zz, tol=1e-10)
+
+    return (no_drop_below(z + h) - no_drop_below(z - h)) / (2.0 * h)
+
+
+_MIN_PARAMS = [(1.5, 0.5), (0.8, 0.3), (1.2, 0.7), (0.5, 0.5), (1.8, 0.5), (1.3, 0.45)]
+
+
+class TestStarMinimumClosedForm:
+    """The killed process drops below -z with probability
+    I_{e^-z}(1 - alpha*rho, alpha*rho); the minimum density is its
+    derivative, (e^z - 1)^(alpha*rho - 1) / (Gamma(alpha*rho) Gamma(1 - alpha*rho))."""
+
+    @pytest.mark.parametrize("alpha,rho", _MIN_PARAMS)
+    def test_cdf_matches_one_sided_exit_mass(self, alpha, rho):
+        p = StableParams(alpha, rho)
+        ar = p.alpha_rho
+        for z in (0.01, 0.3, 1.0, 3.0, 10.0):
+            drop = exit_mass_one_sided(Kind.STAR, p, Direction.DOWN, -z, tol=1e-12)
+            closed = reg_incomplete_beta(1.0 - ar, ar, math.exp(-z))
+            assert closed == pytest.approx(drop, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha,rho", _MIN_PARAMS[:3])
+    @pytest.mark.parametrize("z", [0.1, 0.8, 3.0])
+    def test_density_matches_central_difference(self, alpha, rho, z):
+        p = StableParams(alpha, rho)
+        assert extrema_density_star(p, z, "min") == pytest.approx(
+            _min_density_by_difference(p, z), rel=1e-5
+        )
+
+    @pytest.mark.parametrize("alpha,rho", _MIN_PARAMS)
+    def test_density_has_unit_mass(self, alpha, rho):
+        p = StableParams(alpha, rho)
+        mass = integrate_adaptive(
+            lambda z: extrema_density_star(p, z, "min"), 0.0, math.inf, tol=1e-10
+        ).value
+        assert mass == pytest.approx(1.0, abs=1e-8)
+
+    def test_endpoints(self):
+        assert extrema_density_star(P, 0.0, "min") == math.inf
+        far = extrema_density_star(P, 800.0, "min")
+        assert 0.0 <= far < math.inf
+
+    @pytest.mark.parametrize("which", ["max", "min"])
+    def test_beyond_float_range_at_tiny_z_is_inf(self, which):
+        # At alpha*rho = 0.01 both densities behave like z^-0.99 near 0,
+        # which exceeds the float range at z = 5e-324.
+        p = StableParams(0.02, 0.5)
+        assert extrema_density_star(p, 5e-324, which) == math.inf
+        assert 0.0 < extrema_density_star(p, 1e-300, which) < math.inf
+
+    def test_max_past_power_overflow_stays_finite(self):
+        # (1 - e^-z)^(alpha*rho - 1) alone overflows here, but the density
+        # does not: the constant Gamma(alpha) / (Gamma(ar) Gamma(arh)) is
+        # about 1/200 at alpha 0.02.
+        p = StableParams(0.02, 0.5)
+        z = math.exp(-712.0 / 0.99)
+        got = extrema_density_star(p, z, "max")
+        log_const = math.lgamma(0.02) - 2.0 * math.lgamma(0.01)
+        assert got == pytest.approx(math.exp(log_const - 0.99 * math.log(z)), rel=1e-12)
 
 
 class TestCreeping:

@@ -37,6 +37,38 @@ class TestRouteAgreement:
         assert pa + pb < 1.0
 
 
+class TestClosedResolvent:
+    def test_start_near_a_target(self):
+        # s = 4xy/(x-y)^2 is about 4e6 for the (x, a) pair, past the range
+        # where quadrature of the resolvent integral held (it gave 1.00008).
+        q = HitQuery(1.2, 0.5005, 0.5, 2.0)
+        assert hit_closed_ratio(q) == pytest.approx(0.7972643453136, abs=1e-12)
+        assert hit_matrix_method(q) == pytest.approx(0.7972643453136, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-100, 1e100, 1e200, 1e300])
+    def test_scale_invariance(self, alpha, scale):
+        # u is homogeneous in the points, so the hitting probability is not
+        # changed by scaling x, a and b together.
+        want = hit_closed_ratio(HitQuery(alpha, 1.2, 1.0, 2.0))
+        q = HitQuery(alpha, 1.2 * scale, 1.0 * scale, 2.0 * scale)
+        assert hit_closed_ratio(q) == pytest.approx(want, rel=1e-14)
+        assert hit_matrix_method(q) == pytest.approx(want, rel=1e-14)
+
+
+class TestStartOnTarget:
+    @pytest.mark.parametrize("route", [hit_closed_ratio, hit_matrix_method])
+    def test_exact_target_is_hit_at_time_zero(self, route):
+        assert route(HitQuery(1.5, 0.5, 0.5, 2.0)) == 1.0
+        assert route(HitQuery(1.5, 2.0, 0.5, 2.0)) == 0.0
+
+    def test_near_target_and_equal_targets_are_refused(self):
+        with pytest.raises(DomainError):
+            HitQuery(1.5, 0.5 * (1.0 + 1e-12), 0.5, 2.0)
+        with pytest.raises(DomainError):
+            HitQuery(1.5, 1.0, 2.0, 2.0)
+
+
 class TestNormalizationInvariance:
     def test_prefactor_cancels_exactly(self):
         base = HitQuery(1.5, 1.0, 0.5, 2.0)

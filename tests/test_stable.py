@@ -107,11 +107,52 @@ class TestResolvent:
         u2 = killed_resolvent_u(1.5, 1.3, 0.7)
         assert u1 == pytest.approx(u2, rel=1e-12)
 
-    def test_diagonal_limit(self):
-        # u(x, y) tends continuously to the analytic diagonal value.
-        diag = killed_resolvent_u(1.5, 1.0, 1.0)
-        near = killed_resolvent_u(1.5, 1.0, 1.0 + 1e-7)
-        assert near == pytest.approx(diag, rel=1e-4)
+    @pytest.mark.parametrize("alpha", [1.01, 1.2, 1.5, 1.8, 1.99])
+    def test_closed_form_matches_mpmath_quadrature(self, alpha):
+        # The 2F1 form against 40-digit quadrature of the defining integral
+        # int_0^s t^(a-1) (1+t)^(-1/2) dt, taken in w = t^a / s^a so that
+        # the integrand is bounded and the range is [0, 1] at every s.
+        mpmath = pytest.importorskip("mpmath")
+        for k in (-300, -200, -100, -30, -8, -1, 0, 1, 2, 4, 6, 8, 12, 16):
+            s = 10.0**k
+            x = s / (2.0 * (math.sqrt(1.0 + s) + 1.0))  # 4 x (x + 1) = s
+            y = x + 1.0
+            with mpmath.workdps(40):
+                a = mpmath.mpf(alpha) / 2
+                xm, ym = mpmath.mpf(x), mpmath.mpf(y)
+                d = ym - xm
+                top = (4 * xm * ym / d**2) ** a
+                decades = range(int(mpmath.log10(top)) + 1)
+                cuts = [mpmath.mpf(10) ** j / top for j in decades]
+                inner = top / a * mpmath.quad(
+                    lambda w: 1 / mpmath.sqrt(1 + (top * w) ** (1 / a)),
+                    [0] + [c for c in cuts if c < 1] + [1],
+                )
+                want = d ** (2 * a - 1) * inner / (2 ** (2 * a) * mpmath.gamma(a))
+                got = killed_resolvent_u(alpha, x, y)
+                assert abs(got - want) <= 1e-13 * want, (k, got, want)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+    def test_diagonal_gap_scales_like_power(self, alpha):
+        # u(m - d/2, m + d/2) falls short of the diagonal value by
+        # C d^(alpha-1) + O(d^2); the centred pair cancels the O(d) term.
+        diag = killed_resolvent_u(alpha, 1.0, 1.0)
+        gap = [
+            diag - killed_resolvent_u(alpha, 1.0 - d / 2, 1.0 + d / 2)
+            for d in (1e-6, 1e-8)
+        ]
+        assert gap[0] / gap[1] == pytest.approx(100.0 ** (alpha - 1.0), rel=1e-6)
+
+    def test_no_overflow_or_underflow_of_s(self):
+        # s = 4xy/(x-y)^2 is formed from the quotients, so extreme but
+        # finite points give finite, positive values, homogeneous of
+        # degree alpha - 1.
+        extreme = ((1e200, 2e200), (1e-300, 3e-300), (0.5, 5e-324), (1.0, 1.0 + 2**-52))
+        for x, y in extreme:
+            assert 0.0 < killed_resolvent_u(1.5, x, y) < math.inf
+        base = killed_resolvent_u(1.3, 1.2, 2.0)
+        big = killed_resolvent_u(1.3, 1.2e200, 2e200)
+        assert big == pytest.approx(base * 1e200**0.3, rel=1e-13)
 
     def test_prefactor_scaling(self):
         base = killed_resolvent_u(1.3, 0.5, 2.0)
@@ -123,6 +164,9 @@ class TestResolvent:
             killed_resolvent_u(0.9, 1.0, 2.0)
         with pytest.raises(DomainError):
             killed_resolvent_u(1.5, -1.0, 2.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                killed_resolvent_u(1.5, bad, 2.0)
 
 
 class TestSampling:

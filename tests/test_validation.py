@@ -1,0 +1,43 @@
+"""Library entry points refuse non-finite numbers with DomainError."""
+
+import math
+
+import pytest
+
+from pssmp.errors import DomainError
+from pssmp.exit_laws import (
+    Direction,
+    ExitLawQuery,
+    ExitWindow,
+    exit_density_one_sided,
+    exit_density_two_sided,
+)
+from pssmp.expfun import ExpCase, ExpFunctionalModel, density_I
+from pssmp.hitting import HitQuery, hit_closed_ratio
+from pssmp.scale import Case, SpectralCase, psi_up
+from pssmp.stable import Kind, StableParams
+
+P = StableParams(1.5, 0.5)
+NAN, INF = math.nan, math.inf
+
+CASES = {
+    "psi-up-m-nan": lambda: psi_up(SpectralCase(Case.UP_NEG, 1.5, m=NAN), 1.0),
+    "spectral-q-ladder-inf": lambda: SpectralCase(Case.DOWN_NEG, 1.5, q_ladder=INF),
+    "exit-one-sided-u-inf": lambda: exit_density_one_sided(
+        ExitLawQuery(Kind.UP, P, Direction.UP, 0.5, u=INF)
+    ),
+    "exit-theta-nan": lambda: exit_density_two_sided(
+        ExitLawQuery(Kind.UP, P, Direction.UP, NAN, window=ExitWindow(-0.5, 0.5))
+    ),
+    "stable-c-plus-nan": lambda: StableParams(1.5, 0.5, c_plus=NAN),
+    "density-I-jump-weight-nan": lambda: density_I(
+        ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, 1.5, jump_weight=NAN), 1.0
+    ),
+    "hit-x-nan": lambda: hit_closed_ratio(HitQuery(1.5, NAN, 0.5, 2.0)),
+}
+
+
+@pytest.mark.parametrize("call", CASES.values(), ids=CASES.keys())
+def test_non_finite_input_is_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
