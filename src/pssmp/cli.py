@@ -13,6 +13,7 @@ and default, read by the parser and the config-file reader alike) and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -325,8 +326,22 @@ def _hit_two_point(args, p, grid):
 
 
 def _with_bounds(grid, series_values):
-    """Rows (x, value, error bound) of a series density."""
-    return [(xx, sv.value, sv.tail_bound) for xx, sv in zip(grid, series_values)]
+    """Rows (x, value, error bound) of a series density.
+
+    A row whose bound exceeds both 1e-3 |value| and 1e-10 carries no
+    digits worth printing, and is refused.
+    """
+    rows = []
+    for xx, sv in zip(grid, series_values):
+        if sv.tail_bound > max(1e-3 * abs(sv.value), 1e-10):
+            raise ConvergenceError(
+                f"series value {sv.value:.6g} at x={xx:g} has error bound "
+                f"{sv.tail_bound:.3g}; use the tail asymptotics",
+                best_estimate=sv.value,
+                error_estimate=sv.tail_bound,
+            )
+        rows.append((xx, sv.value, sv.tail_bound))
+    return rows
 
 
 def _expfun_density(args, p, grid):
@@ -437,7 +452,9 @@ def cmd_verify(args) -> int:
     return 0 if report_passed(report) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, a pure function of ``_OPTIONS``: built once per process."""
     parser = argparse.ArgumentParser(
         prog="pssmp",
         description="Evaluate, simulate and cross-check exit laws of "

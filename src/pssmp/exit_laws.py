@@ -342,6 +342,8 @@ def extrema_min_star_as_printed(p: StableParams, z: float) -> float:
     p.require_two_sided()
     if z < 0.0:
         raise DomainError("z must be nonnegative")
+    if z == 0.0:
+        return 0.0
     ar = p.alpha_rho
-    const = 1.0 / (math.exp(log_gamma(ar) + log_gamma(1.0 - ar)))
-    return const * (math.expm1(z)) ** ar
+    log_norm = log_gamma(ar) + log_gamma(1.0 - ar)
+    return _exp_or_inf(ar * _log_expm1(z) - log_norm)

@@ -20,14 +20,7 @@ import numpy as np
 from scipy.special import rgamma
 
 from .errors import ConvergenceError, DomainError
-from .numerics import (
-    SeriesValue,
-    gamma_signed,
-    log_gamma,
-    sum_series,
-)
-
-_EPS = 5e-16
+from .numerics import SeriesValue, gamma_signed, log_gamma, sum_series
 
 __all__ = [
     "ExpCase",
@@ -107,39 +100,18 @@ def laplace_I(model: ExpFunctionalModel, lam: float) -> float:
     return math.exp(-((lam / model.c) ** (1.0 / model.alpha)))
 
 
-def _summed_with_cancellation(term, tol, max_terms, start=1) -> SeriesValue:
-    """sum_series plus an honest rounding term for cancellation.
-
-    Alternating series whose terms peak far above the final sum lose
-    accuracy to rounding; the loss is bounded by eps times the largest
-    term magnitude and is folded into the reported tail bound.
-    """
-    peak = [0.0]
-
-    def tracked(n):
-        t = term(n)
-        if abs(t) > peak[0]:
-            peak[0] = abs(t)
-        return t
-
-    s = sum_series(tracked, tol=tol, max_terms=max_terms, start=start)
-    return SeriesValue(s.value, s.tail_bound + _EPS * peak[0], s.n_terms, s.converged)
-
-
 def _subordinator_series(z: float, beta: float, tol: float, max_terms: int) -> SeriesValue:
     """sum_{n>=1} Gamma(1+n beta) sin(pi n beta) (-z)^n / n! with tail control."""
     log_z = math.log(z) if z > 0.0 else -math.inf
 
     def term(n):
-        if z == 0.0:
-            return 0.0
-        return (
-            math.sin(math.pi * n * beta)
-            * (-1.0) ** n
-            * math.exp(log_gamma(1.0 + n * beta) + n * log_z - log_gamma(n + 1.0))
+        return (-1.0) ** n * math.sin(math.pi * n * beta), (
+            log_gamma(1.0 + n * beta),
+            n * log_z,
+            -log_gamma(n + 1.0),
         )
 
-    return _summed_with_cancellation(term, tol=tol, max_terms=max_terms, start=1)
+    return sum_series(term, tol=tol, max_terms=max_terms, start=1)
 
 
 def density_I(model: ExpFunctionalModel, x: float, tol: float = 1e-10) -> SeriesValue:
@@ -156,8 +128,7 @@ def density_I(model: ExpFunctionalModel, x: float, tol: float = 1e-10) -> Series
     beta = 1.0 / model.alpha
     z = (model.c * x) ** -beta
     inner = _subordinator_series(z, beta, tol=tol * math.pi * x, max_terms=400)
-    value = -inner.value / (math.pi * x)
-    sv = SeriesValue(value, inner.tail_bound / (math.pi * x), inner.n_terms, inner.converged)
+    sv = inner.scaled(-1.0 / (math.pi * x))
     if not sv.converged:
         raise ConvergenceError(
             f"density series did not converge at x={x}; use the tail asymptotics",
@@ -195,11 +166,31 @@ def entrance_density(
     model._require(ExpCase.UP_SPECTRALLY_NEGATIVE, "entrance_density")
     if t <= 0.0 or x <= 0.0:
         raise DomainError("t and x must be positive")
-    base = density_I(model, t / x, tol=tol)
-    scale = 1.0 / (model.alpha * model.m * x)
-    return SeriesValue(
-        base.value * scale, base.tail_bound * scale, base.n_terms, base.converged
-    )
+    return density_I(model, t / x, tol=tol).scaled(1.0 / (model.alpha * model.m * x))
+
+
+def _sup_series(a: float, log_yy: float, tol: float, density: bool) -> SeriesValue:
+    """CDF series sum_{n>=1} a_n yy^(alpha n - 1) of the unit-scale supremum,
+    or with ``density`` its term-wise derivative in yy.
+
+    a_n = 1/(Gamma(1-n+1/alpha) Gamma(alpha n)) is written by reflection as
+    (-1)^(n+1) sin(pi/alpha)/pi Gamma(n-1/alpha)/Gamma(alpha n), whose logs
+    stay finite at every n (the reciprocal gamma underflows past n = 171).
+    """
+    pref = math.sin(math.pi / a) / math.pi
+    shift = 2.0 if density else 1.0
+
+    def term(n):
+        factor = pref if n % 2 else -pref
+        if density:
+            factor *= a * n - 1.0
+        return factor, (
+            log_gamma(n - 1.0 / a),
+            (a * n - shift) * log_yy,
+            -log_gamma(a * n),
+        )
+
+    return sum_series(term, tol=tol, max_terms=400, start=1)
 
 
 def sup_density_spectrally_positive(
@@ -207,30 +198,18 @@ def sup_density_spectrally_positive(
 ) -> SeriesValue:
     """Series density of the time-1 supremum of the spectrally positive process.
 
-    The unit-scale series is evaluated at c^(-1/alpha) y with a matching
-    Jacobian so the law scales consistently with the exponential
-    functional (I = c^-1 I_unit in law); at c = 1 this is the quoted
-    series verbatim.
+    The unit-scale series sum_n (alpha n - 1) a_n yy^(alpha n - 2), with a_n
+    the coefficient of ``_sup_series``, is evaluated at yy = c^(-1/alpha) y
+    with a matching Jacobian so the law scales consistently with the
+    exponential functional (I = c^-1 I_unit in law); at c = 1 this is the
+    quoted series verbatim.
     """
     model._require(ExpCase.STAR_SPECTRALLY_POSITIVE, "supremum density")
     if y <= 0.0:
         raise DomainError("y must be positive")
     a = model.alpha
     sigma = model.c ** (1.0 / a)
-    yy = y / sigma
-    log_yy = math.log(yy)
-
-    def term(n):
-        return (
-            (a * n - 1.0)
-            / gamma_signed(-n + 1.0 + 1.0 / a)
-            * math.exp((n * a - 2.0) * log_yy - log_gamma(a * n))
-        )
-
-    inner = _summed_with_cancellation(term, tol=tol, max_terms=400, start=1)
-    return SeriesValue(
-        inner.value / sigma, inner.tail_bound / sigma, inner.n_terms, inner.converged
-    )
+    return _sup_series(a, math.log(y / sigma), tol, density=True).scaled(1.0 / sigma)
 
 
 def density_I_star(model: ExpFunctionalModel, x: float, tol: float = 1e-10) -> SeriesValue:
@@ -247,14 +226,14 @@ def density_I_star(model: ExpFunctionalModel, x: float, tol: float = 1e-10) -> S
     a = model.alpha
     y = x ** (-1.0 / a)
     jac = y / (a * x)  # (1/alpha) x^(-1-1/alpha)
-    f = sup_density_spectrally_positive(model, y, tol=tol / max(jac, 1.0))
-    if not f.converged:
+    sv = sup_density_spectrally_positive(model, y, tol=tol / max(jac, 1.0)).scaled(jac)
+    if not sv.converged:
         raise ConvergenceError(
             f"supremum series did not converge at x={x}; use the small-x asymptotics",
-            best_estimate=f.value * jac,
-            error_estimate=f.tail_bound * jac,
+            best_estimate=sv.value,
+            error_estimate=sv.tail_bound,
         )
-    return SeriesValue(f.value * jac, f.tail_bound * jac, f.n_terms, f.converged)
+    return sv
 
 
 def density_I_star_as_printed(
@@ -262,6 +241,7 @@ def density_I_star_as_printed(
 ) -> SeriesValue:
     """Closed-form candidate series with exponent alpha(2 - n alpha).
 
+    It is c^(2/alpha) f(c^(1/alpha) x^(-alpha)) for the supremum density f.
     Its leading term grows like x^(alpha(2-alpha)) as x -> inf, so it
     cannot be a probability density; exposed only so reports can show it
     next to the change-of-variables construction.
@@ -269,21 +249,9 @@ def density_I_star_as_printed(
     model._require(ExpCase.STAR_SPECTRALLY_POSITIVE, "density_I_star_as_printed")
     if x <= 0.0:
         raise DomainError("x must be positive")
-    a = model.alpha
-    pref = model.c ** (1.0 / a)
-    log_x = math.log(x)
-
-    def term(n):
-        return (
-            (a * n - 1.0)
-            / gamma_signed(-n + 1.0 + 1.0 / a)
-            * math.exp(a * (2.0 - n * a) * log_x - log_gamma(a * n))
-        )
-
-    inner = _summed_with_cancellation(term, tol=tol, max_terms=400, start=1)
-    return SeriesValue(
-        pref * inner.value, pref * inner.tail_bound, inner.n_terms, inner.converged
-    )
+    sigma = model.c ** (1.0 / model.alpha)
+    f = sup_density_spectrally_positive(model, sigma * x**-model.alpha, tol=tol)
+    return f.scaled(sigma * sigma)
 
 
 def left_mass_bound(model: ExpFunctionalModel, x: float) -> float:
@@ -375,19 +343,7 @@ def sup_cdf(model: ExpFunctionalModel, y: float) -> float:
                 error_estimate=bound,
             )
         return 1.0 - surv
-    log_yy = math.log(yy)
-    pref = math.sin(math.pi / a) / math.pi
-
-    def term(n):
-        return (
-            pref
-            * (-1.0) ** (n + 1)
-            * math.exp(
-                log_gamma(n - 1.0 / a) + (a * n - 1.0) * log_yy - log_gamma(a * n)
-            )
-        )
-
-    s = _summed_with_cancellation(term, tol=1e-14, max_terms=400, start=1)
+    s = _sup_series(a, math.log(yy), 1e-14, density=False)
     if not s.converged:
         raise ConvergenceError(
             f"supremum CDF series did not converge at y={y}",

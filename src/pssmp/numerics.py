@@ -3,8 +3,9 @@
 Everything here is a pure function; the heavy lifting is delegated to
 scipy where a mature routine meets the accuracy contract (log-gamma,
 signed gamma, regularized incomplete beta, QUADPACK quadrature).  Series
-summation with an alternating-tail truncation bound is implemented
-directly since the stopping rule is part of the contract.
+summation is implemented directly since its stopping rule and its bound
+(truncation plus rounding) are part of the contract; every series term in
+the package is formed, bounded and stopped there.
 """
 
 from __future__ import annotations
@@ -12,13 +13,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate as _integrate
 from scipy import special as _special
 
 from .errors import ConvergenceError, DomainError, PoleError
+
+_EPS = 2.0**-52  # double-precision machine epsilon
 
 __all__ = [
     "QuadResult",
@@ -60,6 +63,13 @@ class SeriesValue:
             raise ValueError("tail_bound must be nonnegative")
         if self.n_terms < 1:
             raise ValueError("n_terms must be >= 1")
+
+    def scaled(self, k: float) -> SeriesValue:
+        """The same sum multiplied by k: value times k, bound times |k|."""
+        k = float(k)  # a numpy scalar would warn where the product overflows
+        return SeriesValue(
+            self.value * k, self.tail_bound * abs(k), self.n_terms, self.converged
+        )
 
 
 def log_gamma(x: float) -> float:
@@ -166,64 +176,70 @@ def reg_incomplete_beta(a: float, b: float, x: float) -> float:
 
 
 def sum_series(
-    term: Callable[[int], float],
+    term: Callable[[int], tuple[float, Sequence[float]]],
     tol: float = 1e-12,
     max_terms: int = 400,
     start: int = 0,
-    tail_bound: Callable[[int], float] | None = None,
 ) -> SeriesValue:
-    """Sum term(start) + term(start+1) + ... with truncation-error control.
+    """Sum the terms n = start, start+1, ... with truncation and rounding control.
 
-    By default the tail bound after stopping at index n is |term(n+1)|,
-    valid once the terms alternate in sign with decreasing magnitude; the
-    sum only stops inside such an alternating regime (or when a caller
-    supplied ``tail_bound`` function drops below ``tol``).  Returns
-    ``converged=False`` if the bound never reaches ``tol`` within
-    ``max_terms`` terms.
+    ``term(n)`` returns ``(factor, log_parts)``; the term is
+    factor * exp(sum(log_parts)), formed here so that an exponent past the
+    float range gives inf rather than an exception, and a non-finite term
+    ends the sum as not converged.  Each term's rounding is estimated as
+    eps |t| (sum |log_parts| + 4 + n): the exponent carries an absolute
+    error of eps per unit of each part, the factor a few ulps and an angle
+    growing with n.  The reported bound is the truncation bound plus these
+    rounding estimates.
+
+    The truncation bound after stopping at index n is |term(n)|, valid
+    once the terms alternate in sign with decreasing magnitude; the sum
+    only stops inside such an alternating regime, or once the magnitude
+    envelope decays geometrically.  Returns ``converged=False`` if the
+    bound never reaches ``tol`` within ``max_terms`` terms.
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
     if max_terms < 1:
         raise DomainError("max_terms must be >= 1")
 
-    terms = []
+    mags = []  # |term| of every term summed so far
     total = 0.0
     comp = 0.0  # Kahan compensation
+    rounding = 0.0  # sum of the rounding estimates, in units of eps
+    t0 = t1 = 0.0  # the two terms before t
     for k in range(max_terms):
         n = start + k
-        t = float(term(n))
-        terms.append(t)
+        factor, parts = term(n)
+        t = factor * _exp_or_inf(sum(parts))
+        if not math.isfinite(t):
+            return SeriesValue(total, math.inf, k + 1, False)
+        m = abs(t)
+        if m:
+            rounding += m * (sum(map(abs, parts)) + 4.0 + n)
+        mags.append(m)
         y = t - comp
         s = total + y
         comp = (s - total) - y
         total = s
 
-        if tail_bound is not None:
-            bound = float(tail_bound(n))
-            if bound <= tol:
-                return SeriesValue(total, bound, k + 1, True)
-            continue
-
         # Alternating-regime stop: last three terms alternate in sign with
         # decreasing magnitude, and the next term bounds the tail.
         if k >= 2:
-            t0, t1, t2 = terms[-3], terms[-2], terms[-1]
-            alternating = (t0 * t1 < 0.0 and t1 * t2 < 0.0) or t2 == 0.0
-            decreasing = abs(t2) <= abs(t1) <= abs(t0)
-            if alternating and decreasing and abs(t2) <= tol:
-                return SeriesValue(total, abs(t2), k + 1, True)
+            alternating = (t0 * t1 < 0.0 and t1 * t < 0.0) or t == 0.0
+            if alternating and m <= mags[-2] <= mags[-3] and m <= tol:
+                return SeriesValue(total, m + _EPS * rounding, k + 1, True)
+        t0, t1 = t1, t
         # Envelope-decay stop for series whose signs follow a longer
         # pattern (or carry rounding noise in place of exact zeros): when
         # the magnitude envelope over a block of terms halves from one
         # block to the next, the remaining tail is bounded by a geometric
         # sum of block envelopes.
         if k >= 11:
-            m1 = max(abs(x) for x in terms[-6:])
-            m0 = max(abs(x) for x in terms[-12:-6])
-            if m1 <= 0.5 * m0 and 6.0 * m1 <= tol:
-                return SeriesValue(total, 6.0 * m1, k + 1, True)
+            m1 = max(mags[-6:])
+            if m1 <= 0.5 * max(mags[-12:-6]) and 6.0 * m1 <= tol:
+                return SeriesValue(total, 6.0 * m1 + _EPS * rounding, k + 1, True)
         if t == 0.0 and k == 0:
             return SeriesValue(total, 0.0, 1, True)
 
-    last = abs(terms[-1]) if terms else 0.0
-    return SeriesValue(total, last, len(terms), False)
+    return SeriesValue(total, mags[-1] + _EPS * rounding, len(mags), False)

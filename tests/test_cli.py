@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pssmp
-from pssmp.cli import _LAW_TABLE, LAWS, load_config, main, parse_grid
+from pssmp.cli import _LAW_TABLE, LAWS, build_parser, load_config, main, parse_grid
 from pssmp.errors import ConfigurationError, DomainError
 from pssmp.exit_laws import min_cdf_up
 from pssmp.stable import StableParams
@@ -99,6 +99,9 @@ class TestEval:
         )
         assert rc == 0 and out == ""
         assert dest.read_text().startswith("# artifact_version=")
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
     def test_law_registry_complete(self):
         assert LAWS == tuple(_LAW_TABLE)
@@ -295,6 +298,34 @@ class TestExitCodes:
         assert rc == 0, err
         rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
         assert rows[0][1] == "inf" and 0.0 < float(rows[1][1]) < math.inf
+
+    @pytest.mark.parametrize(
+        "opts",
+        [
+            ("expfun-density", "--kind", "star", "--alpha", "1.7", "--grid", "0.01:0.1:3"),
+            ("expfun-density", "--kind", "star", "--alpha", "1.9", "--grid", "0.001:0.01:3"),
+            ("entrance-density", "--alpha", "1.99", "--t", "0.25", "--grid", "20:2000:3"),
+        ],
+    )
+    def test_series_rows_without_digits_are_3(self, capsys, opts):
+        # Each grid has a point where the series cancels to a meaningless
+        # value whose honest error bound exceeds it; no row is printed.
+        rc, out, err = run(capsys, "eval", "--law", *opts)
+        assert rc == 3 and "error bound" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "opts",
+        [
+            ("expfun-density", "--kind", "star", "--alpha", "1.2", "--grid", "0.05:0.2:3"),
+            ("expfun-density", "--kind", "up", "--alpha", "1.5", "--grid", "0.001:0.01:3"),
+            ("entrance-density", "--alpha", "1.5", "--t", "0.01", "--grid", "20:2000:3"),
+        ],
+    )
+    def test_series_overflow_is_3(self, capsys, opts):
+        # Terms past the float range end the series as not converged.
+        rc, _, err = run(capsys, "eval", "--law", *opts)
+        assert rc == 3 and "did not converge" in err
 
     def test_missing_config_file_is_2(self, capsys):
         assert run(capsys, "eval", "--law", "psi", "--config", "/nope.cfg")[0] == 2

@@ -157,6 +157,19 @@ class TestExtremaLaws:
             P, 3.0
         )
 
+    def test_as_printed_min_density_in_log_form(self):
+        # (e^z - 1)^(alpha rho) / (Gamma(alpha rho) Gamma(1 - alpha rho)),
+        # formed in logs: finite at z 800, where e^z overflows.
+        ar = P.alpha_rho
+        norm = math.gamma(ar) * math.gamma(1.0 - ar)
+        assert extrema_min_star_as_printed(P, 0.0) == 0.0
+        assert extrema_min_star_as_printed(P, 2.0) == pytest.approx(
+            math.expm1(2.0) ** ar / norm, rel=1e-14
+        )
+        assert extrema_min_star_as_printed(P, 800.0) == pytest.approx(
+            math.exp(800.0 * ar) / norm, rel=1e-12
+        )
+
 
 def _min_density_by_difference(p, z):
     """Central difference of P(no drop below -z), each side by quadrature."""

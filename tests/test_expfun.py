@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pssmp.errors import DomainError
+from pssmp.errors import ConvergenceError, DomainError
 from pssmp.expfun import (
     ExpCase,
     ExpFunctionalModel,
@@ -25,6 +25,7 @@ from pssmp.expfun import (
     tail_exponent_check,
 )
 from pssmp.numerics import integrate_adaptive, log_gamma
+from pssmp.verify import density_I_star_mass
 
 UP = ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, 1.5)
 STAR = ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, 1.5)
@@ -177,6 +178,106 @@ class TestKilledFunctional:
         lo = density_I_star_as_printed(STAR, 10.0).value
         hi = density_I_star_as_printed(STAR, 100.0).value
         assert abs(hi) > abs(lo)
+
+    def test_star_mass_at_alpha_1_2_is_a_convergence_error(self):
+        # The supremum series does not reach its tolerance at the small-x
+        # cutoff tuned to alpha 1.5; that is a ConvergenceError (exit 3),
+        # not a raw ZeroDivisionError from an underflowed reciprocal gamma.
+        model = ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, 1.2)
+        with pytest.raises(ConvergenceError):
+            density_I_star_mass(model)
+
+    def test_library_keeps_rows_the_cli_refuses(self):
+        # At alpha 1.7 and x 0.01 the series cancels to a meaningless
+        # value; the library reports it with an honest bound far above it.
+        model = ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, 1.7)
+        sv = density_I_star(model, 0.01)
+        assert sv.converged and sv.tail_bound > abs(sv.value)
+
+
+class TestSeriesBoundsAgainstMpmath:
+    """80-digit direct sums at the float inputs are the reference."""
+
+    @staticmethod
+    def _direct(mp, term):
+        total = mp.mpf(0)
+        for n in range(1, 5000):
+            t = term(n)
+            total += t
+            if n > 20 and abs(t) < mp.mpf(10) ** -90 * abs(total):
+                return total
+        raise AssertionError("reference series did not converge")
+
+    def _sup_terms(self, mp, model, yy, power, weight):
+        """n -> weight(n) yy^power(n) / (Gamma(1-n+1/alpha) Gamma(alpha n))."""
+        a = mp.mpf(model.alpha)
+        return lambda n: (
+            weight(a, n) * mp.rgamma(1 - n + 1 / a) * mp.rgamma(a * n) * yy ** power(a, n)
+        )
+
+    @pytest.mark.parametrize(
+        "case, alpha, x",
+        [
+            (ExpCase.STAR_SPECTRALLY_POSITIVE, 1.8, 0.01),
+            (ExpCase.STAR_SPECTRALLY_POSITIVE, 1.5, 0.05),
+            (ExpCase.STAR_SPECTRALLY_POSITIVE, 1.2, 0.2),
+            (ExpCase.UP_SPECTRALLY_NEGATIVE, 1.5, 0.05),
+            (ExpCase.UP_SPECTRALLY_NEGATIVE, 1.8, 0.05),
+        ],
+    )
+    def test_error_bound_covers_the_error(self, case, alpha, x):
+        # Near the small-x edge of each series the terms peak far above
+        # the sum; the bound must still cover the rounding they leave.
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 80
+        model = ExpFunctionalModel(case, alpha)
+        a, c, xx = mp.mpf(alpha), mp.mpf(model.c), mp.mpf(x)
+        if case is ExpCase.STAR_SPECTRALLY_POSITIVE:
+            got = density_I_star(model, x)
+            sigma, y = c ** (1 / a), xx ** (-1 / a)
+            ref = self._direct(
+                mp,
+                self._sup_terms(
+                    mp, model, y / sigma, lambda a, n: a * n - 2, lambda a, n: a * n - 1
+                ),
+            ) * y / (a * xx * sigma)
+        else:
+            got = density_I(model, x)
+            z = (c * xx) ** (-1 / a)
+            ref = -self._direct(
+                mp,
+                lambda n: mp.gamma(1 + n / a) * mp.sin(mp.pi * n / a) * (-z) ** n
+                / mp.factorial(n),
+            ) / (mp.pi * xx)
+        assert abs(got.value - ref) <= got.tail_bound
+
+    def test_sup_cdf_past_the_reciprocal_gamma_range(self):
+        # At alpha 1.2 the CDF series runs past n = 171, where
+        # 1/Gamma(1 - n + 1/alpha) underflows; the log form keeps the terms.
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 80
+        model = ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, 1.2)
+        y = 8.0
+        yy = mp.mpf(y) / mp.mpf(model.c) ** (1 / mp.mpf(1.2))
+        ref = self._direct(
+            mp, self._sup_terms(mp, model, yy, lambda a, n: a * n - 1, lambda a, n: 1)
+        )
+        assert sup_cdf(model, y) == pytest.approx(float(ref), abs=1e-12)
+
+    def test_as_printed_is_the_quoted_series(self):
+        # c^(1/alpha) sum (alpha n - 1) x^(alpha(2 - n alpha))
+        #   / (Gamma(1 - n + 1/alpha) Gamma(alpha n)), summed directly.
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 80
+        x = 5.0
+        ref = mp.mpf(STAR.c) ** (1 / mp.mpf(STAR.alpha)) * self._direct(
+            mp,
+            self._sup_terms(
+                mp, STAR, mp.mpf(x), lambda a, n: a * (2 - n * a), lambda a, n: a * n - 1
+            ),
+        )
+        got = density_I_star_as_printed(STAR, x)
+        assert abs(got.value - ref) <= got.tail_bound + 1e-14 * abs(ref)
 
 
 class TestTailExponents:

@@ -81,13 +81,16 @@ class TestQuadrature:
 
 class TestSeries:
     def test_alternating_geometric(self):
-        s = sum_series(lambda n: (-0.5) ** n, tol=1e-14)
+        s = sum_series(lambda n: ((-1.0) ** n, (n * math.log(0.5),)), tol=1e-14)
         assert s.converged
         assert s.value == pytest.approx(1.0 / 1.5, rel=1e-12)
         assert s.tail_bound <= 1e-13
 
     def test_exponential_series(self):
-        s = sum_series(lambda n: (-2.0) ** n / math.factorial(n), tol=1e-14)
+        s = sum_series(
+            lambda n: ((-1.0) ** n, (n * math.log(2.0), -math.lgamma(n + 1.0))),
+            tol=1e-14,
+        )
         assert s.converged
         assert s.value == pytest.approx(math.exp(-2.0), abs=1e-12)
 
@@ -99,7 +102,7 @@ class TestSeries:
         signs = {0: -1.0, 1: -1.0, 2: 1e-15}
 
         def term(n):
-            return signs[n % 3] * 0.3**n
+            return signs[n % 3], (n * math.log(0.3),)
 
         s = sum_series(term, tol=1e-12, start=1)
         assert s.converged
@@ -108,19 +111,45 @@ class TestSeries:
         assert s.value == pytest.approx(exact, abs=1e-11)
 
     def test_non_convergent_reported(self):
-        s = sum_series(lambda n: 1.0 / (n + 1.0), tol=1e-12, max_terms=50)
+        s = sum_series(lambda n: (1.0, (-math.log(n + 1.0),)), tol=1e-12, max_terms=50)
         assert not s.converged
         assert s.n_terms == 50
 
-    def test_custom_tail_bound(self):
+    def test_rounding_of_large_terms_is_in_the_bound(self):
+        # e^-20 by its Taylor series: terms peak near 4e7, each formed
+        # from log parts of size about 100, and cancel to 2e-9.  The real
+        # error (about 1e-6) is all rounding; the truncation part of the
+        # bound stays below tol.
         s = sum_series(
-            lambda n: 0.5**n, tol=1e-10, tail_bound=lambda n: 0.5**n
+            lambda n: ((-1.0) ** n, (n * math.log(20.0), -math.lgamma(n + 1.0))),
+            tol=1e-20,
         )
         assert s.converged
-        assert s.value == pytest.approx(2.0, abs=1e-9)
+        err = abs(s.value - math.exp(-20.0))
+        assert 1e-12 < err <= s.tail_bound
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_term_ends_the_sum(self, bad):
+        # A log part past the float range gives an infinite term, not an
+        # OverflowError; a nan factor gives a nan term.  Either ends the
+        # sum as not converged, with the terms before it summed.
+        def term(n):
+            if n == 3:
+                return (1.0, (800.0,)) if bad == math.inf else (bad, ())
+            return 0.5**n, ()
+
+        s = sum_series(term, tol=1e-12)
+        assert not s.converged
+        assert s.n_terms == 4
+        assert s.value == 1.75
+        assert s.tail_bound == math.inf
+
+    def test_scaled(self):
+        s = SeriesValue(2.0, 1e-9, 7, True).scaled(-0.5)
+        assert s == SeriesValue(-1.0, 5e-10, 7, True)
 
     def test_invariants(self):
         with pytest.raises(ValueError):
             SeriesValue(1.0, -1.0, 3, True)
         with pytest.raises(DomainError):
-            sum_series(lambda n: 0.0, tol=-1.0)
+            sum_series(lambda n: (0.0, ()), tol=-1.0)
