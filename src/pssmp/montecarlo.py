@@ -12,6 +12,8 @@ assumed away.
 from __future__ import annotations
 
 import math
+import numbers
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +46,11 @@ _BLOCK = 1024
 _HALF = _BLOCK // 2
 _BATCH = 32
 
+# The sample set simulate_exit returned last, held weakly so that it lives
+# only as long as its caller keeps it.  simulate_exit never reads it (a
+# re-run must stay a re-run); step_refinement_report reads its level 0 here.
+_last_run = None
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -55,14 +62,18 @@ class SimConfig:
     max_time: float = 50.0
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise DomainError("n_paths must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must lie in [0, 2^64), got {self.seed}")
-        if self.step <= 0.0:
-            raise DomainError("step must be positive")
-        if self.max_time <= 0.0:
-            raise DomainError("max_time must be positive")
+        if not isinstance(self.n_paths, numbers.Integral) or self.n_paths < 1:
+            raise DomainError(f"n_paths must be an integer >= 1, got {self.n_paths!r}")
+        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**64:
+            raise DomainError(
+                f"seed must be an integer in [0, 2^64), got {self.seed!r}"
+            )
+        if not (math.isfinite(self.step) and self.step > 0.0):
+            raise DomainError(f"step must be finite and positive, got {self.step}")
+        if not (math.isfinite(self.max_time) and self.max_time > 0.0):
+            raise DomainError(
+                f"max_time must be finite and positive, got {self.max_time}"
+            )
         if self.max_time / self.step > _MAX_GRID_POINTS:
             raise BudgetError(
                 f"max_time/step exceeds the {_MAX_GRID_POINTS:.0e} grid-point cap"
@@ -288,7 +299,33 @@ def simulate_exit(
             theta[i] = window.v - math.log(x)
             h_weight[i] = 1.0 if kind is Kind.STAR else x**h_exp
 
-    return ExitSampleSet(kind, p, window, cfg, side, theta, h_weight, steps)
+    for a in (side, theta, h_weight, steps):
+        a.setflags(write=False)
+    global _last_run
+    s = ExitSampleSet(kind, p, window, cfg, side, theta, h_weight, steps)
+    _last_run = weakref.ref(s)
+    return s
+
+
+def _live_prefix(kind, p, window, cfg):
+    """The first cfg.n_paths rows of the last run, if it is alive and has them.
+
+    Path i depends on (kind, p, window, step, seed, max_time) and i alone,
+    so a run of those settings with at least cfg.n_paths paths holds the
+    run of cfg as its first rows.  None when there is no such run.
+    """
+    s = _last_run() if _last_run is not None else None
+    if s is None or s.config.n_paths < cfg.n_paths:
+        return None
+    c, n = s.config, cfg.n_paths
+    if (s.kind, s.params, s.window, c.step, c.seed, c.max_time) != (
+        kind, p, window, cfg.step, cfg.seed, cfg.max_time
+    ):
+        return None
+    return ExitSampleSet(
+        kind, p, window, cfg,
+        s.side[:n], s.theta[:n], s.h_weight[:n], s.steps_used[:n],
+    )
 
 
 def step_refinement_report(
@@ -298,18 +335,25 @@ def step_refinement_report(
     cfg: SimConfig,
     levels: int,
 ) -> list[dict]:
-    """Re-run the simulation at step, step/2, ..., reporting estimator drift.
+    """Simulate at step, step/2, ..., reporting estimator drift.
 
-    Each level reuses the configured seed (common random numbers).  The
-    rows carry the up-exit probability estimate and the mean up-side
-    overshoot so downstream tolerances can cite the observed bias decay.
+    Each level reuses the configured seed (common random numbers).  Level 0
+    is the run of cfg itself: when the sample set simulate_exit returned
+    last is still alive and has the same kind, params, window, step, seed
+    and max_time and at least cfg.n_paths paths, level 0 reads its first
+    cfg.n_paths rows instead of simulating them again; the rows are the
+    same either way.  The rows carry the up-exit probability estimate and
+    the mean up-side overshoot so downstream tolerances can cite the
+    observed bias decay.
     """
     if levels < 2:
         raise DomainError("levels must be >= 2")
     rows = []
     for level in range(levels):
         lcfg = SimConfig(cfg.n_paths, cfg.step / 2**level, cfg.seed, cfg.max_time)
-        s = simulate_exit(kind, p, window, lcfg)
+        s = _live_prefix(kind, p, window, lcfg) if level == 0 else None
+        if s is None:
+            s = simulate_exit(kind, p, window, lcfg)
         up = s.side == SIDE_UP
         w_up = float(np.sum(s.h_weight[up]))
         rows.append(

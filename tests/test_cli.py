@@ -196,6 +196,16 @@ class TestExitCodes:
         )
         assert rc == 3
 
+    def test_verify_montecarlo_with_every_path_killed_is_3(self, capsys):
+        # No killed-kind path leaves the window, so there is no up fraction.
+        for n_paths, seed in ((1, 18), (1, 21), (1, 22), (1, 25), (1, 26), (2, 18)):
+            rc, out, err = run(
+                capsys, "verify", "montecarlo",
+                "--n-paths", str(n_paths), "--seed", str(seed),
+            )
+            assert rc == 3 and out == ""
+            assert err.startswith("error:") and "n_paths" in err
+
     def test_seed_outside_64_bits_is_2(self, capsys):
         # Seeds are not masked: -1 and 2^64 - 1 would otherwise share a stream.
         for seed in ("-1", str(2**64)):

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -33,13 +34,16 @@ def star_run():
     return simulate_exit(Kind.STAR, P, W, CFG)
 
 
+def _assert_same_rows(a, b):
+    assert np.array_equal(a.side, b.side)
+    assert np.array_equal(a.theta, b.theta, equal_nan=True)
+    assert np.array_equal(a.h_weight, b.h_weight)
+    assert np.array_equal(a.steps_used, b.steps_used)
+
+
 class TestSimulation:
     def test_reruns_are_bit_identical(self, star_run):
-        again = simulate_exit(Kind.STAR, P, W, CFG)
-        assert np.array_equal(star_run.side, again.side)
-        assert np.array_equal(star_run.theta, again.theta, equal_nan=True)
-        assert np.array_equal(star_run.h_weight, again.h_weight)
-        assert np.array_equal(star_run.steps_used, again.steps_used)
+        _assert_same_rows(star_run, simulate_exit(Kind.STAR, P, W, CFG))
 
     def test_seed_changes_output(self, star_run):
         other = simulate_exit(Kind.STAR, P, W, SimConfig(300, 2e-3, 124))
@@ -280,10 +284,7 @@ def _assert_matches_per_path(monkeypatch, kind, p, window, cfg):
     with monkeypatch.context() as m:
         m.setattr(montecarlo, "_run_paths", _per_path)
         single = simulate_exit(kind, p, window, cfg)
-    assert np.array_equal(batched.side, single.side)
-    assert np.array_equal(batched.theta, single.theta, equal_nan=True)
-    assert np.array_equal(batched.h_weight, single.h_weight)
-    assert np.array_equal(batched.steps_used, single.steps_used)
+    _assert_same_rows(batched, single)
     return batched
 
 
@@ -304,6 +305,102 @@ class TestRefinement:
             step_refinement_report(Kind.STAR, P, W, CFG, levels=1)
         with pytest.raises(DomainError):
             extrapolated_bias([{"p_up": 0.5}], "p_up")
+
+
+def _count_run_paths(monkeypatch):
+    """Patch _run_paths to count its calls; returns the list it appends to."""
+    calls = []
+    real = montecarlo._run_paths
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(montecarlo, "_run_paths", counted)
+    return calls
+
+
+REUSE_CFG = SimConfig(60, 4e-3, 9)
+
+
+class TestLevelZeroReuse:
+    """Level 0 of step_refinement_report reads a live run of its config."""
+
+    @pytest.mark.parametrize(
+        "kind, p, window, cfg",
+        [
+            (Kind.STAR, P, W, SimConfig(70, 2e-3, 41)),
+            (Kind.UP, P, W, SimConfig(70, 2e-3, 42)),
+            (Kind.DOWN, P, W, SimConfig(70, 2e-3, 43)),
+            (Kind.STAR, StableParams(1.0, 0.5), W, SimConfig(70, 2e-3, 44)),
+            # Horizon censoring: several paths stop at max_time.
+            (Kind.UP, P, ExitWindow(-3.0, 3.0), SimConfig(40, 1e-3, 16, max_time=2.5)),
+        ],
+        ids=["star", "up", "down", "cauchy", "horizon"],
+    )
+    def test_run_is_a_prefix_of_a_larger_run(self, kind, p, window, cfg):
+        big = simulate_exit(kind, p, window, cfg)
+        n = cfg.n_paths // 2 + 1
+        small = simulate_exit(
+            kind, p, window, SimConfig(n, cfg.step, cfg.seed, cfg.max_time)
+        )
+        for name in ("side", "theta", "h_weight", "steps_used"):
+            assert np.array_equal(
+                getattr(small, name), getattr(big, name)[:n], equal_nan=True
+            )
+        if cfg.max_time < 50.0:
+            assert big.n_censored >= 2
+
+    def test_report_is_the_same_with_and_without_a_live_base(self, monkeypatch):
+        calls = _count_run_paths(monkeypatch)
+        base = simulate_exit(Kind.STAR, P, W, REUSE_CFG)
+        with_base = step_refinement_report(Kind.STAR, P, W, REUSE_CFG, levels=2)
+        larger = simulate_exit(Kind.STAR, P, W, SimConfig(150, 4e-3, 9))
+        with_larger = step_refinement_report(Kind.STAR, P, W, REUSE_CFG, levels=2)
+        assert calls == [60, 60, 150, 60]
+        del base, larger
+        gc.collect()
+        assert montecarlo._last_run() is None
+        fresh = step_refinement_report(Kind.STAR, P, W, REUSE_CFG, levels=2)
+        assert calls[4:] == [60, 60]
+        assert with_base == fresh and with_larger == fresh
+        assert all(math.isfinite(v) for r in fresh for v in r.values())
+
+    @pytest.mark.parametrize(
+        "kind, p, window, cfg",
+        [
+            (Kind.UP, P, W, REUSE_CFG),
+            (Kind.STAR, StableParams(1.5, 0.6), W, REUSE_CFG),
+            (Kind.STAR, P, ExitWindow(-0.5, 0.6), REUSE_CFG),
+            (Kind.STAR, P, W, SimConfig(60, 2e-3, 9)),
+            (Kind.STAR, P, W, SimConfig(60, 4e-3, 10)),
+            (Kind.STAR, P, W, SimConfig(60, 4e-3, 9, max_time=40.0)),
+            (Kind.STAR, P, W, SimConfig(59, 4e-3, 9)),
+        ],
+        ids=["kind", "params", "window", "step", "seed", "max_time", "fewer-paths"],
+    )
+    def test_base_differing_in_one_field_is_not_used(
+        self, monkeypatch, kind, p, window, cfg
+    ):
+        calls = _count_run_paths(monkeypatch)
+        base = simulate_exit(kind, p, window, cfg)  # alive through the report
+        step_refinement_report(Kind.STAR, P, W, REUSE_CFG, levels=2)
+        assert calls == [cfg.n_paths, 60, 60]
+
+    def test_simulate_exit_always_simulates(self, monkeypatch):
+        # The determinism check of verify compares two real runs.
+        calls = _count_run_paths(monkeypatch)
+        a = simulate_exit(Kind.STAR, P, W, REUSE_CFG)
+        b = simulate_exit(Kind.STAR, P, W, REUSE_CFG)
+        assert calls == [60, 60] and a is not b
+        _assert_same_rows(a, b)
+
+    def test_sample_arrays_are_read_only(self, star_run):
+        for name in ("side", "theta", "h_weight", "steps_used"):
+            a = getattr(star_run, name)
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 class TestStatistics:

@@ -1,4 +1,5 @@
-"""Library entry points refuse non-finite numbers with DomainError."""
+"""Library entry points refuse non-finite numbers, and fractional path
+counts and seeds, with DomainError."""
 
 import math
 
@@ -14,6 +15,7 @@ from pssmp.exit_laws import (
 )
 from pssmp.expfun import ExpCase, ExpFunctionalModel, density_I
 from pssmp.hitting import HitQuery, hit_closed_ratio
+from pssmp.montecarlo import SimConfig
 from pssmp.scale import Case, SpectralCase, psi_up
 from pssmp.stable import Kind, StableParams
 
@@ -34,6 +36,13 @@ CASES = {
         ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, 1.5, jump_weight=NAN), 1.0
     ),
     "hit-x-nan": lambda: hit_closed_ratio(HitQuery(1.5, NAN, 0.5, 2.0)),
+    "sim-step-nan": lambda: SimConfig(10, NAN, 0),
+    "sim-step-inf": lambda: SimConfig(10, INF, 0),
+    "sim-max-time-nan": lambda: SimConfig(10, 1e-3, 0, max_time=NAN),
+    "sim-max-time-inf": lambda: SimConfig(10, 1e-3, 0, max_time=INF),
+    "sim-n-paths-fractional": lambda: SimConfig(2.5, 1e-3, 0),
+    # int() would run the streams of seed 1.
+    "sim-seed-fractional": lambda: SimConfig(10, 1e-3, 1.5),
 }
 
 
