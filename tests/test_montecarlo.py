@@ -358,11 +358,15 @@ class TestLevelZeroReuse:
         larger = simulate_exit(Kind.STAR, P, W, SimConfig(150, 4e-3, 9))
         with_larger = step_refinement_report(Kind.STAR, P, W, REUSE_CFG, levels=2)
         assert calls == [60, 60, 150, 60]
-        del base, larger
+        # A matching set that is the last one returned, then dropped: the
+        # weak reference dies with it, so the report simulates level 0.
+        dropped = simulate_exit(Kind.STAR, P, W, REUSE_CFG)
+        assert montecarlo._last_run() is dropped
+        del dropped
         gc.collect()
         assert montecarlo._last_run() is None
         fresh = step_refinement_report(Kind.STAR, P, W, REUSE_CFG, levels=2)
-        assert calls[4:] == [60, 60]
+        assert calls[4:] == [60, 60, 60]
         assert with_base == fresh and with_larger == fresh
         assert all(math.isfinite(v) for r in fresh for v in r.values())
 
