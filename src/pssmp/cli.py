@@ -47,6 +47,7 @@ from .scale import (
     Case,
     SpectralCase,
     TripleLawPoint,
+    default_m,
     psi_down,
     psi_up,
     ruin_probability,
@@ -282,7 +283,9 @@ def _extrema_star(args, p, grid):
 def _spectral(args, p):
     """The spectrally one-sided case, with its metadata pairs."""
     case = Case(_arg(args, "case"))
-    s = SpectralCase(case, p.alpha, m=args.m, q_ladder=args.q_ladder)
+    weight = p.c_plus if case is Case.DOWN_POS else p.c_minus
+    m = args.m if args.m is not None else default_m(p.alpha, weight)
+    s = SpectralCase(case, p.alpha, m=m, q_ladder=args.q_ladder)
     return s, [("case", s.case.value), ("m", s.mean)]
 
 
@@ -441,13 +444,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suite = args.suite or "all"
-    kwargs = {}
-    if args.n_paths is not None:
-        kwargs["n_paths"] = args.n_paths
-    if args.step is not None:
-        kwargs["step"] = args.step
-    report = run_suite(suite, seed=_resolve_seed(args), **kwargs)
+    # Unset, n_paths and step keep the suite's defaults, not those of simulate.
+    given = {k: v for k in ("n_paths", "step") if (v := getattr(args, k)) is not None}
+    report = run_suite(args.suite or "all", seed=_resolve_seed(args), **given)
     _emit([json.dumps(report, indent=2, default=float)], args.out)
     return 0 if report_passed(report) else 1
 

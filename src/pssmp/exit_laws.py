@@ -179,7 +179,7 @@ def exit_density_one_sided(q: ExitLawQuery) -> float:
     return _exit_density(q, math.inf, q.barrier_down())
 
 
-def _mass(density, tol=1e-9) -> float:
+def _mass(density, tol: float) -> float:
     return integrate_adaptive(density, 0.0, math.inf, tol=tol).value
 
 
@@ -226,18 +226,12 @@ def exit_mass_one_sided(
 
 
 def overshoot_cdf_interpolant(
-    kind: Kind,
-    p: StableParams,
-    direction: Direction,
-    window: ExitWindow | None = None,
-    u: float | None = None,
-    v: float | None = None,
-    n_grid: int = 4000,
+    kind: Kind, p: StableParams, direction: Direction, window: ExitWindow
 ):
-    """Normalized overshoot CDF as a fast callable, plus the side mass.
+    """Normalized two-sided overshoot CDF as a fast callable, plus the side mass.
 
-    Tabulates the (two- or one-sided) overshoot density on a graded grid
-    and integrates it cumulatively; the integrable power singularity at
+    Tabulates the overshoot density on a graded grid of 4000 points and
+    integrates it cumulatively; the integrable power singularity at
     theta = 0 is patched analytically from the local exponent.  Intended
     for empirical-distribution comparisons, where a few-times-1e-5
     interpolation error is negligible.  Returns (cdf, mass).
@@ -246,14 +240,8 @@ def overshoot_cdf_interpolant(
         raise DomainError("no overshoot CDF on a creeping side")
 
     def dens(theta):
-        return (
-            exit_density_two_sided(
-                ExitLawQuery(kind, p, direction, theta, window=window)
-            )
-            if window is not None
-            else exit_density_one_sided(
-                ExitLawQuery(kind, p, direction, theta, u=u, v=v)
-            )
+        return exit_density_two_sided(
+            ExitLawQuery(kind, p, direction, theta, window=window)
         )
 
     # Singularity exponent at theta = 0: the density behaves like
@@ -262,7 +250,7 @@ def overshoot_cdf_interpolant(
     theta_max = 1.0
     while dens(theta_max) > 1e-15 and theta_max < 256.0:
         theta_max *= 2.0
-    grid = np.concatenate(([0.0], np.geomspace(1e-7, theta_max, n_grid)))
+    grid = np.concatenate(([0.0], np.geomspace(1e-7, theta_max, 4000)))
     vals = np.array([0.0] + [dens(t) for t in grid[1:]])
     cum = np.concatenate(
         ([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)))

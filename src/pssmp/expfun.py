@@ -21,6 +21,7 @@ from scipy.special import rgamma
 
 from .errors import ConvergenceError, DomainError
 from .numerics import SeriesValue, gamma_signed, log_gamma, sum_series
+from .scale import default_c, default_m
 
 __all__ = [
     "ExpCase",
@@ -52,9 +53,9 @@ class ExpCase(Enum):
 class ExpFunctionalModel:
     """Case, stable index and subordinator scale for exponential functionals.
 
-    c defaults to jump_weight * Gamma(2-alpha) / (alpha*(alpha-1)) where
-    jump_weight is c_minus (UP_SPECTRALLY_NEGATIVE) or c_plus
-    (STAR_SPECTRALLY_POSITIVE); m is tied to c by m = c * Gamma(alpha).
+    c and m are ``scale.default_c`` and ``scale.default_m`` of jump_weight,
+    which is c_minus (UP_SPECTRALLY_NEGATIVE) or c_plus
+    (STAR_SPECTRALLY_POSITIVE).
     """
 
     case: ExpCase
@@ -69,12 +70,11 @@ class ExpFunctionalModel:
 
     @property
     def c(self) -> float:
-        a = self.alpha
-        return self.jump_weight * math.exp(log_gamma(2.0 - a)) / (a * (a - 1.0))
+        return default_c(self.alpha, self.jump_weight)
 
     @property
     def m(self) -> float:
-        return self.c * math.exp(log_gamma(self.alpha))
+        return default_m(self.alpha, self.jump_weight)
 
     def _require(self, case: ExpCase, what: str):
         if self.case is not case:
@@ -100,7 +100,7 @@ def laplace_I(model: ExpFunctionalModel, lam: float) -> float:
     return math.exp(-((lam / model.c) ** (1.0 / model.alpha)))
 
 
-def _subordinator_series(z: float, beta: float, tol: float, max_terms: int) -> SeriesValue:
+def _subordinator_series(z: float, beta: float, tol: float) -> SeriesValue:
     """sum_{n>=1} Gamma(1+n beta) sin(pi n beta) (-z)^n / n! with tail control."""
     log_z = math.log(z) if z > 0.0 else -math.inf
 
@@ -111,23 +111,23 @@ def _subordinator_series(z: float, beta: float, tol: float, max_terms: int) -> S
             -log_gamma(n + 1.0),
         )
 
-    return sum_series(term, tol=tol, max_terms=max_terms, start=1)
+    return sum_series(term, tol=tol, start=1)
 
 
-def density_I(model: ExpFunctionalModel, x: float, tol: float = 1e-10) -> SeriesValue:
+def density_I(model: ExpFunctionalModel, x: float) -> SeriesValue:
     """Series density of the exponential functional at x > 0.
 
     This is the density of the index-1/alpha positive stable law scaled
-    so its Laplace transform is exp(-(lambda/c)^(1/alpha)); the series
-    variable is (c x)^(-1/alpha), so very small x needs the tail
-    asymptotics instead.
+    so its Laplace transform is exp(-(lambda/c)^(1/alpha)), summed until
+    its truncation bound is below 1e-10.  The series variable is
+    (c x)^(-1/alpha), so very small x needs the tail asymptotics instead.
     """
     model._require(ExpCase.UP_SPECTRALLY_NEGATIVE, "density_I")
     if x <= 0.0:
         raise DomainError("x must be positive")
     beta = 1.0 / model.alpha
     z = (model.c * x) ** -beta
-    inner = _subordinator_series(z, beta, tol=tol * math.pi * x, max_terms=400)
+    inner = _subordinator_series(z, beta, tol=1e-10 * math.pi * x)
     sv = inner.scaled(-1.0 / (math.pi * x))
     if not sv.converged:
         raise ConvergenceError(
@@ -154,9 +154,7 @@ def entrance_moment(model: ExpFunctionalModel, k: int, t: float) -> float:
     )
 
 
-def entrance_density(
-    model: ExpFunctionalModel, t: float, x: float, tol: float = 1e-10
-) -> SeriesValue:
+def entrance_density(model: ExpFunctionalModel, t: float, x: float) -> SeriesValue:
     """Density at x of the process entered from 0, at time t.
 
     Defined through the exponential functional: the position at time t
@@ -166,7 +164,7 @@ def entrance_density(
     model._require(ExpCase.UP_SPECTRALLY_NEGATIVE, "entrance_density")
     if t <= 0.0 or x <= 0.0:
         raise DomainError("t and x must be positive")
-    return density_I(model, t / x, tol=tol).scaled(1.0 / (model.alpha * model.m * x))
+    return density_I(model, t / x).scaled(1.0 / (model.alpha * model.m * x))
 
 
 def _sup_series(a: float, log_yy: float, tol: float, density: bool) -> SeriesValue:
@@ -190,7 +188,7 @@ def _sup_series(a: float, log_yy: float, tol: float, density: bool) -> SeriesVal
             -log_gamma(a * n),
         )
 
-    return sum_series(term, tol=tol, max_terms=400, start=1)
+    return sum_series(term, tol=tol, start=1)
 
 
 def sup_density_spectrally_positive(
@@ -212,13 +210,14 @@ def sup_density_spectrally_positive(
     return _sup_series(a, math.log(y / sigma), tol, density=True).scaled(1.0 / sigma)
 
 
-def density_I_star(model: ExpFunctionalModel, x: float, tol: float = 1e-10) -> SeriesValue:
+def density_I_star(model: ExpFunctionalModel, x: float) -> SeriesValue:
     """Density at x of the killed process's exponential functional.
 
     Built by change of variables from the supremum density f:
-    p(x) = (1/alpha) x^(-1-1/alpha) f(x^(-1/alpha)).  The series in the
-    supremum variable loses accuracy for small x; a convergence error
-    then recommends the tail asymptotics.
+    p(x) = (1/alpha) x^(-1-1/alpha) f(x^(-1/alpha)), summed until the
+    truncation bound of p is below 1e-10.  The series in the supremum
+    variable loses accuracy for small x; a convergence error then
+    recommends the tail asymptotics.
     """
     model._require(ExpCase.STAR_SPECTRALLY_POSITIVE, "density_I_star")
     if x <= 0.0:
@@ -226,7 +225,7 @@ def density_I_star(model: ExpFunctionalModel, x: float, tol: float = 1e-10) -> S
     a = model.alpha
     y = x ** (-1.0 / a)
     jac = y / (a * x)  # (1/alpha) x^(-1-1/alpha)
-    sv = sup_density_spectrally_positive(model, y, tol=tol / max(jac, 1.0)).scaled(jac)
+    sv = sup_density_spectrally_positive(model, y, 1e-10 / max(jac, 1.0)).scaled(jac)
     if not sv.converged:
         raise ConvergenceError(
             f"supremum series did not converge at x={x}; use the small-x asymptotics",
@@ -236,9 +235,7 @@ def density_I_star(model: ExpFunctionalModel, x: float, tol: float = 1e-10) -> S
     return sv
 
 
-def density_I_star_as_printed(
-    model: ExpFunctionalModel, x: float, tol: float = 1e-12
-) -> SeriesValue:
+def density_I_star_as_printed(model: ExpFunctionalModel, x: float) -> SeriesValue:
     """Closed-form candidate series with exponent alpha(2 - n alpha).
 
     It is c^(2/alpha) f(c^(1/alpha) x^(-alpha)) for the supremum density f.
@@ -250,7 +247,7 @@ def density_I_star_as_printed(
     if x <= 0.0:
         raise DomainError("x must be positive")
     sigma = model.c ** (1.0 / model.alpha)
-    f = sup_density_spectrally_positive(model, sigma * x**-model.alpha, tol=tol)
+    f = sup_density_spectrally_positive(model, sigma * x**-model.alpha)
     return f.scaled(sigma * sigma)
 
 
@@ -285,9 +282,9 @@ def sup_survival_asymptotic(model: ExpFunctionalModel, y: float) -> tuple[float,
         raise DomainError("asymptotic expansion needs y above the process scale")
     log_yy = math.log(yy)
 
-    def sum_to_smallest(term_mag, term_val, m_max=80):
+    def sum_to_smallest(term_mag, term_val):
         total, prev = 0.0, math.inf
-        for k in range(1, m_max + 1):
+        for k in range(1, 81):
             mag = term_mag(k)
             if mag == 0.0:
                 # A reciprocal-gamma pole annihilates this term exactly;
@@ -379,24 +376,24 @@ class TailCheck(Enum):
     STAR_LEFT = "star-left"  # CDF near 0 of I for the killed case
 
 
-def tail_exponent_check(model: ExpFunctionalModel, which: TailCheck, n_points: int = 9):
+def tail_exponent_check(model: ExpFunctionalModel, which: TailCheck):
     """Fitted log-log slope of the requested distribution tail.
 
-    UP_RIGHT fits the density of the spectrally negative functional over
-    a decade of large x; the law is positive stable of index 1/alpha, so
-    the slope is -(1 + 1/alpha) (the survival P(I >= x) would give
-    -1/alpha).  STAR_LEFT fits the CDF
-    P(I <= x) of the killed functional over a decade of small x.
+    Each fit uses 9 points spread log-uniformly over one decade.  UP_RIGHT
+    fits the density of the spectrally negative functional at large x; the
+    law is positive stable of index 1/alpha, so the slope is
+    -(1 + 1/alpha) (the survival P(I >= x) would give -1/alpha).
+    STAR_LEFT fits the CDF P(I <= x) of the killed functional at small x.
     """
     if which is TailCheck.UP_RIGHT:
         model._require(ExpCase.UP_SPECTRALLY_NEGATIVE, "UP_RIGHT tail")
-        xs = np.geomspace(200.0, 2000.0, n_points) / model.c
+        xs = np.geomspace(200.0, 2000.0, 9) / model.c
         ys = [density_I(model, x).value for x in xs]
         return fit_loglog_slope(xs, ys)
 
     if which is TailCheck.STAR_LEFT:
         model._require(ExpCase.STAR_SPECTRALLY_POSITIVE, "STAR_LEFT tail")
-        xs = np.geomspace(0.05, 0.5, n_points) / model.c
+        xs = np.geomspace(0.05, 0.5, 9) / model.c
         ys = [cdf_I_star(model, x) for x in xs]
         if min(ys) <= 0.0:
             raise DomainError("insufficient range before the CDF underflows")

@@ -4,8 +4,11 @@ Everything here is a pure function; the heavy lifting is delegated to
 scipy where a mature routine meets the accuracy contract (log-gamma,
 signed gamma, regularized incomplete beta, QUADPACK quadrature).  Series
 summation is implemented directly since its stopping rule and its bound
-(truncation plus rounding) are part of the contract; every series term in
-the package is formed, bounded and stopped there.
+(truncation plus rounding) are part of the contract; every convergent
+series in the package is formed, bounded and stopped there.  The one
+exception, ``expfun.sup_survival_asymptotic``, sums two divergent
+asymptotic expansions to their smallest term, a rule ``sum_series``
+(which stops once its bound reaches a tolerance) does not have.
 """
 
 from __future__ import annotations
@@ -178,7 +181,6 @@ def reg_incomplete_beta(a: float, b: float, x: float) -> float:
 def sum_series(
     term: Callable[[int], tuple[float, Sequence[float]]],
     tol: float = 1e-12,
-    max_terms: int = 400,
     start: int = 0,
 ) -> SeriesValue:
     """Sum the terms n = start, start+1, ... with truncation and rounding control.
@@ -196,19 +198,17 @@ def sum_series(
     once the terms alternate in sign with decreasing magnitude; the sum
     only stops inside such an alternating regime, or once the magnitude
     envelope decays geometrically.  Returns ``converged=False`` if the
-    bound never reaches ``tol`` within ``max_terms`` terms.
+    bound never reaches ``tol`` within 400 terms.
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    if max_terms < 1:
-        raise DomainError("max_terms must be >= 1")
 
     mags = []  # |term| of every term summed so far
     total = 0.0
     comp = 0.0  # Kahan compensation
     rounding = 0.0  # sum of the rounding estimates, in units of eps
     t0 = t1 = 0.0  # the two terms before t
-    for k in range(max_terms):
+    for k in range(400):
         n = start + k
         factor, parts = term(n)
         t = factor * _exp_or_inf(sum(parts))

@@ -23,6 +23,7 @@ from .numerics import _log_expm1, integrate_adaptive, log_gamma
 __all__ = [
     "Case",
     "SpectralCase",
+    "default_c",
     "default_m",
     "psi_up",
     "psi_down",
@@ -45,16 +46,20 @@ class Case(Enum):
     DOWN_POS = "down-pos"  # conditioned to hit 0, no negative jumps
 
 
-def default_m(alpha: float, c_weight: float = 1.0) -> float:
-    """Mean normalization m = c * Gamma(alpha).
+def default_c(alpha: float, c_weight: float) -> float:
+    """Subordinator scale c = c_weight * Gamma(2 - alpha) / (alpha*(alpha-1)).
 
     c_weight is the jump weight on the active side (c_minus for the
     spectrally negative cases, c_plus for the spectrally positive one).
     """
     if not (1.0 < alpha < 2.0):
         raise DomainError("one-sided cases require alpha in (1, 2)")
-    c = c_weight * math.exp(log_gamma(2.0 - alpha)) / (alpha * (alpha - 1.0))
-    return c * math.exp(log_gamma(alpha))
+    return c_weight * math.exp(log_gamma(2.0 - alpha)) / (alpha * (alpha - 1.0))
+
+
+def default_m(alpha: float, c_weight: float = 1.0) -> float:
+    """Mean normalization m = c * Gamma(alpha), c from ``default_c``."""
+    return default_c(alpha, c_weight) * math.exp(log_gamma(alpha))
 
 
 @dataclass(frozen=True)
@@ -223,21 +228,22 @@ def _eta_inner_mass(s: SpectralCase, barrier: float, K: float, tol: float) -> fl
 
 
 @lru_cache(maxsize=64)
-def _cached_K(case, alpha, m, q_ladder, barrier, tol):
-    return _phi_inner_mass(SpectralCase(case, alpha, m, q_ladder), barrier, tol)
+def _cached_K(case, alpha, q_ladder, barrier):
+    # The kernel does not read m, so K is cached without it.
+    return _phi_inner_mass(SpectralCase(case, alpha, q_ladder=q_ladder), barrier, 1e-8)
 
 
-def triple_law_K(s: SpectralCase, barrier: float, tol: float = 1e-8) -> float:
+def triple_law_K(s: SpectralCase, barrier: float) -> float:
     """Normalizing constant of the triple law.
 
     The theta integral is closed form; (eta, phi) is integrated by
-    adaptive quadrature, phi inside eta.
+    adaptive quadrature to tolerance 1e-8, phi inside eta.
     """
     depth = -barrier if s.case in (Case.UP_NEG, Case.DOWN_NEG) else barrier
     if depth <= 0.0:
         raise DomainError("barrier on the wrong side for this case")
     try:
-        K = _cached_K(s.case, s.alpha, s.m, s.q_ladder, barrier, tol)
+        K = _cached_K(s.case, s.alpha, s.q_ladder, barrier)
     except (OverflowError, ZeroDivisionError):
         raise DomainError(
             f"the triple-law kernel leaves the float range at barrier={barrier}"

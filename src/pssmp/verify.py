@@ -76,7 +76,7 @@ def _feasible_grid(alphas, rhos):
                 yield p
 
 
-def _suite_normalization(seed, **_):
+def _suite_normalization():
     checks = []
     windows = [ExitWindow(-1.0, 0.25), ExitWindow(-0.25, 1.0)]
     for p in _feasible_grid((0.8, 1.5), (0.5, 0.7)):
@@ -139,8 +139,8 @@ def esscher_max_relative_error(seed: int, n_draws: int) -> float:
     return worst
 
 
-def _suite_esscher(seed, n_draws=200, **_):
-    worst = esscher_max_relative_error(seed, n_draws)
+def _suite_esscher(seed):
+    worst = esscher_max_relative_error(seed, 200)
     return [
         _check(
             "tilt-ratio-pointwise",
@@ -148,30 +148,28 @@ def _suite_esscher(seed, n_draws=200, **_):
             worst,
             1e-12,
             passed=worst <= 1e-12,
-            detail=f"max relative error over {n_draws} random draws",
+            detail="max relative error over 200 random draws",
         )
     ]
 
 
-def star_min_derived_mass(
-    p: StableParams, z_lo: float = 0.05, z_hi: float = 6.0
-) -> float:
+def star_min_derived_mass(p: StableParams) -> float:
     """Total mass of the all-time-minimum density of the killed kind.
 
-    Two routes: quadrature of the closed-form density over [z_lo, z_hi],
-    and for the head and tail the complementary CDF values (one minus the
+    Two routes: quadrature of the closed-form density over [0.05, 6], and
+    for the head and tail the complementary CDF values (one minus the
     probability of ever dropping below the cutoff) by quadrature of the
     one-sided down exit law.  The sum measures how well they agree.
     """
-    head = 1.0 - exit_mass_one_sided(Kind.STAR, p, Direction.DOWN, -z_lo, tol=1e-10)
+    head = 1.0 - exit_mass_one_sided(Kind.STAR, p, Direction.DOWN, -0.05, tol=1e-10)
     body = integrate_adaptive(
-        lambda z: extrema_density_star(p, z, which="min"), z_lo, z_hi, tol=1e-7
+        lambda z: extrema_density_star(p, z, which="min"), 0.05, 6.0, tol=1e-7
     ).value
-    tail = exit_mass_one_sided(Kind.STAR, p, Direction.DOWN, -z_hi, tol=1e-10)
+    tail = exit_mass_one_sided(Kind.STAR, p, Direction.DOWN, -6.0, tol=1e-10)
     return head + body + tail
 
 
-def _suite_extrema(seed, **_):
+def _suite_extrema():
     checks = []
     for p in _feasible_grid((0.8, 1.5), (0.5, 0.7)):
         for z in (0.5, 2.0):
@@ -234,7 +232,7 @@ def _suite_extrema(seed, **_):
     return checks
 
 
-def _suite_scale(seed, **_):
+def _suite_scale():
     checks = []
     for alpha in (1.2, 1.8):
         s = SpectralCase(Case.UP_NEG, alpha)
@@ -281,7 +279,7 @@ def _suite_scale(seed, **_):
     return checks
 
 
-def _suite_hitting(seed, **_):
+def _suite_hitting():
     checks = []
     worst = 0.0
     for alpha in (1.2, 1.5, 1.8):
@@ -364,7 +362,7 @@ def density_I_star_mass(model: ExpFunctionalModel) -> float:
     return left + body + right
 
 
-def _suite_expfun(seed, **_):
+def _suite_expfun():
     checks = []
     model = ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, 1.5)
     for k in range(1, 6):
@@ -488,7 +486,7 @@ def _weighted_stats(sample, event):
     return mean, se
 
 
-def _suite_montecarlo(seed, n_paths=200, step=2e-3, **_):
+def _suite_montecarlo(seed, n_paths, step):
     checks = []
     p = StableParams(1.5, 0.5)
     w = ExitWindow(-0.5, 0.5)
@@ -547,8 +545,13 @@ def _suite_montecarlo(seed, n_paths=200, step=2e-3, **_):
     up_run = simulate_exit(
         Kind.UP, p, w, SimConfig(n_paths, step, (seed + 1) % 2**64)
     )
-    cdf, _ = overshoot_cdf_interpolant(Kind.UP, p, Direction.UP, window=w)
     sel = up_run.side == SIDE_UP
+    if not sel.any():
+        raise BudgetError(
+            f"none of the {n_paths} up-kind paths left through the upper "
+            "barrier, so up-overshoot-ks has no sample; raise --n-paths"
+        )
+    cdf, _ = overshoot_cdf_interpolant(Kind.UP, p, Direction.UP, window=w)
     theta, hw = up_run.theta[sel], up_run.h_weight[sel]
     # The overshoot density diverges at 0 and the grid cannot resolve
     # overshoots below step^(1/alpha), so over the full range the KS has a
@@ -616,8 +619,13 @@ def report_passed(report: dict) -> bool:
     return all(c["status"] != "fail" for c in report["checks"])
 
 
-def run_suite(suite: str, seed: int = 0, **kwargs) -> dict:
-    """Run one named suite (or "all") and return a versioned report."""
+def run_suite(
+    suite: str, seed: int = 0, n_paths: int = 200, step: float = 2e-3
+) -> dict:
+    """Run one named suite (or "all") and return a versioned report.
+
+    Only the montecarlo suite reads ``n_paths`` and ``step``.
+    """
     if suite != "all" and suite not in _SUITE_FNS:
         raise DomainError(
             f"unknown suite {suite!r}; choose from {', '.join(SUITES)} or all"
@@ -627,8 +635,9 @@ def run_suite(suite: str, seed: int = 0, **kwargs) -> dict:
     names = SUITES if suite == "all" else (suite,)
     t0 = time.perf_counter()
     checks = []
+    options = {"esscher": (seed,), "montecarlo": (seed, n_paths, step)}
     for name in names:
-        checks.extend(_SUITE_FNS[name](seed, **kwargs))
+        checks.extend(_SUITE_FNS[name](*options.get(name, ())))
     return {
         "schema": SCHEMA,
         "suite": suite,

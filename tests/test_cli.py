@@ -15,7 +15,10 @@ import pssmp
 from pssmp.cli import _LAW_TABLE, LAWS, build_parser, load_config, main, parse_grid
 from pssmp.errors import ConfigurationError, DomainError
 from pssmp.exit_laws import min_cdf_up
+from pssmp.expfun import ExpCase, ExpFunctionalModel
+from pssmp.scale import default_m
 from pssmp.stable import StableParams
+from pssmp.verify import run_suite
 
 
 def run(capsys, *argv):
@@ -80,6 +83,27 @@ class TestEval:
         assert rc == 0, err
         rows = [l for l in out.splitlines() if l and not l.startswith("#")]
         assert len(rows) >= 2
+
+    @pytest.mark.parametrize(
+        "case,flag,model_case",
+        [
+            ("up-neg", "--c-minus", ExpCase.UP_SPECTRALLY_NEGATIVE),
+            ("down-neg", "--c-minus", ExpCase.UP_SPECTRALLY_NEGATIVE),
+            ("down-pos", "--c-plus", ExpCase.STAR_SPECTRALLY_POSITIVE),
+        ],
+    )
+    def test_spectral_m_follows_the_active_jump_weight(
+        self, capsys, case, flag, model_case
+    ):
+        def m_of(*opts):
+            rc, out, _ = run(capsys, "eval", "--law", "psi", "--case", case, *opts)
+            assert rc == 0
+            return float(next(l for l in out.splitlines() if l.startswith("# m="))[4:])
+
+        other = "--c-plus" if flag == "--c-minus" else "--c-minus"
+        assert m_of() == m_of(other, "2") == default_m(1.5)
+        m = m_of("--alpha", "1.5", flag, "2")
+        assert m == 2.0 * default_m(1.5) == ExpFunctionalModel(model_case, 1.5, 2.0).m
 
     def test_rogozin_metadata_records_evaluated_x(self, capsys):
         # A start point outside (0, a) is evaluated at a/2 = 1; the
@@ -172,6 +196,10 @@ class TestVerify:
         rc, _, err = run(capsys, "verify", "no-such-suite")
         assert rc == 2 and "suite" in err
 
+    def test_run_suite_refuses_unknown_options(self):
+        with pytest.raises(TypeError):
+            run_suite("hitting", n_pathz=3)
+
 
 class TestExitCodes:
     def test_usage_errors_are_2(self, capsys):
@@ -205,6 +233,15 @@ class TestExitCodes:
             )
             assert rc == 3 and out == ""
             assert err.startswith("error:") and "n_paths" in err
+
+    def test_verify_montecarlo_with_no_up_exit_is_3(self, capsys):
+        # The one up-kind path leaves downwards: the KS check has no sample.
+        for seed in (1, 2, 3, 5):
+            rc, out, err = run(
+                capsys, "verify", "montecarlo", "--n-paths", "1", "--seed", str(seed)
+            )
+            assert rc == 3 and out == ""
+            assert "up-overshoot-ks" in err and "--n-paths" in err
 
     def test_seed_outside_64_bits_is_2(self, capsys):
         # Seeds are not masked: -1 and 2^64 - 1 would otherwise share a stream.
@@ -429,7 +466,7 @@ _FUZZ_VALUES = (
 
 
 class TestFuzz:
-    @settings(max_examples=50, deadline=None, derandomize=True)
+    @settings(max_examples=50)
     @given(
         law=st.sampled_from(_FAST_LAWS),
         options=st.dictionaries(

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pssmp.errors import DomainError
 from pssmp.exit_laws import (
@@ -72,6 +73,28 @@ class TestNormalization:
             Kind.STAR, P, W, Direction.UP
         ) + exit_mass_two_sided(Kind.STAR, P, W, Direction.DOWN)
         assert 0.0 < total < 1.0
+
+    @settings(max_examples=40)
+    @given(
+        alpha=st.floats(0.2, 1.98),
+        rho=st.floats(0.02, 0.98),
+        # |v| and u log-uniform in [0.05, 5].
+        log_v=st.floats(math.log(0.05), math.log(5.0)),
+        log_u=st.floats(math.log(0.05), math.log(5.0)),
+    )
+    def test_property_masses_over_the_two_sided_range(self, alpha, rho, log_v, log_u):
+        p = StableParams(alpha, rho)
+        assume(p.two_sided)
+        w = ExitWindow(-math.exp(log_v), math.exp(log_u))
+
+        def total(kind):
+            return exit_mass_two_sided(kind, p, w, Direction.UP) + exit_mass_two_sided(
+                kind, p, w, Direction.DOWN
+            )
+
+        assert total(Kind.UP) == pytest.approx(1.0, abs=1e-6)
+        assert total(Kind.DOWN) == pytest.approx(1.0, abs=1e-6)
+        assert 0.0 < total(Kind.STAR) < 1.0
 
     def test_one_sided_masses(self):
         # UP crosses any upper barrier a.s.; DOWN crosses any lower one.

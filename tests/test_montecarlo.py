@@ -229,7 +229,7 @@ class TestLockstepBatch:
         with pytest.raises(DomainError):
             path_rng(8, 2**64, reuse=g)
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=30)
     @given(
         alpha=st.one_of(st.just(1.0), st.floats(0.5, 1.95)),
         skew=st.floats(0.02, 0.98),

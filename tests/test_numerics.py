@@ -111,9 +111,11 @@ class TestSeries:
         assert s.value == pytest.approx(exact, abs=1e-11)
 
     def test_non_convergent_reported(self):
-        s = sum_series(lambda n: (1.0, (-math.log(n + 1.0),)), tol=1e-12, max_terms=50)
+        # The harmonic series never meets a stopping rule: all 400 terms run.
+        s = sum_series(lambda n: (1.0, (-math.log(n + 1.0),)), tol=1e-12)
         assert not s.converged
-        assert s.n_terms == 50
+        assert s.n_terms == 400
+        assert s.value == pytest.approx(sum(1.0 / n for n in range(1, 401)), rel=1e-14)
 
     def test_rounding_of_large_terms_is_in_the_bound(self):
         # e^-20 by its Taylor series: terms peak near 4e7, each formed
