@@ -17,6 +17,7 @@ from .errors import (
     NumericError,
     PoleError,
     PssmpError,
+    WorkerError,
 )
 from .stable import Kind, LampertiKind, StableParams
 
@@ -29,6 +30,7 @@ __all__ = [
     "NumericError",
     "ConfigurationError",
     "BudgetError",
+    "WorkerError",
     "StableParams",
     "Kind",
     "LampertiKind",

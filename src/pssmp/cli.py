@@ -29,6 +29,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
     NumericError,
+    WorkerError,
 )
 from .exit_laws import (
     Direction,
@@ -489,7 +490,7 @@ def main(argv=None) -> int:
     except (DomainError, ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetError, ConvergenceError, NumericError) as exc:
+    except (BudgetError, ConvergenceError, NumericError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

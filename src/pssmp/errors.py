@@ -40,3 +40,7 @@ class ConfigurationError(PssmpError, ValueError):
 
 class BudgetError(PssmpError, RuntimeError):
     """A simulation exceeded its path/step budget."""
+
+
+class WorkerError(PssmpError, RuntimeError):
+    """A worker process that simulated part of a run failed or was lost."""

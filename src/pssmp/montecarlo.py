@@ -11,14 +11,18 @@ assumed away.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
 import numbers
+import os
+import signal
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, WorkerError
 from .exit_laws import ExitWindow
 from .stable import Kind, LampertiKind, StableParams, increment_sampler, path_rng
 
@@ -42,6 +46,13 @@ SIDE_UP, SIDE_DOWN, SIDE_KILLED, SIDE_CENSORED = 0, 1, 2, 3
 SIDE_LABELS = ("up", "down", "killed", "censored")
 
 _MAX_GRID_POINTS = 10**8
+# The arrays of one run take about 42 bytes a path, so 1e7 paths take
+# about 0.4 GB; more is refused before anything is allocated.
+_MAX_PATHS = 10**7
+# Runs of fewer paths than this per worker stay in one process, where a
+# fork costs more than it saves; no run uses more than _MAX_WORKERS.
+_PATHS_PER_WORKER = 256
+_MAX_WORKERS = 8
 _BLOCK = 1024
 _HALF = _BLOCK // 2
 _BATCH = 32
@@ -64,6 +75,10 @@ class SimConfig:
     def __post_init__(self):
         if not isinstance(self.n_paths, numbers.Integral) or self.n_paths < 1:
             raise DomainError(f"n_paths must be an integer >= 1, got {self.n_paths!r}")
+        if self.n_paths > _MAX_PATHS:
+            raise BudgetError(
+                f"n_paths={self.n_paths} exceeds the {_MAX_PATHS:.0e} path cap"
+            )
         if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**64:
             raise DomainError(
                 f"seed must be an integer in [0, 2^64), got {self.seed!r}"
@@ -135,8 +150,9 @@ class ExitSampleSet:
         return float(np.sum(self.h_weight * event) / self.config.n_paths)
 
 
-def _run_paths(draw, n_paths, seed, max_steps, eu, ev):
-    """Run every path to exit; returns (raw position, steps, exited) arrays.
+def _run_paths(draw, n_paths, seed, max_steps, eu, ev, start=0):
+    """Run paths start..start+n_paths-1 to exit; returns (raw position,
+    steps, exited) arrays, row i for path start + i.
 
     Path i draws from path_rng(seed, i) in blocks of _BLOCK steps (the
     last one cut at the horizon): the block's uniforms first, then the
@@ -164,7 +180,7 @@ def _run_paths(draw, n_paths, seed, max_steps, eu, ev):
     hit = np.empty(rows * _HALF, dtype=bool)
     below = np.empty(rows * _HALF, dtype=bool)
     path = np.arange(rows)  # path index held by each row
-    rngs = [path_rng(seed, i) for i in range(rows)]
+    rngs = [path_rng(seed, start + i) for i in range(rows)]
     x = np.ones(rows)  # position at the end of the row's last block
     done = np.zeros(rows, dtype=np.int64)  # steps taken by the row's path
     next_path = rows
@@ -229,7 +245,7 @@ def _run_paths(draw, n_paths, seed, max_steps, eu, ev):
         for r in sorted(freed, reverse=True):
             if next_path < n_paths:
                 path[r], x[r], done[r] = next_path, 1.0, 0
-                rngs[r] = path_rng(seed, next_path, reuse=rngs[r])
+                rngs[r] = path_rng(seed, start + next_path, reuse=rngs[r])
                 next_path += 1
             else:
                 live -= 1
@@ -237,6 +253,84 @@ def _run_paths(draw, n_paths, seed, max_steps, eu, ev):
                     path[live], rngs[live], x[live], done[live]
                 )
     return pos, steps, exited
+
+
+def _n_workers(n_paths: int) -> int:
+    """Processes for a run of n_paths: min(CPUs, 8, n_paths // 256), or 1.
+
+    The CPUs are those of this process's affinity set.  Below 2 the run
+    stays in this process, as it does where os.fork is missing.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(cpus, _MAX_WORKERS, n_paths // _PATHS_PER_WORKER))
+
+
+def _shared_rows(n):
+    """side, theta, h_weight and steps_used of n paths, in one anonymous
+    shared mmap that forked children write into; theta starts NaN and
+    the others zeroed."""
+    buf = mmap.mmap(-1, 25 * n)
+    theta = np.frombuffer(buf, np.float64, n, 0)
+    h_weight = np.frombuffer(buf, np.float64, n, 8 * n)
+    steps = np.frombuffer(buf, np.int64, n, 16 * n)
+    side = np.frombuffer(buf, np.int8, n, 24 * n)
+    theta.fill(np.nan)
+    return side, theta, h_weight, steps
+
+
+def _run_chunks(fill, bounds):
+    """Call fill(lo, hi) on each chunk: chunk 0 here, the rest in children.
+
+    Chunk j is paths bounds[j]..bounds[j+1]-1, and fill writes its rows
+    into memory the children share with this process.  A child leaves
+    only through os._exit (0 once its rows are written, 1 on any
+    exception), so it runs no atexit hook and flushes no inherited buffer.
+    Every child is reaped before this returns or raises: a child that
+    fails, is killed or cannot be started or reaped raises WorkerError,
+    and on any exception the children still running are killed and reaped.
+    """
+    children = {}  # pid -> chunk index
+    try:
+        for j in range(1, len(bounds) - 1):
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                raise WorkerError(
+                    f"could not start the worker for path chunk {j}: {exc}"
+                ) from None
+            if pid == 0:
+                code = 1
+                try:
+                    fill(bounds[j], bounds[j + 1])
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[pid] = j
+        fill(bounds[0], bounds[1])
+        for pid, j in list(children.items()):
+            try:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            except ChildProcessError:
+                code = None
+            del children[pid]
+            if code != 0:
+                how = (
+                    "was reaped elsewhere" if code is None
+                    else f"exited with code {code}" if code > 0
+                    else f"was killed by signal {-code}"
+                )
+                raise WorkerError(
+                    f"the worker for path chunk {j} (paths {bounds[j]}.."
+                    f"{bounds[j + 1] - 1}) {how}; its rows are not used"
+                )
+    finally:
+        for pid in children:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
 
 
 def simulate_exit(
@@ -261,6 +355,17 @@ def simulate_exit(
     per half-block over the paths still running; a finished path frees
     its row for the next one at once.  Streams and results are
     bit-identical to running each path alone.
+
+    A run of n paths uses k = min(CPUs in the affinity set, 8, n // 256)
+    processes when k >= 2 (so 512 paths or more, on 2 CPUs or more, where
+    os.fork exists); otherwise it runs here alone.  range(n) is cut into
+    k contiguous chunks of n // k or n // k + 1 paths.  This process runs
+    the first; forked children run the others and write their rows into
+    one shared anonymous mmap, and all are reaped before the set is
+    returned.  Path i still draws only from path_rng(cfg.seed, i), and its
+    row is computed by the same operations in whichever process runs it,
+    so every row is bit-identical to the one-process run.  A worker that
+    fails raises WorkerError; its rows are never returned.
     """
     if isinstance(kind, LampertiKind):
         kind = kind.kind
@@ -275,31 +380,35 @@ def simulate_exit(
     draw = increment_sampler(p, cfg.step)
     h_exp = LampertiKind.for_params(kind, p).h_exponent
     n = cfg.n_paths
+    k = _n_workers(n)
+    rows = _shared_rows(n)
+    side, theta, h_weight, steps = rows
 
-    side = np.empty(n, dtype=np.int8)
-    theta = np.full(n, np.nan)
-    h_weight = np.zeros(n)
-    pos, steps, exited = _run_paths(draw, n, cfg.seed, cfg.max_steps, eu, ev)
-    for i in range(n):
-        x = float(pos[i])
-        if not exited[i]:
-            side[i] = SIDE_CENSORED
-            continue
-        if x >= eu:
-            side[i] = SIDE_UP
-            theta[i] = math.log(x) - window.u
-            h_weight[i] = 1.0 if kind is Kind.STAR else x**h_exp
-        elif x <= 0.0:
-            # Ruin: absorption for the killed kind, impossible (weight 0)
-            # for the conditioned kinds.
-            side[i] = SIDE_KILLED if kind is Kind.STAR else SIDE_CENSORED
-            h_weight[i] = 1.0 if kind is Kind.STAR else 0.0
-        else:
-            side[i] = SIDE_DOWN
-            theta[i] = window.v - math.log(x)
-            h_weight[i] = 1.0 if kind is Kind.STAR else x**h_exp
+    def fill(lo, hi):
+        pos, steps[lo:hi], exited = _run_paths(
+            draw, hi - lo, cfg.seed, cfg.max_steps, eu, ev, lo
+        )
+        for i in range(lo, hi):
+            x = float(pos[i - lo])
+            if not exited[i - lo]:
+                side[i] = SIDE_CENSORED
+                continue
+            if x >= eu:
+                side[i] = SIDE_UP
+                theta[i] = math.log(x) - window.u
+                h_weight[i] = 1.0 if kind is Kind.STAR else x**h_exp
+            elif x <= 0.0:
+                # Ruin: absorption for the killed kind, impossible (weight 0)
+                # for the conditioned kinds.
+                side[i] = SIDE_KILLED if kind is Kind.STAR else SIDE_CENSORED
+                h_weight[i] = 1.0 if kind is Kind.STAR else 0.0
+            else:
+                side[i] = SIDE_DOWN
+                theta[i] = window.v - math.log(x)
+                h_weight[i] = 1.0 if kind is Kind.STAR else x**h_exp
 
-    for a in (side, theta, h_weight, steps):
+    _run_chunks(fill, [n * j // k for j in range(k + 1)])
+    for a in rows:
         a.setflags(write=False)
     global _last_run
     s = ExitSampleSet(kind, p, window, cfg, side, theta, h_weight, steps)

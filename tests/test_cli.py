@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import pssmp
 from pssmp.cli import _LAW_TABLE, LAWS, build_parser, load_config, main, parse_grid
-from pssmp.errors import ConfigurationError, DomainError
+from pssmp.errors import ConfigurationError, DomainError, WorkerError
 from pssmp.exit_laws import min_cdf_up
 from pssmp.expfun import ExpCase, ExpFunctionalModel
 from pssmp.scale import default_m
@@ -223,6 +223,24 @@ class TestExitCodes:
             capsys, "simulate", "--n-paths", "1", "--step", "1e-8"
         )
         assert rc == 3
+
+    def test_path_count_over_the_cap_is_3(self, capsys, monkeypatch):
+        # Refused by SimConfig: nothing is simulated or allocated.
+        def no_run(*args):
+            raise AssertionError("simulate_exit was called")
+
+        monkeypatch.setattr(pssmp.cli, "simulate_exit", no_run)
+        rc, out, err = run(capsys, "simulate", "--n-paths", "10000000000000")
+        assert rc == 3 and out == ""
+        assert err.startswith("error:") and "path cap" in err
+
+    def test_worker_failure_is_3(self, capsys, monkeypatch):
+        def lost_worker(*args):
+            raise WorkerError("the worker for path chunk 1 was killed by signal 9")
+
+        monkeypatch.setattr(pssmp.cli, "simulate_exit", lost_worker)
+        rc, out, err = run(capsys, "simulate", "--n-paths", "1000")
+        assert rc == 3 and out == "" and "chunk 1" in err
 
     def test_verify_montecarlo_with_every_path_killed_is_3(self, capsys):
         # No killed-kind path leaves the window, so there is no up fraction.

@@ -1,11 +1,14 @@
 import gc
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pssmp.errors import BudgetError, DomainError
+from pssmp.errors import BudgetError, DomainError, WorkerError
 from pssmp.exit_laws import ExitWindow, exit_mass_two_sided, Direction
 from pssmp import montecarlo
 from pssmp.montecarlo import (
@@ -23,6 +26,7 @@ from pssmp.montecarlo import (
     step_refinement_report,
 )
 from pssmp.stable import Kind, StableParams, increment_sampler, path_rng
+from pssmp.verify import run_suite
 
 P = StableParams(1.5, 0.5)
 W = ExitWindow(v=-0.5, u=0.5)
@@ -123,15 +127,22 @@ class TestSimulation:
         with pytest.raises(BudgetError):
             SimConfig(n_paths=10, step=1e-8, seed=0, max_time=50.0)
 
+    def test_path_cap(self):
+        # Refused before any array is allocated; the cap itself is allowed.
+        with pytest.raises(BudgetError, match="path cap"):
+            SimConfig(n_paths=10**7 + 1, step=1e-3, seed=0)
+        assert SimConfig(n_paths=10**7, step=1e-3, seed=0).n_paths == 10**7
 
-def _per_path(draw, n_paths, seed, max_steps, eu, ev):
-    """The per-path definition of the grid simulation: path i alone on
-    path_rng(seed, i), block by block, to its first barrier crossing."""
+
+def _per_path(draw, n_paths, seed, max_steps, eu, ev, start=0):
+    """The per-path definition of the grid simulation: path start + i alone
+    on path_rng(seed, start + i), block by block, to its first barrier
+    crossing."""
     pos = np.ones(n_paths)
     steps = np.zeros(n_paths, dtype=np.int64)
     exited = np.zeros(n_paths, dtype=bool)
     for i in range(n_paths):
-        rng, x, done = path_rng(seed, i), 1.0, 0
+        rng, x, done = path_rng(seed, start + i), 1.0, 0
         while done < max_steps:
             n = min(1024, max_steps - done)
             path = x + np.cumsum(draw([rng], n)[0])
@@ -240,9 +251,11 @@ class TestLockstepBatch:
         n_paths=st.one_of(st.integers(1, 40), st.integers(33, 40)),
         step=st.sampled_from([1e-3, 1e-4]),
         max_time=st.floats(0.01, 0.5),
+        # The first path of a chunk that a forked worker runs.
+        start=st.one_of(st.just(0), st.integers(1, 2**63)),
     )
     def test_property_bit_equal_to_per_path(
-        self, alpha, skew, v, u, seed, n_paths, step, max_time
+        self, alpha, skew, v, u, seed, n_paths, step, max_time, start
     ):
         # skew places rho inside the two-sided range: (0, 1) for alpha < 1,
         # (1 - 1/alpha, 1/alpha) for alpha > 1; Cauchy only at rho = 1/2.
@@ -251,7 +264,7 @@ class TestLockstepBatch:
         assert p.two_sided
         cfg = SimConfig(n_paths, step, seed, max_time=max_time)
         draw = increment_sampler(p, step)
-        args = (n_paths, seed, cfg.max_steps, math.exp(u), math.exp(v))
+        args = (n_paths, seed, cfg.max_steps, math.exp(u), math.exp(v), start)
         for got, want in zip(montecarlo._run_paths(draw, *args), _per_path(draw, *args)):
             assert np.array_equal(got, want)
 
@@ -405,6 +418,190 @@ class TestLevelZeroReuse:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0
+
+
+def _force_workers(monkeypatch, k):
+    """Size every run at k processes; returns the list of forks made here."""
+    forks = []
+    real_fork = os.fork
+    parent = os.getpid()
+
+    def fork():
+        if os.getpid() == parent:
+            forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(montecarlo, "_n_workers", lambda n_paths: k)
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+SPLIT_CFG = SimConfig(1001, 2e-3, 51)
+
+
+class TestSplitRuns:
+    """A run split over forked workers equals the one-process run."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "kind, p, window, cfg",
+        [
+            (Kind.STAR, P, W, SPLIT_CFG),
+            (Kind.UP, P, W, SPLIT_CFG),
+            (Kind.DOWN, P, W, SPLIT_CFG),
+            (Kind.STAR, StableParams(1.0, 0.5), W, SPLIT_CFG),
+            # Horizon censoring: several paths stop at max_time.
+            (Kind.UP, P, ExitWindow(-3.0, 3.0), SimConfig(600, 1e-3, 16, max_time=2.5)),
+        ],
+        ids=["star", "up", "down", "cauchy", "horizon"],
+    )
+    def test_rows_equal_the_serial_run(self, monkeypatch, kind, p, window, cfg, workers):
+        with monkeypatch.context() as m:
+            _force_workers(m, 1)
+            serial = simulate_exit(kind, p, window, cfg)
+        forks = _force_workers(monkeypatch, workers)
+        split = simulate_exit(kind, p, window, cfg)
+        assert len(forks) == workers - 1
+        _assert_no_child_left()
+        _assert_same_rows(split, serial)
+        assert split.n_censored == serial.n_censored
+        if cfg.max_time < 50.0:
+            assert serial.n_censored >= 2
+        for a in (split.side, split.theta, split.h_weight, split.steps_used):
+            assert not a.flags.writeable
+
+    def test_chunks_are_contiguous_and_cover_every_path(self, monkeypatch):
+        calls = _count_run_paths(monkeypatch)
+        _force_workers(monkeypatch, 3)
+        simulate_exit(Kind.STAR, P, W, SPLIT_CFG)
+        # Only the parent's own chunk, paths 0..332, is recorded here; the
+        # children record theirs in their copies of the list.
+        assert calls == [333]
+        assert [SPLIT_CFG.n_paths * j // 3 for j in range(4)] == [0, 333, 667, 1001]
+
+    def test_refinement_report_is_the_same(self, monkeypatch):
+        cfg = SimConfig(600, 4e-3, 9)
+        with monkeypatch.context() as m:
+            _force_workers(m, 1)
+            serial = step_refinement_report(Kind.STAR, P, W, cfg, levels=2)
+        _force_workers(monkeypatch, 2)
+        split = step_refinement_report(Kind.STAR, P, W, cfg, levels=2)
+        assert split == serial
+        _assert_no_child_left()
+
+    def test_montecarlo_suite_report_is_the_same(self, monkeypatch):
+        with monkeypatch.context() as m:
+            _force_workers(m, 1)
+            serial = run_suite("montecarlo", n_paths=600)
+        forks = _force_workers(monkeypatch, 2)
+        split = run_suite("montecarlo", n_paths=600)
+        assert len(forks) >= 4
+        _assert_no_child_left()
+        del serial["runtime"], split["runtime"]
+        assert split == serial
+
+
+class TestWorkerHygiene:
+    """No worker outlives simulate_exit, whatever happens to it."""
+
+    def _patch_chunks(self, monkeypatch, parent_chunk=None, child_chunk=None):
+        real = montecarlo._run_paths
+
+        def run_paths(draw, n_paths, seed, max_steps, eu, ev, start=0):
+            hook = parent_chunk if start == 0 else child_chunk
+            if hook is not None:
+                hook()
+            return real(draw, n_paths, seed, max_steps, eu, ev, start)
+
+        monkeypatch.setattr(montecarlo, "_run_paths", run_paths)
+        _force_workers(monkeypatch, 3)
+
+    def test_successful_run_reaps_every_worker(self, monkeypatch):
+        _force_workers(monkeypatch, 3)
+        simulate_exit(Kind.STAR, P, W, SPLIT_CFG)
+        _assert_no_child_left()
+
+    def test_worker_that_raises_is_an_error(self, monkeypatch):
+        def fail():
+            raise RuntimeError("worker failure")
+
+        self._patch_chunks(monkeypatch, child_chunk=fail)
+        with pytest.raises(
+            WorkerError, match=r"chunk 1 \(paths 333\.\.666\) exited with code 1"
+        ):
+            simulate_exit(Kind.STAR, P, W, SPLIT_CFG)
+        _assert_no_child_left()
+
+    def test_killed_worker_is_an_error(self, monkeypatch):
+        self._patch_chunks(
+            monkeypatch, child_chunk=lambda: os.kill(os.getpid(), signal.SIGKILL)
+        )
+        with pytest.raises(WorkerError, match=r"chunk 1 .* killed by signal 9"):
+            simulate_exit(Kind.STAR, P, W, SPLIT_CFG)
+        _assert_no_child_left()
+
+    def test_error_in_own_chunk_kills_the_workers(self, monkeypatch):
+        def fail():
+            raise ValueError("parent chunk failure")
+
+        # The workers would run for a minute if they were not killed.
+        self._patch_chunks(
+            monkeypatch, parent_chunk=fail, child_chunk=lambda: time.sleep(60)
+        )
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="parent chunk failure"):
+            simulate_exit(Kind.STAR, P, W, SPLIT_CFG)
+        assert time.perf_counter() - t0 < 30.0
+        _assert_no_child_left()
+
+    def test_failed_fork_is_an_error(self, monkeypatch):
+        # The first worker starts, the second cannot: the first is reaped.
+        calls = []
+        real_fork = os.fork
+
+        def fork():
+            calls.append(1)
+            if len(calls) == 2:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return real_fork()
+
+        monkeypatch.setattr(montecarlo, "_n_workers", lambda n_paths: 3)
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(
+            WorkerError, match="could not start the worker for path chunk 2"
+        ):
+            simulate_exit(Kind.STAR, P, W, SPLIT_CFG)
+        _assert_no_child_left()
+
+
+class TestWorkerCount:
+    """min(CPUs, 8, n // 256) processes, serial below 2; starts nothing."""
+
+    @pytest.mark.parametrize(
+        "cpus, n_paths, want",
+        [
+            (1, 1, 1), (1, 511, 1), (1, 512, 1), (1, 10**6, 1),
+            (2, 1, 1), (2, 511, 1), (2, 512, 2), (2, 10**6, 2),
+            (64, 1, 1), (64, 511, 1), (64, 512, 2), (64, 10**6, 8),
+        ],
+    )
+    def test_sizing(self, monkeypatch, cpus, n_paths, want):
+        def no_fork():
+            raise AssertionError("the sizing helper started a process")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert montecarlo._n_workers(n_paths) == want <= 8
+
+    def test_no_fork_means_serial(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        monkeypatch.delattr(os, "fork")
+        assert montecarlo._n_workers(10**6) == 1
 
 
 class TestStatistics:
