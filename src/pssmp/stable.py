@@ -279,6 +279,23 @@ def _centred_uniforms(rngs, v, uniforms):
         np.subtract(uniforms, 0.5, out=v)
 
 
+def _cos_from_half_tan(h, tmp):
+    """Replace each half angle in ``h`` by the cosine of the full angle.
+
+    With t = tan h, cos 2h = (1 - t)(1 + t) / (1 + t^2), where 1 + t^2 is
+    formed as 2 - (1 - t)(1 + t), so that the scratch array ``tmp`` is
+    the only one needed.  For |h| <= pi/4, 1 - t and 1 + t are exact
+    where either is small, so the product keeps its relative accuracy
+    near 2|h| = pi/2, where 1 - t^2 would cancel.
+    """
+    np.tan(h, out=h)
+    np.subtract(1.0, h, out=tmp)
+    h += 1.0
+    h *= tmp
+    np.subtract(2.0, h, out=tmp)
+    h /= tmp
+
+
 def increment_sampler(p: StableParams, dt: float):
     """Vectorized sampler of stable increments over time step dt.
 
@@ -290,16 +307,33 @@ def increment_sampler(p: StableParams, dt: float):
     row then draws only its n exponentials.  ``out``, a C-contiguous
     float array of that shape, receives the increments in place (it may
     be ``uniforms`` itself).  Uses the trigonometric construction from
-    uniform and exponential variates; the skewness is chosen so that
-    P(X_1 > 0) = rho, and increments scale as dt^(1/alpha).  For alpha > 1
-    that needs rho in [1 - 1/alpha, 1/alpha]; outside it no strictly
-    stable law exists and DomainError is raised.  Each row is
-    bit-identical to the same transform applied to that generator alone.
+    uniform and exponential variates (Chambers, Mallows & Stuck 1976);
+    the skewness is chosen so that P(X_1 > 0) = rho, and increments
+    scale as dt^(1/alpha).  For alpha > 1 that needs rho in
+    [1 - 1/alpha, 1/alpha]; outside it no strictly stable law exists and
+    DomainError is raised.  dt must be finite and positive.
+
+    For alpha != 1 the transform needs sin(alpha (v + theta0)), cos v and
+    cos(alpha theta0 + (alpha - 1) v).  Each is formed from the tangent
+    of its half angle (sin x = 2T / (1 + T^2) and
+    cos x = (1 - T)(1 + T) / (1 + T^2), T = tan(x / 2)), because numpy
+    evaluates float64 tan with SIMD code where sin and cos are scalar on
+    common builds, which there roughly halves the cost of the transform.
+    Against a 160-bit evaluation of the same transform at the (U, W)
+    drawn, the relative error stays below 1e-11 over the feasible
+    (alpha, rho) with alpha in [0.1, 2): the worst seen is about 1e-12,
+    at small alpha, as with direct sin and cos.  It can exceed that only
+    where one of the three factors is within about 1e-5 of zero, where
+    the rounding of v = (U - 1/2) pi dominates on either route.  Each
+    row is bit-identical to the same transform applied to that generator
+    alone, whatever the batching or worker count, but not to the rows of
+    the earlier sampler that called sin and cos, which differ from these
+    by up to about 1e-12 relative.
     The sampler keeps its scratch buffers between calls, so one sampler
     must not draw in two threads at once.
     """
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
+    if not (0.0 < dt < math.inf):
+        raise DomainError(f"dt must be finite and positive, got {dt}")
     alpha = p.alpha
     if abs(alpha - 1.0) < 1e-12:
         if abs(p.rho - 0.5) > 1e-12:
@@ -326,36 +360,43 @@ def increment_sampler(p: StableParams, dt: float):
         )
     theta0 = _skew_angle(p)
     a_theta0 = alpha * theta0
-    scale = dt ** (1.0 / alpha)
-    cos_at0 = math.cos(a_theta0)
+    # (dt / cos(a_theta0))^(1/alpha) times the 2 of sin phi = 2T / (1 + T^2).
+    factor = 2.0 * (dt / math.cos(a_theta0)) ** (1.0 / alpha)
     take = _workspace(3)
 
     def draw(rngs, n, out=None, uniforms=None):
         # In-place form of
         #   v = (U - 1/2) pi,  W ~ Exp(1),
-        #   scale * sin(alpha (v + theta0)) / (cos_at0 cos v)^(1/alpha)
-        #         * (cos(a_theta0 + (alpha - 1) v) / W)^((1 - alpha)/alpha),
-        # evaluated in that operation order.
+        #   psi = a_theta0 + (alpha - 1) v,  phi = alpha (v + theta0),
+        #   T = tan(phi / 2),
+        #   (cos psi / W)^((1 - alpha)/alpha) / (cos v)^(1/alpha)
+        #       * T / (1 + T^2) * factor,
+        # with each cosine from the tangent of its half angle, in that
+        # operation order.  Halving is exact, so each tangent is taken at
+        # exactly half the angle a direct sin or cos would round to.
         v = np.empty((len(rngs), n)) if out is None else out
         w, num, den = take(v.shape)
         _centred_uniforms(rngs, v, uniforms)
         for rng, w_row in zip(rngs, w):
             rng.standard_exponential(out=w_row)
         v *= math.pi
-        np.add(v, theta0, out=num)
-        num *= alpha
-        np.sin(num, out=num)
-        np.cos(v, out=den)
-        den *= cos_at0
+        np.multiply(v, (alpha - 1.0) / 2.0, out=num)
+        num += a_theta0 / 2.0
+        _cos_from_half_tan(num, den)
+        num /= w
+        num **= (1.0 - alpha) / alpha
+        np.multiply(v, 0.5, out=den)
+        _cos_from_half_tan(den, w)  # w is free from here on
         den **= 1.0 / alpha
-        num *= scale
         num /= den
-        np.multiply(v, alpha - 1.0, out=den)  # den now holds the tail factor
-        den += a_theta0
-        np.cos(den, out=den)
-        den /= w
-        den **= (1.0 - alpha) / alpha
-        np.multiply(num, den, out=v)
+        v += theta0
+        v *= alpha / 2.0
+        np.tan(v, out=v)
+        np.multiply(v, v, out=w)
+        w += 1.0
+        v /= w
+        v *= num
+        v *= factor
         return v
 
     return draw

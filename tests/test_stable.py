@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pssmp.errors import DomainError
 from pssmp.numerics import integrate_adaptive
@@ -169,6 +170,15 @@ class TestResolvent:
                 killed_resolvent_u(1.5, bad, 2.0)
 
 
+def _two_sided_grid():
+    """Two-sided (alpha, rho) pairs on a 38 x 99 grid, alpha = 1 left out."""
+    for alpha in np.linspace(0.1, 1.95, 38):
+        for rho in np.linspace(0.01, 0.99, 99):
+            p = StableParams(float(alpha), float(rho))
+            if p.two_sided and abs(alpha - 1.0) >= 1e-12:
+                yield p
+
+
 class TestSampling:
     def test_path_streams_are_keyed(self):
         a = path_rng(42, 0).random(5)
@@ -193,16 +203,23 @@ class TestSampling:
         p, dt, n = StableParams(alpha, rho), 1e-3, 1000
         theta0 = math.pi * (rho - 0.5)
         a_theta0 = alpha * theta0
+        factor = 2.0 * (dt / math.cos(a_theta0)) ** (1.0 / alpha)
+
+        def cos_from_half_tan(h):
+            t = np.tan(h)
+            b = (1.0 + t) * (1.0 - t)
+            return b / (2.0 - b)
 
         def reference(rng):
             v = (rng.random(n) - 0.5) * math.pi
             if alpha == 1.0:
                 return dt * np.tan(v)
             w = rng.standard_exponential(n)
-            num = np.sin(alpha * (v + theta0))
-            den = (math.cos(a_theta0) * np.cos(v)) ** (1.0 / alpha)
-            tail = (np.cos(a_theta0 + (alpha - 1.0) * v) / w) ** ((1.0 - alpha) / alpha)
-            return dt ** (1.0 / alpha) * num / den * tail
+            psi_half = v * ((alpha - 1.0) / 2.0) + a_theta0 / 2.0
+            tail = (cos_from_half_tan(psi_half) / w) ** ((1.0 - alpha) / alpha)
+            ratio = tail / cos_from_half_tan(v * 0.5) ** (1.0 / alpha)
+            t = np.tan((v + theta0) * (alpha / 2.0))
+            return t / (t * t + 1.0) * ratio * factor
 
         draw = increment_sampler(p, dt)
         expected = np.array([reference(path_rng(4, i)) for i in range(3)])
@@ -217,6 +234,48 @@ class TestSampling:
         uniforms = np.array([rng.random(n) for rng in rngs])
         assert draw(rngs, n, out=uniforms, uniforms=uniforms) is uniforms
         assert np.array_equal(uniforms, expected)
+
+    @settings(max_examples=60)
+    @given(
+        alpha=st.floats(0.1, 1.99),
+        # Places rho in the feasible range [1 - 1/alpha, 1/alpha], cut to
+        # [0.01, 0.99].
+        rho_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_increments_match_mpmath_cms(self, alpha, rho_frac, seed):
+        # The Chambers-Mallows-Stuck transform at 160 bits, at the exact
+        # (U, W) the sampler drew from the same stream: the relative error
+        # includes the rounding of v = (U - 1/2) pi and theta0.
+        mpmath = pytest.importorskip("mpmath")
+        assume(abs(alpha - 1.0) >= 1e-12)
+        lo, hi = max(0.01, 1.0 - 1.0 / alpha), min(0.99, 1.0 / alpha)
+        rho, dt, n = lo + rho_frac * (hi - lo), 1e-3, 50
+        x = increment_sampler(StableParams(alpha, rho), dt)([path_rng(seed, 0)], n)[0]
+        rng = path_rng(seed, 0)
+        u, w = rng.random(n), rng.standard_exponential(n)
+        with mpmath.workprec(160):
+            a, pi = mpmath.mpf(alpha), mpmath.pi
+            a_theta0 = a * pi * (mpmath.mpf(rho) - 0.5)
+            for ui, wi, xi in zip(u, w, x):
+                v = pi * (mpmath.mpf(ui) - 0.5)
+                want = (
+                    mpmath.mpf(dt) ** (1 / a)
+                    * mpmath.sin(a * v + a_theta0)
+                    / (mpmath.cos(a_theta0) * mpmath.cos(v)) ** (1 / a)
+                    * (mpmath.cos(a_theta0 + (a - 1) * v) / mpmath.mpf(wi))
+                    ** ((1 - a) / a)
+                )
+                assert abs(xi - want) <= 1e-11 * abs(want), (ui, wi, xi, want)
+
+    def test_endpoint_uniforms_give_finite_increments(self):
+        # U = 0 puts v at -pi/2, where cos v and (for one-sided limits)
+        # the tail cosine vanish; a half-angle form must not divide by 0.
+        uniforms = np.array([[0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]])
+        with np.errstate(all="raise"):
+            for p in _two_sided_grid():
+                x = increment_sampler(p, 1e-3)([path_rng(2, 0)], 4, uniforms=uniforms)
+                assert np.all(np.isfinite(x)), (p, x)
 
     def test_sign_frequency_matches_rho(self):
         for rho in (0.5, 0.7):
@@ -263,11 +322,8 @@ class TestSampling:
                 assert np.all(np.isfinite(x))
 
     def test_every_two_sided_pair_is_accepted(self):
-        for alpha in np.linspace(0.1, 1.95, 38):
-            for rho in np.linspace(0.01, 0.99, 99):
-                p = StableParams(float(alpha), float(rho))
-                if p.two_sided and abs(alpha - 1.0) >= 1e-12:
-                    increment_sampler(p, 1e-3)
+        for p in _two_sided_grid():
+            increment_sampler(p, 1e-3)
 
     def test_cauchy_case(self):
         p = StableParams(1.0, 0.5)
@@ -283,5 +339,8 @@ class TestSampling:
         assert isinstance(v, float) and math.isfinite(v)
 
     def test_bad_dt(self):
-        with pytest.raises(DomainError):
-            increment_sampler(StableParams(1.5, 0.5), 0.0)
+        # Both branches: a NaN or infinite step would give NaN or inf rows.
+        for alpha in (1.5, 1.0):
+            for dt in (0.0, -1e-3, math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError, match="dt must be finite and positive"):
+                    increment_sampler(StableParams(alpha, 0.5), dt)
