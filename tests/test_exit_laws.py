@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from pssmp import exit_laws
 from pssmp.errors import DomainError
 from pssmp.exit_laws import (
     Direction,
@@ -279,6 +281,33 @@ class TestCreeping:
 
 
 class TestInterpolant:
+    @pytest.mark.parametrize("alpha, rho", [(1.5, 0.5), (0.8, 0.3)])
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_array_densities_match_scalar_ones(self, kind, alpha, rho, direction):
+        # The table is one numpy pass of the formula the scalar density
+        # runs on math: they differ only where numpy's log, log1p, expm1
+        # or exp rounds a term one ulp apart from the C library's.  Each
+        # such term is at most about 1 + |log theta| in size (log theta
+        # from log(1 - e^-theta) at small theta), and there are five, so
+        # the density moves by at most a few ulp of that, relative; the
+        # largest seen is 5.5 ulp of 1 + |log theta|.
+        p = StableParams(alpha, rho)
+        grid = np.geomspace(1e-7, 256.0, 4000)
+        table = exit_laws._exit_density(kind, p, direction, grid, W.u, W.v)
+        scalar = np.array([_dens2(kind, p, direction, t, W) for t in grid])
+        assert np.all(scalar > 0.0)
+        ulps = np.abs(table - scalar) / (scalar * np.finfo(float).eps)
+        assert np.all(ulps <= 16.0 * (1.0 + np.abs(np.log(grid)))), ulps.max()
+
+    def test_scalar_densities_are_floats(self):
+        for theta in (0.0, 0.5, np.float64(0.5)):
+            for direction in Direction:
+                q = ExitLawQuery(Kind.UP, P, direction, theta, window=W)
+                assert type(exit_density_two_sided(q)) is float
+                q = ExitLawQuery(Kind.UP, P, direction, theta, u=0.5, v=-0.5)
+                assert type(exit_density_one_sided(q)) is float
+
     def test_cdf_matches_quadrature(self):
         cdf, mass = overshoot_cdf_interpolant(Kind.UP, P, Direction.UP, window=W)
         ref_mass = exit_mass_two_sided(Kind.UP, P, W, Direction.UP)

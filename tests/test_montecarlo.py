@@ -113,6 +113,19 @@ class TestSimulation:
         se = math.sqrt(target * (1.0 - target) / CFG.n_paths)
         assert abs(up - target) < 3.0 * se + 0.05
 
+    @pytest.mark.parametrize("alpha", [0.2, 0.8, 1.2, 1.9])
+    def test_no_floating_point_error_across_the_feasible_skews(self, alpha):
+        # The endpoint test of the sampler fixes U; here W is drawn too,
+        # through the log/exp kernel inside the path loop.
+        lo, hi = max(0.0, 1.0 - 1.0 / alpha), min(1.0, 1.0 / alpha)
+        cfg = SimConfig(n_paths=64, step=1e-2, seed=5)
+        with np.errstate(all="raise"):
+            for rho in (0.5, lo + 1e-3, hi - 1e-3):
+                s = simulate_exit(Kind.UP, StableParams(alpha, rho), W, cfg)
+                up = s.side == SIDE_UP
+                assert np.all(np.isfinite(s.theta[up])), (alpha, rho)
+                assert np.all(np.isfinite(s.h_weight)), (alpha, rho)
+
     def test_seed_range(self):
         SimConfig(1, 1e-3, 2**64 - 1)
         for seed in (-1, 2**64):

@@ -205,21 +205,17 @@ class TestSampling:
         a_theta0 = alpha * theta0
         factor = 2.0 * (dt / math.cos(a_theta0)) ** (1.0 / alpha)
 
-        def cos_from_half_tan(h):
-            t = np.tan(h)
-            b = (1.0 + t) * (1.0 - t)
-            return b / (2.0 - b)
-
         def reference(rng):
             v = (rng.random(n) - 0.5) * math.pi
             if alpha == 1.0:
                 return dt * np.tan(v)
             w = rng.standard_exponential(n)
-            psi_half = v * ((alpha - 1.0) / 2.0) + a_theta0 / 2.0
-            tail = (cos_from_half_tan(psi_half) / w) ** ((1.0 - alpha) / alpha)
-            ratio = tail / cos_from_half_tan(v * 0.5) ** (1.0 / alpha)
+            tan_psi = np.tan(v * (alpha - 1.0) + a_theta0)
+            log_tail = np.log((tan_psi * tan_psi + 1.0) * w * w) * (alpha - 1.0)
+            tan_v = np.tan(v)
+            e = np.exp((np.log1p(tan_v * tan_v) + log_tail) * (0.5 / alpha))
             t = np.tan((v + theta0) * (alpha / 2.0))
-            return t / (t * t + 1.0) * ratio * factor
+            return t / (t * t + 1.0) * e * factor
 
         draw = increment_sampler(p, dt)
         expected = np.array([reference(path_rng(4, i)) for i in range(3)])
@@ -320,6 +316,24 @@ class TestSampling:
             for p in cases:
                 x = increment_sampler(p, 1e-3)([path_rng(1, 0)], 20_000)[0]
                 assert np.all(np.isfinite(x))
+
+    def test_skew_within_tolerance_beyond_an_end_draws_at_that_end(self):
+        # cos psi < 0 near U = 0 or 1 beyond an end; squaring tan psi would
+        # turn it into |cos psi| there, so rho is moved onto the end first.
+        uniforms = np.array([[0.0, 2.0**-53, 1e-10, 1e-9, 0.3]])
+        alpha = 1.5
+        cases = [
+            (1.0 - 1.0 / alpha - 6e-10, 1.0 - 1.0 / alpha),
+            (1.0 / alpha + 6e-10, 1.0 / alpha),
+        ]
+        with np.errstate(all="raise"):
+            for band, end in cases:
+                rows = []
+                for rho in (band, end):
+                    draw = increment_sampler(StableParams(alpha, rho), 1e-3)
+                    rows.append(draw([path_rng(2, 0)], 5, uniforms=uniforms))
+                assert np.all(np.isfinite(rows[0])), (band, rows[0])
+                assert np.array_equal(rows[0], rows[1]), (band, rows)
 
     def test_every_two_sided_pair_is_accepted(self):
         for p in _two_sided_grid():
