@@ -33,7 +33,6 @@ from .errors import (
 )
 from .exit_laws import (
     Direction,
-    ExitLawQuery,
     ExitWindow,
     exit_density_one_sided,
     exit_density_two_sided,
@@ -252,22 +251,16 @@ def _exit_meta(args):
 def _exit_two_sided(args, p, grid):
     kind, direction, meta = _exit_meta(args)
     w = _window(args)
-    rows = [
-        (t, exit_density_two_sided(ExitLawQuery(kind, p, direction, t, window=w)))
-        for t in grid
-    ]
+    rows = [(t, exit_density_two_sided(kind, p, w, direction, t)) for t in grid]
     return meta + [("u", w.u), ("v", w.v)], rows
 
 
 def _exit_one_sided(args, p, grid):
     kind, direction, meta = _exit_meta(args)
     side = "u" if direction is Direction.UP else "v"
-    barrier = {side: _arg(args, side)}
-    rows = [
-        (t, exit_density_one_sided(ExitLawQuery(kind, p, direction, t, **barrier)))
-        for t in grid
-    ]
-    return meta + list(barrier.items()), rows
+    barrier = _arg(args, side)
+    rows = [(t, exit_density_one_sided(kind, p, direction, barrier, t)) for t in grid]
+    return meta + [(side, barrier)], rows
 
 
 def _pointwise(fn):

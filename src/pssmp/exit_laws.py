@@ -22,7 +22,6 @@ from .stable import Kind, LampertiKind, StableParams
 __all__ = [
     "Direction",
     "ExitWindow",
-    "ExitLawQuery",
     "exit_density_two_sided",
     "exit_density_one_sided",
     "exit_mass_two_sided",
@@ -57,39 +56,6 @@ class ExitWindow:
             raise DomainError(f"window requires v < 0 < u, got v={self.v}, u={self.u}")
 
 
-@dataclass(frozen=True)
-class ExitLawQuery:
-    """One evaluation point of an exit density.
-
-    ``window`` is None for the one-sided problem (the remaining barrier
-    is ``u`` for direction UP, ``v`` for direction DOWN).
-    """
-
-    kind: Kind
-    params: StableParams
-    direction: Direction
-    theta: float
-    window: ExitWindow | None = None
-    u: float | None = None
-    v: float | None = None
-
-    def __post_init__(self):
-        if not self.theta >= 0.0:
-            raise DomainError(f"theta must be nonnegative, got {self.theta}")
-
-    def barrier_up(self) -> float:
-        u = self.window.u if self.window is not None else self.u
-        if u is None or not 0.0 < u < math.inf:
-            raise DomainError("finite upper barrier u > 0 required")
-        return u
-
-    def barrier_down(self) -> float:
-        v = self.window.v if self.window is not None else self.v
-        if v is None or not -math.inf < v < 0.0:
-            raise DomainError("finite lower barrier v < 0 required")
-        return v
-
-
 def creeping_side(p: StableParams, direction: Direction) -> bool:
     """True when the given exit direction can only happen by creeping.
 
@@ -111,52 +77,89 @@ def _validate_mode(p: StableParams):
         )
 
 
-def _exit_density(kind: Kind, p: StableParams, direction: Direction, theta, u, v):
+def _density(kind: Kind, p: StableParams, direction: Direction, u: float, v: float):
     """Overshoot density on the window (v, u), off the creeping side.
 
-    ``theta`` is a float >= 0, or an array of positive floats evaluated in
-    one pass: the formula is written once and runs on ``math`` for a float
-    and on numpy for an array, which share log, log1p, expm1 and exp.  A
-    float gives a float.  An array entry may differ from the float at the
-    same theta by a few ulp of 1 + |log theta|, relative: numpy's log and
-    exp round some values one ulp apart from the C library's, and the
-    log(1 - e^-theta) term is about log theta.  Every factor that involves
-    the far barrier is written so that it is exactly 0 when that barrier
-    is infinite (log 1 or log1p(0)), never inf - inf; u = +inf or
-    v = -inf gives the one-sided law.
+    Checks the mode and reads the kind's tilt exponent once, and returns
+    theta -> density.  ``theta`` is a float >= 0, or an array of positive
+    floats evaluated in one pass: the formula is written once and runs on
+    ``math`` for a float and on numpy for an array, which share log,
+    log1p, expm1 and exp.  A float gives a float.  An array entry may
+    differ from the float at the same theta by a few ulp of
+    1 + |log theta|, relative: numpy's log and exp round some values one
+    ulp apart from the C library's, and the log(1 - e^-theta) term is
+    about log theta.  Every factor that involves the far barrier is
+    written so that it is exactly 0 when that barrier is infinite (log 1
+    or log1p(0)), never inf - inf; u = +inf or v = -inf gives the
+    one-sided law.
     """
-    xp = np if isinstance(theta, np.ndarray) else math
+    _validate_mode(p)
     gamma = LampertiKind.for_params(kind, p).gamma_exponent
     ar, arh = p.alpha_rho, p.alpha_rho_hat
     if direction is Direction.UP:
-        if xp is math and theta == 0.0:
-            return math.inf if arh > 0 else 0.0
+        at_zero = math.inf if arh > 0 else 0.0
+        const = math.sin(math.pi * arh) / math.pi
         # All factors of e^(u+theta) collected in log scale so large
         # overshoots neither overflow nor lose the exponential decay.
+        log_fixed = arh * _log_expm1(u) + ar * math.log(-math.expm1(v))
+        slope = gamma - arh - ar - 1.0
+
+        def density(theta):
+            xp = np if isinstance(theta, np.ndarray) else math
+            if xp is math and theta == 0.0:
+                return at_zero
+            log_val = (
+                log_fixed
+                + slope * (u + theta)
+                - arh * xp.log(-xp.expm1(-theta))
+                - ar * xp.log1p(-xp.exp(v - u - theta))
+                - xp.log(-xp.expm1(-u - theta))
+            )
+            return const * xp.exp(log_val)
+
+        return density
+    at_zero = math.inf if ar > 0 else 0.0
+    const = math.sin(math.pi * ar) / math.pi
+    log_fixed = ar * math.log(-math.expm1(v))
+    log_u = math.log(-math.expm1(-u))
+
+    def density(theta):
+        xp = np if isinstance(theta, np.ndarray) else math
+        if xp is math and theta == 0.0:
+            return at_zero
+        # arh * [log(e^u - 1) - log(e^(u-v+theta) - 1) - (v - theta)], with
+        # the linear parts cancelled by hand.
         log_val = (
-            arh * _log_expm1(u)
-            + ar * math.log(-math.expm1(v))
-            + (gamma - arh - ar - 1.0) * (u + theta)
-            - arh * xp.log(-xp.expm1(-theta))
-            - ar * xp.log1p(-xp.exp(v - u - theta))
-            - xp.log(-xp.expm1(-u - theta))
+            log_fixed
+            + gamma * (v - theta)
+            - ar * (v + xp.log(-xp.expm1(-theta)))
+            + arh * (log_u - xp.log(-xp.expm1(v - theta - u)))
+            - xp.log1p(-xp.exp(v - theta))
         )
-        return math.sin(math.pi * arh) / math.pi * xp.exp(log_val)
-    if xp is math and theta == 0.0:
-        return math.inf if ar > 0 else 0.0
-    # arh * [log(e^u - 1) - log(e^(u-v+theta) - 1) - (v - theta)], with the
-    # linear parts cancelled by hand.
-    log_val = (
-        ar * math.log(-math.expm1(v))
-        + gamma * (v - theta)
-        - ar * (v + xp.log(-xp.expm1(-theta)))
-        + arh * (math.log(-math.expm1(-u)) - xp.log(-xp.expm1(v - theta - u)))
-        - xp.log1p(-xp.exp(v - theta))
-    )
-    return math.sin(math.pi * ar) / math.pi * xp.exp(log_val)
+        return const * xp.exp(log_val)
+
+    return density
 
 
-def exit_density_two_sided(q: ExitLawQuery) -> float:
+def _check_theta(theta):
+    if not theta >= 0.0:
+        raise DomainError(f"theta must be nonnegative, got {theta}")
+
+
+def _one_sided_window(direction: Direction, barrier: float) -> tuple[float, float]:
+    """(u, v) of the one-sided problem: the far barrier is at infinity."""
+    if direction is Direction.UP:
+        if not 0.0 < barrier < math.inf:
+            raise DomainError("finite upper barrier u > 0 required")
+        return barrier, -math.inf
+    if not -math.inf < barrier < 0.0:
+        raise DomainError("finite lower barrier v < 0 required")
+    return math.inf, barrier
+
+
+def exit_density_two_sided(
+    kind: Kind, p: StableParams, window: ExitWindow, direction: Direction, theta: float
+) -> float:
     """Overshoot density at theta for the two-sided exit problem.
 
     Direction UP: density of the overshoot above u on the event that the
@@ -164,27 +167,26 @@ def exit_density_two_sided(q: ExitLawQuery) -> float:
     undershoot below v on the complementary event.  Sub-probability
     density in theta; on a creeping side it is identically zero.
     """
-    _validate_mode(q.params)
-    u, v = q.barrier_up(), q.barrier_down()
-    if creeping_side(q.params, q.direction):
+    _check_theta(theta)
+    if creeping_side(p, direction):
         return 0.0
-    return _exit_density(q.kind, q.params, q.direction, q.theta, u, v)
+    return _density(kind, p, direction, window.u, window.v)(theta)
 
 
-def exit_density_one_sided(q: ExitLawQuery) -> float:
+def exit_density_one_sided(
+    kind: Kind, p: StableParams, direction: Direction, barrier: float, theta: float
+) -> float:
     """Overshoot density for the one-sided exit problem.
 
     The limit of the two-sided density as the opposite barrier recedes:
-    the same kernel with v = -inf for direction UP, u = +inf for DOWN.
+    the same kernel with v = -inf for direction UP (barrier u > 0), u = +inf
+    for DOWN (barrier v < 0).
     """
-    _validate_mode(q.params)
-    if creeping_side(q.params, q.direction):
+    _check_theta(theta)
+    u, v = _one_sided_window(direction, barrier)
+    if creeping_side(p, direction):
         return 0.0
-    if q.direction is Direction.UP:
-        u, v = q.barrier_up(), -math.inf
-    else:
-        u, v = math.inf, q.barrier_down()
-    return _exit_density(q.kind, q.params, q.direction, q.theta, u, v)
+    return _density(kind, p, direction, u, v)(theta)
 
 
 def _mass(density, tol: float) -> float:
@@ -199,16 +201,19 @@ def exit_mass_two_sided(
     tol: float = 1e-9,
 ) -> float:
     """Total probability of exiting through the given side of the window."""
+    u, v = window.u, window.v
     if creeping_side(p, direction):
+        if kind is Kind.STAR and direction is Direction.UP:
+            # The killed process can also jump below 0, so its up mass is not
+            # 1 - down mass but the scale-function ratio W(x)/W(a) with
+            # W(x) = x^(alpha*rho), x = 1 - e^v and a = e^u - e^v.  In logs,
+            # z = x/a = 1/(1 + (e^u - 1)/(1 - e^v)) stays in range and <= 1.
+            log_z = -float(np.logaddexp(0.0, _log_expm1(u) - math.log(-math.expm1(v))))
+            return math.exp(p.alpha_rho * log_z)
         # Point mass at theta = 0: everything not leaving the other way.
         other = Direction.DOWN if direction is Direction.UP else Direction.UP
         return 1.0 - exit_mass_two_sided(kind, p, window, other, tol=tol)
-    return _mass(
-        lambda t: exit_density_two_sided(
-            ExitLawQuery(kind, p, direction, t, window=window)
-        ),
-        tol=tol,
-    )
+    return _mass(_density(kind, p, direction, u, v), tol=tol)
 
 
 def exit_mass_one_sided(
@@ -219,18 +224,10 @@ def exit_mass_one_sided(
     tol: float = 1e-9,
 ) -> float:
     """Probability of ever crossing the single barrier (u > 0 or v < 0)."""
-    if direction is Direction.UP:
-        q = dict(u=barrier)
-    else:
-        q = dict(v=barrier)
     if creeping_side(p, direction):
         raise DomainError("one-sided mass on a creeping side has no density route")
-    return _mass(
-        lambda t: exit_density_one_sided(
-            ExitLawQuery(kind, p, direction, t, **q)
-        ),
-        tol=tol,
-    )
+    u, v = _one_sided_window(direction, barrier)
+    return _mass(_density(kind, p, direction, u, v), tol=tol)
 
 
 def overshoot_cdf_interpolant(
@@ -247,13 +244,7 @@ def overshoot_cdf_interpolant(
     """
     if creeping_side(p, direction):
         raise DomainError("no overshoot CDF on a creeping side")
-    _validate_mode(p)
-    q = ExitLawQuery(kind, p, direction, 0.0, window=window)
-    u, v = q.barrier_up(), q.barrier_down()
-
-    def dens(theta):
-        return _exit_density(kind, p, direction, theta, u, v)
-
+    dens = _density(kind, p, direction, window.u, window.v)
     # Singularity exponent at theta = 0: the density behaves like
     # C * theta^(-a0) with a0 the jump exponent of the crossed side.
     a0 = p.alpha_rho_hat if direction is Direction.UP else p.alpha_rho

@@ -334,7 +334,7 @@ def _run_chunks(fill, bounds):
 
 
 def simulate_exit(
-    kind: Kind | LampertiKind,
+    kind: Kind,
     p: StableParams,
     window: ExitWindow,
     cfg: SimConfig,
@@ -367,8 +367,6 @@ def simulate_exit(
     so every row is bit-identical to the one-process run.  A worker that
     fails raises WorkerError; its rows are never returned.
     """
-    if isinstance(kind, LampertiKind):
-        kind = kind.kind
     p.require_two_sided()
     try:
         eu = math.exp(window.u)
@@ -438,7 +436,7 @@ def _live_prefix(kind, p, window, cfg):
 
 
 def step_refinement_report(
-    kind: Kind | LampertiKind,
+    kind: Kind,
     p: StableParams,
     window: ExitWindow,
     cfg: SimConfig,

@@ -42,8 +42,9 @@ class StableParams:
 
     ``rho`` is the positivity parameter P(X_1 > 0).  ``c_plus`` and
     ``c_minus`` weight the positive and negative jump tails; they only
-    enter killing rates and normalization constants, the (alpha, rho)
-    pair drives every exit law.
+    enter the two-sided test and the normalization constants of the
+    spectrally one-sided models, the (alpha, rho) pair drives every exit
+    law.
     """
 
     alpha: float
@@ -99,16 +100,16 @@ class StableParams:
         return StableParams(self.alpha, 1.0 - self.rho, self.c_minus, self.c_plus)
 
     @classmethod
-    def spectrally_negative_case(cls, alpha, c_minus=1.0) -> "StableParams":
+    def spectrally_negative_case(cls, alpha) -> "StableParams":
         if not (1.0 < alpha < 2.0):
             raise DomainError("one-sided case requires alpha in (1, 2)")
-        return cls(alpha, 1.0 - 1.0 / alpha, c_plus=0.0, c_minus=c_minus)
+        return cls(alpha, 1.0 - 1.0 / alpha, c_plus=0.0)
 
     @classmethod
-    def spectrally_positive_case(cls, alpha, c_plus=1.0) -> "StableParams":
+    def spectrally_positive_case(cls, alpha) -> "StableParams":
         if not (1.0 < alpha < 2.0):
             raise DomainError("one-sided case requires alpha in (1, 2)")
-        return cls(alpha, 1.0 / alpha, c_plus=c_plus, c_minus=0.0)
+        return cls(alpha, 1.0 / alpha, c_minus=0.0)
 
 
 class Kind(Enum):
@@ -121,7 +122,7 @@ class Kind(Enum):
 
 @dataclass(frozen=True)
 class LampertiKind:
-    """A Kind together with its exponential-tilt exponent and killing rate.
+    """A Kind together with its exponential-tilt and h-exponents.
 
     The tilt exponent is the power of the space variable carried by the
     Levy density: 1 for the killed process, alpha*rho + 1 for the
@@ -131,24 +132,22 @@ class LampertiKind:
     two-point hitting): 0, alpha*rho and alpha*rho - 1 in the same
     order.  Both are formed from alpha*rho directly, since
     (alpha*rho + 1) - 1 differs from alpha*rho in the last bit for many
-    (alpha, rho).  Only the killed process carries a killing rate
-    (c_minus / alpha).
+    (alpha, rho).
     """
 
     kind: Kind
     gamma_exponent: float
     h_exponent: float
-    killing_rate: float = 0.0
 
     @classmethod
     def for_params(cls, kind: Kind, p: StableParams) -> "LampertiKind":
         ar = p.alpha_rho
         if kind is Kind.STAR:
-            return cls(kind, 1.0, 0.0, p.c_minus / p.alpha)
+            return cls(kind, 1.0, 0.0)
         if kind is Kind.UP:
-            return cls(kind, ar + 1.0, ar, 0.0)
+            return cls(kind, ar + 1.0, ar)
         if kind is Kind.DOWN:
-            return cls(kind, ar, ar - 1.0, 0.0)
+            return cls(kind, ar, ar - 1.0)
         raise DomainError(f"unknown kind {kind!r}")
 
 

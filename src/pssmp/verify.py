@@ -18,7 +18,6 @@ from .errors import BudgetError, DomainError
 from . import expfun
 from .exit_laws import (
     Direction,
-    ExitLawQuery,
     ExitWindow,
     exit_density_two_sided,
     exit_mass_one_sided,
@@ -124,15 +123,9 @@ def esscher_max_relative_error(seed: int, n_draws: int) -> float:
         drawn += 1
         w = ExitWindow(-rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0))
         theta = rng.uniform(0.01, 3.0)
-        up = exit_density_two_sided(
-            ExitLawQuery(Kind.UP, p, Direction.UP, theta, window=w)
-        )
-        down = exit_density_two_sided(
-            ExitLawQuery(Kind.DOWN, p, Direction.UP, theta, window=w)
-        )
-        star = exit_density_two_sided(
-            ExitLawQuery(Kind.STAR, p, Direction.UP, theta, window=w)
-        )
+        up = exit_density_two_sided(Kind.UP, p, w, Direction.UP, theta)
+        down = exit_density_two_sided(Kind.DOWN, p, w, Direction.UP, theta)
+        star = exit_density_two_sided(Kind.STAR, p, w, Direction.UP, theta)
         e = math.exp(w.u + theta)
         worst = max(worst, abs(up / down / e - 1.0))
         worst = max(worst, abs(up / star / e**p.alpha_rho - 1.0))

@@ -8,7 +8,6 @@ from pssmp import exit_laws
 from pssmp.errors import DomainError
 from pssmp.exit_laws import (
     Direction,
-    ExitLawQuery,
     ExitWindow,
     creeping_side,
     exit_density_one_sided,
@@ -22,16 +21,10 @@ from pssmp.exit_laws import (
     overshoot_cdf_interpolant,
 )
 from pssmp.numerics import _log_expm1, integrate_adaptive, reg_incomplete_beta
-from pssmp.stable import Kind, StableParams, rogozin_overshoot_density
+from pssmp.stable import Kind, LampertiKind, StableParams, rogozin_overshoot_density
 
 P = StableParams(1.5, 0.5)
 W = ExitWindow(v=-0.5, u=0.5)
-
-
-def _dens2(kind, p, direction, theta, window):
-    return exit_density_two_sided(
-        ExitLawQuery(kind, p, direction, theta, window=window)
-    )
 
 
 class TestTiltStructure:
@@ -41,18 +34,18 @@ class TestTiltStructure:
 
     @pytest.mark.parametrize("theta", [0.05, 0.5, 2.0, 10.0])
     def test_up_direction_ratios(self, theta):
-        star = _dens2(Kind.STAR, P, Direction.UP, theta, W)
-        up = _dens2(Kind.UP, P, Direction.UP, theta, W)
-        down = _dens2(Kind.DOWN, P, Direction.UP, theta, W)
+        star = exit_density_two_sided(Kind.STAR, P, W, Direction.UP, theta)
+        up = exit_density_two_sided(Kind.UP, P, W, Direction.UP, theta)
+        down = exit_density_two_sided(Kind.DOWN, P, W, Direction.UP, theta)
         pos = math.exp(W.u + theta)  # exit position
         assert up / down == pytest.approx(pos, rel=5e-15)
         assert up / star == pytest.approx(pos**P.alpha_rho, rel=5e-15)
 
     @pytest.mark.parametrize("theta", [0.05, 0.5, 2.0, 10.0])
     def test_down_direction_ratios(self, theta):
-        star = _dens2(Kind.STAR, P, Direction.DOWN, theta, W)
-        up = _dens2(Kind.UP, P, Direction.DOWN, theta, W)
-        down = _dens2(Kind.DOWN, P, Direction.DOWN, theta, W)
+        star = exit_density_two_sided(Kind.STAR, P, W, Direction.DOWN, theta)
+        up = exit_density_two_sided(Kind.UP, P, W, Direction.DOWN, theta)
+        down = exit_density_two_sided(Kind.DOWN, P, W, Direction.DOWN, theta)
         pos = math.exp(W.v - theta)
         assert up / down == pytest.approx(pos, rel=5e-15)
         assert up / star == pytest.approx(pos**P.alpha_rho, rel=5e-15)
@@ -113,10 +106,8 @@ class TestOneSidedLimit:
     def test_far_barrier_recovers_one_sided_density(self, theta):
         far = ExitWindow(v=-30.0, u=0.5)
         for kind in (Kind.STAR, Kind.UP, Kind.DOWN):
-            two = _dens2(kind, P, Direction.UP, theta, far)
-            one = exit_density_one_sided(
-                ExitLawQuery(kind, P, Direction.UP, theta, u=0.5)
-            )
+            two = exit_density_two_sided(kind, P, far, Direction.UP, theta)
+            one = exit_density_one_sided(kind, P, Direction.UP, 0.5, theta)
             assert two == pytest.approx(one, rel=1e-8)
 
     @pytest.mark.parametrize("direction", list(Direction))
@@ -126,14 +117,14 @@ class TestOneSidedLimit:
         # e^-700 there, so the two-sided kernel must give the one-sided law.
         p = StableParams(alpha, rho)
         if direction is Direction.UP:
-            far, barrier = ExitWindow(-700.0, 0.5), {"u": 0.5}
+            far, barrier = ExitWindow(-700.0, 0.5), 0.5
         else:
-            far, barrier = ExitWindow(-0.5, 700.0), {"v": -0.5}
+            far, barrier = ExitWindow(-0.5, 700.0), -0.5
         for kind in Kind:
             for theta in (0.01, 1.0, 20.0):
-                two = _dens2(kind, p, direction, theta, far)
-                q = ExitLawQuery(kind, p, direction, theta, **barrier)
-                assert two == pytest.approx(exit_density_one_sided(q), rel=1e-13)
+                two = exit_density_two_sided(kind, p, far, direction, theta)
+                one = exit_density_one_sided(kind, p, direction, barrier, theta)
+                assert two == pytest.approx(one, rel=1e-13)
 
 
 class TestStarIsExitLawOfStable:
@@ -147,7 +138,7 @@ class TestStarIsExitLawOfStable:
         x = 1.0 - math.exp(v)
         y = math.exp(u + theta) - math.exp(u)
         expected = rogozin_overshoot_density(P, a, x, y) * math.exp(u + theta)
-        got = _dens2(Kind.STAR, P, Direction.UP, theta, W)
+        got = exit_density_two_sided(Kind.STAR, P, W, Direction.UP, theta)
         assert got == pytest.approx(expected, rel=1e-13)
 
 
@@ -263,21 +254,67 @@ class TestStarMinimumClosedForm:
         assert got == pytest.approx(math.exp(log_const - 0.99 * math.log(z)), rel=1e-12)
 
 
+def _creeping_up_mass(p, w):
+    """z^(alpha - 1), z = (1 - e^v)/(e^u - e^v): W(x)/W(a) for the
+    spectrally negative stable process from x = 1 - e^v in (0, a)."""
+    z = -math.expm1(w.v) / (math.exp(w.u) - math.exp(w.v))
+    return z ** (p.alpha - 1.0)
+
+
 class TestCreeping:
     def test_spectrally_negative_up_side(self):
+        # The killed process can jump below 0 before it exits, so its up
+        # mass is W(x)/W(a), short of 1 - down mass by the killed mass.
         p = StableParams.spectrally_negative_case(1.5)
         assert creeping_side(p, Direction.UP)
-        assert _dens2(Kind.STAR, p, Direction.UP, 0.5, W) == 0.0
         up = exit_mass_two_sided(Kind.STAR, p, W, Direction.UP)
         down = exit_mass_two_sided(Kind.STAR, p, W, Direction.DOWN)
-        assert up == pytest.approx(1.0 - down, abs=1e-12)
+        assert up == pytest.approx(_creeping_up_mass(p, W), rel=1e-14)
+        assert up == pytest.approx(0.61444338127947, abs=1e-13)
+        assert up < 1.0 - down - 0.07
+        assert exit_density_two_sided(Kind.STAR, p, W, Direction.UP, 0.5) == 0.0
         with pytest.raises(DomainError):
             exit_mass_one_sided(Kind.STAR, p, Direction.UP, 0.5)
 
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+    @pytest.mark.parametrize("w", [W, ExitWindow(-2.0, 0.1), ExitWindow(-0.05, 3.0)])
+    def test_conditioned_up_masses_are_tilts_of_the_killed_one(self, alpha, w):
+        # The conditioned kinds have unit total mass, so their up mass is
+        # 1 - down mass, by quadrature; it must equal the Doob tilt
+        # e^(u*h) of the killed kind's closed-form up mass.
+        p = StableParams.spectrally_negative_case(alpha)
+        star = exit_mass_two_sided(Kind.STAR, p, w, Direction.UP)
+        for kind in (Kind.UP, Kind.DOWN):
+            h = LampertiKind.for_params(kind, p).h_exponent
+            up = exit_mass_two_sided(kind, p, w, Direction.UP)
+            assert up == pytest.approx(math.exp(w.u * h) * star, abs=1e-11)
+
+    @pytest.mark.parametrize(
+        "w", [ExitWindow(-5e-324, 5e-324), ExitWindow(-1e-8, 1e-300),
+              ExitWindow(-800.0, 800.0), ExitWindow(-1e308, 1e308)]
+    )
+    def test_killed_up_mass_in_range_for_extreme_windows(self, w):
+        p = StableParams.spectrally_negative_case(1.5)
+        up = exit_mass_two_sided(Kind.STAR, p, w, Direction.UP)
+        assert 0.0 <= up <= 1.0
+
     def test_spectrally_positive_down_side(self):
+        # With no negative jumps the killed process cannot pass below 0
+        # without first creeping through e^v, so 1 - up mass is right here.
         p = StableParams.spectrally_positive_case(1.5)
         assert creeping_side(p, Direction.DOWN)
-        assert _dens2(Kind.UP, p, Direction.DOWN, 0.5, W) == 0.0
+        assert exit_density_two_sided(Kind.UP, p, W, Direction.DOWN, 0.5) == 0.0
+        up = exit_mass_two_sided(Kind.STAR, p, W, Direction.UP)
+        down = exit_mass_two_sided(Kind.STAR, p, W, Direction.DOWN)
+        assert down == 1.0 - up
+
+    def test_one_sided_barrier_checked_on_a_creeping_side(self):
+        # The barrier is checked before the creeping shortcut returns 0.
+        p = StableParams.spectrally_negative_case(1.5)
+        assert exit_density_one_sided(Kind.STAR, p, Direction.UP, 0.5, 0.5) == 0.0
+        for bad in (-0.5, 0.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="upper barrier"):
+                exit_density_one_sided(Kind.STAR, p, Direction.UP, bad, 0.5)
 
 
 class TestInterpolant:
@@ -294,19 +331,19 @@ class TestInterpolant:
         # largest seen is 5.5 ulp of 1 + |log theta|.
         p = StableParams(alpha, rho)
         grid = np.geomspace(1e-7, 256.0, 4000)
-        table = exit_laws._exit_density(kind, p, direction, grid, W.u, W.v)
-        scalar = np.array([_dens2(kind, p, direction, t, W) for t in grid])
+        table = exit_laws._density(kind, p, direction, W.u, W.v)(grid)
+        scalar = np.array([exit_density_two_sided(kind, p, W, direction, t) for t in grid])
         assert np.all(scalar > 0.0)
         ulps = np.abs(table - scalar) / (scalar * np.finfo(float).eps)
         assert np.all(ulps <= 16.0 * (1.0 + np.abs(np.log(grid)))), ulps.max()
 
     def test_scalar_densities_are_floats(self):
         for theta in (0.0, 0.5, np.float64(0.5)):
-            for direction in Direction:
-                q = ExitLawQuery(Kind.UP, P, direction, theta, window=W)
-                assert type(exit_density_two_sided(q)) is float
-                q = ExitLawQuery(Kind.UP, P, direction, theta, u=0.5, v=-0.5)
-                assert type(exit_density_one_sided(q)) is float
+            for direction, barrier in ((Direction.UP, 0.5), (Direction.DOWN, -0.5)):
+                two = exit_density_two_sided(Kind.UP, P, W, direction, theta)
+                assert type(two) is float
+                one = exit_density_one_sided(Kind.UP, P, direction, barrier, theta)
+                assert type(one) is float
 
     def test_cdf_matches_quadrature(self):
         cdf, mass = overshoot_cdf_interpolant(Kind.UP, P, Direction.UP, window=W)
@@ -315,7 +352,7 @@ class TestInterpolant:
         for theta in (0.1, 0.5, 1.5, 4.0):
             ref = (
                 integrate_adaptive(
-                    lambda t: _dens2(Kind.UP, P, Direction.UP, t, W),
+                    lambda t: exit_density_two_sided(Kind.UP, P, W, Direction.UP, t),
                     0.0,
                     theta,
                     tol=1e-10,
@@ -348,12 +385,9 @@ class TestQueryValidation:
 
     def test_negative_theta(self):
         with pytest.raises(DomainError):
-            ExitLawQuery(Kind.STAR, P, Direction.UP, -0.1, window=W)
-
-    def test_missing_barrier(self):
-        q = ExitLawQuery(Kind.STAR, P, Direction.UP, 0.5, u=0.5)
+            exit_density_two_sided(Kind.STAR, P, W, Direction.UP, -0.1)
         with pytest.raises(DomainError):
-            q.barrier_down()
+            exit_density_one_sided(Kind.STAR, P, Direction.UP, 0.5, -0.1)
 
 
 class TestLargeBarriers:
@@ -371,9 +405,8 @@ class TestLargeBarriers:
         # e^800 overflows a float; the log-scale densities do not need it.
         far = ExitWindow(-800.0, 800.0)
         for theta in (0.01, 1.0, 30.0):
-            two = _dens2(kind, P, direction, theta, far)
-            barrier = {"u": 800.0} if direction is Direction.UP else {"v": -800.0}
-            q = ExitLawQuery(kind, P, direction, theta, **barrier)
-            one = exit_density_one_sided(q)
+            two = exit_density_two_sided(kind, P, far, direction, theta)
+            barrier = 800.0 if direction is Direction.UP else -800.0
+            one = exit_density_one_sided(kind, P, direction, barrier, theta)
             assert math.isfinite(two) and two >= 0.0
             assert math.isfinite(one) and one >= 0.0

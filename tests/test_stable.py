@@ -57,10 +57,8 @@ class TestStableParams:
         up = LampertiKind.for_params(Kind.UP, p)
         down = LampertiKind.for_params(Kind.DOWN, p)
         assert star.gamma_exponent == 1.0
-        assert star.killing_rate == pytest.approx(p.c_minus / p.alpha)
         assert up.gamma_exponent == pytest.approx(p.alpha_rho + 1.0)
         assert down.gamma_exponent == pytest.approx(p.alpha_rho)
-        assert up.killing_rate == 0.0 == down.killing_rate
 
     @pytest.mark.parametrize("alpha", [0.8, 1.2, 1.5, 1.8])
     @pytest.mark.parametrize("rho", [0.3, 0.5, 0.7])
