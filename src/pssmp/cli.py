@@ -122,7 +122,12 @@ def parse_grid(spec: str) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
         raise DomainError(f"bad grid spec {spec!r}; expected A:B:N[:log]")
-    a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise DomainError(
+            f"bad grid spec {spec!r}; A and B must be numbers and N an integer"
+        ) from None
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"grid endpoints must be finite, got {spec!r}")
     if n < 2:

@@ -19,8 +19,8 @@ from enum import Enum
 import numpy as np
 from scipy.special import rgamma
 
-from .errors import ConvergenceError, DomainError
-from .numerics import SeriesValue, gamma_signed, log_gamma, sum_series
+from .errors import ConvergenceError, DomainError, NumericError
+from .numerics import SeriesValue, _exp_or_inf, gamma_signed, log_gamma, sum_series
 from .scale import default_c, default_m
 
 __all__ = [
@@ -81,15 +81,23 @@ class ExpFunctionalModel:
             raise DomainError(f"{what} is defined for the {case.value} case only")
 
 
+def _moment_in_range(name: str, k: int, scale: float, log_value: float) -> float:
+    """scale * e^log_value, or NumericError naming k where that is not a
+    finite float (past k ~ 1e308 the log itself is inf - inf)."""
+    value = scale * _exp_or_inf(log_value)
+    if not math.isfinite(value):
+        raise NumericError(f"{name} at k={k:.6g} exceeds the float range")
+    return value
+
+
 def neg_moment_I(model: ExpFunctionalModel, k: int) -> float:
     """E(I^-k) = alpha m^k Gamma(k alpha) / (Gamma(alpha)^k (k-1)!)."""
     model._require(ExpCase.UP_SPECTRALLY_NEGATIVE, "neg_moment_I")
     if k < 1 or int(k) != k:
         raise DomainError("k must be a positive integer")
     a, m = model.alpha, model.m
-    return a * math.exp(
-        k * math.log(m) + log_gamma(k * a) - k * log_gamma(a) - log_gamma(k)
-    )
+    log_value = k * math.log(m) + log_gamma(k * a) - k * log_gamma(a) - log_gamma(k)
+    return _moment_in_range("E(I^-k)", k, a, log_value)
 
 
 def laplace_I(model: ExpFunctionalModel, lam: float) -> float:
@@ -146,12 +154,13 @@ def entrance_moment(model: ExpFunctionalModel, k: int, t: float) -> float:
     if t <= 0.0:
         raise DomainError("t must be positive")
     a, m = model.alpha, model.m
-    return math.exp(
+    log_value = (
         k * math.log(m * t)
         + log_gamma(a * (k + 1.0))
         - (k + 1.0) * log_gamma(a)
         - log_gamma(k + 1.0)
     )
+    return _moment_in_range("entrance moment", k, 1.0, log_value)
 
 
 def entrance_density(model: ExpFunctionalModel, t: float, x: float) -> SeriesValue:

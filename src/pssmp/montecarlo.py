@@ -53,8 +53,7 @@ _MAX_PATHS = 10**7
 # fork costs more than it saves; no run uses more than _MAX_WORKERS.
 _PATHS_PER_WORKER = 256
 _MAX_WORKERS = 8
-_BLOCK = 1024
-_HALF = _BLOCK // 2
+_BLOCK = 512
 _BATCH = 32
 
 # The sample set simulate_exit returned last, held weakly so that it lives
@@ -154,19 +153,16 @@ def _run_paths(draw, n_paths, seed, max_steps, eu, ev, start=0):
     """Run paths start..start+n_paths-1 to exit; returns (raw position,
     steps, exited) arrays, row i for path start + i.
 
-    Path i draws from path_rng(seed, i) in blocks of _BLOCK steps (the
-    last one cut at the horizon): the block's uniforms first, then the
-    exponentials of its first _HALF steps, then those of the rest.  The
-    path stops at the first position at or beyond a barrier, so a path
-    that stops in the first half of a block never draws the second.  Up
-    to _BATCH paths advance in lockstep, one row each: every row draws
-    its block's uniforms, and each half is transformed, summed and
-    scanned in one pass over the rows still running.  The running sum is
-    carried raw from half to half and the block start added after the
-    cumsum, so positions equal those of one cumsum over the whole block.
-    A finished path's row goes at once to the next path, whose stream
-    re-keys the row's generator in place.  Each stream is consumed as by
-    a path run alone, so the result does not depend on the batching.
+    Path i draws from path_rng(seed, i) in blocks of _BLOCK steps, each
+    one draw(rngs, _BLOCK) call: the block's uniforms, then its
+    exponentials.  The path stops at the first position at or beyond a
+    barrier, or at the horizon, which may fall inside a block; the rest
+    of that block is drawn and unused.  Up to _BATCH paths advance in
+    lockstep, one row each, and each block is drawn, summed and scanned
+    in one pass over the running rows.  A finished path's row goes at
+    once to the next path, whose stream re-keys the row's generator in
+    place.  Each stream is consumed as by a path run alone, so the result
+    does not depend on the batching.
     """
     pos = np.ones(n_paths)
     steps = np.zeros(n_paths, dtype=np.int64)
@@ -174,11 +170,10 @@ def _run_paths(draw, n_paths, seed, max_steps, eu, ev, start=0):
     if max_steps < 1:
         return pos, steps, exited
     rows = min(_BATCH, n_paths)
-    uni = np.empty((rows, _BLOCK))
-    # Flat buffers, viewed as C-contiguous (running rows, half length).
-    buf = np.empty(rows * _HALF)
-    hit = np.empty(rows * _HALF, dtype=bool)
-    below = np.empty(rows * _HALF, dtype=bool)
+    # Flat buffers, viewed as C-contiguous (running rows, _BLOCK).
+    buf = np.empty(rows * _BLOCK)
+    hit = np.empty(rows * _BLOCK, dtype=bool)
+    below = np.empty(rows * _BLOCK, dtype=bool)
     path = np.arange(rows)  # path index held by each row
     rngs = [path_rng(seed, start + i) for i in range(rows)]
     x = np.ones(rows)  # position at the end of the row's last block
@@ -186,63 +181,30 @@ def _run_paths(draw, n_paths, seed, max_steps, eu, ev, start=0):
     next_path = rows
     live = rows  # rows 0..live-1 hold a running path
     while live:
-        # A block is cut only at the horizon and ends its path there, so
-        # every running path has taken a whole number of blocks, and a row
-        # with less than a block left has max_steps % _BLOCK steps left.
-        cut = max_steps - done[:live] < _BLOCK
-        groups = [(np.flatnonzero(~cut), _BLOCK)]
-        if cut.any():
-            groups.append((np.flatnonzero(cut), max_steps % _BLOCK))
-        freed = []
-        for sel, n in groups:
-            if sel.size == 0:
-                continue
-            for j, r in enumerate(sel):
-                rngs[r].random(out=uni[j, :n])
-            act = np.arange(sel.size)  # uni rows of the paths still running
-            carry = np.empty(sel.size)  # raw partial sum at the end of a half
-            for lo in range(0, n, _HALF):
-                m, k = min(_HALF, n - lo), act.size
-                on = sel[act]
-                shape = (k, m)
-                blk = draw(
-                    [rngs[r] for r in on], m,
-                    out=buf[: k * m].reshape(shape),
-                    uniforms=uni[act, lo : lo + m],
-                )
-                if lo:
-                    blk[:, 0] += carry[act]
-                np.cumsum(blk, axis=1, out=blk)
-                carry[act] = blk[:, -1]
-                blk += x[on, None]
-                h = hit[: k * m].reshape(shape)
-                b = below[: k * m].reshape(shape)
-                np.greater_equal(blk, eu, out=h)
-                np.less_equal(blk, ev, out=b)
-                h |= b
-                first = h.argmax(axis=1)
-                crossed = h[np.arange(k), first]
-                j = np.flatnonzero(crossed)
-                ended = on[j]
-                pos[path[ended]] = blk[j, first[j]]
-                steps[path[ended]] = done[ended] + lo + first[j] + 1
-                exited[path[ended]] = True
-                freed += ended.tolist()
-                act = act[~crossed]
-                if act.size == 0:
-                    break
-            if act.size:
-                on = sel[act]
-                x[on] = blk[~crossed, -1]
-                done[on] += n
-                horizon = on[done[on] >= max_steps]
-                pos[path[horizon]] = x[horizon]
-                steps[path[horizon]] = done[horizon]
-                freed += horizon.tolist()
+        shape = (live, _BLOCK)
+        blk = draw(rngs[:live], _BLOCK, out=buf[: live * _BLOCK].reshape(shape))
+        np.cumsum(blk, axis=1, out=blk)
+        blk += x[:live, None]
+        h = hit[: live * _BLOCK].reshape(shape)
+        b = below[: live * _BLOCK].reshape(shape)
+        np.greater_equal(blk, eu, out=h)
+        np.less_equal(blk, ev, out=b)
+        h |= b
+        first = h.argmax(axis=1)
+        left = max_steps - done[:live]  # steps before the horizon
+        crossed = h[np.arange(live), first] & (first < left)
+        # Column of the last step of a path that ends in this block.
+        last = np.where(crossed, first, left - 1)
+        freed = np.flatnonzero(crossed | (left <= _BLOCK))
+        pos[path[freed]] = blk[freed, last[freed]]
+        steps[path[freed]] = done[freed] + last[freed] + 1
+        exited[path[freed]] = crossed[freed]
+        x[:live] = blk[:, -1]
+        done[:live] += _BLOCK
         # Hand each freed row to the next path; with none left, move the
         # last running row into it.  Descending order means every row above
         # the one being filled is already settled.
-        for r in sorted(freed, reverse=True):
+        for r in freed[::-1]:
             if next_path < n_paths:
                 path[r], x[r], done[r] = next_path, 1.0, 0
                 rngs[r] = path_rng(seed, start + next_path, reuse=rngs[r])
@@ -348,13 +310,13 @@ def simulate_exit(
     paths (weight 0).  Horizon exhaustion also censors.
 
     Path i is defined on its own stream path_rng(cfg.seed, i), drawn in
-    blocks of 1024 steps (the last one cut at the horizon): the block's
-    1024 uniforms, then the exponentials of its first 512 steps, then
-    those of the rest, which a path that exits in the first half never
-    draws.  The paths are run in lockstep batches of 32, one matrix pass
-    per half-block over the paths still running; a finished path frees
-    its row for the next one at once.  Streams and results are
-    bit-identical to running each path alone.
+    blocks of 512 steps: the block's 512 uniforms, then its 512
+    exponentials.  A path that ends inside a block, at a barrier or at
+    the horizon, has still drawn the whole block.  The paths are run in
+    lockstep batches of 32, one matrix pass per block over the paths
+    still running; a finished path frees its row for the next one at
+    once.  Streams and results are bit-identical to running each path
+    alone.
 
     A run of n paths uses k = min(CPUs in the affinity set, 8, n // 256)
     processes when k >= 2 (so 512 paths or more, on 2 CPUs or more, where

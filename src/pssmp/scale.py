@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from scipy.special import rgamma
+from scipy.special import poch
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, NumericError
 from .numerics import _log_expm1, integrate_adaptive, log_gamma
 
 __all__ = [
@@ -89,24 +89,36 @@ class SpectralCase:
         return self.m if self.m is not None else default_m(self.alpha)
 
 
+def _laplace_exponent(s: SpectralCase, theta: float) -> float:
+    """m * Gamma(theta+alpha) / (Gamma(theta) Gamma(alpha)) for theta > -alpha.
+
+    poch forms the gamma ratio directly, so it stays finite where the two
+    gammas overflow (theta past 171); where the value itself leaves the
+    float range, NumericError is raised.
+    """
+    value = s.mean * float(poch(theta, s.alpha)) / math.gamma(s.alpha)
+    if not math.isfinite(value):
+        raise NumericError(
+            f"Laplace exponent at theta={theta:g} exceeds the float range"
+        )
+    return value
+
+
 def psi_up(s: SpectralCase, theta: float) -> float:
     """Laplace exponent m * Gamma(theta+alpha) / (Gamma(theta) Gamma(alpha))."""
-    if theta < 0.0:
-        raise DomainError("theta must be nonnegative")
-    a, m = s.alpha, s.mean
+    if not 0.0 <= theta < math.inf:
+        raise DomainError("theta must be finite and nonnegative")
     # 1/Gamma is entire, so the zero at theta = 0 falls out naturally.
-    return m * math.exp(log_gamma(theta + a) - log_gamma(a)) * float(rgamma(theta))
+    return _laplace_exponent(s, theta)
 
 
 def psi_down(s: SpectralCase, theta: float) -> float:
     """Laplace exponent of the DownNeg process: psi_up shifted by one."""
-    if theta < 0.0:
-        raise DomainError("theta must be nonnegative")
-    a, m = s.alpha, s.mean
+    if not 0.0 <= theta < math.inf:
+        raise DomainError("theta must be finite and nonnegative")
     # theta - 1 + alpha >= alpha - 1 > 0, so only 1/Gamma(theta-1) can
     # hit a pole, and it vanishes there instead.
-    g = theta - 1.0 + a
-    return m * math.exp(log_gamma(g) - log_gamma(a)) * float(rgamma(theta - 1.0))
+    return _laplace_exponent(s, theta - 1.0)
 
 
 def scale_fn(s: SpectralCase, x: float) -> float:

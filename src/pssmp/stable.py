@@ -263,27 +263,14 @@ def _workspace(count: int):
     return take
 
 
-def _centred_uniforms(rngs, v, uniforms):
-    """v = U - 1/2, row r of U drawn from rngs[r] unless ``uniforms`` gives it."""
-    if uniforms is None:
-        for rng, row in zip(rngs, v):
-            rng.random(out=row)
-        v -= 0.5
-    else:
-        np.subtract(uniforms, 0.5, out=v)
-
-
 def increment_sampler(p: StableParams, dt: float):
     """Vectorized sampler of stable increments over time step dt.
 
-    Returns draw(rngs, n, out=None, uniforms=None) -> ndarray of shape
-    (len(rngs), n): row r holds n independent increments drawn from
-    rngs[r], which supplies n uniforms and then (unless alpha = 1) n
-    exponentials.  ``uniforms``, an array of that shape, gives rows of
-    uniforms the caller has already drawn from those generators; each
-    row then draws only its n exponentials.  ``out``, a C-contiguous
-    float array of that shape, receives the increments in place (it may
-    be ``uniforms`` itself).  Uses the trigonometric construction from
+    Returns draw(rngs, n, out=None) -> ndarray of shape (len(rngs), n):
+    row r holds n independent increments drawn from rngs[r], which
+    supplies n uniforms and then (unless alpha = 1) n exponentials.
+    ``out``, a C-contiguous float array of that shape, receives the
+    increments in place.  Uses the trigonometric construction from
     uniform and exponential variates (Chambers, Mallows & Stuck 1976);
     the skewness is chosen so that P(X_1 > 0) = rho, and increments
     scale as dt^(1/alpha).  For alpha > 1 that needs rho in
@@ -328,9 +315,11 @@ def increment_sampler(p: StableParams, dt: float):
             raise DomainError("alpha = 1 supported only in the symmetric case")
         scale = dt  # Cauchy: linear scaling
 
-        def draw_cauchy(rngs, n, out=None, uniforms=None):
+        def draw_cauchy(rngs, n, out=None):
             v = np.empty((len(rngs), n)) if out is None else out
-            _centred_uniforms(rngs, v, uniforms)
+            for rng, row in zip(rngs, v):
+                rng.random(out=row)
+            v -= 0.5
             v *= math.pi
             np.tan(v, out=v)
             v *= scale
@@ -358,7 +347,7 @@ def increment_sampler(p: StableParams, dt: float):
     factor = 2.0 * (dt / math.cos(a_theta0)) ** (1.0 / alpha)
     take = _workspace(2)
 
-    def draw(rngs, n, out=None, uniforms=None):
+    def draw(rngs, n, out=None):
         # In-place form of
         #   v = (U - 1/2) pi,  W ~ Exp(1),
         #   psi = a_theta0 + (alpha - 1) v,  T = tan(alpha (v + theta0) / 2),
@@ -369,9 +358,10 @@ def increment_sampler(p: StableParams, dt: float):
         # exactly half the angle a direct sin would round to.
         v = np.empty((len(rngs), n)) if out is None else out
         w, s = take(v.shape)
-        _centred_uniforms(rngs, v, uniforms)
-        for rng, w_row in zip(rngs, w):
+        for rng, v_row, w_row in zip(rngs, v, w):
+            rng.random(out=v_row)
             rng.standard_exponential(out=w_row)
+        v -= 0.5
         v *= math.pi
         np.multiply(v, alpha - 1.0, out=s)
         s += a_theta0

@@ -14,10 +14,11 @@ from hypothesis import given, settings, strategies as st
 import pssmp
 from pssmp.cli import _LAW_TABLE, LAWS, build_parser, load_config, main, parse_grid
 from pssmp.errors import ConfigurationError, DomainError, WorkerError
-from pssmp.exit_laws import min_cdf_up
+from pssmp.exit_laws import ExitWindow, min_cdf_up
 from pssmp.expfun import ExpCase, ExpFunctionalModel
+from pssmp.montecarlo import SIDE_KILLED, SimConfig, simulate_exit
 from pssmp.scale import default_m
-from pssmp.stable import StableParams
+from pssmp.stable import Kind, StableParams
 from pssmp.verify import run_suite
 
 
@@ -37,7 +38,7 @@ class TestGridAndConfig:
         assert np.allclose(g, [1.0, 10.0, 100.0])
 
     def test_parse_grid_rejects(self):
-        for bad in ("0:1", "0:1:1", "0:1:5:cubic", "-1:1:5:log"):
+        for bad in ("0:1", "0:1:1", "0:1:5:cubic", "-1:1:5:log", "0:1:x", "a:1:3", "0:1:2.5"):
             with pytest.raises(DomainError):
                 parse_grid(bad)
 
@@ -244,7 +245,20 @@ class TestExitCodes:
 
     def test_verify_montecarlo_with_every_path_killed_is_3(self, capsys):
         # No killed-kind path leaves the window, so there is no up fraction.
-        for n_paths, seed in ((1, 18), (1, 21), (1, 22), (1, 25), (1, 26), (2, 18)):
+        # The seeds are found by simulating the suite's killed-kind run, so
+        # they follow the streams whatever their layout.
+        p, w = StableParams(1.5, 0.5), ExitWindow(-0.5, 0.5)
+        cases = [
+            (n_paths, seed)
+            for n_paths in (1, 2)
+            for seed in range(300)
+            if np.all(
+                simulate_exit(Kind.STAR, p, w, SimConfig(n_paths, 2e-3, seed)).side
+                == SIDE_KILLED
+            )
+        ]
+        assert sum(n == 1 for n, _ in cases) >= 3 and any(n == 2 for n, _ in cases)
+        for n_paths, seed in cases:
             rc, out, err = run(
                 capsys, "verify", "montecarlo",
                 "--n-paths", str(n_paths), "--seed", str(seed),
@@ -305,6 +319,22 @@ class TestExitCodes:
     def test_triple_law_beyond_float_range_is_2(self, capsys):
         rc, out, err = run(capsys, "eval", "--law", "triple-law", "--v", "-800")
         assert rc == 2 and out == "" and "float range" in err
+
+    def test_values_past_the_float_range_are_3(self, capsys):
+        # Gamma(theta + alpha) overflows past theta = 171, the ratio psi
+        # needs does not; E(I^-k) itself leaves the float range past k ~ 180.
+        rc, out, _ = run(capsys, "eval", "--law", "psi", "--grid", "1:1000:3")
+        assert rc == 0
+        assert float(out.splitlines()[-1].split(",")[1]) == pytest.approx(74761.2370884, rel=1e-11)
+        for law, grid in (("psi", "1:1e300:3"), ("expfun-moments", "1:1000:3")):
+            rc, out, err = run(capsys, "eval", "--law", law, "--grid", grid)
+            assert rc == 3 and out == "" and "float range" in err, (law, err)
+        rc, out, _ = run(capsys, "eval", "--law", "expfun-moments", "--grid", "150:151:2")
+        assert rc == 0 and out.splitlines()[-2].startswith("150,2.34589042228")
+
+    def test_non_numeric_grid_is_2(self, capsys):
+        rc, out, err = run(capsys, "eval", "--law", "psi", "--grid", "0:1:x")
+        assert rc == 2 and out == "" and "grid" in err
 
     def test_non_finite_grid_is_2(self, capsys):
         rc, out, err = run(
@@ -470,6 +500,7 @@ _FAST_LAWS = (
     "psi",
     "ruin",
     "hit-two-point",
+    "expfun-moments",
 )
 _FUZZ_OPTIONS = (
     "kind", "case", "direction", "which", "alpha", "rho", "c-plus", "c-minus",
@@ -480,6 +511,7 @@ _FUZZ_VALUES = (
     "800", "-800",
     "nan", "inf", "-inf", "abc", "", "up", "down", "star", "max", "min",
     "up-neg", "down-neg", "down-pos", "0.2:2:3", "1:5:3:log", "0:1:1", "1:2:3:cubic",
+    "0:1:x", "1:1000:3", "0:1e200:3",
 )
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pssmp.errors import ConvergenceError, DomainError
+from pssmp.errors import ConvergenceError, DomainError, NumericError
 from pssmp.expfun import (
     ExpCase,
     ExpFunctionalModel,
@@ -75,6 +75,13 @@ class TestSpectrallyNegativeFunctional:
                 tol=1e-10,
             ).value / math.exp(log_gamma(k))
             assert quad == pytest.approx(neg_moment_I(UP, k), rel=1e-8)
+
+    def test_moments_past_the_float_range_are_numeric_errors(self):
+        assert neg_moment_I(UP, 150) == pytest.approx(2.3458904222852e226, rel=1e-12)
+        with pytest.raises(NumericError, match="k=500"):
+            neg_moment_I(UP, 500)
+        with pytest.raises(NumericError, match="k=500"):
+            entrance_moment(UP, 500, 1.0)
 
     def test_laplace_endpoints(self):
         assert laplace_I(UP, 0.0) == 1.0

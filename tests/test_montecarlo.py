@@ -149,24 +149,21 @@ class TestSimulation:
 
 def _per_path(draw, n_paths, seed, max_steps, eu, ev, start=0):
     """The per-path definition of the grid simulation: path start + i alone
-    on path_rng(seed, start + i), block by block, to its first barrier
-    crossing."""
+    on path_rng(seed, start + i), in whole 512-step blocks, to its first
+    barrier crossing or the horizon."""
     pos = np.ones(n_paths)
     steps = np.zeros(n_paths, dtype=np.int64)
     exited = np.zeros(n_paths, dtype=bool)
     for i in range(n_paths):
         rng, x, done = path_rng(seed, start + i), 1.0, 0
         while done < max_steps:
-            n = min(1024, max_steps - done)
-            path = x + np.cumsum(draw([rng], n)[0])
+            path = x + np.cumsum(draw([rng], 512)[0])[: max_steps - done]
             hit = np.flatnonzero((path >= eu) | (path <= ev))
-            if hit.size:
-                k = int(hit[0])
-                pos[i], steps[i], exited[i] = path[k], done + k + 1, True
+            k = int(hit[0]) if hit.size else path.size - 1
+            if hit.size or done + path.size == max_steps:
+                pos[i], steps[i], exited[i] = path[k], done + k + 1, hit.size > 0
                 break
-            x, done = float(path[-1]), done + n
-        else:
-            pos[i], steps[i] = x, done
+            x, done = float(path[-1]), done + 512
     return pos, steps, exited
 
 
@@ -185,7 +182,8 @@ class TestLockstepBatch:
             (Kind.STAR, StableParams(0.8, 0.3), W, SimConfig(40, 2e-3, 13)),
             (Kind.DOWN, StableParams(0.8, 0.7), W, SimConfig(40, 2e-3, 14)),
             (Kind.STAR, StableParams(1.0, 0.5), W, SimConfig(40, 2e-3, 15)),
-            # 2500 steps: two whole blocks, then a cut one of 452 steps.
+            # 2500 steps: four whole blocks, then a horizon 452 steps into
+            # the fifth.
             (Kind.UP, P, ExitWindow(-3.0, 3.0), SimConfig(40, 1e-3, 16, max_time=2.5)),
         ],
     )
@@ -196,45 +194,47 @@ class TestLockstepBatch:
         s = simulate_exit(
             Kind.UP, P, ExitWindow(-3.0, 3.0), SimConfig(40, 1e-3, 16, max_time=2.5)
         )
-        assert s.config.max_steps % 1024 != 0
+        assert s.config.max_steps % 512 != 0
         censored = s.steps_used == s.config.max_steps
         assert np.count_nonzero(censored) >= 3
         assert np.all(s.side[censored] == SIDE_CENSORED)
 
-    # Window (-0.3, 0.3) at step 1e-4, seed 29 or 27: paths last about 1200
-    # steps, so exits fall in both halves of the first blocks and in the
-    # block cut at the horizon, and some paths are censored.
+    # Window (-0.3, 0.3) at step 1e-4: paths last about 1200 steps, so
+    # exits fall in several blocks and a horizon near 2048 censors some.
     NARROW = ExitWindow(-0.3, 0.3)
 
+    # Horizons below, at and one past the end of the fourth block.
     @pytest.mark.parametrize(
-        "p, cfg, cut",
-        [
-            # 2348 steps: two whole blocks, then a cut one of 300 (one half).
-            (P, SimConfig(100, 1e-4, 29, max_time=0.2348), 300),
-            # 2747 steps: the cut block of 699 has a whole half and 187 more.
-            (P, SimConfig(100, 1e-4, 29, max_time=0.2748), 699),
-            (StableParams(1.0, 0.5), SimConfig(100, 1e-4, 29, max_time=0.2748), 699),
-        ],
+        "p, max_steps",
+        [(P, 2047), (P, 2048), (P, 2049), (StableParams(1.0, 0.5), 2049)],
     )
-    def test_cut_block_halves_match_per_path(self, monkeypatch, p, cfg, cut):
-        assert cfg.max_steps % 1024 == cut
+    def test_horizon_near_a_block_end_matches_per_path(self, monkeypatch, p, max_steps):
+        cfg = SimConfig(100, 1e-4, 29, max_time=(max_steps + 0.5) * 1e-4)
+        assert cfg.max_steps == max_steps
         batched = _assert_matches_per_path(monkeypatch, Kind.STAR, p, self.NARROW, cfg)
         exited = batched.side != SIDE_CENSORED
-        into_cut = batched.steps_used - (cfg.max_steps - cut)
-        assert np.any(exited & (into_cut > 0))
-        if cut > 512:
-            assert np.any(exited & (into_cut > 512))
+        # Exits in the fourth block or later, and censored paths.
+        assert np.any(exited & (batched.steps_used > 1536))
         assert np.any(~exited)
 
-    def test_exits_in_both_halves_and_last_columns(self, monkeypatch):
-        cfg = SimConfig(100, 1e-4, 27)
+    @pytest.mark.parametrize("max_steps", [1, 10, 511, 512, 513])
+    def test_short_horizons_match_per_path(self, max_steps):
+        # Horizons inside, at the end of and one past the first block.
+        draw = increment_sampler(P, 1e-5)
+        args = (40, 6, max_steps, math.exp(0.05), math.exp(-0.05))
+        got = montecarlo._run_paths(draw, *args)
+        for a, b in zip(got, _per_path(draw, *args)):
+            assert np.array_equal(a, b)
+        _, steps, exited = got
+        assert np.any(~exited) and np.all(steps[~exited] == max_steps)
+
+    def test_exits_on_first_and_last_columns(self, monkeypatch):
+        # Seed 36 has a path that exits on the last step of a block.
+        cfg = SimConfig(100, 1e-4, 36)
         batched = _assert_matches_per_path(monkeypatch, Kind.STAR, P, self.NARROW, cfg)
-        col = (batched.steps_used - 1) % 1024  # column of the exit in its block
+        col = (batched.steps_used - 1) % 512  # column of the exit in its block
         exited = batched.side != SIDE_CENSORED
-        assert np.any(exited & (col < 512)) and np.any(exited & (col >= 512))
-        # Exits on the last column of each half: 511 ends the first half,
-        # 1023 the whole block.
-        assert np.any(exited & (col == 511)) and np.any(exited & (col == 1023))
+        assert np.any(exited & (col == 0)) and np.any(exited & (col == 511))
 
     def test_reused_stream_equals_fresh_stream(self):
         # Re-keying resets the counter, the buffered block of Philox output
@@ -282,26 +282,23 @@ class TestLockstepBatch:
             assert np.array_equal(got, want)
 
     def test_draws_match_per_path_count(self):
-        # Each path draws whole blocks up to the block of its exit, and of
-        # that block only the halves up to the exit; the last block is cut
-        # at the horizon.  Nothing is drawn for a row that has no path.
+        # Each path draws whole blocks up to the block of its exit or of the
+        # horizon.  Nothing is drawn for a row that has no path.
         cfg = SimConfig(50, 1e-3, 3, max_time=2.5)
         base = increment_sampler(P, cfg.step)
         drawn = []
 
-        def counting_draw(rngs, n, out=None, uniforms=None):
+        def counting_draw(rngs, n, out=None):
             drawn.append(len(rngs) * n)
-            return base(rngs, n, out=out, uniforms=uniforms)
+            return base(rngs, n, out=out)
 
         window = ExitWindow(-3.0, 3.0)
         _, steps, _ = montecarlo._run_paths(
             counting_draw, cfg.n_paths, cfg.seed, cfg.max_steps,
             math.exp(window.u), math.exp(window.v),
         )
-        per_path = np.minimum(-(-steps // 512) * 512, cfg.max_steps)
-        whole_blocks = np.minimum(-(-steps // 1024) * 1024, cfg.max_steps)
         assert np.any(steps == cfg.max_steps)
-        assert sum(drawn) == int(per_path.sum()) < int(whole_blocks.sum())
+        assert sum(drawn) == int((-(-steps // 512) * 512).sum())
 
 
 def _assert_matches_per_path(monkeypatch, kind, p, window, cfg):

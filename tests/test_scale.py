@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from pssmp.errors import ConfigurationError, DomainError
+from pssmp.errors import ConfigurationError, DomainError, NumericError
 from pssmp.numerics import integrate_adaptive
 from pssmp.scale import (
     _jump,
@@ -43,6 +43,26 @@ class TestLaplaceExponents:
             assert psi_down(down, theta) == pytest.approx(
                 psi_up(up, theta - 1.0), rel=1e-14
             )
+
+    @pytest.mark.parametrize("theta", [8.0, 170.0, 172.0, 1e3, 1e100])
+    def test_psi_up_against_mpmath(self, theta):
+        # The gammas overflow past theta = 171; their ratio does not.
+        mpmath = pytest.importorskip("mpmath")
+        s = SpectralCase(Case.UP_NEG, 1.5)
+        with mpmath.workdps(130):
+            a, t = mpmath.mpf(1.5), mpmath.mpf(theta)
+            want = (
+                mpmath.mpf(s.mean)
+                * mpmath.exp(mpmath.loggamma(t + a) - mpmath.loggamma(t))
+                / mpmath.gamma(a)
+            )
+        assert psi_up(s, theta) == pytest.approx(float(want), rel=1e-12)
+
+    def test_psi_past_the_float_range_is_a_numeric_error(self):
+        with pytest.raises(NumericError, match="float range"):
+            psi_up(SpectralCase(Case.UP_NEG, 1.5), 1e300)
+        with pytest.raises(NumericError, match="float range"):
+            psi_down(SpectralCase(Case.DOWN_NEG, 1.5), 1e300)
 
     def test_psi_zeros(self):
         s = SpectralCase(Case.UP_NEG, 1.5)

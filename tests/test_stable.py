@@ -177,6 +177,21 @@ def _two_sided_grid():
                 yield p
 
 
+class _FixedUniforms:
+    """A generator stub: random(out=) writes fixed uniforms, and the
+    exponentials come from a Philox stream."""
+
+    def __init__(self, uniforms, rng):
+        self.uniforms, self.rng = uniforms, rng
+
+    def random(self, out):
+        out[...] = self.uniforms
+        return out
+
+    def standard_exponential(self, out):
+        return self.rng.standard_exponential(out=out)
+
+
 class TestSampling:
     def test_path_streams_are_keyed(self):
         a = path_rng(42, 0).random(5)
@@ -223,11 +238,11 @@ class TestSampling:
         out = np.empty((3, n))
         assert draw([path_rng(4, i) for i in range(3)], n, out=out) is out
         assert np.array_equal(out, expected)
-        # Uniforms drawn by the caller, then transformed in place.
+        # Uniforms written by a stub generator give the same rows.
         rngs = [path_rng(4, i) for i in range(3)]
-        uniforms = np.array([rng.random(n) for rng in rngs])
-        assert draw(rngs, n, out=uniforms, uniforms=uniforms) is uniforms
-        assert np.array_equal(uniforms, expected)
+        stubs = [_FixedUniforms(rng.random(n), rng) for rng in rngs]
+        assert draw(stubs, n, out=out) is out
+        assert np.array_equal(out, expected)
 
     @settings(max_examples=60)
     @given(
@@ -265,10 +280,11 @@ class TestSampling:
     def test_endpoint_uniforms_give_finite_increments(self):
         # U = 0 puts v at -pi/2, where cos v and (for one-sided limits)
         # the tail cosine vanish; a half-angle form must not divide by 0.
-        uniforms = np.array([[0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]])
+        uniforms = [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]
         with np.errstate(all="raise"):
             for p in _two_sided_grid():
-                x = increment_sampler(p, 1e-3)([path_rng(2, 0)], 4, uniforms=uniforms)
+                stub = _FixedUniforms(uniforms, path_rng(2, 0))
+                x = increment_sampler(p, 1e-3)([stub], 4)
                 assert np.all(np.isfinite(x)), (p, x)
 
     def test_sign_frequency_matches_rho(self):
@@ -318,7 +334,7 @@ class TestSampling:
     def test_skew_within_tolerance_beyond_an_end_draws_at_that_end(self):
         # cos psi < 0 near U = 0 or 1 beyond an end; squaring tan psi would
         # turn it into |cos psi| there, so rho is moved onto the end first.
-        uniforms = np.array([[0.0, 2.0**-53, 1e-10, 1e-9, 0.3]])
+        uniforms = [0.0, 2.0**-53, 1e-10, 1e-9, 0.3]
         alpha = 1.5
         cases = [
             (1.0 - 1.0 / alpha - 6e-10, 1.0 - 1.0 / alpha),
@@ -329,7 +345,7 @@ class TestSampling:
                 rows = []
                 for rho in (band, end):
                     draw = increment_sampler(StableParams(alpha, rho), 1e-3)
-                    rows.append(draw([path_rng(2, 0)], 5, uniforms=uniforms))
+                    rows.append(draw([_FixedUniforms(uniforms, path_rng(2, 0))], 5))
                 assert np.all(np.isfinite(rows[0])), (band, rows[0])
                 assert np.array_equal(rows[0], rows[1]), (band, rows)
 
