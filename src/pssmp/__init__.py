@@ -19,7 +19,7 @@ from .errors import (
     PssmpError,
     WorkerError,
 )
-from .stable import Kind, LampertiKind, StableParams
+from .stable import Kind, StableParams
 
 __all__ = [
     "__version__",
@@ -33,5 +33,4 @@ __all__ = [
     "WorkerError",
     "StableParams",
     "Kind",
-    "LampertiKind",
 ]

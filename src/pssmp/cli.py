@@ -117,8 +117,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
+# Each grid point becomes one law evaluation and one CSV row; 1e6 rows of
+# the fastest law already take seconds and tens of megabytes.
+_MAX_GRID_POINTS = 10**6
+
+
 def parse_grid(spec: str) -> np.ndarray:
-    """Parse A:B:N[:log] into an array of N grid points."""
+    """Parse A:B:N[:log] into an array of N grid points, N at most 1e6."""
     parts = spec.split(":")
     if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
         raise DomainError(f"bad grid spec {spec!r}; expected A:B:N[:log]")
@@ -132,6 +137,10 @@ def parse_grid(spec: str) -> np.ndarray:
         raise DomainError(f"grid endpoints must be finite, got {spec!r}")
     if n < 2:
         raise DomainError("grid needs at least 2 points")
+    if n > _MAX_GRID_POINTS:
+        raise BudgetError(
+            f"grid of {n} points exceeds the {_MAX_GRID_POINTS:.0e} point cap"
+        )
     if len(parts) == 4:
         if a <= 0.0 or b <= 0.0:
             raise DomainError("log grids need positive endpoints")
@@ -314,6 +323,8 @@ def _triple_law(args, p, grid):
     eta = _arg(args, "eta", abs(barrier) / 2.0)
     phi = _arg(args, "phi", eta + 0.5)
     meta = [("case", s.case.value), ("barrier", barrier), ("phi", phi), ("eta", eta)]
+    if s.case is Case.DOWN_NEG:
+        meta.append(("q_ladder", s.q_ladder))
     rows = [
         (t, triple_law_density(s, TripleLawPoint(barrier, t, phi, eta))) for t in grid
     ]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import _exp_or_inf, _log_expm1, integrate_adaptive, log_gamma
-from .stable import Kind, LampertiKind, StableParams
+from .stable import Kind, StableParams
 
 __all__ = [
     "Direction",
@@ -94,7 +94,7 @@ def _density(kind: Kind, p: StableParams, direction: Direction, u: float, v: flo
     one-sided law.
     """
     _validate_mode(p)
-    gamma = LampertiKind.for_params(kind, p).gamma_exponent
+    gamma = kind.gamma_exponent(p)
     ar, arh = p.alpha_rho, p.alpha_rho_hat
     if direction is Direction.UP:
         at_zero = math.inf if arh > 0 else 0.0
@@ -189,10 +189,6 @@ def exit_density_one_sided(
     return _density(kind, p, direction, u, v)(theta)
 
 
-def _mass(density, tol: float) -> float:
-    return integrate_adaptive(density, 0.0, math.inf, tol=tol).value
-
-
 def exit_mass_two_sided(
     kind: Kind,
     p: StableParams,
@@ -213,7 +209,8 @@ def exit_mass_two_sided(
         # Point mass at theta = 0: everything not leaving the other way.
         other = Direction.DOWN if direction is Direction.UP else Direction.UP
         return 1.0 - exit_mass_two_sided(kind, p, window, other, tol=tol)
-    return _mass(_density(kind, p, direction, u, v), tol=tol)
+    density = _density(kind, p, direction, u, v)
+    return integrate_adaptive(density, 0.0, math.inf, tol=tol).value
 
 
 def exit_mass_one_sided(
@@ -227,7 +224,8 @@ def exit_mass_one_sided(
     if creeping_side(p, direction):
         raise DomainError("one-sided mass on a creeping side has no density route")
     u, v = _one_sided_window(direction, barrier)
-    return _mass(_density(kind, p, direction, u, v), tol=tol)
+    density = _density(kind, p, direction, u, v)
+    return integrate_adaptive(density, 0.0, math.inf, tol=tol).value
 
 
 def overshoot_cdf_interpolant(

@@ -2,8 +2,8 @@
 
 Given a symmetric stable process on the positive half-line killed at 0,
 the probability of hitting one of two target points first is computed by
-two routes: the cofactor ratio from the 3x3 occupation-density matrix,
-and the closed ratio of occupation densities.  Both evaluate the same
+two routes: the inverse of the 3x3 occupation-density matrix, and the
+closed ratio of occupation densities.  Both evaluate the same
 closed-form occupation density ``killed_resolvent_u``.  Both are
 homogeneous of degree zero in the overall density normalization, which
 a dedicated invariance test exploits.
@@ -14,8 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, NumericError
-from .stable import Kind, LampertiKind, StableParams, killed_resolvent_u
+from .stable import Kind, StableParams, killed_resolvent_u
 
 __all__ = [
     "HitQuery",
@@ -61,55 +63,40 @@ def _on_target(q: HitQuery) -> float | None:
     return {q.a: 1.0, q.b: 0.0}.get(q.x)
 
 
-def _u_matrix(q: HitQuery):
-    """U over {x, a, b}, divided by its largest entry.
-
-    u is homogeneous in the points, so without the division the scale of
-    the points would reach the cofactors and overflow or underflow them.
-    """
-    pts = (q.x, q.a, q.b)
-    mat = [
-        [
-            killed_resolvent_u(q.alpha, pi, pj, prefactor_scale=q.prefactor_scale)
-            for pj in pts
-        ]
-        for pi in pts
-    ]
-    norm = max(abs(v) for row in mat for v in row)
-    return [[v / norm for v in row] for row in mat]
-
-
-def _cofactor(mat, i, j):
-    rows = [r for k, r in enumerate(mat) if k != i]
-    sub = [[r[k] for k in range(3) if k != j] for r in rows]
-    sign = -1.0 if (i + j) % 2 else 1.0
-    return sign * (sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0])
-
-
 def hit_matrix_method(q: HitQuery) -> float:
     """P(first hit of {a, b} is at a, before ruin) via the matrix route.
 
     With U the occupation-density matrix over {x, a, b} and Q = -U^-1,
-    the probability is -q(x, a)/q(x, x), i.e. a ratio of cofactors of U.
+    the probability is -q(x, a)/q(x, x); the overall density
+    normalization cancels in the ratio.
     """
     if (hit := _on_target(q)) is not None:
         return hit
-    mat = _u_matrix(q)
-    # inv(U)[0][1] = C10/det, inv(U)[0][0] = C00/det; the determinant and
-    # overall density normalization cancel in the ratio.
-    c00 = _cofactor(mat, 0, 0)
-    c10 = _cofactor(mat, 1, 0)
-    if c00 == 0.0:
-        raise NumericError("singular occupation matrix: vanishing cofactor")
-    det = sum(mat[0][j] * _cofactor(mat, 0, j) for j in range(3))
-    cof_max = max(abs(_cofactor(mat, i, j)) for i in range(3) for j in range(3))
-    # With entries at most 1, 3 * 3 * cof_max / |det| bounds |U| |U^-1|.
-    condition = 9.0 * cof_max / abs(det) if det else math.inf
-    if condition > 1e12:
+    pts = (q.x, q.a, q.b)
+    mat = np.array(
+        [
+            [
+                killed_resolvent_u(q.alpha, pi, pj, prefactor_scale=q.prefactor_scale)
+                for pj in pts
+            ]
+            for pi in pts
+        ]
+    )
+    # u is homogeneous in the points, so U is divided by its largest entry:
+    # otherwise the scale of the points would overflow or underflow U^-1.
+    try:
+        inv = np.linalg.inv(mat / np.max(np.abs(mat)))
+    except np.linalg.LinAlgError:
+        raise NumericError("singular occupation matrix") from None
+    if inv[0, 0] == 0.0:
+        raise NumericError("singular occupation matrix: vanishing diagonal entry")
+    # With entries at most 1, 3 * 3 * max|U^-1| bounds |U| |U^-1|.
+    condition = 9.0 * float(np.max(np.abs(inv)))
+    if not condition <= 1e12:
         raise NumericError(
             "ill-conditioned occupation matrix", detail={"condition": condition}
         )
-    return -c10 / c00
+    return float(-inv[0, 1] / inv[0, 0])
 
 
 def hit_closed_ratio(q: HitQuery) -> float:
@@ -143,7 +130,7 @@ def hit_prob_lamperti(kind: Kind, alpha: float, v: float, u: float) -> float:
     if kind is Kind.STAR:
         raise DomainError("two-point hitting is defined for the UP and DOWN kinds")
     f = hit_closed_ratio(HitQuery(alpha, 1.0, math.exp(v), math.exp(u)))
-    expo = LampertiKind.for_params(kind, StableParams(alpha, 0.5)).h_exponent
+    expo = kind.h_exponent(StableParams(alpha, 0.5))
     prob = math.exp(v) ** expo * f
     if not (-1e-10 <= prob <= 1.0 + 1e-10):
         raise NumericError(

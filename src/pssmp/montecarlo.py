@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BudgetError, DomainError, WorkerError
 from .exit_laws import ExitWindow
-from .stable import Kind, LampertiKind, StableParams, increment_sampler, path_rng
+from .stable import Kind, StableParams, increment_sampler, path_rng
 
 __all__ = [
     "SIDE_UP",
@@ -338,7 +338,7 @@ def simulate_exit(
         ) from None
     ev = math.exp(window.v)
     draw = increment_sampler(p, cfg.step)
-    h_exp = LampertiKind.for_params(kind, p).h_exponent
+    h_exp = kind.h_exponent(p)
     n = cfg.n_paths
     k = _n_workers(n)
     rows = _shared_rows(n)
@@ -356,7 +356,7 @@ def simulate_exit(
             if x >= eu:
                 side[i] = SIDE_UP
                 theta[i] = math.log(x) - window.u
-                h_weight[i] = 1.0 if kind is Kind.STAR else x**h_exp
+                h_weight[i] = x**h_exp
             elif x <= 0.0:
                 # Ruin: absorption for the killed kind, impossible (weight 0)
                 # for the conditioned kinds.
@@ -365,7 +365,7 @@ def simulate_exit(
             else:
                 side[i] = SIDE_DOWN
                 theta[i] = window.v - math.log(x)
-                h_weight[i] = 1.0 if kind is Kind.STAR else x**h_exp
+                h_weight[i] = x**h_exp
 
     _run_chunks(fill, [n * j // k for j in range(k + 1)])
     for a in rows:

@@ -2,7 +2,7 @@
 
 Everything here is a pure function; the heavy lifting is delegated to
 scipy where a mature routine meets the accuracy contract (log-gamma,
-signed gamma, regularized incomplete beta, QUADPACK quadrature).  Series
+signed gamma, QUADPACK quadrature).  Series
 summation is implemented directly since its stopping rule and its bound
 (truncation plus rounding) are part of the contract; every convergent
 series in the package is formed, bounded and stopped there.  The one
@@ -32,7 +32,6 @@ __all__ = [
     "log_gamma",
     "gamma_signed",
     "integrate_adaptive",
-    "reg_incomplete_beta",
     "sum_series",
 ]
 
@@ -167,15 +166,6 @@ def integrate_adaptive(
             error_estimate=err,
         )
     return QuadResult(value=value, error_estimate=err, evaluations=neval)
-
-
-def reg_incomplete_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b)."""
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError("shape parameters must be positive")
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"x must lie in [0, 1], got {x!r}")
-    return float(_special.betainc(a, b, x))
 
 
 def sum_series(

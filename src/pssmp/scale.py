@@ -18,7 +18,7 @@ from functools import lru_cache
 from scipy.special import poch
 
 from .errors import ConfigurationError, DomainError, NumericError
-from .numerics import _log_expm1, integrate_adaptive, log_gamma
+from .numerics import _exp_or_inf, _log_expm1, integrate_adaptive, log_gamma
 
 __all__ = [
     "Case",
@@ -125,21 +125,33 @@ def scale_fn(s: SpectralCase, x: float) -> float:
     """Scale function W(x) for the case, vanishing at 0.
 
     UpNeg and DownPos: (1/m)(1 - e^-x)^(alpha-1).
-    DownNeg: the same multiplied by e^x.
+    DownNeg: the same multiplied by e^(x/2) twice, since e^x alone leaves
+    the float range (past x = 709.78) before W does; a sum of logs would
+    lose |log W| ulps.  A value past the float range raises NumericError.
     """
     if x < 0.0:
         raise DomainError("x must be nonnegative")
-    base = (-math.expm1(-x)) ** (s.alpha - 1.0) / s.mean
+    value = (-math.expm1(-x)) ** (s.alpha - 1.0) / s.mean
     if s.case is Case.DOWN_NEG:
-        return base * math.exp(x)
-    return base
+        half = _exp_or_inf(0.5 * x)
+        value = value * half * half
+    if not math.isfinite(value):
+        raise NumericError(f"scale function at x={x:g} exceeds the float range")
+    return value
 
 
 def ruin_probability(s: SpectralCase, x: float, y: float) -> float:
-    """P(the process stays above -x until first passage over y) = W(x)/W(x+y)."""
+    """P(the process stays above -x until first passage over y) = W(x)/W(x+y).
+
+    Formed as the closed ratio ((1 - e^-x)/(1 - e^(-x-y)))^(alpha-1), times
+    e^-y for DownNeg, which is finite for every x, y > 0.
+    """
     if x <= 0.0 or y <= 0.0:
         raise DomainError("x and y must be positive")
-    return scale_fn(s, x) / scale_fn(s, x + y)
+    ratio = (math.expm1(-x) / math.expm1(-x - y)) ** (s.alpha - 1.0)
+    if s.case is Case.DOWN_NEG:
+        return math.exp(-y) * ratio
+    return ratio
 
 
 @dataclass(frozen=True)

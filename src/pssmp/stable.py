@@ -13,18 +13,17 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import hyp2f1
+from scipy.special import betainc, hyp2f1
 
 from .errors import DomainError
 
 # integrate_adaptive is not called here.  It stays imported because
 # bench/test_bench.py asserts stable.integrate_adaptive is the numerics one.
-from .numerics import integrate_adaptive, log_gamma, reg_incomplete_beta
+from .numerics import integrate_adaptive, log_gamma
 
 __all__ = [
     "StableParams",
     "Kind",
-    "LampertiKind",
     "rogozin_overshoot_density",
     "exit_up_probability",
     "killed_resolvent_u",
@@ -95,60 +94,36 @@ class StableParams:
                 "alpha*(1-rho) in (0,1) with c_plus*c_minus > 0"
             )
 
-    def swapped(self) -> "StableParams":
-        """Parameters of the negated process (rho <-> 1-rho, jump weights swapped)."""
-        return StableParams(self.alpha, 1.0 - self.rho, self.c_minus, self.c_plus)
-
-    @classmethod
-    def spectrally_negative_case(cls, alpha) -> "StableParams":
-        if not (1.0 < alpha < 2.0):
-            raise DomainError("one-sided case requires alpha in (1, 2)")
-        return cls(alpha, 1.0 - 1.0 / alpha, c_plus=0.0)
-
-    @classmethod
-    def spectrally_positive_case(cls, alpha) -> "StableParams":
-        if not (1.0 < alpha < 2.0):
-            raise DomainError("one-sided case requires alpha in (1, 2)")
-        return cls(alpha, 1.0 / alpha, c_minus=0.0)
-
 
 class Kind(Enum):
-    """The three log-scale processes derived from a stable process."""
+    """The three log-scale processes derived from a stable process.
+
+    Both exponents of a kind are formed from alpha*rho directly, since
+    (alpha*rho + 1) - 1 differs from alpha*rho in the last bit for many
+    (alpha, rho).
+    """
 
     STAR = "star"  # stable process killed on leaving (0, inf)
     UP = "up"  # conditioned to stay positive
     DOWN = "down"  # conditioned to hit 0 continuously
 
+    def gamma_exponent(self, p: StableParams) -> float:
+        """Tilt exponent: the power of the space variable carried by the
+        Levy density, 1, alpha*rho + 1 and alpha*rho for STAR, UP, DOWN."""
+        if self is Kind.STAR:
+            return 1.0
+        if self is Kind.UP:
+            return p.alpha_rho + 1.0
+        return p.alpha_rho
 
-@dataclass(frozen=True)
-class LampertiKind:
-    """A Kind together with its exponential-tilt and h-exponents.
-
-    The tilt exponent is the power of the space variable carried by the
-    Levy density: 1 for the killed process, alpha*rho + 1 for the
-    process conditioned to stay positive, alpha*rho for the process
-    conditioned to hit 0 continuously.  The h-exponent is the power of
-    the position in the Doob weight x^h of the kind (grid Monte Carlo,
-    two-point hitting): 0, alpha*rho and alpha*rho - 1 in the same
-    order.  Both are formed from alpha*rho directly, since
-    (alpha*rho + 1) - 1 differs from alpha*rho in the last bit for many
-    (alpha, rho).
-    """
-
-    kind: Kind
-    gamma_exponent: float
-    h_exponent: float
-
-    @classmethod
-    def for_params(cls, kind: Kind, p: StableParams) -> "LampertiKind":
-        ar = p.alpha_rho
-        if kind is Kind.STAR:
-            return cls(kind, 1.0, 0.0)
-        if kind is Kind.UP:
-            return cls(kind, ar + 1.0, ar)
-        if kind is Kind.DOWN:
-            return cls(kind, ar, ar - 1.0)
-        raise DomainError(f"unknown kind {kind!r}")
+    def h_exponent(self, p: StableParams) -> float:
+        """Power of the position in the kind's Doob weight x^h (grid Monte
+        Carlo, two-point hitting): 0, alpha*rho and alpha*rho - 1."""
+        if self is Kind.STAR:
+            return 0.0
+        if self is Kind.UP:
+            return p.alpha_rho
+        return p.alpha_rho - 1.0
 
 
 def rogozin_overshoot_density(p: StableParams, a: float, x: float, y: float) -> float:
@@ -181,7 +156,7 @@ def exit_up_probability(p: StableParams, a: float, x: float) -> float:
     p.require_two_sided()
     if not (a > 0.0 and 0.0 < x < a):
         raise DomainError("need 0 < x < a")
-    return reg_incomplete_beta(p.alpha_rho, p.alpha_rho_hat, x / a)
+    return float(betainc(p.alpha_rho, p.alpha_rho_hat, x / a))
 
 
 def killed_resolvent_u(
@@ -244,23 +219,6 @@ def path_rng(
         "uinteger": 0,
     }
     return reuse
-
-
-def _workspace(count: int):
-    """take(shape) -> `count` C-contiguous float arrays of that shape.
-
-    The arrays are views of buffers kept between calls, regrown only when
-    a larger shape is asked for; each call overwrites the previous views.
-    """
-    flat = [np.empty(0) for _ in range(count)]
-
-    def take(shape):
-        size = shape[0] * shape[1]
-        if flat[0].size < size:
-            flat[:] = [np.empty(size) for _ in range(count)]
-        return [f[:size].reshape(shape) for f in flat]
-
-    return take
 
 
 def increment_sampler(p: StableParams, dt: float):
@@ -345,7 +303,9 @@ def increment_sampler(p: StableParams, dt: float):
     a_theta0 = alpha * theta0
     # (dt / cos(a_theta0))^(1/alpha) times the 2 of sin phi = 2T / (1 + T^2).
     factor = 2.0 * (dt / math.cos(a_theta0)) ** (1.0 / alpha)
-    take = _workspace(2)
+    # Two scratch buffers kept between calls, regrown only when a larger
+    # draw is asked for.
+    scratch = [np.empty(0), np.empty(0)]
 
     def draw(rngs, n, out=None):
         # In-place form of
@@ -357,7 +317,9 @@ def increment_sampler(p: StableParams, dt: float):
         # in that operation order.  Halving is exact, so T is taken at
         # exactly half the angle a direct sin would round to.
         v = np.empty((len(rngs), n)) if out is None else out
-        w, s = take(v.shape)
+        if scratch[0].size < v.size:
+            scratch[:] = [np.empty(v.size), np.empty(v.size)]
+        w, s = (b[: v.size].reshape(v.shape) for b in scratch)
         for rng, v_row, w_row in zip(rngs, v, w):
             rng.random(out=v_row)
             rng.standard_exponential(out=w_row)

@@ -254,7 +254,11 @@ def _suite_scale():
                 worst,
                 1e-14,
                 passed=worst <= 1e-14,
-                detail="down exponent equals up exponent shifted by one",
+                detail="holds by construction: psi_down is psi_up's "
+                "Laplace-exponent helper at theta - 1, so the two share code "
+                "and the drift is exactly 0; the independent route is the "
+                "Levy-measure oracle, the Levy-Khintchine integral of "
+                "pi(dx) = e^(gamma x) nu(e^x - 1) dx",
             )
         )
     s = SpectralCase(Case.UP_NEG, 1.5)
@@ -286,7 +290,10 @@ def _suite_hitting():
             worst,
             1e-10,
             passed=worst <= 1e-10,
-            detail="both routes share killed_resolvent_u (closed form in 2F1)",
+            detail="both routes take the same 2x2-determinant ratio of "
+            "killed_resolvent_u values (closed form in 2F1), one of them "
+            "through an LU inverse of U, so this checks shared code; the "
+            "independent route is walk-on-spheres Monte Carlo",
         )
     )
     q1 = HitQuery(1.5, 1.0, 0.5, 2.0)
@@ -471,14 +478,6 @@ def _suite_expfun():
     return checks
 
 
-def _weighted_stats(sample, event):
-    w = sample.h_weight * event
-    n = sample.config.n_paths
-    mean = float(np.sum(w)) / n
-    se = float(np.std(w)) / math.sqrt(n)
-    return mean, se
-
-
 def _suite_montecarlo(seed, n_paths, step):
     checks = []
     p = StableParams(1.5, 0.5)
@@ -576,7 +575,9 @@ def _suite_montecarlo(seed, n_paths, step):
     up_event = (down_run.side == SIDE_UP).astype(float)
     m1 = float(np.sum(reweighted * up_event)) / n_paths
     se1 = float(np.std(reweighted * up_event)) / math.sqrt(n_paths)
-    m2, se2 = _weighted_stats(up_run, (up_run.side == SIDE_UP).astype(float))
+    up_weighted = up_run.h_weight * (up_run.side == SIDE_UP).astype(float)
+    m2 = float(np.sum(up_weighted)) / n_paths
+    se2 = float(np.std(up_weighted)) / math.sqrt(n_paths)
     combined = math.hypot(se1, se2)
     z = (m1 - m2) / combined if combined > 0 else 0.0
     checks.append(

@@ -106,6 +106,16 @@ class TestEval:
         m = m_of("--alpha", "1.5", flag, "2")
         assert m == 2.0 * default_m(1.5) == ExpFunctionalModel(model_case, 1.5, 2.0).m
 
+    def test_triple_law_metadata_records_q_ladder(self, capsys):
+        # The down-neg triple law depends on q_ladder, so its CSV says
+        # which q was evaluated; the other cases do not read it.
+        rc, out, _ = run(
+            capsys, "eval", "--law", "triple-law", "--case", "down-neg", "--q-ladder", "0.7"
+        )
+        assert rc == 0 and "# q_ladder=0.69999999999999996\n" in out
+        rc, out, _ = run(capsys, "eval", "--law", "triple-law", "--q-ladder", "0.7")
+        assert rc == 0 and "q_ladder" not in out
+
     def test_rogozin_metadata_records_evaluated_x(self, capsys):
         # A start point outside (0, a) is evaluated at a/2 = 1; the
         # metadata says so, and the rows are those of --x 1.
@@ -332,6 +342,37 @@ class TestExitCodes:
         rc, out, _ = run(capsys, "eval", "--law", "expfun-moments", "--grid", "150:151:2")
         assert rc == 0 and out.splitlines()[-2].startswith("150,2.34589042228")
 
+    def test_down_neg_scale_fn_past_exp_range(self, capsys):
+        # W carries e^x for down-neg: e^x alone overflows past x = 709.78,
+        # W itself only past x = 710.5 at alpha 1.5.
+        rc, out, err = run(
+            capsys, "eval", "--law", "scale-fn", "--case", "down-neg", "--grid", "0:800:3"
+        )
+        assert rc == 3 and out == "" and "float range" in err
+        rc, out, _ = run(
+            capsys, "eval", "--law", "scale-fn", "--case", "down-neg", "--grid", "709:710.4:3"
+        )
+        assert rc == 0
+        values = [float(l.split(",")[1]) for l in out.splitlines()[-3:]]
+        want = math.exp(710.4 - math.log(default_m(1.5)))
+        assert math.isfinite(values[-1]) and values[-1] == pytest.approx(want, rel=1e-12)
+
+    def test_down_neg_ruin_past_exp_range_is_finite(self, capsys):
+        # A ratio of two scale-function values past the float range.
+        rc, out, _ = run(
+            capsys, "eval", "--law", "ruin", "--case", "down-neg", "--x", "800",
+            "--grid", "0.5:2:3",
+        )
+        assert rc == 0
+        for line in out.splitlines()[-3:]:
+            y, value = map(float, line.split(","))
+            assert value == pytest.approx(math.exp(-y), rel=1e-15)
+
+    def test_grid_over_the_point_cap_is_3(self, capsys):
+        rc, out, err = run(capsys, "eval", "--law", "psi", "--grid", "0:1:10000000000000")
+        assert rc == 3 and out == "" and "cap" in err
+        assert len(parse_grid("0:1:1000000")) == 10**6
+
     def test_non_numeric_grid_is_2(self, capsys):
         rc, out, err = run(capsys, "eval", "--law", "psi", "--grid", "0:1:x")
         assert rc == 2 and out == "" and "grid" in err
@@ -511,7 +552,7 @@ _FUZZ_VALUES = (
     "800", "-800",
     "nan", "inf", "-inf", "abc", "", "up", "down", "star", "max", "min",
     "up-neg", "down-neg", "down-pos", "0.2:2:3", "1:5:3:log", "0:1:1", "1:2:3:cubic",
-    "0:1:x", "1:1000:3", "0:1e200:3",
+    "0:1:x", "1:1000:3", "0:1e200:3", "0:800:3", "0:1:10000000000000",
 )
 
 

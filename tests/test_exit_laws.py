@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.special import betainc
 
 from pssmp import exit_laws
 from pssmp.errors import DomainError
@@ -20,8 +21,8 @@ from pssmp.exit_laws import (
     min_cdf_up,
     overshoot_cdf_interpolant,
 )
-from pssmp.numerics import _log_expm1, integrate_adaptive, reg_incomplete_beta
-from pssmp.stable import Kind, LampertiKind, StableParams, rogozin_overshoot_density
+from pssmp.numerics import _log_expm1, integrate_adaptive
+from pssmp.stable import Kind, StableParams, rogozin_overshoot_density
 
 P = StableParams(1.5, 0.5)
 W = ExitWindow(v=-0.5, u=0.5)
@@ -211,7 +212,7 @@ class TestStarMinimumClosedForm:
         ar = p.alpha_rho
         for z in (0.01, 0.3, 1.0, 3.0, 10.0):
             drop = exit_mass_one_sided(Kind.STAR, p, Direction.DOWN, -z, tol=1e-12)
-            closed = reg_incomplete_beta(1.0 - ar, ar, math.exp(-z))
+            closed = betainc(1.0 - ar, ar, math.exp(-z))
             assert closed == pytest.approx(drop, abs=1e-9)
 
     @pytest.mark.parametrize("alpha,rho", _MIN_PARAMS[:3])
@@ -265,7 +266,7 @@ class TestCreeping:
     def test_spectrally_negative_up_side(self):
         # The killed process can jump below 0 before it exits, so its up
         # mass is W(x)/W(a), short of 1 - down mass by the killed mass.
-        p = StableParams.spectrally_negative_case(1.5)
+        p = StableParams(1.5, 1.0 - 1.0 / 1.5, c_plus=0.0)
         assert creeping_side(p, Direction.UP)
         up = exit_mass_two_sided(Kind.STAR, p, W, Direction.UP)
         down = exit_mass_two_sided(Kind.STAR, p, W, Direction.DOWN)
@@ -282,10 +283,10 @@ class TestCreeping:
         # The conditioned kinds have unit total mass, so their up mass is
         # 1 - down mass, by quadrature; it must equal the Doob tilt
         # e^(u*h) of the killed kind's closed-form up mass.
-        p = StableParams.spectrally_negative_case(alpha)
+        p = StableParams(alpha, 1.0 - 1.0 / alpha, c_plus=0.0)
         star = exit_mass_two_sided(Kind.STAR, p, w, Direction.UP)
         for kind in (Kind.UP, Kind.DOWN):
-            h = LampertiKind.for_params(kind, p).h_exponent
+            h = kind.h_exponent(p)
             up = exit_mass_two_sided(kind, p, w, Direction.UP)
             assert up == pytest.approx(math.exp(w.u * h) * star, abs=1e-11)
 
@@ -294,14 +295,14 @@ class TestCreeping:
               ExitWindow(-800.0, 800.0), ExitWindow(-1e308, 1e308)]
     )
     def test_killed_up_mass_in_range_for_extreme_windows(self, w):
-        p = StableParams.spectrally_negative_case(1.5)
+        p = StableParams(1.5, 1.0 - 1.0 / 1.5, c_plus=0.0)
         up = exit_mass_two_sided(Kind.STAR, p, w, Direction.UP)
         assert 0.0 <= up <= 1.0
 
     def test_spectrally_positive_down_side(self):
         # With no negative jumps the killed process cannot pass below 0
         # without first creeping through e^v, so 1 - up mass is right here.
-        p = StableParams.spectrally_positive_case(1.5)
+        p = StableParams(1.5, 1.0 / 1.5, c_minus=0.0)
         assert creeping_side(p, Direction.DOWN)
         assert exit_density_two_sided(Kind.UP, p, W, Direction.DOWN, 0.5) == 0.0
         up = exit_mass_two_sided(Kind.STAR, p, W, Direction.UP)
@@ -310,7 +311,7 @@ class TestCreeping:
 
     def test_one_sided_barrier_checked_on_a_creeping_side(self):
         # The barrier is checked before the creeping shortcut returns 0.
-        p = StableParams.spectrally_negative_case(1.5)
+        p = StableParams(1.5, 1.0 - 1.0 / 1.5, c_plus=0.0)
         assert exit_density_one_sided(Kind.STAR, p, Direction.UP, 0.5, 0.5) == 0.0
         for bad in (-0.5, 0.0, math.inf, math.nan):
             with pytest.raises(DomainError, match="upper barrier"):
@@ -367,7 +368,7 @@ class TestInterpolant:
         assert cdf(1e9) == pytest.approx(1.0, abs=1e-12)
 
     def test_creeping_side_rejected(self):
-        p = StableParams.spectrally_negative_case(1.5)
+        p = StableParams(1.5, 1.0 - 1.0 / 1.5, c_plus=0.0)
         with pytest.raises(DomainError):
             overshoot_cdf_interpolant(Kind.STAR, p, Direction.UP, window=W)
 

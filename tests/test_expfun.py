@@ -13,7 +13,6 @@ from pssmp.expfun import (
     density_I,
     density_I_star,
     density_I_star_as_printed,
-    entrance_density,
     entrance_moment,
     fit_loglog_slope,
     laplace_I,
@@ -62,6 +61,8 @@ class TestModel:
             density_I_star(UP, 1.0)
         with pytest.raises(DomainError):
             ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, 0.9)
+        with pytest.raises(DomainError):
+            entrance_moment(UP, 0, 1.0)
 
 
 class TestSpectrallyNegativeFunctional:
@@ -103,13 +104,6 @@ class TestSpectrallyNegativeFunctional:
         assert got.converged
         assert got.value == pytest.approx(ref, rel=1e-7)
 
-    def test_density_total_mass(self):
-        x_lo = 0.09 / UP.c
-        body = integrate_adaptive(
-            lambda x: density_I(UP, x).value, x_lo, math.inf, tol=1e-9
-        ).value
-        assert body + left_mass_bound(UP, x_lo) == pytest.approx(1.0, abs=1e-6)
-
     def test_left_mass_bound_is_tiny_and_monotone(self):
         b1 = left_mass_bound(UP, 0.09 / UP.c)
         b2 = left_mass_bound(UP, 0.05 / UP.c)
@@ -124,19 +118,6 @@ class TestSpectrallyNegativeFunctional:
             r * density_I(UP, r * x).value, rel=1e-10
         )
 
-    def test_entrance_law(self):
-        t = 1.0
-        x_hi = t * UP.c / 0.09
-        for k in (1, 2):
-            quad = integrate_adaptive(
-                lambda x: x**k * entrance_density(UP, t, x).value,
-                1e-8,
-                x_hi,
-                tol=1e-9,
-            ).value
-            assert quad == pytest.approx(entrance_moment(UP, k, t), rel=1e-4)
-        with pytest.raises(DomainError):
-            entrance_moment(UP, 0, 1.0)
 
 
 class TestKilledFunctional:

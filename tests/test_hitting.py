@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from pssmp.errors import DomainError
+from pssmp import hitting
+from pssmp.errors import DomainError, NumericError
 from pssmp.hitting import (
     HitQuery,
     hit_closed_ratio,
@@ -54,6 +55,19 @@ class TestClosedResolvent:
         q = HitQuery(alpha, 1.2 * scale, 1.0 * scale, 2.0 * scale)
         assert hit_closed_ratio(q) == pytest.approx(want, rel=1e-14)
         assert hit_matrix_method(q) == pytest.approx(want, rel=1e-14)
+
+
+class TestRefusals:
+    def test_ill_conditioned_matrix_is_refused(self):
+        # 9 max|U^-1| is about 6.8e12 here; the 1-norm condition number of
+        # U reads 7.6e11, under the 1e12 bound, so it is not the test.
+        with pytest.raises(NumericError, match="ill-conditioned"):
+            hit_matrix_method(HitQuery(1.99, 1.0, 1e-6, 1e6))
+
+    def test_singular_matrix_is_a_numeric_error(self, monkeypatch):
+        monkeypatch.setattr(hitting, "killed_resolvent_u", lambda *a, **k: 1.0)
+        with pytest.raises(NumericError, match="singular"):
+            hit_matrix_method(HitQuery(1.5, 1.0, 0.5, 2.0))
 
 
 class TestStartOnTarget:

@@ -9,7 +9,6 @@ from pssmp.numerics import (
     gamma_signed,
     integrate_adaptive,
     log_gamma,
-    reg_incomplete_beta,
     sum_series,
 )
 
@@ -34,16 +33,6 @@ class TestSpecialFunctions:
         for bad in (0.0, -1.0, -7.0):
             with pytest.raises(PoleError):
                 gamma_signed(bad)
-
-    def test_incomplete_beta(self):
-        assert reg_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-        assert reg_incomplete_beta(2.0, 3.0, 1.0) == 1.0
-        # symmetric case: I_{1/2}(a, a) = 1/2
-        assert reg_incomplete_beta(0.7, 0.7, 0.5) == pytest.approx(0.5, rel=1e-14)
-        with pytest.raises(DomainError):
-            reg_incomplete_beta(-1.0, 2.0, 0.5)
-        with pytest.raises(DomainError):
-            reg_incomplete_beta(1.0, 2.0, 1.5)
 
 
 class TestQuadrature:

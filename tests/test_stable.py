@@ -8,7 +8,6 @@ from pssmp.errors import DomainError
 from pssmp.numerics import integrate_adaptive
 from pssmp.stable import (
     Kind,
-    LampertiKind,
     StableParams,
     exit_up_probability,
     increment_sampler,
@@ -38,27 +37,18 @@ class TestStableParams:
             StableParams(1.5, 0.3).require_two_sided()
 
     def test_one_sided_boundaries(self):
-        sn = StableParams.spectrally_negative_case(1.5)
+        sn = StableParams(1.5, 1.0 - 1.0 / 1.5, c_plus=0.0)
         assert sn.spectrally_negative and not sn.spectrally_positive
         assert sn.alpha_rho_hat == pytest.approx(1.0, abs=1e-12)
-        sp = StableParams.spectrally_positive_case(1.5)
+        sp = StableParams(1.5, 1.0 / 1.5, c_minus=0.0)
         assert sp.spectrally_positive
         assert sp.alpha_rho == pytest.approx(1.0, abs=1e-12)
 
-    def test_swapped(self):
-        p = StableParams(1.2, 0.7, c_plus=2.0, c_minus=3.0)
-        q = p.swapped()
-        assert q.rho == pytest.approx(0.3)
-        assert (q.c_plus, q.c_minus) == (3.0, 2.0)
-
     def test_lamperti_kinds(self):
         p = StableParams(1.5, 0.5)
-        star = LampertiKind.for_params(Kind.STAR, p)
-        up = LampertiKind.for_params(Kind.UP, p)
-        down = LampertiKind.for_params(Kind.DOWN, p)
-        assert star.gamma_exponent == 1.0
-        assert up.gamma_exponent == pytest.approx(p.alpha_rho + 1.0)
-        assert down.gamma_exponent == pytest.approx(p.alpha_rho)
+        assert Kind.STAR.gamma_exponent(p) == 1.0
+        assert Kind.UP.gamma_exponent(p) == pytest.approx(p.alpha_rho + 1.0)
+        assert Kind.DOWN.gamma_exponent(p) == pytest.approx(p.alpha_rho)
 
     @pytest.mark.parametrize("alpha", [0.8, 1.2, 1.5, 1.8])
     @pytest.mark.parametrize("rho", [0.3, 0.5, 0.7])
@@ -66,9 +56,9 @@ class TestStableParams:
         # Exact equality: (alpha*rho + 1) - 1 would miss alpha*rho in the
         # last bit for several of these pairs.
         p = StableParams(alpha, rho)
-        assert LampertiKind.for_params(Kind.STAR, p).h_exponent == 0.0
-        assert LampertiKind.for_params(Kind.UP, p).h_exponent == p.alpha_rho
-        assert LampertiKind.for_params(Kind.DOWN, p).h_exponent == p.alpha_rho - 1.0
+        assert Kind.STAR.h_exponent(p) == 0.0
+        assert Kind.UP.h_exponent(p) == p.alpha_rho
+        assert Kind.DOWN.h_exponent(p) == p.alpha_rho - 1.0
 
 
 class TestTwoSidedExit:
@@ -91,6 +81,10 @@ class TestTwoSidedExit:
         p = StableParams(1.5, 0.5)
         assert exit_up_probability(p, 1.0, 1e-9) < 1e-6
         assert exit_up_probability(p, 1.0, 1.0 - 1e-9) > 1.0 - 1e-6
+        # symmetric case: I_{1/2}(a, a) = 1/2
+        assert exit_up_probability(StableParams(1.4, 0.5), 2.0, 1.0) == pytest.approx(
+            0.5, rel=1e-14
+        )
 
     def test_domain_checks(self):
         p = StableParams(1.5, 0.5)
@@ -98,6 +92,8 @@ class TestTwoSidedExit:
             rogozin_overshoot_density(p, 1.0, 1.5, 0.3)
         with pytest.raises(DomainError):
             exit_up_probability(StableParams(1.5, 0.3), 1.0, 0.5)
+        with pytest.raises(DomainError):
+            exit_up_probability(p, 1.0, 1.5)
 
 
 class TestResolvent:
@@ -323,8 +319,8 @@ class TestSampling:
         cases = [
             StableParams(1.5, 1.0 - 1.0 / 1.5 + 1e-6),
             StableParams(1.5, 1.0 / 1.5 - 1e-6),
-            StableParams.spectrally_negative_case(1.5),
-            StableParams.spectrally_positive_case(1.5),
+            StableParams(1.5, 1.0 - 1.0 / 1.5, c_plus=0.0),
+            StableParams(1.5, 1.0 / 1.5, c_minus=0.0),
         ]
         with np.errstate(all="raise"):
             for p in cases:
