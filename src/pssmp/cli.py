@@ -316,10 +316,8 @@ def _ruin(args, p, grid):
 
 def _triple_law(args, p, grid):
     s, _ = _spectral(args, p)
-    if s.case in (Case.UP_NEG, Case.DOWN_NEG):
-        barrier = _arg(args, "v", -1.0)
-    else:
-        barrier = _arg(args, "u", 1.0)
+    # Only DownPos passes above, through u; the other cases pass below v.
+    barrier = _arg(args, "u", 1.0) if s.case is Case.DOWN_POS else _arg(args, "v", -1.0)
     eta = _arg(args, "eta", abs(barrier) / 2.0)
     phi = _arg(args, "phi", eta + 0.5)
     meta = [("case", s.case.value), ("barrier", barrier), ("phi", phi), ("eta", eta)]
@@ -332,6 +330,8 @@ def _triple_law(args, p, grid):
 
 
 def _hit_two_point(args, p, grid):
+    if p.rho != 0.5:
+        raise DomainError(f"hit-two-point is symmetric: rho must be 0.5, got {p.rho}")
     a, b = _arg(args, "a", 0.5), _arg(args, "b")
     # A point on a target gives 1 at a and 0 at b; one near a target exits 2.
     rows = [(xx, hit_closed_ratio(HitQuery(p.alpha, xx, a, b))) for xx in grid]
@@ -359,6 +359,8 @@ def _with_bounds(grid, series_values):
 
 def _expfun_density(args, p, grid):
     kind = Kind(_arg(args, "kind"))
+    if kind is Kind.DOWN:
+        raise DomainError("expfun-density has kinds up and star, not down")
     model = _expfun_model(p, star=kind is Kind.STAR)
     density = expfun.density_I_star if kind is Kind.STAR else expfun.density_I
     vals = [density(model, xx) for xx in grid]

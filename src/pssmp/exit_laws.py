@@ -271,7 +271,7 @@ def min_cdf_up(p: StableParams, z: float) -> float:
     P(-inf of the UP process <= z) = (1 - e^-z)^(alpha*rho).
     """
     _validate_mode(p)
-    if z < 0.0:
+    if not z >= 0.0:
         raise DomainError("z must be nonnegative")
     return (-math.expm1(-z)) ** p.alpha_rho
 
@@ -282,7 +282,7 @@ def max_cdf_down(p: StableParams, z: float) -> float:
     P(sup of the DOWN process <= z) = (1 - e^-z)^(alpha*(1-rho)).
     """
     _validate_mode(p)
-    if z < 0.0:
+    if not z >= 0.0:
         raise DomainError("z must be nonnegative")
     return (-math.expm1(-z)) ** p.alpha_rho_hat
 
@@ -298,7 +298,7 @@ def extrema_density_star(p: StableParams, z: float, which: str = "max") -> float
     float range.
     """
     p.require_two_sided()
-    if z < 0.0:
+    if not z >= 0.0:
         raise DomainError("z must be nonnegative")
     ar, arh = p.alpha_rho, p.alpha_rho_hat
     if which == "max":
@@ -327,7 +327,7 @@ def extrema_min_star_as_printed(p: StableParams, z: float) -> float:
     reports can show it next to the derived law.
     """
     p.require_two_sided()
-    if z < 0.0:
+    if not z >= 0.0:
         raise DomainError("z must be nonnegative")
     if z == 0.0:
         return 0.0

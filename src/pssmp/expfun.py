@@ -103,23 +103,9 @@ def neg_moment_I(model: ExpFunctionalModel, k: int) -> float:
 def laplace_I(model: ExpFunctionalModel, lam: float) -> float:
     """Laplace transform E(exp(-lambda I)) = exp(-(lambda/c)^(1/alpha))."""
     model._require(ExpCase.UP_SPECTRALLY_NEGATIVE, "laplace_I")
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise DomainError("lambda must be nonnegative")
     return math.exp(-((lam / model.c) ** (1.0 / model.alpha)))
-
-
-def _subordinator_series(z: float, beta: float, tol: float) -> SeriesValue:
-    """sum_{n>=1} Gamma(1+n beta) sin(pi n beta) (-z)^n / n! with tail control."""
-    log_z = math.log(z) if z > 0.0 else -math.inf
-
-    def term(n):
-        return (-1.0) ** n * math.sin(math.pi * n * beta), (
-            log_gamma(1.0 + n * beta),
-            n * log_z,
-            -log_gamma(n + 1.0),
-        )
-
-    return sum_series(term, tol=tol, start=1)
 
 
 def density_I(model: ExpFunctionalModel, x: float) -> SeriesValue:
@@ -131,11 +117,20 @@ def density_I(model: ExpFunctionalModel, x: float) -> SeriesValue:
     (c x)^(-1/alpha), so very small x needs the tail asymptotics instead.
     """
     model._require(ExpCase.UP_SPECTRALLY_NEGATIVE, "density_I")
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError("x must be positive")
     beta = 1.0 / model.alpha
     z = (model.c * x) ** -beta
-    inner = _subordinator_series(z, beta, tol=1e-10 * math.pi * x)
+    log_z = math.log(z) if z > 0.0 else -math.inf
+
+    def term(n):  # Gamma(1 + n beta) sin(pi n beta) (-z)^n / n!
+        return (-1.0) ** n * math.sin(math.pi * n * beta), (
+            log_gamma(1.0 + n * beta),
+            n * log_z,
+            -log_gamma(n + 1.0),
+        )
+
+    inner = sum_series(term, tol=1e-10 * math.pi * x, start=1)
     sv = inner.scaled(-1.0 / (math.pi * x))
     if not sv.converged:
         raise ConvergenceError(
@@ -151,7 +146,7 @@ def entrance_moment(model: ExpFunctionalModel, k: int, t: float) -> float:
     model._require(ExpCase.UP_SPECTRALLY_NEGATIVE, "entrance_moment")
     if k < 1 or int(k) != k:
         raise DomainError("k must be a positive integer")
-    if t <= 0.0:
+    if not t > 0.0:
         raise DomainError("t must be positive")
     a, m = model.alpha, model.m
     log_value = (
@@ -171,7 +166,7 @@ def entrance_density(model: ExpFunctionalModel, t: float, x: float) -> SeriesVal
     p_t(x) = density_I(t/x) / (alpha m x).
     """
     model._require(ExpCase.UP_SPECTRALLY_NEGATIVE, "entrance_density")
-    if t <= 0.0 or x <= 0.0:
+    if not (t > 0.0 and x > 0.0):
         raise DomainError("t and x must be positive")
     return density_I(model, t / x).scaled(1.0 / (model.alpha * model.m * x))
 
@@ -212,7 +207,7 @@ def sup_density_spectrally_positive(
     quoted series verbatim.
     """
     model._require(ExpCase.STAR_SPECTRALLY_POSITIVE, "supremum density")
-    if y <= 0.0:
+    if not y > 0.0:
         raise DomainError("y must be positive")
     a = model.alpha
     sigma = model.c ** (1.0 / a)
@@ -229,7 +224,7 @@ def density_I_star(model: ExpFunctionalModel, x: float) -> SeriesValue:
     recommends the tail asymptotics.
     """
     model._require(ExpCase.STAR_SPECTRALLY_POSITIVE, "density_I_star")
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError("x must be positive")
     a = model.alpha
     y = x ** (-1.0 / a)
@@ -253,7 +248,7 @@ def density_I_star_as_printed(model: ExpFunctionalModel, x: float) -> SeriesValu
     next to the change-of-variables construction.
     """
     model._require(ExpCase.STAR_SPECTRALLY_POSITIVE, "density_I_star_as_printed")
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError("x must be positive")
     sigma = model.c ** (1.0 / model.alpha)
     f = sup_density_spectrally_positive(model, sigma * x**-model.alpha)
@@ -268,7 +263,7 @@ def left_mass_bound(model: ExpFunctionalModel, x: float) -> float:
     that the mass below a small-x series cutoff is negligible.
     """
     model._require(ExpCase.UP_SPECTRALLY_NEGATIVE, "left_mass_bound")
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError("x must be positive")
     beta = 1.0 / model.alpha
     cb = model.c**-beta
@@ -287,14 +282,15 @@ def sup_survival_asymptotic(model: ExpFunctionalModel, y: float) -> tuple[float,
     model._require(ExpCase.STAR_SPECTRALLY_POSITIVE, "sup_survival_asymptotic")
     a = model.alpha
     yy = y / model.c ** (1.0 / a)
-    if yy <= 1.0:
+    if not yy > 1.0:
         raise DomainError("asymptotic expansion needs y above the process scale")
     log_yy = math.log(yy)
 
-    def sum_to_smallest(term_mag, term_val):
+    def sum_to_smallest(term):
         total, prev = 0.0, math.inf
         for k in range(1, 81):
-            mag = term_mag(k)
+            t = term(k)
+            mag = abs(t)
             if mag == 0.0:
                 # A reciprocal-gamma pole annihilates this term exactly;
                 # it carries no information about the envelope, skip it.
@@ -303,24 +299,20 @@ def sup_survival_asymptotic(model: ExpFunctionalModel, y: float) -> tuple[float,
                 # Stop at the smallest term; the first omitted term
                 # magnitude bounds the truncation error.
                 return total, mag
-            total += term_val(k)
+            total += t
             prev = mag
         return total, prev
 
     s1, b1 = sum_to_smallest(
         lambda k: math.exp(-a * k * log_yy - log_gamma(k + 1.0))
-        * abs(float(rgamma(1.0 - a * k))),
-        lambda k: math.exp(-a * k * log_yy - log_gamma(k + 1.0))
-        * float(rgamma(1.0 - a * k)),
+        * float(rgamma(1.0 - a * k))
     )
     pref = math.sin(math.pi / a) / math.pi
-
-    def h_m(m):
-        return gamma_signed(-m - 1.0 / a) * float(rgamma(-a * m))
-
     s2, b2 = sum_to_smallest(
-        lambda m: pref * abs(h_m(m)) * math.exp(-(1.0 + a * m) * log_yy),
-        lambda m: pref * (-1.0) ** m * h_m(m) * math.exp(-(1.0 + a * m) * log_yy),
+        lambda m: pref
+        * (-1.0) ** m
+        * (gamma_signed(-m - 1.0 / a) * float(rgamma(-a * m)))
+        * math.exp(-(1.0 + a * m) * log_yy)
     )
     return -(s1 + s2), b1 + b2
 
@@ -336,6 +328,8 @@ def sup_cdf(model: ExpFunctionalModel, y: float) -> float:
     the power series holds up in double precision.
     """
     model._require(ExpCase.STAR_SPECTRALLY_POSITIVE, "sup_cdf")
+    if math.isnan(y):
+        raise DomainError("y must be a number")
     if y <= 0.0:
         return 0.0
     a = model.alpha
@@ -366,6 +360,8 @@ def cdf_I_star(model: ExpFunctionalModel, x: float) -> float:
     its CDF at x is the supremum's survival at x^(-1/alpha).
     """
     model._require(ExpCase.STAR_SPECTRALLY_POSITIVE, "cdf_I_star")
+    if math.isnan(x):
+        raise DomainError("x must be a number")
     if x <= 0.0:
         return 0.0
     return 1.0 - sup_cdf(model, x ** (-1.0 / model.alpha))

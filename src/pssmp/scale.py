@@ -6,6 +6,10 @@ to-hit-zero process with no positive jumps (DownNeg) and with no
 negative jumps (DownPos).  The mean normalization m defaults to
 c * Gamma(alpha) with c = c_minus * Gamma(2 - alpha) / (alpha*(alpha-1)),
 the unique value consistent with the exponential-functional moments.
+
+The triple law's constant K is one quadrature over the prior extremum
+eta, its theta and phi integrals in closed form; ``triple_law_total_mass``
+checks K by nested quadrature, sharing only the kernel A with it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from scipy.special import poch
+from scipy.special import hyp2f1, poch
 
 from .errors import ConfigurationError, DomainError, NumericError
 from .numerics import _exp_or_inf, _log_expm1, integrate_adaptive, log_gamma
@@ -35,10 +39,6 @@ __all__ = [
     "triple_law_total_mass",
     "triple_law_K_printed_upneg",
 ]
-
-# (e^phi - 1)^-a / a underflows to 0 beyond phi = 745 for every a > 1.
-_LOG_PHI_MAX = math.log(745.0)
-
 
 class Case(Enum):
     UP_NEG = "up-neg"  # conditioned to stay positive, no positive jumps
@@ -129,7 +129,7 @@ def scale_fn(s: SpectralCase, x: float) -> float:
     the float range (past x = 709.78) before W does; a sum of logs would
     lose |log W| ulps.  A value past the float range raises NumericError.
     """
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError("x must be nonnegative")
     value = (-math.expm1(-x)) ** (s.alpha - 1.0) / s.mean
     if s.case is Case.DOWN_NEG:
@@ -146,7 +146,7 @@ def ruin_probability(s: SpectralCase, x: float, y: float) -> float:
     Formed as the closed ratio ((1 - e^-x)/(1 - e^(-x-y)))^(alpha-1), times
     e^-y for DownNeg, which is finite for every x, y > 0.
     """
-    if x <= 0.0 or y <= 0.0:
+    if not (x > 0.0 and y > 0.0):
         raise DomainError("x and y must be positive")
     ratio = (math.expm1(-x) / math.expm1(-x - y)) ** (s.alpha - 1.0)
     if s.case is Case.DOWN_NEG:
@@ -170,12 +170,12 @@ class TripleLawPoint:
     eta: float
 
 
-def _check_point(s: SpectralCase, pt: TripleLawPoint):
-    depth = -pt.barrier if s.case in (Case.UP_NEG, Case.DOWN_NEG) else pt.barrier
-    if depth <= 0.0:
-        raise DomainError("barrier must be negative (UpNeg/DownNeg) or positive (DownPos)")
-    if pt.theta < 0.0 or pt.phi < pt.eta or not (0.0 <= pt.eta <= depth):
-        raise DomainError("need theta >= 0, phi >= eta, eta in [0, |barrier|]")
+def _depth(s: SpectralCase, barrier: float) -> float:
+    """|barrier|, once the barrier is finite and on its case's side of 0."""
+    depth = barrier if s.case is Case.DOWN_POS else -barrier
+    if not 0.0 < depth < math.inf:
+        raise DomainError("need a finite barrier, < 0 (UpNeg, DownNeg), > 0 (DownPos)")
+    return depth
 
 
 def _jump(a: float, s: float) -> float:
@@ -190,13 +190,16 @@ def _jump_tail(a: float, phi: float) -> float:
     return math.exp(-a * _log_expm1(phi)) / a
 
 
-def _kernel(s: SpectralCase, barrier: float):
+def _kernel(s: SpectralCase, depth: float):
     """(A, q) of the kernel A(eta) e^(-q (phi - eta)) J(theta + phi).
 
     In depth coordinates w = eta - |barrier|, UpNeg and DownPos share A
-    and q = 0; DownNeg carries the ladder killing rate q.
+    and q = 0; DownNeg carries the ladder killing rate q.  A(0) has the
+    size of K (e^-|barrier| for UpNeg, e^|barrier| for DownNeg), so both
+    quadratures integrate A / A(0), where an absolute tolerance acts as a
+    relative one at every barrier.
     """
-    a, depth, q = s.alpha, abs(barrier), 0.0
+    a, q = s.alpha, 0.0
     if s.case is Case.DOWN_NEG:
         if s.q_ladder is None:
             raise ConfigurationError(
@@ -212,62 +215,40 @@ def _kernel(s: SpectralCase, barrier: float):
     return A, q
 
 
-def _phi_inner_mass(s: SpectralCase, barrier: float, tol: float) -> float:
-    """Kernel mass with phi integrated inside eta, in r = log(phi).
+def _phi_mass(a: float, q: float, eta: float) -> float:
+    """int_eta^inf e^(-q (phi - eta)) _jump_tail(a, phi) dphi in closed form.
 
-    In r, the phi^-a rise near a small eta is a plain exponential.  Both
-    routes integrate A / A(0): A(0) has the size of the mass (e^-|barrier|
-    for UpNeg, e^|barrier| for DownNeg), so the absolute tolerance acts as
-    a relative one at every barrier.
+    In u = e^-phi it is e^(q eta) / a times the incomplete beta
+    B(x; a + q, 1 - a) = x^(a+q) 2F1(a + q, a; a + q + 1; x) / (a + q) at
+    x = e^-eta.  Euler's transformation moves the factor (1 - x)^(1-a) out
+    of the 2F1; formed by expm1, it keeps its digits where x rounds near 1.
     """
-    A, q = _kernel(s, barrier)
-    a0 = A(0.0)
-
-    def over_phi(eta):
-        def f(r):
-            phi = math.exp(r)
-            return math.exp(-q * (phi - eta)) * _jump_tail(s.alpha, phi) * phi
-
-        inner = integrate_adaptive(f, math.log(eta), _LOG_PHI_MAX, tol * 1e-2)
-        return A(eta) / a0 * inner.value
-
-    return a0 * integrate_adaptive(over_phi, 0.0, abs(barrier), tol=tol).value
-
-
-def _eta_inner_mass(s: SpectralCase, barrier: float, K: float, tol: float) -> float:
-    """Mass of kernel / K with eta inside phi; phi is split at |barrier|."""
-    A, q = _kernel(s, barrier)
-    a0 = A(0.0)
-    depth = abs(barrier)
-
-    def over_eta(phi):
-        def f(eta):
-            return A(eta) / a0 * math.exp(-q * (phi - eta))
-
-        inner = integrate_adaptive(f, 0.0, min(phi, depth), tol * 1e-2)
-        return _jump_tail(s.alpha, phi) * inner.value * (a0 / K)
-
-    near = integrate_adaptive(over_eta, 0.0, depth, tol).value
-    return near + integrate_adaptive(over_eta, depth, math.inf, tol).value
+    lead = math.exp(-a * eta) * (-math.expm1(-eta)) ** (1.0 - a)
+    return lead * hyp2f1(1.0, 1.0 + q, a + q + 1.0, math.exp(-eta)) / (a * (a + q))
 
 
 @lru_cache(maxsize=64)
-def _cached_K(case, alpha, q_ladder, barrier):
+def _cached_K(case, alpha, q_ladder, depth):
     # The kernel does not read m, so K is cached without it.
-    return _phi_inner_mass(SpectralCase(case, alpha, q_ladder=q_ladder), barrier, 1e-8)
+    A, q = _kernel(SpectralCase(case, alpha, q_ladder=q_ladder), depth)
+    a0 = A(0.0)
+
+    def over_eta(eta):
+        return A(eta) / a0 * _phi_mass(alpha, q, eta)
+
+    return a0 * integrate_adaptive(over_eta, 0.0, depth, tol=1e-8).value
 
 
 def triple_law_K(s: SpectralCase, barrier: float) -> float:
     """Normalizing constant of the triple law.
 
-    The theta integral is closed form; (eta, phi) is integrated by
-    adaptive quadrature to tolerance 1e-8, phi inside eta.
+    The theta and phi integrals are closed form (``_jump_tail`` and the
+    incomplete beta of ``_phi_mass``); eta is integrated by adaptive
+    quadrature to tolerance 1e-8.
     """
-    depth = -barrier if s.case in (Case.UP_NEG, Case.DOWN_NEG) else barrier
-    if depth <= 0.0:
-        raise DomainError("barrier on the wrong side for this case")
+    depth = _depth(s, barrier)
     try:
-        K = _cached_K(s.case, s.alpha, s.q_ladder, barrier)
+        K = _cached_K(s.case, s.alpha, s.q_ladder, depth)
     except (OverflowError, ZeroDivisionError):
         raise DomainError(
             f"the triple-law kernel leaves the float range at barrier={barrier}"
@@ -279,21 +260,38 @@ def triple_law_K(s: SpectralCase, barrier: float) -> float:
 
 def triple_law_density(s: SpectralCase, pt: TripleLawPoint) -> float:
     """Normalized joint density of (overshoot, undershoot, prior extremum)."""
-    _check_point(s, pt)
+    depth = _depth(s, pt.barrier)
+    if not (pt.theta >= 0.0 and pt.phi >= pt.eta and 0.0 <= pt.eta <= depth):
+        raise DomainError("need theta >= 0, phi >= eta, eta in [0, |barrier|]")
     K = triple_law_K(s, pt.barrier)
-    if pt.eta == abs(pt.barrier):
+    if pt.eta == depth:
         return math.inf  # the integrable pole of (1 - e^w)^(alpha - 2) at w = 0
-    A, q = _kernel(s, pt.barrier)
+    A, q = _kernel(s, depth)
     J = _jump(s.alpha, pt.theta + pt.phi)
     return A(pt.eta) * math.exp(-q * (pt.phi - pt.eta)) * J / K
 
 
 def triple_law_total_mass(s: SpectralCase, barrier: float, tol: float = 1e-7) -> float:
-    """Integral of the normalized density, eta inside phi (K has phi inside eta).
+    """Integral of the normalized density by nested quadrature, eta inside phi.
 
     Should equal 1; deviations measure quadrature (not modelling) error.
+    K takes phi in closed form, so the two routes share only the kernel A.
+    phi is split at |barrier|.
     """
-    return _eta_inner_mass(s, barrier, triple_law_K(s, barrier), tol)
+    K = triple_law_K(s, barrier)
+    depth = abs(barrier)
+    A, q = _kernel(s, depth)
+    a0 = A(0.0)
+
+    def over_eta(phi):
+        def f(eta):
+            return A(eta) / a0 * math.exp(-q * (phi - eta))
+
+        inner = integrate_adaptive(f, 0.0, min(phi, depth), tol * 1e-2)
+        return _jump_tail(s.alpha, phi) * inner.value * (a0 / K)
+
+    near = integrate_adaptive(over_eta, 0.0, depth, tol).value
+    return near + integrate_adaptive(over_eta, depth, math.inf, tol).value
 
 
 def triple_law_K_printed_upneg(s: SpectralCase, v: float) -> float:

@@ -135,8 +135,8 @@ def rogozin_overshoot_density(p: StableParams, a: float, x: float, y: float) -> 
     leaves the positive half-line.
     """
     p.require_two_sided()
-    if not (a > 0.0 and 0.0 < x < a):
-        raise DomainError("need 0 < x < a")
+    if not (a > 0.0 and 0.0 < x < a) or math.isnan(y):
+        raise DomainError("need 0 < x < a and y not NaN")
     if y <= 0.0:
         return 0.0
     ar, arh = p.alpha_rho, p.alpha_rho_hat

@@ -10,6 +10,7 @@ report both values and never fail a run.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 
 import numpy as np
@@ -269,8 +270,10 @@ def _suite_scale():
             triple_law_total_mass(s, -1.0),
             1.0,
             1e-5,
-            detail="K integrates phi inside eta, the mass eta inside phi; "
-            "both use the closed-form theta integral",
+            detail="K takes theta and phi in closed form (an incomplete "
+            "beta) and eta by quadrature; the mass nests eta inside phi by "
+            "quadrature over the closed-form theta integral, so the two "
+            "routes share only the kernel A",
         )
     )
     return checks
@@ -624,8 +627,8 @@ def run_suite(
         raise DomainError(
             f"unknown suite {suite!r}; choose from {', '.join(SUITES)} or all"
         )
-    if not 0 <= seed < 2**64:
-        raise DomainError(f"seed must lie in [0, 2^64), got {seed}")
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     names = SUITES if suite == "all" else (suite,)
     t0 = time.perf_counter()
     checks = []

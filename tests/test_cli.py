@@ -229,6 +229,17 @@ class TestExitCodes:
         )
         assert rc == 2 and "two-sided" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("expfun-density", "--kind", "down"), ("hit-two-point", "--rho", "0.3")],
+    )
+    def test_law_refuses_flags_it_does_not_evaluate(self, capsys, flags):
+        # There is no DOWN functional, and the two-point law is the
+        # symmetric one: each printed another law under these flags.
+        rc, out, err = run(capsys, "eval", "--law", *flags)
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_budget_errors_are_3(self, capsys):
         rc, _, _ = run(
             capsys, "simulate", "--n-paths", "1", "--step", "1e-8"

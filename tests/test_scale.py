@@ -2,11 +2,14 @@ import math
 
 import pytest
 
+from pssmp import scale
 from pssmp.errors import ConfigurationError, DomainError, NumericError
 from pssmp.numerics import integrate_adaptive
 from pssmp.scale import (
+    _cached_K,
     _jump,
     _jump_tail,
+    _phi_mass,
     Case,
     SpectralCase,
     default_m,
@@ -243,3 +246,60 @@ class TestSeparableKernel:
         # Past |barrier| ~ 710 the kernel leaves the float range.
         with pytest.raises(DomainError):
             triple_law_total_mass(s, sign * 800.0)
+
+
+ONE_SIDED = [
+    (Case.UP_NEG, -1.0, None),
+    (Case.DOWN_POS, 1.0, None),
+    (Case.DOWN_NEG, -1.0, 1.0),
+]
+
+
+class TestClosedFormK:
+    @pytest.mark.parametrize("a", [1.01, 1.5, 1.99])
+    @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
+    def test_phi_integral_against_mpmath(self, a, q):
+        # e^(q eta) / a times the incomplete beta B(e^-eta; a + q, 1 - a),
+        # at 40 digits.  The worst case is about 6e-11, at a 1.01 and
+        # eta 1e-8, where the 2F1 is taken next to x = 1.
+        mpmath = pytest.importorskip("mpmath")
+        for eta in (1e-8, 1e-5, 1e-2, 0.5, 3.0, 30.0, 300.0):
+            with mpmath.workdps(40):
+                A, Q, E = mpmath.mpf(a), mpmath.mpf(q), mpmath.mpf(eta)
+                beta = mpmath.betainc(A + Q, 1 - A, 0, mpmath.exp(-E))
+                want = mpmath.exp(Q * E) / A * beta
+            assert _phi_mass(a, q, eta) == pytest.approx(float(want), rel=2e-10)
+
+    @pytest.mark.parametrize("case,sign,q", ONE_SIDED)
+    def test_cold_K_is_one_quadrature(self, monkeypatch, case, sign, q):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return integrate_adaptive(*args, **kwargs)
+
+        monkeypatch.setattr(scale, "integrate_adaptive", counted)
+        _cached_K.cache_clear()
+        triple_law_K(SpectralCase(case, 1.5, q_ladder=q), sign * 2.0)
+        assert calls == [(0.0, 2.0)]
+
+    @pytest.mark.parametrize("case,sign,q", ONE_SIDED)
+    @pytest.mark.parametrize("depth", [-1.0, 0.0, math.inf, math.nan])
+    def test_barrier_off_its_side_or_not_finite(self, case, sign, q, depth):
+        s = SpectralCase(case, 1.5, q_ladder=q)
+        with pytest.raises(DomainError, match="barrier"):
+            triple_law_K(s, sign * depth)
+        with pytest.raises(DomainError, match="barrier"):
+            triple_law_density(s, TripleLawPoint(sign * depth, 0.2, 0.5, 0.3))
+
+    @pytest.mark.parametrize(
+        "pt",
+        [
+            TripleLawPoint(-1.0, math.nan, 0.5, 0.3),
+            TripleLawPoint(-1.0, 0.2, math.nan, 0.3),
+            TripleLawPoint(-1.0, 0.2, 0.5, math.nan),
+        ],
+    )
+    def test_nan_point_is_refused(self, pt):
+        with pytest.raises(DomainError):
+            triple_law_density(SpectralCase(Case.UP_NEG, 1.5), pt)

@@ -1,25 +1,45 @@
 """Library entry points refuse non-finite numbers, and fractional path
-counts and seeds, with DomainError."""
+counts and seeds, with DomainError.  A NaN must fail every range check:
+the cases below returned nan, or raised a raw or unrelated error, when
+the checks were written as ``x <= 0.0``."""
 
 import math
 
 import pytest
 
 from pssmp.errors import DomainError
+from pssmp import expfun
 from pssmp.exit_laws import (
     Direction,
     ExitWindow,
     exit_density_one_sided,
     exit_density_two_sided,
     exit_mass_one_sided,
+    extrema_density_star,
+    extrema_min_star_as_printed,
+    max_cdf_down,
+    min_cdf_up,
 )
 from pssmp.expfun import ExpCase, ExpFunctionalModel, density_I
 from pssmp.hitting import HitQuery, hit_closed_ratio
 from pssmp.montecarlo import SimConfig
-from pssmp.scale import Case, SpectralCase, psi_up
-from pssmp.stable import Kind, StableParams
+from pssmp.scale import (
+    Case,
+    SpectralCase,
+    TripleLawPoint,
+    psi_up,
+    ruin_probability,
+    scale_fn,
+    triple_law_K,
+    triple_law_density,
+)
+from pssmp.stable import Kind, StableParams, rogozin_overshoot_density
+from pssmp.verify import run_suite
 
 P = StableParams(1.5, 0.5)
+S = SpectralCase(Case.UP_NEG, 1.5)
+UP = ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, 1.5)
+STAR = ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, 1.5)
 NAN, INF = math.nan, math.inf
 
 CASES = {
@@ -43,6 +63,33 @@ CASES = {
     "sim-n-paths-fractional": lambda: SimConfig(2.5, 1e-3, 0),
     # int() would run the streams of seed 1.
     "sim-seed-fractional": lambda: SimConfig(10, 1e-3, 1.5),
+    "ruin-x-nan": lambda: ruin_probability(S, NAN, 1.0),
+    "ruin-y-nan": lambda: ruin_probability(S, 1.0, NAN),
+    "scale-fn-x-nan": lambda: scale_fn(S, NAN),
+    "triple-K-barrier-nan": lambda: triple_law_K(S, NAN),
+    "triple-density-theta-nan": lambda: triple_law_density(
+        S, TripleLawPoint(-1.0, NAN, 0.5, 0.3)
+    ),
+    "min-cdf-up-z-nan": lambda: min_cdf_up(P, NAN),
+    "max-cdf-down-z-nan": lambda: max_cdf_down(P, NAN),
+    "extrema-max-z-nan": lambda: extrema_density_star(P, NAN, which="max"),
+    "extrema-min-z-nan": lambda: extrema_density_star(P, NAN, which="min"),
+    "extrema-min-printed-z-nan": lambda: extrema_min_star_as_printed(P, NAN),
+    "rogozin-y-nan": lambda: rogozin_overshoot_density(P, 2.0, 1.0, NAN),
+    "laplace-I-nan": lambda: expfun.laplace_I(UP, NAN),
+    "left-mass-bound-nan": lambda: expfun.left_mass_bound(UP, NAN),
+    "density-I-x-nan": lambda: density_I(UP, NAN),
+    "entrance-density-x-nan": lambda: expfun.entrance_density(UP, 1.0, NAN),
+    "entrance-density-t-nan": lambda: expfun.entrance_density(UP, NAN, 1.0),
+    "entrance-moment-t-nan": lambda: expfun.entrance_moment(UP, 1, NAN),
+    "sup-density-y-nan": lambda: expfun.sup_density_spectrally_positive(STAR, NAN),
+    "density-I-star-x-nan": lambda: expfun.density_I_star(STAR, NAN),
+    "density-I-star-printed-x-nan": lambda: expfun.density_I_star_as_printed(STAR, NAN),
+    "sup-survival-y-nan": lambda: expfun.sup_survival_asymptotic(STAR, NAN),
+    "sup-cdf-y-nan": lambda: expfun.sup_cdf(STAR, NAN),
+    "cdf-I-star-x-nan": lambda: expfun.cdf_I_star(STAR, NAN),
+    "suite-esscher-seed-fractional": lambda: run_suite("esscher", seed=1.5),
+    "suite-hitting-seed-fractional": lambda: run_suite("hitting", seed=1.5),
 }
 
 
