@@ -234,11 +234,12 @@ def _emit(lines, out):
 
 
 def _emit_csv(meta, header, rows, out):
-    """Write '#'-prefixed metadata lines, the header line and %.17g rows."""
+    """Write '#'-prefixed metadata lines, the header line and the rows,
+    each row one line already formatted, floats as %.17g."""
     lines = [f"# artifact_version={__version__}"]
     lines += [f"# {k}={_fmt(v)}" for k, v in meta]
     lines.append(header)
-    lines += [",".join(_fmt(val) for val in row) for row in rows]
+    lines += rows
     _emit(lines, out)
 
 
@@ -427,11 +428,17 @@ def cmd_eval(args) -> int:
     spec = args.grid or law.grid
     grid = parse_grid(spec) if spec else None
     law_meta, rows = law.rows(args, p, grid)
-    _emit_csv([("law", args.law)] + meta + law_meta, law.header, rows, args.out)
+    lines = [",".join(map(_fmt, row)) for row in rows]
+    _emit_csv([("law", args.law)] + meta + law_meta, law.header, lines, args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
+    """Simulate the paths and write one CSV row per path.
+
+    Each row is one "%d,%s,%.17g,%.17g,%d" over the columns' tolist()
+    values: the bytes _fmt would give value by value, formatted once a row.
+    """
     kind = Kind(_arg(args, "kind", "star"))
     p, param_meta = _params(args)
     w = _window(args)
@@ -446,11 +453,14 @@ def cmd_simulate(args) -> int:
         ("max_time", cfg.max_time),
         ("censored", sample.n_censored),
     ]
-    rows = [
-        (i, SIDE_LABELS[sample.side[i]], float(sample.theta[i]),
-         float(sample.h_weight[i]), int(sample.steps_used[i]))
-        for i in range(cfg.n_paths)
-    ]
+    columns = zip(
+        range(cfg.n_paths),
+        [SIDE_LABELS[c] for c in sample.side.tolist()],
+        sample.theta.tolist(),
+        sample.h_weight.tolist(),
+        sample.steps_used.tolist(),
+    )
+    rows = ["%d,%s,%.17g,%.17g,%d" % row for row in columns]
     _emit_csv(meta, "path_id,side,theta,h_weight,steps_used", rows, args.out)
     return 0
 

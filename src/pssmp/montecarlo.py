@@ -316,7 +316,9 @@ def simulate_exit(
     lockstep batches of 32, one matrix pass per block over the paths
     still running; a finished path frees its row for the next one at
     once.  Streams and results are bit-identical to running each path
-    alone.
+    alone.  The exit positions of a chunk are classified with boolean
+    masks, and theta and the weight are formed with math.log and ** on
+    the positions as Python floats.
 
     A run of n paths uses k = min(CPUs in the affinity set, 8, n // 256)
     processes when k >= 2 (so 512 paths or more, on 2 CPUs or more, where
@@ -348,24 +350,25 @@ def simulate_exit(
         pos, steps[lo:hi], exited = _run_paths(
             draw, hi - lo, cfg.seed, cfg.max_steps, eu, ev, lo
         )
-        for i in range(lo, hi):
-            x = float(pos[i - lo])
-            if not exited[i - lo]:
-                side[i] = SIDE_CENSORED
-                continue
-            if x >= eu:
-                side[i] = SIDE_UP
-                theta[i] = math.log(x) - window.u
-                h_weight[i] = x**h_exp
-            elif x <= 0.0:
-                # Ruin: absorption for the killed kind, impossible (weight 0)
-                # for the conditioned kinds.
-                side[i] = SIDE_KILLED if kind is Kind.STAR else SIDE_CENSORED
-                h_weight[i] = 1.0 if kind is Kind.STAR else 0.0
-            else:
-                side[i] = SIDE_DOWN
-                theta[i] = window.v - math.log(x)
-                h_weight[i] = x**h_exp
+        up = exited & (pos >= eu)
+        ruined = exited & (pos <= 0.0)
+        down = exited & ~up & ~ruined
+        c_side, c_theta, c_weight = side[lo:hi], theta[lo:hi], h_weight[lo:hi]
+        c_side[:] = SIDE_CENSORED
+        c_side[up] = SIDE_UP
+        c_side[down] = SIDE_DOWN
+        # Ruin: absorption for the killed kind; for the conditioned kinds it
+        # is impossible, so the path stays censored with weight 0.
+        if kind is Kind.STAR:
+            c_side[ruined] = SIDE_KILLED
+            c_weight[ruined] = 1.0
+        # math.log and ** on Python floats, which numpy's log and power
+        # differ from in the last bits.
+        x_up, x_down = pos[up].tolist(), pos[down].tolist()
+        c_theta[up] = [math.log(x) - window.u for x in x_up]
+        c_weight[up] = [x**h_exp for x in x_up]
+        c_theta[down] = [window.v - math.log(x) for x in x_down]
+        c_weight[down] = [x**h_exp for x in x_down]
 
     _run_chunks(fill, [n * j // k for j in range(k + 1)])
     for a in rows:

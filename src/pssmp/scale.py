@@ -8,7 +8,8 @@ c * Gamma(alpha) with c = c_minus * Gamma(2 - alpha) / (alpha*(alpha-1)),
 the unique value consistent with the exponential-functional moments.
 
 The triple law's constant K is one quadrature over the prior extremum
-eta, its theta and phi integrals in closed form; ``triple_law_total_mass``
+eta, its theta and phi integrals and the leading term of its pole at
+eta = |barrier| in closed form; ``triple_law_total_mass``
 checks K by nested quadrature, sharing only the kernel A with it.
 """
 
@@ -232,19 +233,32 @@ def _cached_K(case, alpha, q_ladder, depth):
     # The kernel does not read m, so K is cached without it.
     A, q = _kernel(SpectralCase(case, alpha, q_ladder=q_ladder), depth)
     a0 = A(0.0)
+    # The pole's leading term A(eta) * phi mass at |barrier| in closed form:
+    # A is the eta-derivative of -(1 - e^w)^(alpha-1) / (alpha-1) when
+    # q = 0, and of -e^-w (1 - e^w)^(alpha-1) for DownNeg.  The remainder
+    # left to the quadrature vanishes at the pole.
+    at_pole = _phi_mass(alpha, q, depth)
+    rise = (-math.expm1(-depth)) ** (alpha - 1.0)
+    pole_mass = rise * math.exp(depth) if q else rise / (alpha - 1.0)
 
     def over_eta(eta):
-        return A(eta) / a0 * _phi_mass(alpha, q, eta)
+        if eta >= depth:
+            return 0.0
+        return A(eta) / a0 * (_phi_mass(alpha, q, eta) - at_pole)
 
-    return a0 * integrate_adaptive(over_eta, 0.0, depth, tol=1e-8).value
+    rest = integrate_adaptive(over_eta, 0.0, depth, tol=1e-8).value
+    return at_pole * pole_mass + a0 * rest
 
 
 def triple_law_K(s: SpectralCase, barrier: float) -> float:
     """Normalizing constant of the triple law.
 
     The theta and phi integrals are closed form (``_jump_tail`` and the
-    incomplete beta of ``_phi_mass``); eta is integrated by adaptive
-    quadrature to tolerance 1e-8.
+    incomplete beta of ``_phi_mass``).  Over eta, the pole's leading term
+    A(eta) * phi mass at |barrier| is integrated in closed form, and the
+    remainder, which vanishes at the pole, by adaptive quadrature to
+    tolerance 1e-8; so K keeps its digits as alpha -> 1, where nearly all
+    of it lies closer to the pole than a double resolves.
     """
     depth = _depth(s, barrier)
     try:

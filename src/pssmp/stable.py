@@ -187,6 +187,12 @@ def killed_resolvent_u(
     return kappa * d ** (alpha - 1.0) * inner
 
 
+# The zero counter and empty buffer of a re-keyed Philox stream.  The
+# state setter copies from it, and it is read-only, so every re-key shares it.
+_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
+_PHILOX_ZEROS.setflags(write=False)
+
+
 def path_rng(
     seed: int, path_index: int, reuse: np.random.Generator | None = None
 ) -> np.random.Generator:
@@ -196,9 +202,11 @@ def path_rng(
     are independent of scheduling and worker count.  Both must lie in
     [0, 2^64): each fills one 64-bit half of the key.  With ``reuse``, a
     Philox generator made here before, that generator is re-keyed in
-    place (counter 0, key [path_index, seed], empty buffer) and returned:
+    place (counter 0, key (path_index, seed), empty buffer) and returned:
     it then gives the same stream as a new one, whatever it drew before,
-    without the entropy-seeded set-up of a new bit generator.
+    without the entropy-seeded set-up of a new bit generator.  The
+    re-key reads its zero counter and buffer from one shared read-only
+    array and its key from a tuple, so it builds no array.
     """
     seed, path_index = int(seed), int(path_index)
     if not (0 <= seed < 2**64 and 0 <= path_index < 2**64):
@@ -209,11 +217,8 @@ def path_rng(
         return np.random.Generator(np.random.Philox(key=(seed << 64) | path_index))
     reuse.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([path_index, seed], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": _PHILOX_ZEROS, "key": (path_index, seed)},
+        "buffer": _PHILOX_ZEROS,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,

@@ -271,7 +271,8 @@ def _suite_scale():
             1.0,
             1e-5,
             detail="K takes theta and phi in closed form (an incomplete "
-            "beta) and eta by quadrature; the mass nests eta inside phi by "
+            "beta), and eta by quadrature after the leading term of its pole "
+            "is integrated in closed form; the mass nests eta inside phi by "
             "quadrature over the closed-form theta integral, so the two "
             "routes share only the kernel A",
         )

@@ -12,11 +12,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pssmp
-from pssmp.cli import _LAW_TABLE, LAWS, build_parser, load_config, main, parse_grid
+from pssmp.cli import _LAW_TABLE, LAWS, _fmt, build_parser, load_config, main, parse_grid
 from pssmp.errors import ConfigurationError, DomainError, WorkerError
 from pssmp.exit_laws import ExitWindow, min_cdf_up
 from pssmp.expfun import ExpCase, ExpFunctionalModel
-from pssmp.montecarlo import SIDE_KILLED, SimConfig, simulate_exit
+from pssmp.montecarlo import (
+    SIDE_CENSORED,
+    SIDE_KILLED,
+    SIDE_LABELS,
+    SimConfig,
+    simulate_exit,
+)
 from pssmp.scale import default_m
 from pssmp.stable import Kind, StableParams
 from pssmp.verify import run_suite
@@ -178,6 +184,39 @@ class TestSimulate:
             assert int(steps) >= 0
             if side in ("up", "down"):
                 assert float(theta) >= 0.0
+
+    @pytest.mark.parametrize("kind", ["star", "up", "down"])
+    @pytest.mark.parametrize("alpha,rho", [("0.8", "0.3"), ("1.5", "0.5")])
+    def test_rows_equal_value_by_value_formatting(self, capsys, monkeypatch, kind, alpha, rho):
+        # A horizon of 1 censors paths of every kind, so that killed (star),
+        # censored and NaN-theta rows all reach the CSV.
+        runs = []
+
+        def short_horizon(kind_, p, w, cfg):
+            runs.append(simulate_exit(kind_, p, w, SimConfig(cfg.n_paths, cfg.step, cfg.seed, 1.0)))
+            return runs[-1]
+
+        monkeypatch.setattr(pssmp.cli, "simulate_exit", short_horizon)
+        rc, out, _ = run(
+            capsys, "simulate", "--kind", kind, "--alpha", alpha, "--rho", rho,
+            "--u", "1", "--v", "-3", "--n-paths", "200", "--step", "0.05", "--seed", "3",
+        )
+        assert rc == 0
+        (s,) = runs
+        want = [
+            ",".join(
+                _fmt(val)
+                for val in (i, SIDE_LABELS[s.side[i]], float(s.theta[i]),
+                            float(s.h_weight[i]), int(s.steps_used[i]))
+            )
+            for i in range(200)
+        ]
+        lines = out.splitlines()
+        header = lines.index("path_id,side,theta,h_weight,steps_used")
+        assert lines[header + 1:] == want
+        sides = set(s.side.tolist())
+        assert SIDE_CENSORED in sides and np.isnan(s.theta).any()
+        assert (SIDE_KILLED in sides) == (kind == "star")
 
     def test_seed_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("PSSMP_SEED", "77")

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pssmp.errors import BudgetError, DomainError, WorkerError
 from pssmp.exit_laws import ExitWindow, exit_mass_two_sided, Direction
-from pssmp import montecarlo
+from pssmp import montecarlo, stable
 from pssmp.montecarlo import (
     SIDE_CENSORED,
     SIDE_DOWN,
@@ -252,6 +252,22 @@ class TestLockstepBatch:
         )
         with pytest.raises(DomainError):
             path_rng(8, 2**64, reuse=g)
+        # Both key halves at their extremes, re-keyed from a used generator.
+        for seed, index in ((2**64 - 1, 2**64 - 1), (2**63, 2**63), (2**64 - 1, 0)):
+            g.random(3)
+            assert path_rng(seed, index, reuse=g) is g
+            fresh = path_rng(seed, index)
+            assert np.array_equal(g.random(50), fresh.random(50))
+            assert np.array_equal(
+                g.standard_exponential(50), fresh.standard_exponential(50)
+            )
+        # Every re-key reads the one shared zero array, which stays read-only
+        # and zero.
+        zeros = stable._PHILOX_ZEROS
+        assert not zeros.flags.writeable
+        with pytest.raises(ValueError):
+            zeros[0] = 1
+        assert np.array_equal(zeros, np.zeros(4, dtype=np.uint64))
 
     @settings(max_examples=30)
     @given(
@@ -309,6 +325,65 @@ def _assert_matches_per_path(monkeypatch, kind, p, window, cfg):
         single = simulate_exit(kind, p, window, cfg)
     _assert_same_rows(batched, single)
     return batched
+
+
+def _classify_per_path(kind, p, window, pos, exited):
+    """The per-path classification loop that simulate_exit's masks replace:
+    side, theta and h_weight of each raw exit position, one at a time."""
+    eu, h_exp = math.exp(window.u), kind.h_exponent(p)
+    side = np.zeros(len(pos), dtype=np.int8)
+    theta = np.full(len(pos), np.nan)
+    h_weight = np.zeros(len(pos))
+    for i in range(len(pos)):
+        x = float(pos[i])
+        if not exited[i]:
+            side[i] = SIDE_CENSORED
+            continue
+        if x >= eu:
+            side[i] = SIDE_UP
+            theta[i] = math.log(x) - window.u
+            h_weight[i] = x**h_exp
+        elif x <= 0.0:
+            side[i] = SIDE_KILLED if kind is Kind.STAR else SIDE_CENSORED
+            h_weight[i] = 1.0 if kind is Kind.STAR else 0.0
+        else:
+            side[i] = SIDE_DOWN
+            theta[i] = window.v - math.log(x)
+            h_weight[i] = x**h_exp
+    return side, theta, h_weight
+
+
+class TestClassification:
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("p", [StableParams(0.8, 0.3), StableParams(1.5, 0.5)])
+    def test_masks_equal_the_per_path_loop(self, monkeypatch, kind, p):
+        # log(exp(b)) == b at both barriers, so theta is exactly 0 there.
+        window = ExitWindow(v=-0.5, u=0.5)
+        eu, ev = math.exp(window.u), math.exp(window.v)
+        exits = [eu, ev, 0.0, -0.0, -0.3, -math.inf, math.inf, 3.0 * eu,
+                 0.5 * ev, np.nextafter(eu, 9.0), np.nextafter(ev, -9.0),
+                 np.nextafter(0.0, 1.0)]
+        # Horizon rows: not exited, wherever the path stands.
+        horizon = [1.0, eu, ev, 0.0, -0.3]
+        pos = np.array(exits + horizon)
+        exited = np.array([True] * len(exits) + [False] * len(horizon))
+        steps = np.arange(1, len(pos) + 1, dtype=np.int64)
+
+        def chosen_rows(draw, n_paths, seed, max_steps, eu_, ev_, start=0):
+            assert (n_paths, start, eu_, ev_) == (len(pos), 0, eu, ev)
+            return pos.copy(), steps.copy(), exited.copy()
+
+        monkeypatch.setattr(montecarlo, "_run_paths", chosen_rows)
+        s = simulate_exit(kind, p, window, SimConfig(len(pos), 1e-3, 0))
+        side, theta, h_weight = _classify_per_path(kind, p, window, pos, exited)
+        assert np.array_equal(s.side, side)
+        assert np.array_equal(s.theta, theta, equal_nan=True)
+        assert np.array_equal(s.h_weight, h_weight, equal_nan=True)
+        assert np.array_equal(s.steps_used, steps)
+        # The rows exactly at e^u and e^v exit there, with theta 0.
+        assert s.side[0] == SIDE_UP and s.theta[0] == 0.0
+        assert s.side[1] == SIDE_DOWN and s.theta[1] == 0.0
+        assert set(s.side[len(exits):].tolist()) == {SIDE_CENSORED}
 
 
 class TestRefinement:

@@ -303,3 +303,57 @@ class TestClosedFormK:
     def test_nan_point_is_refused(self, pt):
         with pytest.raises(DomainError):
             triple_law_density(SpectralCase(Case.UP_NEG, 1.5), pt)
+
+
+def _mpmath_K(mpmath, case, a, q, depth):
+    """K = int_0^depth A(eta) Phi(eta) deta at 30 digits, Phi the phi
+    integral as mpmath's incomplete beta.  Within 1e-3 of the pole, s =
+    depth - eta is taken as t^(1/(a-1)), where s^(a-2) ds = dt / (a-1),
+    so that no part of the integrand is singular there."""
+    with mpmath.workdps(30):
+        a, q, d = mpmath.mpf(a), mpmath.mpf(q or 0), mpmath.mpf(depth)
+        ten = mpmath.mpf(10)
+
+        def lead(w):
+            return mpmath.exp(-w) + a - 2 if case is Case.DOWN_NEG else mpmath.exp(w)
+
+        def phi(eta):
+            return mpmath.exp(q * eta) / a * mpmath.betainc(a + q, 1 - a, 0, mpmath.exp(-eta))
+
+        def in_eta(eta):
+            return lead(eta - d) * (-mpmath.expm1(eta - d)) ** (a - 2) * phi(eta)
+
+        def in_t(t):
+            s = t ** (1 / (a - 1))
+            shape = (-mpmath.expm1(-s) / s) ** (a - 2) if s else 1
+            return lead(-s) * shape * phi(d - s) / (a - 1)
+
+        s0 = min(d / 2, ten**-3)
+        top = d - s0
+        cuts = [ten**k for k in range(-8, 3)] + [top - ten**k for k in range(-2, 3)]
+        cuts += [mpmath.mpf(k) for k in range(10, int(top), 10)]
+        eta_pts = sorted({mpmath.mpf(0), top, *(x for x in cuts if 0 < x < top)})
+        t_pts = [mpmath.mpf(0)] + [x ** (a - 1) for x in [ten**k for k in range(-60, -3, 4)] + [s0] if x <= s0]
+        return float(mpmath.quad(in_eta, eta_pts) + mpmath.quad(in_t, t_pts))
+
+
+class TestKNextToAlphaOne:
+    # As alpha -> 1 nearly all of K lies closer to the pole at
+    # eta = |barrier| than a double resolves.  The quadrature over the
+    # whole kernel landed a node on the pole at these points, and at
+    # alpha 1.001 missed K by about 1e-7.
+    @pytest.mark.parametrize(
+        "case,a,q,depth",
+        [
+            (Case.DOWN_NEG, 1.0001, 0.3, 1.0),
+            (Case.DOWN_NEG, 1.0001, 5.0, 0.001),
+            (Case.DOWN_NEG, 1.0001, 5.0, 1.0),
+            (Case.UP_NEG, 1.0001, None, 100.0),
+            (Case.UP_NEG, 1.001, None, 100.0),
+        ],
+    )
+    def test_K_against_mpmath(self, case, a, q, depth):
+        mpmath = pytest.importorskip("mpmath")
+        _cached_K.cache_clear()
+        K = triple_law_K(SpectralCase(case, a, q_ladder=q), -depth)
+        assert K == pytest.approx(_mpmath_K(mpmath, case, a, q, depth), rel=1e-7)
