@@ -5,19 +5,20 @@ Three subcommands: ``eval`` tabulates any registered law over a grid,
 cross-validation suite and emits a versioned JSON report.  Output is
 plain CSV/JSON so any downstream tool can consume it.
 
-Two tables drive it: ``_OPTIONS`` (each option's type or allowed values
-and default, read by the parser and the config-file reader alike) and
-``_LAW_TABLE`` (each law's CSV header, default grid and row function).
+Two tables drive it: ``_OPTIONS`` (each option's converter or allowed
+values and default) and ``_LAW_TABLE`` (each law's CSV header, default grid
+and row function).  One converter, ``_cast``, checks every option value,
+whether it came as a flag or as a config-file line; the command line is a
+plain walk over ``--flag value`` pairs (see ``_parse``).
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -55,7 +56,7 @@ from .scale import (
     triple_law_density,
 )
 from .stable import Kind, StableParams, rogozin_overshoot_density
-from .verify import report_passed, run_suite
+from .verify import SUITES, report_passed, run_suite
 
 
 def _finite(text: str) -> float:
@@ -63,17 +64,25 @@ def _finite(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        raise ValueError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        raise ValueError(f"must be finite, got {text!r}")
     return value
 
 
-# Option -> (type, or the tuple of allowed values; default used when neither
-# a flag nor the config file sets it, None where it depends on the law or
-# the command).  The parser keeps None as its default so that config values
-# can fill in what the command line left out.  ``suite`` is the positional
-# argument of ``verify``; every other entry is a ``--flag``.
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
+# Option -> (converter, or the tuple of allowed values; default used when
+# neither a flag nor the config file sets it, None where it depends on the
+# law or the command).  The parsed request keeps None for an option not
+# given, so that config values can fill in what the command line left out.
+# ``suite`` is the positional argument of ``verify``; every other entry is
+# a ``--flag``.  A converter raises ValueError with the message to print.
 _OPTIONS = {
     "suite": (str, None),
     "law": (str, None),
@@ -96,9 +105,9 @@ _OPTIONS = {
     "phi": (_finite, None),
     "eta": (_finite, None),
     "grid": (str, None),
-    "n_paths": (int, 1000),
+    "n_paths": (_integer, 1000),
     "step": (_finite, 1e-3),
-    "seed": (int, None),
+    "seed": (_integer, None),
     "out": (str, None),
 }
 
@@ -151,22 +160,27 @@ def parse_grid(spec: str) -> np.ndarray:
 def load_config(path: str) -> dict:
     """Flat key=value config file; blank lines and #-comments ignored."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{i}: expected key=value")
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for i, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ConfigurationError(f"{path}:{i}: expected key=value")
+                key, _, val = line.partition("=")
+                values[key.strip().replace("-", "_")] = val.strip()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({exc})") from None
     return values
 
 
-def _cast(key: str, raw: str):
-    """Convert and check a config value as the parser does the same flag."""
-    if key not in _OPTIONS:
-        raise ConfigurationError(f"unknown config key {key!r}")
+def _cast(key: str, raw: str, where: str):
+    """Convert and check one value of option ``key``.
+
+    ``where`` names the value's source in the error: ``option --alpha``
+    for a flag, ``config key 'alpha'`` for a config-file line.
+    """
     spec = _OPTIONS[key][0]
     if isinstance(spec, tuple):
         if raw in spec:
@@ -175,19 +189,19 @@ def _cast(key: str, raw: str):
     else:
         try:
             return spec(raw)
-        except ValueError:
-            problem = f"invalid {spec.__name__} value: {raw!r}"
-        except argparse.ArgumentTypeError as exc:
+        except ValueError as exc:
             problem = str(exc)
-    raise ConfigurationError(f"config key {key!r}: {problem}")
+    raise ConfigurationError(f"{where}: {problem}")
 
 
-def _merge_config(args: argparse.Namespace):
+def _merge_config(args):
     """Apply config-file values where the command line left the default."""
     if not args.config:
         return
     for key, raw in load_config(args.config).items():
-        value = _cast(key, raw)
+        if key not in _OPTIONS:
+            raise ConfigurationError(f"unknown config key {key!r}")
+        value = _cast(key, raw, f"config key {key!r}")
         if getattr(args, key, None) is None:
             setattr(args, key, value)
 
@@ -428,8 +442,10 @@ def cmd_eval(args) -> int:
     spec = args.grid or law.grid
     grid = parse_grid(spec) if spec else None
     law_meta, rows = law.rows(args, p, grid)
-    lines = [",".join(map(_fmt, row)) for row in rows]
-    _emit_csv([("law", args.law)] + meta + law_meta, law.header, lines, args.out)
+    # One format per row, the bytes _fmt gives value by value: every column
+    # holds floats but the check names of tails.
+    row = ",".join("%s" if c == "check" else "%.17g" for c in law.header.split(","))
+    _emit_csv([("law", args.law)] + meta + law_meta, law.header, [row % r for r in rows], args.out)
     return 0
 
 
@@ -473,35 +489,126 @@ def cmd_verify(args) -> int:
     return 0 if report_passed(report) else 1
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, a pure function of ``_OPTIONS``: built once per process."""
-    parser = argparse.ArgumentParser(
-        prog="pssmp",
-        description="Evaluate, simulate and cross-check exit laws of "
-        "stable-process transforms.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("eval", "simulate", "verify"):
-        sp = sub.add_parser(name)
-        for dest, (spec, _) in _OPTIONS.items():
-            check = {"choices": spec} if isinstance(spec, tuple) else {"type": spec}
-            if dest == "suite":
-                if name == "verify":
-                    sp.add_argument("suite", nargs="?", default=None, **check)
-                continue
-            sp.add_argument("--" + dest.replace("_", "-"), default=None, **check)
-        sp.add_argument("--config", default=None)
-    return parser
+_COMMANDS = {
+    "eval": "tabulate a law over a grid as CSV",
+    "simulate": "simulate seeded exit records, one CSV row per path",
+    "verify": "run a cross-validation suite and write its JSON report",
+}
+
+# Long flag -> (option, the prefix of its value errors).  --config names the
+# file and --help takes no value, so neither is an _OPTIONS entry.
+_FLAGS = {
+    f"--{k.replace('_', '-')}": (k, f"option --{k.replace('_', '-')}")
+    for k in (*_OPTIONS, "config", "help")
+    if k != "suite"
+}
+
+# Each command's request before its flags: every option unset, the suite
+# positional on verify only.
+_UNSET = {
+    command: {
+        "command": command,
+        "config": None,
+        **{k: None for k in _OPTIONS if k != "suite" or command == "verify"},
+    }
+    for command in _COMMANDS
+}
+
+
+def _flag(flag: str):
+    """The (option, error prefix) of ``flag``, written out or a unique prefix."""
+    hit = _FLAGS.get(flag)
+    if hit is not None:
+        return hit
+    matches = [f for f in _FLAGS if f.startswith(flag)] if len(flag) > 2 else []
+    if len(matches) == 1:
+        return _FLAGS[matches[0]]
+    if matches:
+        raise ConfigurationError(f"ambiguous option {flag}: could be {', '.join(matches)}")
+    raise ConfigurationError(f"unknown option {flag}")
+
+
+def _parse(argv: list) -> SimpleNamespace | None:
+    """The request of ``argv``, or None where it asks for help.
+
+    ``argv`` is a command, then ``--flag value`` or ``--flag=value`` pairs,
+    each flag written out or as a unique prefix; ``verify`` takes its suite
+    anywhere between them.  The token after a flag is always its value, so
+    ``--v -1e-3`` parses, unless it starts with ``--``.  Every value passes
+    ``_cast``; an option not given stays None.
+    """
+    if not argv or argv[0] not in _UNSET:
+        first = argv[0] if argv else ""
+        if first == "-h" or (len(first) > 2 and "--help".startswith(first)):
+            return None
+        raise ConfigurationError(
+            f"expected a command ({', '.join(_COMMANDS)}) first, got {first!r}"
+        )
+    request = dict(_UNSET[argv[0]])
+    i, n = 1, len(argv)
+    while i < n:
+        token = argv[i]
+        i += 1
+        if token[:2] == "--":
+            flag, eq, value = token.partition("=")
+            key, where = _flag(flag)
+            if key == "help":
+                return None
+            if not eq:
+                if i == n or argv[i][:2] == "--":
+                    raise ConfigurationError(f"{where} expects a value")
+                value = argv[i]
+                i += 1
+            request[key] = value if key == "config" else _cast(key, value, where)
+        elif token == "-h":
+            return None
+        elif argv[0] == "verify" and request["suite"] is None and token[:1] != "-":
+            request["suite"] = token
+        else:
+            raise ConfigurationError(f"unexpected argument {token!r}")
+    return SimpleNamespace(**request)
+
+
+def _usage() -> str:
+    """The -h text, written from the command, option, law and suite tables."""
+    metavar = {_finite: "FLOAT", _integer: "INT"}
+    lines = [
+        "usage: pssmp {eval,simulate,verify} [SUITE] [--option VALUE] ...",
+        "",
+        "Evaluate, simulate and cross-check exit laws of stable-process transforms.",
+        "",
+        "commands:",
+        *(f"  {c:<10}{what}" for c, what in _COMMANDS.items()),
+        "",
+        "options (--option=VALUE works too, and so does a unique prefix: --alph):",
+    ]
+    for key, (spec, _) in _OPTIONS.items():
+        if key != "suite":
+            if isinstance(spec, tuple):
+                values = "{" + ",".join(spec) + "}"
+            else:
+                values = metavar.get(spec, key.upper())
+            lines.append(f"  --{key.replace('_', '-')} {values}")
+    lines += [
+        "  --config FILE  key=value lines for any option above; flags win",
+        "  -h, --help     print this text and exit",
+        "",
+        f"SUITE: {', '.join(SUITES)} or all (the default)",
+        f"LAW: {', '.join(LAWS)}",
+        "GRID: A:B:N or A:B:N:log",
+        "",
+        "The token after a flag is always its value, so --v -1e-3 works.",
+        "A usage error exits 2 with one 'error:' line on stderr.",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(_usage())
+            return 0
         _merge_config(args)
         if args.command == "eval":
             return cmd_eval(args)

@@ -216,6 +216,14 @@ def _kernel(s: SpectralCase, depth: float):
     return A, q
 
 
+# Below this eta, x = e^-eta lies so near 1 that the 2F1 of _phi_mass loses
+# its digits (1e-9 relative at eta 1e-9, 300x off at 1e-15 for alpha near
+# 1); from it on, the 2F1 holds to 1e-14 against mpmath.  The cut moves down
+# to 1/p for p = a + q > 10, so that the alternating series of
+# ``_beta_small_rest``, whose terms grow like (p y)^n / n!, keeps its digits.
+_PHI_CUT = 0.1
+
+
 def _phi_mass(a: float, q: float, eta: float) -> float:
     """int_eta^inf e^(-q (phi - eta)) _jump_tail(a, phi) dphi in closed form.
 
@@ -223,9 +231,52 @@ def _phi_mass(a: float, q: float, eta: float) -> float:
     B(x; a + q, 1 - a) = x^(a+q) 2F1(a + q, a; a + q + 1; x) / (a + q) at
     x = e^-eta.  Euler's transformation moves the factor (1 - x)^(1-a) out
     of the 2F1; formed by expm1, it keeps its digits where x rounds near 1.
+    Below the cut (``_PHI_CUT``, or 1/(a + q) where that is smaller) the
+    beta is taken from its value at the cut x0 through
+    B(x; p, b) = B(x0; p, b) + B(1 - x0; b, p) - B(1 - x; b, p), whose
+    right-hand betas are series in the small y = 1 - x.
     """
+    cut = min(_PHI_CUT, 1.0 / (a + q))
+    if eta < cut:
+        return _phi_mass_near_zero(a, q, eta, cut)
     lead = math.exp(-a * eta) * (-math.expm1(-eta)) ** (1.0 - a)
     return lead * hyp2f1(1.0, 1.0 + q, a + q + 1.0, math.exp(-eta)) / (a * (a + q))
+
+
+def _beta_small_rest(b: float, p: float, y: float) -> float:
+    """B(y; b, p) / y^b - 1/b = sum_{n>=1} (1 - p)_n / n! y^n / (n + b).
+
+    The continued incomplete beta for b in (-1, 0); the terms fall like
+    y^n, and end at n = p for an integer p.
+    """
+    total, coef, n = 0.0, 1.0, 0
+    while True:
+        n += 1
+        coef *= (n - p) / n * y
+        term = coef / (n + b)
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            return total
+
+
+def _phi_mass_near_zero(a: float, q: float, eta: float, cut: float) -> float:
+    """``_phi_mass`` below ``cut``.
+
+    With p = a + q, b = 1 - a and B(y; b, p) = y^b (1/b + rest(y)), the beta
+    at x = e^-eta is B(x0; p, b) + y0^b rest(y0) + (y0^b - y^b) / b
+    - y^b rest(y).  The two 1/b parts, each near -1/(a - 1) as a -> 1,
+    cancel in closed form through expm1, so no digits are lost to them.
+    """
+    p, b = a + q, 1.0 - a
+    y, y0 = -math.expm1(-eta), -math.expm1(-cut)
+    yb, y0b = y**b, y0**b
+    beta = (
+        a * math.exp(-q * cut) * _phi_mass(a, q, cut)
+        + y0b * _beta_small_rest(b, p, y0)
+        + yb * math.expm1(b * math.log(y0 / y)) / b
+        - yb * _beta_small_rest(b, p, y)
+    )
+    return math.exp(q * eta) / a * beta
 
 
 @lru_cache(maxsize=64)

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -12,7 +14,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pssmp
-from pssmp.cli import _LAW_TABLE, LAWS, _fmt, build_parser, load_config, main, parse_grid
+from pssmp.cli import (
+    _LAW_TABLE,
+    _OPTIONS,
+    LAWS,
+    _finite,
+    _fmt,
+    _integer,
+    _parse,
+    load_config,
+    main,
+    parse_grid,
+)
 from pssmp.errors import ConfigurationError, DomainError, WorkerError
 from pssmp.exit_laws import ExitWindow, min_cdf_up
 from pssmp.expfun import ExpCase, ExpFunctionalModel
@@ -25,7 +38,7 @@ from pssmp.montecarlo import (
 )
 from pssmp.scale import default_m
 from pssmp.stable import Kind, StableParams
-from pssmp.verify import run_suite
+from pssmp.verify import SUITES, run_suite
 
 
 def run(capsys, *argv):
@@ -141,8 +154,19 @@ class TestEval:
         assert rc == 0 and out == ""
         assert dest.read_text().startswith("# artifact_version=")
 
-    def test_parser_is_built_once(self):
-        assert build_parser() is build_parser()
+    @pytest.mark.parametrize(
+        "argv",
+        [["--law", law, "--grid", "0.2:2:5"] for law in LAWS]
+        + [["--law", "hit-two-point", "--a", "0.5", "--grid", "0.5:0.6:3"]],
+    )
+    def test_rows_equal_value_by_value_formatting(self, capsys, argv):
+        # Each row is formatted once; the bytes are those of _fmt on each value.
+        rc, out, _ = run(capsys, "eval", *argv)
+        args = _parse(["eval", *argv])
+        p, _ = pssmp.cli._params(args)
+        _, rows = _LAW_TABLE[args.law].rows(args, p, parse_grid(args.grid))
+        want = [",".join(map(_fmt, row)) for row in rows]
+        assert rc == 0 and out.splitlines()[-len(want):] == want
 
     def test_law_registry_complete(self):
         assert LAWS == tuple(_LAW_TABLE)
@@ -515,6 +539,150 @@ class TestExitCodes:
 
     def test_missing_config_file_is_2(self, capsys):
         assert run(capsys, "eval", "--law", "psi", "--config", "/nope.cfg")[0] == 2
+
+    def test_config_file_not_utf8_is_2(self, capsys, tmp_path):
+        # It used to escape as a UnicodeDecodeError traceback with exit 1.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"alpha=1.5\n\xff\xfe\n")
+        rc, out, err = run(capsys, "eval", "--law", "psi", "--config", str(cfg))
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "UTF-8" in err
+
+
+@functools.cache
+def _reference_parser():
+    """argparse built from _OPTIONS: the parser the command line used to be."""
+    parser = argparse.ArgumentParser(prog="pssmp")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in ("eval", "simulate", "verify"):
+        sp = sub.add_parser(name)
+        for dest, (spec, _) in _OPTIONS.items():
+            check = {"choices": spec} if isinstance(spec, tuple) else {"type": spec}
+            if dest == "suite":
+                if name == "verify":
+                    sp.add_argument("suite", nargs="?", default=None, **check)
+                continue
+            sp.add_argument("--" + dest.replace("_", "-"), default=None, **check)
+        sp.add_argument("--config", default=None)
+    return parser
+
+
+def _reference(argv):
+    return vars(_reference_parser().parse_args(argv))
+
+
+_FLAG_KEYS = [k for k in _OPTIONS if k != "suite"] + ["config"]
+_FLAGS = ["--" + k.replace("_", "-") for k in _FLAG_KEYS] + ["--help"]
+
+
+def _unique_prefixes(flag):
+    """The abbreviations of ``flag`` that name it alone, and the flag itself."""
+    return [
+        flag[:n]
+        for n in range(3, len(flag) + 1)
+        if flag[:n] == flag or [f for f in _FLAGS if f.startswith(flag[:n])] == [flag]
+    ]
+
+
+def _values(key):
+    """Values of ``key`` that argparse takes after a space too: no
+    exponent notation on negative numbers, no text starting with '-'."""
+    spec = _OPTIONS[key][0] if key in _OPTIONS else str
+    if isinstance(spec, tuple):
+        return st.sampled_from(spec)
+    if spec is _finite:
+        return st.floats(-1e6, 1e6).map(lambda v: f"{v:.6f}")
+    if spec is _integer:
+        return st.integers(-(10**20), 10**20).map(str)
+    if key == "law":
+        return st.sampled_from(LAWS)
+    return st.text("abcdefgh0123456789:._/", min_size=1, max_size=12)
+
+
+class TestParser:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), command=st.sampled_from(["eval", "simulate", "verify"]))
+    def test_same_request_as_argparse(self, data, command):
+        # Any order, space or '=' form, unique prefixes; a repeated flag
+        # keeps its last value.
+        keys = data.draw(st.lists(st.sampled_from(_FLAG_KEYS), max_size=12))
+        groups = []
+        for key in keys:
+            flag = data.draw(st.sampled_from(_unique_prefixes("--" + key.replace("_", "-"))))
+            value = data.draw(_values(key))
+            groups.append([f"{flag}={value}"] if data.draw(st.booleans()) else [flag, value])
+        if command == "verify" and data.draw(st.booleans()):
+            at = data.draw(st.integers(0, len(groups)))
+            groups.insert(at, [data.draw(st.sampled_from(SUITES + ("all",)))])
+        argv = [command] + [t for g in groups for t in g]
+        assert vars(_parse(argv)) == _reference(argv)
+
+    @pytest.mark.parametrize("command", ["eval", "simulate", "verify"])
+    @pytest.mark.parametrize("form", ["space", "equals"])
+    def test_every_option_at_once(self, command, form):
+        plain = {_finite: "-0.25", _integer: "7", str: "x:1"}
+        values = {
+            k: spec[0] if isinstance(spec, tuple) else plain[spec]
+            for k, (spec, _) in _OPTIONS.items()
+            if k != "suite"
+        }
+        values["config"] = "run.cfg"
+        argv = [command] + (["hitting"] if command == "verify" else [])
+        for key, value in values.items():
+            flag = "--" + key.replace("_", "-")
+            argv += [f"{flag}={value}"] if form == "equals" else [flag, value]
+        got = vars(_parse(argv))
+        assert got == _reference(argv)
+        assert all(got[k] is not None for k in values)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--alpha", "1.5"],
+            ["frobnicate"],
+            ["eval", "--no-such-flag", "1"],
+            ["eval", "--c", "1"],
+            ["eval", "--s=1"],
+            ["eval", "--alpha"],
+            ["eval", "--law", "--alpha", "1.2"],
+            ["eval", "--kind", "sideways"],
+            ["eval", "--alpha", "x1"],
+            ["eval", "--alpha=nan"],
+            ["simulate", "--seed", "1.5"],
+            ["eval", "stray"],
+            ["verify", "hitting", "scale"],
+            ["eval", "--c_minus", "2"],
+        ],
+    )
+    def test_usage_errors_are_2(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        with pytest.raises(SystemExit) as refused:
+            _reference_parser().parse_args(argv)
+        assert refused.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["-h"], ["--help"], ["--he"], ["eval", "-h"], ["verify", "--alpha", "1", "--h"]]
+    )
+    def test_help_exits_0(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0 and err == "" and out.startswith("usage: pssmp")
+        for name in [*_FLAGS, *LAWS, *SUITES]:
+            assert name in out
+
+    def test_negative_values_in_exponent_notation(self, capsys):
+        # argparse refused the first form: its negative-number test does
+        # not cover exponent notation.
+        law = ("eval", "--law", "exit-two-sided", "--grid", "0.5:2:3")
+        forms = (["--v", "-1e-3"], ["--v=-1e-3"], ["--v", "-0.001"])
+        outs = [run(capsys, *law, *v) for v in forms]
+        assert [rc for rc, _, _ in outs] == [0, 0, 0]
+        assert outs[0][1] == outs[1][1] == outs[2][1] and "# v=-0.001\n" in outs[0][1]
+        with pytest.raises(SystemExit):
+            _reference_parser().parse_args(["eval", "--v", "-1e-3"])
+
 
 
 class TestConfigPrecedence:

@@ -260,8 +260,7 @@ class TestClosedFormK:
     @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
     def test_phi_integral_against_mpmath(self, a, q):
         # e^(q eta) / a times the incomplete beta B(e^-eta; a + q, 1 - a),
-        # at 40 digits.  The worst case is about 6e-11, at a 1.01 and
-        # eta 1e-8, where the 2F1 is taken next to x = 1.
+        # at 40 digits.  The worst case is about 3e-15, at eta 300 and 30.
         mpmath = pytest.importorskip("mpmath")
         for eta in (1e-8, 1e-5, 1e-2, 0.5, 3.0, 30.0, 300.0):
             with mpmath.workdps(40):
@@ -269,6 +268,23 @@ class TestClosedFormK:
                 beta = mpmath.betainc(A + Q, 1 - A, 0, mpmath.exp(-E))
                 want = mpmath.exp(Q * E) / A * beta
             assert _phi_mass(a, q, eta) == pytest.approx(float(want), rel=2e-10)
+
+    @pytest.mark.parametrize("a", [1.0001, 1.001, 1.2, 1.5, 1.8])
+    @pytest.mark.parametrize("q", [0.0, 0.3, 1.0, 5.0, 20.0, 100.0])
+    def test_phi_integral_near_zero_against_mpmath(self, a, q):
+        # The 2F1 next to x = 1 was 300x off at a 1.0001 and eta 1e-14, and
+        # 2e-3 at a 1.2; below the cut the beta is taken at small 1 - x.
+        # From q 20 on, the cut is 1/(a + q).
+        mpmath = pytest.importorskip("mpmath")
+        for eta in (1e-15, 1e-14, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3):
+            with mpmath.workdps(40):
+                A, Q, E = mpmath.mpf(a), mpmath.mpf(q), mpmath.mpf(eta)
+                beta = mpmath.betainc(A + Q, 1 - A, 0, mpmath.exp(-E))
+                want = mpmath.exp(Q * E) / A * beta
+            assert _phi_mass(a, q, eta) == pytest.approx(float(want), rel=1e-12)
+        cut = min(scale._PHI_CUT, 1.0 / (a + q))
+        below = math.nextafter(cut, 0.0)
+        assert _phi_mass(a, q, below) == pytest.approx(_phi_mass(a, q, cut), rel=1e-13)
 
     @pytest.mark.parametrize("case,sign,q", ONE_SIDED)
     def test_cold_K_is_one_quadrature(self, monkeypatch, case, sign, q):
