@@ -15,7 +15,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     NumericError,
-    PoleError,
     PssmpError,
     WorkerError,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "__version__",
     "PssmpError",
     "DomainError",
-    "PoleError",
     "ConvergenceError",
     "NumericError",
     "ConfigurationError",

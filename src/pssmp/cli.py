@@ -101,7 +101,6 @@ _OPTIONS = {
     "b": (_finite, 2.0),
     "t": (_finite, 1.0),
     "m": (_finite, None),
-    "q_ladder": (_finite, None),
     "phi": (_finite, None),
     "eta": (_finite, None),
     "grid": (str, None),
@@ -308,7 +307,7 @@ def _spectral(args, p):
     case = Case(_arg(args, "case"))
     weight = p.c_plus if case is Case.DOWN_POS else p.c_minus
     m = args.m if args.m is not None else default_m(p.alpha, weight)
-    s = SpectralCase(case, p.alpha, m=m, q_ladder=args.q_ladder)
+    s = SpectralCase(case, p.alpha, m=m)
     return s, [("case", s.case.value), ("m", s.mean)]
 
 
@@ -336,8 +335,6 @@ def _triple_law(args, p, grid):
     eta = _arg(args, "eta", abs(barrier) / 2.0)
     phi = _arg(args, "phi", eta + 0.5)
     meta = [("case", s.case.value), ("barrier", barrier), ("phi", phi), ("eta", eta)]
-    if s.case is Case.DOWN_NEG:
-        meta.append(("q_ladder", s.q_ladder))
     rows = [
         (t, triple_law_density(s, TripleLawPoint(barrier, t, phi, eta))) for t in grid
     ]

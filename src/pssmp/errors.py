@@ -9,10 +9,6 @@ class DomainError(PssmpError, ValueError):
     """An argument or parameter set lies outside the supported domain."""
 
 
-class PoleError(DomainError):
-    """Evaluation requested at (or too close to) a pole."""
-
-
 class ConvergenceError(PssmpError, RuntimeError):
     """A quadrature or series failed to reach its tolerance.
 

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import rgamma
+from scipy.special import gamma, rgamma
 
 from .errors import ConvergenceError, DomainError, NumericError
-from .numerics import SeriesValue, _exp_or_inf, gamma_signed, log_gamma, sum_series
+from .numerics import SeriesValue, _exp_or_inf, log_gamma, sum_series
 from .scale import default_c, default_m
 
 __all__ = [
@@ -311,7 +311,7 @@ def sup_survival_asymptotic(model: ExpFunctionalModel, y: float) -> tuple[float,
     s2, b2 = sum_to_smallest(
         lambda m: pref
         * (-1.0) ** m
-        * (gamma_signed(-m - 1.0 / a) * float(rgamma(-a * m)))
+        * (float(gamma(-m - 1.0 / a)) * float(rgamma(-a * m)))
         * math.exp(-(1.0 + a * m) * log_yy)
     )
     return -(s1 + s2), b1 + b2

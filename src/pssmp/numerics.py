@@ -22,7 +22,7 @@ import numpy as np
 from scipy import integrate as _integrate
 from scipy import special as _special
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DomainError
 
 _EPS = 2.0**-52  # double-precision machine epsilon
 
@@ -30,7 +30,6 @@ __all__ = [
     "QuadResult",
     "SeriesValue",
     "log_gamma",
-    "gamma_signed",
     "integrate_adaptive",
     "sum_series",
 ]
@@ -99,20 +98,6 @@ def _exp_or_inf(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
-
-
-def gamma_signed(x: float) -> float:
-    """Gamma function with correct sign for any non-pole real argument.
-
-    Negative non-integer arguments are supported; the poles at
-    0, -1, -2, ... are rejected.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"gamma_signed requires finite x, got {x!r}")
-    if x <= 0.0 and abs(x - round(x)) <= 1e-12:
-        raise PoleError(f"gamma function pole at x = {x}")
-    return float(_special.gamma(x))
 
 
 def _quad(f, a, b, epsabs, epsrel):

@@ -7,10 +7,11 @@ negative jumps (DownPos).  The mean normalization m defaults to
 c * Gamma(alpha) with c = c_minus * Gamma(2 - alpha) / (alpha*(alpha-1)),
 the unique value consistent with the exponential-functional moments.
 
-The triple law's constant K is one quadrature over the prior extremum
-eta, its theta and phi integrals and the leading term of its pole at
-eta = |barrier| in closed form; ``triple_law_total_mass``
-checks K by nested quadrature, sharing only the kernel A with it.
+The triple law's constant K is C(alpha) times the probability that the
+barrier is ever passed; the DownNeg law is the UpNeg law reweighted by
+e^(-xi_tau), the Esscher change of measure that psi_down(theta) =
+psi_up(theta - 1) defines (Kyprianou, *Fluctuations of Levy Processes*,
+2nd ed., 2014).
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
-from scipy.special import hyp2f1, poch
+from scipy.special import poch
 
-from .errors import ConfigurationError, DomainError, NumericError
+from .errors import DomainError, NumericError
 from .numerics import _exp_or_inf, _log_expm1, integrate_adaptive, log_gamma
 
 __all__ = [
@@ -65,25 +65,18 @@ def default_m(alpha: float, c_weight: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class SpectralCase:
-    """A spectrally one-sided case with its mean normalization.
-
-    ``q_ladder`` (the killing rate of the descending ladder height
-    process) is required only by the DownNeg triple law and must be
-    supplied by the caller; it is not derivable from (alpha, m).
-    """
+    """A spectrally one-sided case with its mean normalization m, which the
+    triple laws do not read: they depend on alpha alone."""
 
     case: Case
     alpha: float
     m: float | None = None
-    q_ladder: float | None = None
 
     def __post_init__(self):
         if not (1.0 < self.alpha < 2.0):
             raise DomainError("alpha must lie in (1, 2) for one-sided cases")
         if self.m is not None and not (0.0 < self.m < math.inf):
             raise DomainError("m must be positive and finite")
-        if self.q_ladder is not None and not (0.0 < self.q_ladder < math.inf):
-            raise DomainError("q_ladder must be positive and finite")
 
     @property
     def mean(self) -> float:
@@ -179,147 +172,60 @@ def _depth(s: SpectralCase, barrier: float) -> float:
     return depth
 
 
-def _jump(a: float, s: float) -> float:
-    """Levy-density factor e^(-a s) (1 - e^-s)^(-1-a) = e^s (e^s - 1)^(-1-a)."""
+def _jump(a: float, s: float, q: float) -> float:
+    """The jump factor e^(q s) J(s), J(s) = e^(-a s) (1 - e^-s)^(-1-a)."""
     if s <= 0.0:
         return math.inf
-    return math.exp(-a * s - (1.0 + a) * math.log(-math.expm1(-s)))
+    return math.exp((q - a) * s - (1.0 + a) * math.log(-math.expm1(-s)))
 
 
-def _jump_tail(a: float, phi: float) -> float:
-    """The theta integral in closed form: int_phi^inf J = (e^phi - 1)^(-a) / a."""
-    return math.exp(-a * _log_expm1(phi)) / a
+def _jump_tail(a: float, phi: float, q: float) -> float:
+    """The theta integral int_phi^inf e^(q s) J(s) ds, in u = e^s - 1 the
+    closed form int (1 + u)^q u^(-1-a) du over u > e^phi - 1, q = 0 or 1."""
+    log_u = _log_expm1(phi)
+    return math.exp(-a * log_u) / a + q * math.exp((1.0 - a) * log_u) / (a - 1.0)
 
 
 def _kernel(s: SpectralCase, depth: float):
-    """(A, q) of the kernel A(eta) e^(-q (phi - eta)) J(theta + phi).
+    """(A, q) of the kernel A(eta) e^(-q (phi - eta)) e^(q s) J(s), s = theta + phi.
 
-    In depth coordinates w = eta - |barrier|, UpNeg and DownPos share A
-    and q = 0; DownNeg carries the ladder killing rate q.  A(0) has the
-    size of K (e^-|barrier| for UpNeg, e^|barrier| for DownNeg), so both
-    quadratures integrate A / A(0), where an absolute tolerance acts as a
-    relative one at every barrier.
+    In w = eta - |barrier|, UpNeg and DownPos have A = e^w (1 - e^w)^(alpha-2)
+    and q = 0.  DownNeg is UpNeg reweighted by e^(-xi_tau) = e^(|barrier| +
+    theta), the Esscher tilt that psi_down(theta) = psi_up(theta - 1)
+    defines: q = 1 is the root psi_down(1) = 0, and e^(|barrier| + w) = e^eta
+    is split as e^(-(phi - eta)) e^phi, each in range: A = (1 - e^w)^(alpha-2).
     """
-    a, q = s.alpha, 0.0
-    if s.case is Case.DOWN_NEG:
-        if s.q_ladder is None:
-            raise ConfigurationError(
-                "the DownNeg triple law needs q_ladder (descending ladder killing rate)"
-            )
-        q = s.q_ladder
+    a, q = s.alpha, 1.0 if s.case is Case.DOWN_NEG else 0.0
 
     def A(eta):
         w = eta - depth
-        lead = math.exp(-w) + a - 2.0 if q else math.exp(w)
-        return lead * (-math.expm1(w)) ** (a - 2.0)
+        return math.exp((1.0 - q) * w) * (-math.expm1(w)) ** (a - 2.0)
 
     return A, q
 
 
-# Below this eta, x = e^-eta lies so near 1 that the 2F1 of _phi_mass loses
-# its digits (1e-9 relative at eta 1e-9, 300x off at 1e-15 for alpha near
-# 1); from it on, the 2F1 holds to 1e-14 against mpmath.  The cut moves down
-# to 1/p for p = a + q > 10, so that the alternating series of
-# ``_beta_small_rest``, whose terms grow like (p y)^n / n!, keeps its digits.
-_PHI_CUT = 0.1
-
-
-def _phi_mass(a: float, q: float, eta: float) -> float:
-    """int_eta^inf e^(-q (phi - eta)) _jump_tail(a, phi) dphi in closed form.
-
-    In u = e^-phi it is e^(q eta) / a times the incomplete beta
-    B(x; a + q, 1 - a) = x^(a+q) 2F1(a + q, a; a + q + 1; x) / (a + q) at
-    x = e^-eta.  Euler's transformation moves the factor (1 - x)^(1-a) out
-    of the 2F1; formed by expm1, it keeps its digits where x rounds near 1.
-    Below the cut (``_PHI_CUT``, or 1/(a + q) where that is smaller) the
-    beta is taken from its value at the cut x0 through
-    B(x; p, b) = B(x0; p, b) + B(1 - x0; b, p) - B(1 - x; b, p), whose
-    right-hand betas are series in the small y = 1 - x.
-    """
-    cut = min(_PHI_CUT, 1.0 / (a + q))
-    if eta < cut:
-        return _phi_mass_near_zero(a, q, eta, cut)
-    lead = math.exp(-a * eta) * (-math.expm1(-eta)) ** (1.0 - a)
-    return lead * hyp2f1(1.0, 1.0 + q, a + q + 1.0, math.exp(-eta)) / (a * (a + q))
-
-
-def _beta_small_rest(b: float, p: float, y: float) -> float:
-    """B(y; b, p) / y^b - 1/b = sum_{n>=1} (1 - p)_n / n! y^n / (n + b).
-
-    The continued incomplete beta for b in (-1, 0); the terms fall like
-    y^n, and end at n = p for an integer p.
-    """
-    total, coef, n = 0.0, 1.0, 0
-    while True:
-        n += 1
-        coef *= (n - p) / n * y
-        term = coef / (n + b)
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            return total
-
-
-def _phi_mass_near_zero(a: float, q: float, eta: float, cut: float) -> float:
-    """``_phi_mass`` below ``cut``.
-
-    With p = a + q, b = 1 - a and B(y; b, p) = y^b (1/b + rest(y)), the beta
-    at x = e^-eta is B(x0; p, b) + y0^b rest(y0) + (y0^b - y^b) / b
-    - y^b rest(y).  The two 1/b parts, each near -1/(a - 1) as a -> 1,
-    cancel in closed form through expm1, so no digits are lost to them.
-    """
-    p, b = a + q, 1.0 - a
-    y, y0 = -math.expm1(-eta), -math.expm1(-cut)
-    yb, y0b = y**b, y0**b
-    beta = (
-        a * math.exp(-q * cut) * _phi_mass(a, q, cut)
-        + y0b * _beta_small_rest(b, p, y0)
-        + yb * math.expm1(b * math.log(y0 / y)) / b
-        - yb * _beta_small_rest(b, p, y)
-    )
-    return math.exp(q * eta) / a * beta
-
-
-@lru_cache(maxsize=64)
-def _cached_K(case, alpha, q_ladder, depth):
-    # The kernel does not read m, so K is cached without it.
-    A, q = _kernel(SpectralCase(case, alpha, q_ladder=q_ladder), depth)
-    a0 = A(0.0)
-    # The pole's leading term A(eta) * phi mass at |barrier| in closed form:
-    # A is the eta-derivative of -(1 - e^w)^(alpha-1) / (alpha-1) when
-    # q = 0, and of -e^-w (1 - e^w)^(alpha-1) for DownNeg.  The remainder
-    # left to the quadrature vanishes at the pole.
-    at_pole = _phi_mass(alpha, q, depth)
-    rise = (-math.expm1(-depth)) ** (alpha - 1.0)
-    pole_mass = rise * math.exp(depth) if q else rise / (alpha - 1.0)
-
-    def over_eta(eta):
-        if eta >= depth:
-            return 0.0
-        return A(eta) / a0 * (_phi_mass(alpha, q, eta) - at_pole)
-
-    rest = integrate_adaptive(over_eta, 0.0, depth, tol=1e-8).value
-    return at_pole * pole_mass + a0 * rest
+def _C(a: float) -> float:
+    """The kernel's mass over every passage, Gamma(a-1) Gamma(2-a) / (a (a-1))
+    (as pi / sin(pi (a-1)) it would lose 2e-11 at a = 1.999999)."""
+    return math.gamma(a - 1.0) * math.gamma(2.0 - a) / (a * (a - 1.0))
 
 
 def triple_law_K(s: SpectralCase, barrier: float) -> float:
-    """Normalizing constant of the triple law.
-
-    The theta and phi integrals are closed form (``_jump_tail`` and the
-    incomplete beta of ``_phi_mass``).  Over eta, the pole's leading term
-    A(eta) * phi mass at |barrier| is integrated in closed form, and the
-    remainder, which vanishes at the pole, by adaptive quadrature to
-    tolerance 1e-8; so K keeps its digits as alpha -> 1, where nearly all
-    of it lies closer to the pole than a double resolves.
-    """
+    """Normalizing constant of the triple law: C(alpha) times the probability
+    of passage, 1 - (1 - e^-|barrier|)^(alpha-1) for UpNeg and DownPos and 1
+    for DownNeg, which passes surely.  The log is taken by expm1 below
+    |barrier| 0.7 and by log1p above, so K keeps its digits at every barrier;
+    a K past the float range (|barrier| ~ 745) raises DomainError."""
     depth = _depth(s, barrier)
-    try:
-        K = _cached_K(s.case, s.alpha, s.q_ladder, depth)
-    except (OverflowError, ZeroDivisionError):
-        raise DomainError(
-            f"the triple-law kernel leaves the float range at barrier={barrier}"
-        ) from None
-    if not (K > 0.0 and math.isfinite(K)):
-        raise DomainError(f"degenerate normalizing constant K={K!r}")
+    if s.case is Case.DOWN_NEG:
+        return _C(s.alpha)
+    if depth < 0.7:
+        log_rise = math.log(-math.expm1(-depth))
+    else:
+        log_rise = math.log1p(-math.exp(-depth))
+    K = _C(s.alpha) * -math.expm1((s.alpha - 1.0) * log_rise)
+    if K == 0.0:
+        raise DomainError(f"triple-law K leaves the float range at barrier={barrier}")
     return K
 
 
@@ -332,7 +238,7 @@ def triple_law_density(s: SpectralCase, pt: TripleLawPoint) -> float:
     if pt.eta == depth:
         return math.inf  # the integrable pole of (1 - e^w)^(alpha - 2) at w = 0
     A, q = _kernel(s, depth)
-    J = _jump(s.alpha, pt.theta + pt.phi)
+    J = _jump(s.alpha, pt.theta + pt.phi, q)
     return A(pt.eta) * math.exp(-q * (pt.phi - pt.eta)) * J / K
 
 
@@ -340,8 +246,8 @@ def triple_law_total_mass(s: SpectralCase, barrier: float, tol: float = 1e-7) ->
     """Integral of the normalized density by nested quadrature, eta inside phi.
 
     Should equal 1; deviations measure quadrature (not modelling) error.
-    K takes phi in closed form, so the two routes share only the kernel A.
-    phi is split at |barrier|.
+    phi is split at |barrier|.  A(0) has the size of K (e^-|barrier| for
+    UpNeg), so the quadratures integrate A / A(0).
     """
     K = triple_law_K(s, barrier)
     depth = abs(barrier)
@@ -353,7 +259,7 @@ def triple_law_total_mass(s: SpectralCase, barrier: float, tol: float = 1e-7) ->
             return A(eta) / a0 * math.exp(-q * (phi - eta))
 
         inner = integrate_adaptive(f, 0.0, min(phi, depth), tol * 1e-2)
-        return _jump_tail(s.alpha, phi) * inner.value * (a0 / K)
+        return _jump_tail(s.alpha, phi, q) * inner.value * (a0 / K)
 
     near = integrate_adaptive(over_eta, 0.0, depth, tol).value
     return near + integrate_adaptive(over_eta, depth, math.inf, tol).value
@@ -362,24 +268,16 @@ def triple_law_total_mass(s: SpectralCase, barrier: float, tol: float = 1e-7) ->
 def triple_law_K_printed_upneg(s: SpectralCase, v: float) -> float:
     """The one-dimensional closed-form candidate for the UpNeg constant.
 
-    Kept as a cross-check only; reports compare it to the quadrature
-    value and flag the relative difference instead of asserting it.
+    It is first - second, with second = C(alpha) (1 - e^v)^(alpha-1), while
+    K = C(alpha) - second: the printed first term stands where K has
+    C(alpha).  Kept as a cross-check only; ``verify scale`` reports both.
     """
     if s.case is not Case.UP_NEG:
         raise DomainError("printed constant applies to the UpNeg case only")
     a = s.alpha
     ev = math.exp(-v)
-    first = (
-        math.exp((a - 2.0) * v)
-        / (a * (a - 1.0))
-        * integrate_adaptive(
-            lambda y: (ev - y) / (y * (y - 1.0) ** (a - 1.0)), 1.0, ev, tol=1e-10
-        ).value
-    )
-    second = (
-        (-math.expm1(v)) ** (a - 1.0)
-        / (a * (a - 1.0))
-        * math.pi
-        / math.sin(math.pi * (a - 1.0))
-    )
-    return first - second
+    integral = integrate_adaptive(
+        lambda y: (ev - y) / (y * (y - 1.0) ** (a - 1.0)), 1.0, ev, tol=1e-10
+    ).value
+    first = math.exp((a - 2.0) * v) / (a * (a - 1.0)) * integral
+    return first - _C(a) * (-math.expm1(v)) ** (a - 1.0)

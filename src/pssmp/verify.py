@@ -16,10 +16,11 @@ import time
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from . import expfun
+from . import expfun, scale
 from .exit_laws import (
     Direction,
     ExitWindow,
+    exit_density_one_sided,
     exit_density_two_sided,
     exit_mass_one_sided,
     exit_mass_two_sided,
@@ -270,14 +271,77 @@ def _suite_scale():
             triple_law_total_mass(s, -1.0),
             1.0,
             1e-5,
-            detail="K takes theta and phi in closed form (an incomplete "
-            "beta), and eta by quadrature after the leading term of its pole "
-            "is integrated in closed form; the mass nests eta inside phi by "
-            "quadrature over the closed-form theta integral, so the two "
-            "routes share only the kernel A",
+            detail="K is closed form, C(alpha) times the probability of "
+            "passage; the mass integrates the kernel by nested quadrature, "
+            "eta inside phi, over the closed-form theta integral",
+        )
+    )
+    worst = 0.0
+    for case, b in ((Case.UP_NEG, -1.0), (Case.DOWN_NEG, -1.0), (Case.DOWN_POS, 1.0)):
+        for t in (0.05, 2.0):
+            got = triple_law_theta_marginal(SpectralCase(case, 1.5), b, t)
+            worst = max(worst, abs(got / exit_law_of(case, 1.5, b, t) - 1.0))
+    checks.append(
+        _tol_check(
+            "triple-law-overshoot-marginal",
+            "triple-law",
+            worst,
+            0.0,
+            1e-6,
+            detail="worst relative gap of the theta marginal (nested quadrature of "
+            "the density; alpha 1.5, |barrier| 1, theta 0.05 and 2, each case) to "
+            "the one-sided kernel of exit_laws, which shares no code with scale",
+        )
+    )
+    printed, K = scale.triple_law_K_printed_upneg(s, -1.0), scale.triple_law_K(s, -1.0)
+    C = scale.triple_law_K(SpectralCase(Case.DOWN_NEG, 1.5), -1.0)  # P = 1 for DownNeg
+    checks.append(
+        _check(
+            "triple-law-K-as-printed",
+            "triple-law",
+            printed,
+            None,
+            status="finding",
+            detail=f"printed UpNeg constant against K = {K:.6g} (alpha 1.5, v -1): "
+            "both subtract C(alpha)(1 - e^v)^(alpha-1), but the printed first "
+            f"term is {printed + C - K:.5g} where K has C(alpha) = {C:.5g}",
         )
     )
     return checks
+
+
+def exit_law_of(case: Case, alpha: float, barrier: float, theta: float) -> float:
+    """The normalized one-sided exit law that ``case``'s overshoot marginal is:
+    the UP (UpNeg) or DOWN kind, passing below without positive jumps or
+    above (DownPos) without negative ones.  The model is picked by that
+    property, not by rho, so that it follows the library's convention."""
+    side = "spectrally_positive" if case is Case.DOWN_POS else "spectrally_negative"
+    kind = Kind.UP if case is Case.UP_NEG else Kind.DOWN
+    direction = Direction.UP if case is Case.DOWN_POS else Direction.DOWN
+    models = (StableParams(alpha, 1 / alpha), StableParams(alpha, 1 - 1 / alpha))
+    p = next(p for p in models if getattr(p, side))
+    mass = exit_mass_one_sided(kind, p, direction, barrier)
+    return exit_density_one_sided(kind, p, direction, barrier, theta) / mass
+
+
+def triple_law_theta_marginal(s: SpectralCase, barrier: float, theta: float) -> float:
+    """The triple law's density integrated over phi, then eta, by quadrature.
+    eta = |barrier| - r, r = u^(1/(alpha-1)), takes out the pole r^(alpha-2); the
+    density times r^(2-alpha) is held constant on the last 1e-9 |barrier|."""
+    a, depth = s.alpha, abs(barrier)
+
+    def over_u(u):
+        eta = depth - max(u ** (1.0 / (a - 1.0)), 1e-9 * depth)
+        r = depth - eta  # exact, so that r^(2-alpha) meets the density's pole
+
+        def density(phi):
+            pt = scale.TripleLawPoint(barrier, theta, phi, eta)
+            return scale.triple_law_density(s, pt)
+
+        inner = integrate_adaptive(density, eta, math.inf, tol=1e-10).value
+        return inner * r ** (2.0 - a) / (a - 1.0)
+
+    return integrate_adaptive(over_u, 0.0, depth ** (a - 1.0), tol=1e-10).value
 
 
 def _suite_hitting():

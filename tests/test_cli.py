@@ -125,15 +125,16 @@ class TestEval:
         m = m_of("--alpha", "1.5", flag, "2")
         assert m == 2.0 * default_m(1.5) == ExpFunctionalModel(model_case, 1.5, 2.0).m
 
-    def test_triple_law_metadata_records_q_ladder(self, capsys):
-        # The down-neg triple law depends on q_ladder, so its CSV says
-        # which q was evaluated; the other cases do not read it.
-        rc, out, _ = run(
+    def test_downneg_triple_law_needs_no_ladder_rate(self, capsys):
+        # The down-neg law is the Esscher tilt of up-neg, a function of
+        # alpha alone: it runs without a ladder rate, records none, and
+        # --q-ladder is an unknown option.
+        rc, out, _ = run(capsys, "eval", "--law", "triple-law", "--case", "down-neg")
+        assert rc == 0 and "ladder" not in out
+        rc, out, err = run(
             capsys, "eval", "--law", "triple-law", "--case", "down-neg", "--q-ladder", "0.7"
         )
-        assert rc == 0 and "# q_ladder=0.69999999999999996\n" in out
-        rc, out, _ = run(capsys, "eval", "--law", "triple-law", "--q-ladder", "0.7")
-        assert rc == 0 and "q_ladder" not in out
+        assert rc == 2 and out == "" and "--q-ladder" in err
 
     def test_rogozin_metadata_records_evaluated_x(self, capsys):
         # A start point outside (0, a) is evaluated at a/2 = 1; the
@@ -763,7 +764,7 @@ _FAST_LAWS = (
 )
 _FUZZ_OPTIONS = (
     "kind", "case", "direction", "which", "alpha", "rho", "c-plus", "c-minus",
-    "u", "v", "x", "a", "b", "t", "m", "q-ladder", "phi", "eta", "grid",
+    "u", "v", "x", "a", "b", "t", "m", "phi", "eta", "grid",
 )
 _FUZZ_VALUES = (
     "1.5", "0.5", "-0.5", "0.3", "2", "1", "0", "-1", "1e-300", "5e-324", "1e200",

@@ -2,11 +2,10 @@ import math
 
 import pytest
 
-from pssmp.errors import ConvergenceError, DomainError, PoleError
+from pssmp.errors import ConvergenceError, DomainError
 from pssmp.numerics import (
     QuadResult,
     SeriesValue,
-    gamma_signed,
     integrate_adaptive,
     log_gamma,
     sum_series,
@@ -23,16 +22,6 @@ class TestSpecialFunctions:
         for bad in (0.0, -1.5, math.inf, math.nan):
             with pytest.raises(DomainError):
                 log_gamma(bad)
-
-    def test_gamma_signed_reflection(self):
-        # Gamma(-0.5) = -2 sqrt(pi)
-        assert gamma_signed(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-14)
-        assert gamma_signed(2.5) == pytest.approx(1.5 * 0.5 * math.sqrt(math.pi), rel=1e-14)
-
-    def test_gamma_signed_poles(self):
-        for bad in (0.0, -1.0, -7.0):
-            with pytest.raises(PoleError):
-                gamma_signed(bad)
 
 
 class TestQuadrature:

@@ -3,13 +3,11 @@ import math
 import pytest
 
 from pssmp import scale
-from pssmp.errors import ConfigurationError, DomainError, NumericError
+from pssmp.errors import DomainError, NumericError
 from pssmp.numerics import integrate_adaptive
 from pssmp.scale import (
-    _cached_K,
     _jump,
     _jump_tail,
-    _phi_mass,
     Case,
     SpectralCase,
     default_m,
@@ -23,6 +21,7 @@ from pssmp.scale import (
     triple_law_density,
     triple_law_total_mass,
 )
+from pssmp.verify import exit_law_of, triple_law_theta_marginal
 
 
 class TestLaplaceExponents:
@@ -132,14 +131,9 @@ class TestTripleLaws:
         assert mass == pytest.approx(1.0, abs=1e-4)
 
     def test_downneg_self_normalization(self):
-        s = SpectralCase(Case.DOWN_NEG, 1.5, q_ladder=1.0)
+        s = SpectralCase(Case.DOWN_NEG, 1.5)
         mass = triple_law_total_mass(s, -1.0, tol=1e-6)
         assert mass == pytest.approx(1.0, abs=1e-4)
-
-    def test_downneg_requires_q_ladder(self):
-        s = SpectralCase(Case.DOWN_NEG, 1.5)
-        with pytest.raises(ConfigurationError):
-            triple_law_density(s, TripleLawPoint(-1.0, 0.2, 0.5, 0.3))
 
     def test_density_point_validation(self):
         s = SpectralCase(Case.UP_NEG, 1.5)
@@ -156,48 +150,45 @@ class TestTripleLaws:
         assert 0.0 < d < math.inf
 
     @pytest.mark.parametrize(
-        "case,barrier,q",
-        [
-            (Case.UP_NEG, -1.0, None),
-            (Case.DOWN_POS, 1.0, None),
-            (Case.DOWN_NEG, -1.0, 1.0),
-        ],
+        "case,barrier",
+        [(Case.UP_NEG, -1.0), (Case.DOWN_POS, 1.0), (Case.DOWN_NEG, -1.0)],
     )
-    def test_density_at_the_barrier_is_infinite(self, case, barrier, q):
-        s = SpectralCase(case, 1.5, q_ladder=q)
+    def test_density_at_the_barrier_is_infinite(self, case, barrier):
+        s = SpectralCase(case, 1.5)
         assert triple_law_density(s, TripleLawPoint(barrier, 0.2, 1.5, 1.0)) == math.inf
 
     def test_printed_upneg_constant_is_comparison_only(self):
         # The one-dimensional closed-form candidate is finite and positive
-        # but disagrees with the quadrature normalization; reports flag the
+        # but disagrees with the closed-form normalization; reports flag the
         # gap rather than asserting it, and so does this test.
         s = SpectralCase(Case.UP_NEG, 1.5)
         printed = triple_law_K_printed_upneg(s, -1.0)
-        quad = triple_law_K(s, -1.0)
-        assert printed > 0.0 and quad > 0.0
+        K = triple_law_K(s, -1.0)
+        assert printed > 0.0 and K > 0.0
         with pytest.raises(DomainError):
             triple_law_K_printed_upneg(SpectralCase(Case.DOWN_POS, 1.5), -1.0)
 
 
 class TestSeparableKernel:
-    # Reference constants from a three-level nested quadrature (theta, phi
+    # Reference constant from a three-level nested quadrature (theta, phi
     # and eta each by adaptive quadrature, tol 1e-8) at alpha 1.5, |barrier| 1.
     NESTED_K_UPNEG = 0.8584502556565086
-    NESTED_K_DOWNNEG_Q1 = 2.490611439841679
 
+    @pytest.mark.parametrize("q", [0.0, 1.0])
     @pytest.mark.parametrize("a", [1.2, 1.5, 1.8])
     @pytest.mark.parametrize("phi", [1e-3, 0.1, 1.0, 5.0, 30.0])
-    def test_closed_form_theta_tail(self, a, phi):
-        # int_phi^inf J, by quadrature in r = log(s) and scaled by
-        # e^(a phi) so that every phi integrates to a value of order one.
-        scale = math.exp(a * phi)
+    def test_closed_form_theta_tail(self, a, phi, q):
+        # int_phi^inf e^(q s) J, by quadrature in r = log(s) and scaled by
+        # e^((a - q) phi) so that every phi integrates to a value of order
+        # one; q = 1 is the DownNeg tail.
+        scale = math.exp((a - q) * phi)
         quad = integrate_adaptive(
-            lambda r: _jump(a, math.exp(r)) * math.exp(r) * scale,
+            lambda r: _jump(a, math.exp(r), q) * math.exp(r) * scale,
             math.log(phi),
             math.log(800.0),
             tol=1e-13,
         ).value
-        assert _jump_tail(a, phi) * scale == pytest.approx(quad, rel=1e-9)
+        assert _jump_tail(a, phi, q) * scale == pytest.approx(quad, rel=1e-9)
 
     @pytest.mark.parametrize("depth", [0.25, 1.0])
     def test_upneg_and_downpos_share_the_kernel(self, depth):
@@ -213,81 +204,45 @@ class TestSeparableKernel:
         for case, barrier in ((Case.UP_NEG, -1.0), (Case.DOWN_POS, 1.0)):
             K = triple_law_K(SpectralCase(case, 1.5), barrier)
             assert K == pytest.approx(self.NESTED_K_UPNEG, rel=1e-12)
-        K = triple_law_K(SpectralCase(Case.DOWN_NEG, 1.5, q_ladder=1.0), -1.0)
-        assert K == pytest.approx(self.NESTED_K_DOWNNEG_Q1, rel=1e-10)
+
+    @pytest.mark.parametrize("a", [1.2, 1.5, 1.8])
+    def test_downneg_K_is_C(self, a):
+        # DownNeg passes every barrier, so K is C(alpha) =
+        # Gamma(a-1) Gamma(2-a) / (a (a-1)) = pi / (sin(pi (a-1)) a (a-1)).
+        C = math.pi / (math.sin(math.pi * (a - 1.0)) * a * (a - 1.0))
+        for depth in (1e-9, 1.0, 800.0):
+            K = triple_law_K(SpectralCase(Case.DOWN_NEG, a), -depth)
+            assert K == pytest.approx(C, rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
-    @pytest.mark.parametrize("depth", [1.0, 0.25])
+    @pytest.mark.parametrize("depth", [0.25, 1.0, 5.0, 50.0])
     @pytest.mark.parametrize(
-        "case,sign,q",
-        [
-            (Case.UP_NEG, -1.0, None),
-            (Case.DOWN_POS, 1.0, None),
-            (Case.DOWN_NEG, -1.0, 1.0),
-        ],
+        "case,sign",
+        [(Case.UP_NEG, -1.0), (Case.DOWN_POS, 1.0), (Case.DOWN_NEG, -1.0)],
     )
-    def test_self_normalization_grid(self, alpha, depth, case, sign, q):
-        s = SpectralCase(case, alpha, q_ladder=q)
-        assert triple_law_total_mass(s, sign * depth) == pytest.approx(1.0, abs=1e-5)
+    def test_self_normalization_grid(self, alpha, depth, case, sign):
+        s = SpectralCase(case, alpha)
+        assert triple_law_total_mass(s, sign * depth) == pytest.approx(1.0, abs=1e-6)
 
-    @pytest.mark.parametrize(
-        "case,sign,q",
-        [
-            (Case.UP_NEG, -1.0, None),
-            (Case.DOWN_POS, 1.0, None),
-            (Case.DOWN_NEG, -1.0, 1.0),
-        ],
-    )
-    def test_far_barriers(self, case, sign, q):
-        # K is about 4e-22 (UpNeg, DownPos) and 5e21 (DownNeg) at
-        # |barrier| 50, far from the quadrature's absolute tolerance.
-        s = SpectralCase(case, 1.5, q_ladder=q)
-        assert triple_law_total_mass(s, sign * 50.0) == pytest.approx(1.0, abs=1e-5)
-        # Past |barrier| ~ 710 the kernel leaves the float range.
-        with pytest.raises(DomainError):
-            triple_law_total_mass(s, sign * 800.0)
+    @pytest.mark.parametrize("case,sign", [(Case.UP_NEG, -1.0), (Case.DOWN_POS, 1.0)])
+    def test_far_barriers(self, case, sign):
+        # Past |barrier| ~ 745 the probability of passage, and with it K,
+        # leaves the float range.
+        with pytest.raises(DomainError, match="float range"):
+            triple_law_total_mass(SpectralCase(case, 1.5), sign * 800.0)
+
+    def test_downneg_far_barrier(self):
+        # DownNeg passes surely, so its K stays C(alpha) at any depth.
+        s = SpectralCase(Case.DOWN_NEG, 1.5)
+        assert triple_law_total_mass(s, -800.0) == pytest.approx(1.0, abs=1e-6)
 
 
-ONE_SIDED = [
-    (Case.UP_NEG, -1.0, None),
-    (Case.DOWN_POS, 1.0, None),
-    (Case.DOWN_NEG, -1.0, 1.0),
-]
+ONE_SIDED = [(Case.UP_NEG, -1.0), (Case.DOWN_POS, 1.0), (Case.DOWN_NEG, -1.0)]
 
 
 class TestClosedFormK:
-    @pytest.mark.parametrize("a", [1.01, 1.5, 1.99])
-    @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
-    def test_phi_integral_against_mpmath(self, a, q):
-        # e^(q eta) / a times the incomplete beta B(e^-eta; a + q, 1 - a),
-        # at 40 digits.  The worst case is about 3e-15, at eta 300 and 30.
-        mpmath = pytest.importorskip("mpmath")
-        for eta in (1e-8, 1e-5, 1e-2, 0.5, 3.0, 30.0, 300.0):
-            with mpmath.workdps(40):
-                A, Q, E = mpmath.mpf(a), mpmath.mpf(q), mpmath.mpf(eta)
-                beta = mpmath.betainc(A + Q, 1 - A, 0, mpmath.exp(-E))
-                want = mpmath.exp(Q * E) / A * beta
-            assert _phi_mass(a, q, eta) == pytest.approx(float(want), rel=2e-10)
-
-    @pytest.mark.parametrize("a", [1.0001, 1.001, 1.2, 1.5, 1.8])
-    @pytest.mark.parametrize("q", [0.0, 0.3, 1.0, 5.0, 20.0, 100.0])
-    def test_phi_integral_near_zero_against_mpmath(self, a, q):
-        # The 2F1 next to x = 1 was 300x off at a 1.0001 and eta 1e-14, and
-        # 2e-3 at a 1.2; below the cut the beta is taken at small 1 - x.
-        # From q 20 on, the cut is 1/(a + q).
-        mpmath = pytest.importorskip("mpmath")
-        for eta in (1e-15, 1e-14, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3):
-            with mpmath.workdps(40):
-                A, Q, E = mpmath.mpf(a), mpmath.mpf(q), mpmath.mpf(eta)
-                beta = mpmath.betainc(A + Q, 1 - A, 0, mpmath.exp(-E))
-                want = mpmath.exp(Q * E) / A * beta
-            assert _phi_mass(a, q, eta) == pytest.approx(float(want), rel=1e-12)
-        cut = min(scale._PHI_CUT, 1.0 / (a + q))
-        below = math.nextafter(cut, 0.0)
-        assert _phi_mass(a, q, below) == pytest.approx(_phi_mass(a, q, cut), rel=1e-13)
-
-    @pytest.mark.parametrize("case,sign,q", ONE_SIDED)
-    def test_cold_K_is_one_quadrature(self, monkeypatch, case, sign, q):
+    @pytest.mark.parametrize("case,sign", ONE_SIDED)
+    def test_K_makes_no_quadrature(self, monkeypatch, case, sign):
         calls = []
 
         def counted(*args, **kwargs):
@@ -295,14 +250,13 @@ class TestClosedFormK:
             return integrate_adaptive(*args, **kwargs)
 
         monkeypatch.setattr(scale, "integrate_adaptive", counted)
-        _cached_K.cache_clear()
-        triple_law_K(SpectralCase(case, 1.5, q_ladder=q), sign * 2.0)
-        assert calls == [(0.0, 2.0)]
+        triple_law_K(SpectralCase(case, 1.5), sign * 2.0)
+        assert calls == []
 
-    @pytest.mark.parametrize("case,sign,q", ONE_SIDED)
+    @pytest.mark.parametrize("case,sign", ONE_SIDED)
     @pytest.mark.parametrize("depth", [-1.0, 0.0, math.inf, math.nan])
-    def test_barrier_off_its_side_or_not_finite(self, case, sign, q, depth):
-        s = SpectralCase(case, 1.5, q_ladder=q)
+    def test_barrier_off_its_side_or_not_finite(self, case, sign, depth):
+        s = SpectralCase(case, 1.5)
         with pytest.raises(DomainError, match="barrier"):
             triple_law_K(s, sign * depth)
         with pytest.raises(DomainError, match="barrier"):
@@ -321,28 +275,47 @@ class TestClosedFormK:
             triple_law_density(SpectralCase(Case.UP_NEG, 1.5), pt)
 
 
-def _mpmath_K(mpmath, case, a, q, depth):
-    """K = int_0^depth A(eta) Phi(eta) deta at 30 digits, Phi the phi
+class TestThetaMarginal:
+    # The overshoot marginal of each triple law is the normalized one-sided
+    # exit law of exit_laws, which shares no code with scale; exit_law_of
+    # picks the model by its one-sided property, not by rho.
+    @pytest.mark.parametrize("theta", [0.05, 2.0])
+    @pytest.mark.parametrize(
+        "case,a",
+        [
+            (Case.UP_NEG, 1.5),
+            (Case.DOWN_POS, 1.5),
+            (Case.DOWN_NEG, 1.5),
+            (Case.DOWN_NEG, 1.2),
+            (Case.DOWN_NEG, 1.8),
+        ],
+    )
+    def test_theta_marginal_is_the_exit_law(self, case, a, theta):
+        barrier = 1.0 if case is Case.DOWN_POS else -1.0
+        want = exit_law_of(case, a, barrier, theta)
+        got = triple_law_theta_marginal(SpectralCase(case, a), barrier, theta)
+        assert got == pytest.approx(want, rel=1e-8)
+
+
+def _mpmath_K(mpmath, a, depth):
+    """UpNeg K = int_0^depth A(eta) Phi(eta) deta at 30 digits, Phi the phi
     integral as mpmath's incomplete beta.  Within 1e-3 of the pole, s =
     depth - eta is taken as t^(1/(a-1)), where s^(a-2) ds = dt / (a-1),
     so that no part of the integrand is singular there."""
     with mpmath.workdps(30):
-        a, q, d = mpmath.mpf(a), mpmath.mpf(q or 0), mpmath.mpf(depth)
+        a, d = mpmath.mpf(a), mpmath.mpf(depth)
         ten = mpmath.mpf(10)
 
-        def lead(w):
-            return mpmath.exp(-w) + a - 2 if case is Case.DOWN_NEG else mpmath.exp(w)
-
         def phi(eta):
-            return mpmath.exp(q * eta) / a * mpmath.betainc(a + q, 1 - a, 0, mpmath.exp(-eta))
+            return mpmath.betainc(a, 1 - a, 0, mpmath.exp(-eta)) / a
 
         def in_eta(eta):
-            return lead(eta - d) * (-mpmath.expm1(eta - d)) ** (a - 2) * phi(eta)
+            return mpmath.exp(eta - d) * (-mpmath.expm1(eta - d)) ** (a - 2) * phi(eta)
 
         def in_t(t):
             s = t ** (1 / (a - 1))
             shape = (-mpmath.expm1(-s) / s) ** (a - 2) if s else 1
-            return lead(-s) * shape * phi(d - s) / (a - 1)
+            return mpmath.exp(-s) * shape * phi(d - s) / (a - 1)
 
         s0 = min(d / 2, ten**-3)
         top = d - s0
@@ -353,23 +326,23 @@ def _mpmath_K(mpmath, case, a, q, depth):
         return float(mpmath.quad(in_eta, eta_pts) + mpmath.quad(in_t, t_pts))
 
 
-class TestKNextToAlphaOne:
-    # As alpha -> 1 nearly all of K lies closer to the pole at
-    # eta = |barrier| than a double resolves.  The quadrature over the
-    # whole kernel landed a node on the pole at these points, and at
-    # alpha 1.001 missed K by about 1e-7.
+class TestKAgainstMpmath:
+    # The closed form against the 30-digit integral of the kernel.  Next to
+    # alpha = 1 nearly all of K lies closer to the pole at eta = |barrier|
+    # than a double resolves; at tiny |barrier| the quadrature K of earlier
+    # versions carried its absolute tolerance as a relative error (1.0e-4
+    # at alpha 1.2, 1.1e-6 at alpha 1.5).
     @pytest.mark.parametrize(
-        "case,a,q,depth",
+        "a,depth,rel",
         [
-            (Case.DOWN_NEG, 1.0001, 0.3, 1.0),
-            (Case.DOWN_NEG, 1.0001, 5.0, 0.001),
-            (Case.DOWN_NEG, 1.0001, 5.0, 1.0),
-            (Case.UP_NEG, 1.0001, None, 100.0),
-            (Case.UP_NEG, 1.001, None, 100.0),
+            (1.0001, 100.0, 1e-7),
+            (1.001, 100.0, 1e-7),
+            (1.2, 1e-12, 1e-12),
+            (1.2, 1e-14, 1e-12),
+            (1.5, 1e-9, 1e-12),
         ],
     )
-    def test_K_against_mpmath(self, case, a, q, depth):
+    def test_K_against_mpmath(self, a, depth, rel):
         mpmath = pytest.importorskip("mpmath")
-        _cached_K.cache_clear()
-        K = triple_law_K(SpectralCase(case, a, q_ladder=q), -depth)
-        assert K == pytest.approx(_mpmath_K(mpmath, case, a, q, depth), rel=1e-7)
+        K = triple_law_K(SpectralCase(Case.UP_NEG, a), -depth)
+        assert K == pytest.approx(_mpmath_K(mpmath, a, depth), rel=rel)

@@ -44,7 +44,6 @@ NAN, INF = math.nan, math.inf
 
 CASES = {
     "psi-up-m-nan": lambda: psi_up(SpectralCase(Case.UP_NEG, 1.5, m=NAN), 1.0),
-    "spectral-q-ladder-inf": lambda: SpectralCase(Case.DOWN_NEG, 1.5, q_ladder=INF),
     "exit-theta-nan": lambda: exit_density_two_sided(
         Kind.UP, P, ExitWindow(-0.5, 0.5), Direction.UP, NAN
     ),
