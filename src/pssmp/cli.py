@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -106,7 +105,7 @@ _OPTIONS = {
     "grid": (str, None),
     "n_paths": (_integer, 1000),
     "step": (_finite, 1e-3),
-    "seed": (_integer, None),
+    "seed": (_integer, 0),
     "out": (str, None),
 }
 
@@ -205,18 +204,6 @@ def _merge_config(args):
             setattr(args, key, value)
 
 
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("PSSMP_SEED")
-    if not env:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise DomainError(f"PSSMP_SEED must be an integer, got {env!r}") from None
-
-
 _PARAM_KEYS = ("alpha", "rho", "c_plus", "c_minus")
 
 
@@ -264,11 +251,8 @@ def _emit_csv(meta, header, rows, out):
 
 def _rogozin_density(args, p, grid):
     a, x = _arg(args, "a", 2.0), _arg(args, "x")
-    # A start point outside (0, a) falls back to a/2; the metadata
-    # records the point evaluated.
-    x0 = x if 0.0 < x < a else a / 2.0
-    rows = [(y, rogozin_overshoot_density(p, a, x0, y)) for y in grid]
-    return [("a", a), ("x", x0)], rows
+    rows = [(y, rogozin_overshoot_density(p, a, x, y)) for y in grid]
+    return [("a", a), ("x", x)], rows
 
 
 def _exit_meta(args):
@@ -455,7 +439,7 @@ def cmd_simulate(args) -> int:
     kind = Kind(_arg(args, "kind", "star"))
     p, param_meta = _params(args)
     w = _window(args)
-    cfg = SimConfig(_arg(args, "n_paths"), _arg(args, "step"), _resolve_seed(args))
+    cfg = SimConfig(_arg(args, "n_paths"), _arg(args, "step"), _arg(args, "seed"))
     sample = simulate_exit(kind, p, w, cfg)
     meta = [("kind", kind.value)] + param_meta + [
         ("u", w.u),
@@ -481,7 +465,7 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     # Unset, n_paths and step keep the suite's defaults, not those of simulate.
     given = {k: v for k in ("n_paths", "step") if (v := getattr(args, k)) is not None}
-    report = run_suite(args.suite or "all", seed=_resolve_seed(args), **given)
+    report = run_suite(args.suite or "all", seed=_arg(args, "seed"), **given)
     _emit([json.dumps(report, indent=2, default=float)], args.out)
     return 0 if report_passed(report) else 1
 

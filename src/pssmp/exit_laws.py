@@ -94,7 +94,8 @@ def _density(kind: Kind, p: StableParams, direction: Direction, u: float, v: flo
     one-sided law.
     """
     _validate_mode(p)
-    gamma = kind.gamma_exponent(p)
+    # The tilt exponent of the Levy density: 1, alpha*rho + 1, alpha*rho.
+    gamma = kind.h_exponent(p) + 1.0
     ar, arh = p.alpha_rho, p.alpha_rho_hat
     if direction is Direction.UP:
         at_zero = math.inf if arh > 0 else 0.0

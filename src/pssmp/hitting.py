@@ -5,8 +5,9 @@ the probability of hitting one of two target points first is computed by
 two routes: the inverse of the 3x3 occupation-density matrix, and the
 closed ratio of occupation densities.  Both evaluate the same
 closed-form occupation density ``killed_resolvent_u``.  Both are
-homogeneous of degree zero in the overall density normalization, which
-a dedicated invariance test exploits.
+homogeneous of degree zero in the overall density normalization and in
+the scale of the points; ``verify hitting`` checks the second, the
+process's self-similarity.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ class HitQuery:
     x: float
     a: float
     b: float
-    prefactor_scale: float = 1.0
 
     def __post_init__(self):
         if not (1.0 < self.alpha < 2.0):
@@ -73,15 +73,7 @@ def hit_matrix_method(q: HitQuery) -> float:
     if (hit := _on_target(q)) is not None:
         return hit
     pts = (q.x, q.a, q.b)
-    mat = np.array(
-        [
-            [
-                killed_resolvent_u(q.alpha, pi, pj, prefactor_scale=q.prefactor_scale)
-                for pj in pts
-            ]
-            for pi in pts
-        ]
-    )
+    mat = np.array([[killed_resolvent_u(q.alpha, pi, pj) for pj in pts] for pi in pts])
     # u is homogeneous in the points, so U is divided by its largest entry:
     # otherwise the scale of the points would overflow or underflow U^-1.
     try:
@@ -105,7 +97,7 @@ def hit_closed_ratio(q: HitQuery) -> float:
         return hit
 
     def u(p1, p2):
-        return killed_resolvent_u(q.alpha, p1, p2, prefactor_scale=q.prefactor_scale)
+        return killed_resolvent_u(q.alpha, p1, p2)
 
     denom_1 = u(q.b, q.a)
     denom_2 = u(q.b, q.b)

@@ -2,7 +2,7 @@
 
 Everything here is a pure function; the heavy lifting is delegated to
 scipy where a mature routine meets the accuracy contract (log-gamma,
-signed gamma, QUADPACK quadrature).  Series
+QUADPACK quadrature).  Series
 summation is implemented directly since its stopping rule and its bound
 (truncation plus rounding) are part of the contract; every convergent
 series in the package is formed, bounded and stopped there.  The one

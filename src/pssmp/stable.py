@@ -98,23 +98,14 @@ class StableParams:
 class Kind(Enum):
     """The three log-scale processes derived from a stable process.
 
-    Both exponents of a kind are formed from alpha*rho directly, since
+    A kind has one exponent, h, formed from alpha*rho directly since
     (alpha*rho + 1) - 1 differs from alpha*rho in the last bit for many
-    (alpha, rho).
+    (alpha, rho); the Levy density's tilt exponent is gamma = h + 1.
     """
 
     STAR = "star"  # stable process killed on leaving (0, inf)
     UP = "up"  # conditioned to stay positive
     DOWN = "down"  # conditioned to hit 0 continuously
-
-    def gamma_exponent(self, p: StableParams) -> float:
-        """Tilt exponent: the power of the space variable carried by the
-        Levy density, 1, alpha*rho + 1 and alpha*rho for STAR, UP, DOWN."""
-        if self is Kind.STAR:
-            return 1.0
-        if self is Kind.UP:
-            return p.alpha_rho + 1.0
-        return p.alpha_rho
 
     def h_exponent(self, p: StableParams) -> float:
         """Power of the position in the kind's Doob weight x^h (grid Monte
@@ -159,22 +150,19 @@ def exit_up_probability(p: StableParams, a: float, x: float) -> float:
     return float(betainc(p.alpha_rho, p.alpha_rho_hat, x / a))
 
 
-def killed_resolvent_u(
-    alpha: float, x: float, y: float, prefactor_scale: float = 1.0
-) -> float:
+def killed_resolvent_u(alpha: float, x: float, y: float) -> float:
     """Occupation density u(x, y) of the symmetric stable process killed at 0.
 
     u = kappa |x-y|^(alpha-1) int_0^s t^(a-1) (1+t)^(-1/2) dt with
     a = alpha/2 and s = 4xy/(x-y)^2 (Blumenthal, Getoor & Ray 1961); the
-    integral is (s^a / a) 2F1(1/2, a; a+1; -s) in closed form.
-    ``prefactor_scale`` multiplies the overall constant; every consumer of
-    u takes ratios in which it cancels, and tests exploit that.
+    integral is (s^a / a) 2F1(1/2, a; a+1; -s) in closed form.  Every
+    consumer of u takes ratios in which kappa cancels.
     """
     if not (1.0 < alpha < 2.0):
         raise DomainError("resolvent density requires alpha in (1, 2)")
     if not (0.0 < x < math.inf and 0.0 < y < math.inf):
         raise DomainError("x and y must be positive and finite")
-    kappa = prefactor_scale / (2.0**alpha * math.exp(log_gamma(alpha / 2.0)))
+    kappa = 1.0 / (2.0**alpha * math.exp(log_gamma(alpha / 2.0)))
     if x == y:
         # Analytic diagonal limit: the integral diverges like the
         # prefactor |x-y|^(alpha-1) vanishes.
@@ -200,13 +188,12 @@ def path_rng(
 
     Keyed by (seed, path_index) through a 128-bit Philox key so streams
     are independent of scheduling and worker count.  Both must lie in
-    [0, 2^64): each fills one 64-bit half of the key.  With ``reuse``, a
-    Philox generator made here before, that generator is re-keyed in
-    place (counter 0, key (path_index, seed), empty buffer) and returned:
-    it then gives the same stream as a new one, whatever it drew before,
-    without the entropy-seeded set-up of a new bit generator.  The
-    re-key reads its zero counter and buffer from one shared read-only
-    array and its key from a tuple, so it builds no array.
+    [0, 2^64): each fills one 64-bit half of the key.  The generator,
+    ``reuse`` (a Philox generator made here before) or else a new one, is
+    keyed in place (counter 0, key (path_index, seed), empty buffer), so
+    the stream does not depend on what it drew before.  The key reads its
+    zero counter and buffer from one shared read-only array and its key
+    from a tuple, so it builds no array.
     """
     seed, path_index = int(seed), int(path_index)
     if not (0 <= seed < 2**64 and 0 <= path_index < 2**64):
@@ -214,7 +201,7 @@ def path_rng(
             f"seed and path index must lie in [0, 2^64), got {seed} and {path_index}"
         )
     if reuse is None:
-        return np.random.Generator(np.random.Philox(key=(seed << 64) | path_index))
+        reuse = np.random.Generator(np.random.Philox())
     reuse.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": _PHILOX_ZEROS, "key": (path_index, seed)},

@@ -44,7 +44,7 @@ from .montecarlo import (
 )
 from .numerics import integrate_adaptive, log_gamma
 from .scale import Case, SpectralCase, psi_down, psi_up, scale_fn, triple_law_total_mass
-from .stable import Kind, StableParams
+from .stable import Kind, StableParams, exit_up_probability
 
 __all__ = ["SUITES", "run_suite", "report_passed"]
 
@@ -95,9 +95,8 @@ def _suite_normalization():
                         1e-6,
                     )
                 )
-            star = exit_mass_two_sided(
-                Kind.STAR, p, w, Direction.UP
-            ) + exit_mass_two_sided(Kind.STAR, p, w, Direction.DOWN)
+            star_up = exit_mass_two_sided(Kind.STAR, p, w, Direction.UP)
+            star = star_up + exit_mass_two_sided(Kind.STAR, p, w, Direction.DOWN)
             checks.append(
                 _check(
                     f"star-submass-a{p.alpha}-r{p.rho}-u{w.u}-v{w.v}",
@@ -106,6 +105,21 @@ def _suite_normalization():
                     1.0,
                     passed=0.0 < star < 1.0,
                     detail="killed process exits with probability < 1",
+                )
+            )
+            checks.append(
+                _tol_check(
+                    f"star-up-mass-rogozin-a{p.alpha}-r{p.rho}-u{w.u}-v{w.v}",
+                    "exit-two-sided",
+                    star_up,
+                    exit_up_probability(
+                        p, math.exp(w.u) - math.exp(w.v), -math.expm1(w.v)
+                    ),
+                    1e-10,
+                    detail="quadrature of the killed kind's up-exit density against "
+                    "Rogozin's exit probability from 1 - e^v in (0, e^u - e^v); both "
+                    "read rho the same way, so this cannot see a swap of alpha*rho "
+                    "and alpha*(1 - rho)",
                 )
             )
     return checks
@@ -288,9 +302,10 @@ def _suite_scale():
             worst,
             0.0,
             1e-6,
-            detail="worst relative gap of the theta marginal (nested quadrature of "
-            "the density; alpha 1.5, |barrier| 1, theta 0.05 and 2, each case) to "
-            "the one-sided kernel of exit_laws, which shares no code with scale",
+            detail="worst relative gap of the theta marginal (the density's phi "
+            "integral in closed form, then eta by quadrature; alpha 1.5, |barrier| 1, "
+            "theta 0.05 and 2, each case) to the one-sided kernel of exit_laws, "
+            "which shares no code with scale",
         )
     )
     printed, K = scale.triple_law_K_printed_upneg(s, -1.0), scale.triple_law_K(s, -1.0)
@@ -325,21 +340,19 @@ def exit_law_of(case: Case, alpha: float, barrier: float, theta: float) -> float
 
 
 def triple_law_theta_marginal(s: SpectralCase, barrier: float, theta: float) -> float:
-    """The triple law's density integrated over phi, then eta, by quadrature.
-    eta = |barrier| - r, r = u^(1/(alpha-1)), takes out the pole r^(alpha-2); the
-    density times r^(2-alpha) is held constant on the last 1e-9 |barrier|."""
+    """The triple law's density integrated over phi, then eta.  It depends on
+    phi only through J(theta + phi), so the phi integral is the density at
+    phi = eta times the J tail (e^s - 1)^(-alpha)/alpha over J(s), s = theta +
+    eta: (1 - e^-s)/alpha.  eta = |barrier| - r, r = u^(1/(alpha-1)), takes out
+    the pole r^(alpha-2); the density times r^(2-alpha) is held constant on the
+    last 1e-9 |barrier|."""
     a, depth = s.alpha, abs(barrier)
 
     def over_u(u):
         eta = depth - max(u ** (1.0 / (a - 1.0)), 1e-9 * depth)
         r = depth - eta  # exact, so that r^(2-alpha) meets the density's pole
-
-        def density(phi):
-            pt = scale.TripleLawPoint(barrier, theta, phi, eta)
-            return scale.triple_law_density(s, pt)
-
-        inner = integrate_adaptive(density, eta, math.inf, tol=1e-10).value
-        return inner * r ** (2.0 - a) / (a - 1.0)
+        f = scale.triple_law_density(s, scale.TripleLawPoint(barrier, theta, eta, eta))
+        return f * -math.expm1(-(theta + eta)) / a * r ** (2.0 - a) / (a - 1.0)
 
     return integrate_adaptive(over_u, 0.0, depth ** (a - 1.0), tol=1e-10).value
 
@@ -364,17 +377,20 @@ def _suite_hitting():
             "independent route is walk-on-spheres Monte Carlo",
         )
     )
-    q1 = HitQuery(1.5, 1.0, 0.5, 2.0)
-    q2 = HitQuery(1.5, 1.0, 0.5, 2.0, prefactor_scale=7.25)
-    drift = abs(hit_closed_ratio(q1) - hit_closed_ratio(q2))
+    base = hit_closed_ratio(HitQuery(1.5, 1.0, 0.5, 2.0))
+    drift = max(
+        abs(hit_closed_ratio(HitQuery(1.5, c, 0.5 * c, 2.0 * c)) - base)
+        for c in (1e-3, 7.25, 1e3)
+    )
     checks.append(
         _check(
-            "prefactor-invariance",
+            "scaling-invariance",
             "hit-two-point",
             drift,
             1e-14,
             passed=drift <= 1e-14,
-            detail="occupation-density normalization cancels in the ratio",
+            detail="self-similarity: the probability at (c x, c a, c b) is the "
+            "one at (x, a, b) = (1, 0.5, 2), for c in 1e-3, 7.25 and 1e3",
         )
     )
     probs = [

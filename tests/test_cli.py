@@ -136,16 +136,15 @@ class TestEval:
         )
         assert rc == 2 and out == "" and "--q-ladder" in err
 
-    def test_rogozin_metadata_records_evaluated_x(self, capsys):
-        # A start point outside (0, a) is evaluated at a/2 = 1; the
-        # metadata says so, and the rows are those of --x 1.
-        _, inside, _ = run(capsys, "eval", "--law", "rogozin-density", "--x", "1")
-        rows = [l for l in inside.splitlines() if not l.startswith("#")]
+    def test_rogozin_start_outside_interval_is_refused(self, capsys):
+        # --x is evaluated as given: inside (0, a) the metadata records it,
+        # outside it the law's DomainError exits 2 (earlier versions
+        # evaluated a/2 there instead).
+        rc, out, _ = run(capsys, "eval", "--law", "rogozin-density", "--x", "0.5")
+        assert rc == 0 and "# a=2\n" in out and "# x=0.5\n" in out
         for x in ("-3", "0", "2", "5"):
-            rc, out, _ = run(capsys, "eval", "--law", "rogozin-density", "--x", x)
-            assert rc == 0
-            assert "# x=1\n" in out and f"# x={x}\n" not in out
-            assert [l for l in out.splitlines() if not l.startswith("#")] == rows
+            rc, out, err = run(capsys, "eval", "--law", "rogozin-density", "--x", x)
+            assert rc == 2 and out == "" and "0 < x < a" in err
 
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "out.csv"
@@ -243,13 +242,17 @@ class TestSimulate:
         assert SIDE_CENSORED in sides and np.isnan(s.theta).any()
         assert (SIDE_KILLED in sides) == (kind == "star")
 
-    def test_seed_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("PSSMP_SEED", "77")
-        _, out, _ = run(capsys, "simulate", "--n-paths", "2", "--step", "5e-3")
-        assert "# seed=77" in out
-        monkeypatch.setenv("PSSMP_SEED", "abc")
-        rc, _, err = run(capsys, "simulate", "--n-paths", "2", "--step", "5e-3")
-        assert rc == 2 and "PSSMP_SEED" in err
+    def test_environment_sets_no_seed(self, capsys, monkeypatch):
+        # The seed comes from --seed or a config key, else 0; earlier
+        # versions also read PSSMP_SEED.
+        argv = ("simulate", "--n-paths", "2", "--step", "5e-3")
+        monkeypatch.delenv("PSSMP_SEED", raising=False)
+        rc, plain, _ = run(capsys, *argv)
+        assert rc == 0 and "# seed=0\n" in plain
+        for env in ("77", "abc"):
+            monkeypatch.setenv("PSSMP_SEED", env)
+            rc, out, _ = run(capsys, *argv)
+            assert rc == 0 and out == plain
 
 
 class TestVerify:

@@ -297,12 +297,12 @@ class TestThetaMarginal:
         assert got == pytest.approx(want, rel=1e-8)
 
 
-def _mpmath_K(mpmath, a, depth):
-    """UpNeg K = int_0^depth A(eta) Phi(eta) deta at 30 digits, Phi the phi
+def _mpmath_K(mpmath, a, depth, dps):
+    """UpNeg K = int_0^depth A(eta) Phi(eta) deta at dps digits, Phi the phi
     integral as mpmath's incomplete beta.  Within 1e-3 of the pole, s =
     depth - eta is taken as t^(1/(a-1)), where s^(a-2) ds = dt / (a-1),
     so that no part of the integrand is singular there."""
-    with mpmath.workdps(30):
+    with mpmath.workdps(dps):
         a, d = mpmath.mpf(a), mpmath.mpf(depth)
         ten = mpmath.mpf(10)
 
@@ -327,22 +327,26 @@ def _mpmath_K(mpmath, a, depth):
 
 
 class TestKAgainstMpmath:
-    # The closed form against the 30-digit integral of the kernel.  Next to
-    # alpha = 1 nearly all of K lies closer to the pole at eta = |barrier|
-    # than a double resolves; at tiny |barrier| the quadrature K of earlier
-    # versions carried its absolute tolerance as a relative error (1.0e-4
-    # at alpha 1.2, 1.1e-6 at alpha 1.5).
+    # The closed form against the integral of the kernel at dps digits.
+    # Next to alpha = 1 nearly all of K lies closer to the pole at
+    # eta = |barrier| than a double resolves, and at 30 digits the integral
+    # itself is 6.8e-12 (alpha 1.0001) and 6.0e-11 (alpha 1.001) off at
+    # |barrier| 100; at 50 digits it matches an 80-digit C(alpha) P in
+    # double.  At tiny |barrier| the quadrature K of earlier versions
+    # carried its absolute tolerance as a relative error (1.0e-4 at
+    # alpha 1.2, 1.1e-6 at alpha 1.5).  50 digits on every row would double
+    # the test's time.
     @pytest.mark.parametrize(
-        "a,depth,rel",
+        "a,depth,dps",
         [
-            (1.0001, 100.0, 1e-7),
-            (1.001, 100.0, 1e-7),
-            (1.2, 1e-12, 1e-12),
-            (1.2, 1e-14, 1e-12),
-            (1.5, 1e-9, 1e-12),
+            (1.0001, 100.0, 50),
+            (1.001, 100.0, 50),
+            (1.2, 1e-12, 30),
+            (1.2, 1e-14, 30),
+            (1.5, 1e-9, 30),
         ],
     )
-    def test_K_against_mpmath(self, a, depth, rel):
+    def test_K_against_mpmath(self, a, depth, dps):
         mpmath = pytest.importorskip("mpmath")
         K = triple_law_K(SpectralCase(Case.UP_NEG, a), -depth)
-        assert K == pytest.approx(_mpmath_K(mpmath, a, depth), rel=rel)
+        assert K == pytest.approx(_mpmath_K(mpmath, a, depth, dps), rel=1e-12)
