@@ -17,8 +17,7 @@ import mmap
 import numbers
 import os
 import signal
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,12 +54,6 @@ _PATHS_PER_WORKER = 256
 _MAX_WORKERS = 8
 _BLOCK = 512
 _BATCH = 32
-
-# The sample set simulate_exit returned last, held weakly so that it lives
-# only as long as its caller keeps it.  simulate_exit never reads it (a
-# re-run must stay a re-run); step_refinement_report reads its level 0 here.
-_last_run = None
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -149,25 +142,39 @@ class ExitSampleSet:
         return float(np.sum(self.h_weight * event) / self.config.n_paths)
 
 
-def _run_paths(draw, n_paths, seed, max_steps, eu, ev, start=0):
-    """Run paths start..start+n_paths-1 to exit; returns (raw position,
-    steps, exited) arrays, row i for path start + i.
+def _run_paths(draw, n_paths, seed, levels, eu, ev, start=0):
+    """Run paths start..start+n_paths-1 to exit at each level; returns
+    (position, steps, exited) arrays of shape (len(levels), n_paths),
+    entry [j, i] for level j of path start + i.
+
+    ``levels`` holds a (scale, max_steps) pair per level, coarsest first.
+    The last, of scale 1, steps by draw's increments and a level of scale
+    s by s times them, so it stands at 1 + s (x - 1) where the last stands
+    at x and leaves the window when x passes t = 1 + (e - 1)/s, e = e^u or
+    e^v.  The coarser the level, the nearer 1 its barriers and the earlier
+    its horizon, so no level ends after a finer one: each block is scanned
+    level by level, coarsest first, over the rows still at that level.  A
+    coarser level's exit position is e + s (x - t), beyond its barrier.
 
     Path i draws from path_rng(seed, i) in blocks of _BLOCK steps, each
     one draw(rngs, _BLOCK) call: the block's uniforms, then its
-    exponentials.  The path stops at the first position at or beyond a
-    barrier, or at the horizon, which may fall inside a block; the rest
-    of that block is drawn and unused.  Up to _BATCH paths advance in
-    lockstep, one row each, and each block is drawn, summed and scanned
-    in one pass over the running rows.  A finished path's row goes at
+    exponentials.  The path stops when its last level reaches a position
+    at or beyond a barrier, or its horizon, which may fall inside a block;
+    the rest of that block is drawn and unused.  Up to _BATCH paths
+    advance in lockstep, one row each, and each block is drawn, summed
+    and scanned over the running rows.  A finished path's row goes at
     once to the next path, whose stream re-keys the row's generator in
     place.  Each stream is consumed as by a path run alone, so the result
     does not depend on the batching.
     """
-    pos = np.ones(n_paths)
-    steps = np.zeros(n_paths, dtype=np.int64)
-    exited = np.zeros(n_paths, dtype=bool)
-    if max_steps < 1:
+    n_levels = len(levels)
+    pos = np.ones((n_levels, n_paths))
+    steps = np.zeros((n_levels, n_paths), dtype=np.int64)
+    exited = np.zeros((n_levels, n_paths), dtype=bool)
+    scale, horizon = (np.array(a) for a in zip(*levels))
+    # 1 + (e - 1)/s, written so that scale 1 keeps e^u and e^v exactly.
+    top, bottom = (e + (1.0 / scale - 1.0) * (e - 1.0) for e in (eu, ev))
+    if horizon[-1] < 1:
         return pos, steps, exited
     rows = min(_BATCH, n_paths)
     # Flat buffers, viewed as C-contiguous (running rows, _BLOCK).
@@ -178,6 +185,7 @@ def _run_paths(draw, n_paths, seed, max_steps, eu, ev, start=0):
     rngs = [path_rng(seed, start + i) for i in range(rows)]
     x = np.ones(rows)  # position at the end of the row's last block
     done = np.zeros(rows, dtype=np.int64)  # steps taken by the row's path
+    lev = np.zeros(rows, dtype=np.int64)  # level the row's path runs at
     next_path = rows
     live = rows  # rows 0..live-1 hold a running path
     while live:
@@ -187,33 +195,44 @@ def _run_paths(draw, n_paths, seed, max_steps, eu, ev, start=0):
         blk += x[:live, None]
         h = hit[: live * _BLOCK].reshape(shape)
         b = below[: live * _BLOCK].reshape(shape)
-        np.greater_equal(blk, eu, out=h)
-        np.less_equal(blk, ev, out=b)
-        h |= b
-        first = h.argmax(axis=1)
-        left = max_steps - done[:live]  # steps before the horizon
-        crossed = h[np.arange(live), first] & (first < left)
-        # Column of the last step of a path that ends in this block.
-        last = np.where(crossed, first, left - 1)
-        freed = np.flatnonzero(crossed | (left <= _BLOCK))
-        pos[path[freed]] = blk[freed, last[freed]]
-        steps[path[freed]] = done[freed] + last[freed] + 1
-        exited[path[freed]] = crossed[freed]
+        lo = lev[:live].min() if n_levels > 1 else 0
+        for lv in range(lo, n_levels):
+            np.greater_equal(blk, top[lv], out=h)
+            np.less_equal(blk, bottom[lv], out=b)
+            h |= b
+            first = h.argmax(axis=1)
+            left = horizon[lv] - done[:live]  # steps before the horizon
+            crossed = h[np.arange(live), first] & (first < left)
+            # Rows that end the level in this block, and the column it ends on.
+            ends = crossed | (left <= _BLOCK)
+            if lo < n_levels - 1:  # rows may be at other levels
+                ends &= lev[:live] == lv
+            end = np.flatnonzero(ends)
+            last = np.where(crossed[end], first[end], left[end] - 1)
+            i = path[end]
+            pos[lv][i], steps[lv][i] = blk[end, last], done[end] + last + 1
+            exited[lv][i] = crossed[end]
+            if lv < n_levels - 1:
+                lev[end] += 1
         x[:live] = blk[:, -1]
         done[:live] += _BLOCK
-        # Hand each freed row to the next path; with none left, move the
-        # last running row into it.  Descending order means every row above
-        # the one being filled is already settled.
-        for r in freed[::-1]:
+        # Hand each row whose last level ended (end) to the next path; with
+        # none left, move the last running row into it.  Descending order
+        # means every row above the one being filled is already settled.
+        for r in end[::-1]:
             if next_path < n_paths:
-                path[r], x[r], done[r] = next_path, 1.0, 0
+                path[r], x[r], done[r], lev[r] = next_path, 1.0, 0, 0
                 rngs[r] = path_rng(seed, start + next_path, reuse=rngs[r])
                 next_path += 1
             else:
                 live -= 1
-                path[r], rngs[r], x[r], done[r] = (
-                    path[live], rngs[live], x[live], done[live]
+                path[r], rngs[r], x[r], done[r], lev[r] = (
+                    path[live], rngs[live], x[live], done[live], lev[live]
                 )
+    for lv in range(n_levels - 1):
+        up = pos[lv] >= top[lv]
+        e, t = np.where(up, eu, ev), np.where(up, top[lv], bottom[lv])
+        pos[lv] = e + scale[lv] * (pos[lv] - t)
     return pos, steps, exited
 
 
@@ -295,42 +314,8 @@ def _run_chunks(fill, bounds):
                 os.waitpid(pid, 0)
 
 
-def simulate_exit(
-    kind: Kind,
-    p: StableParams,
-    window: ExitWindow,
-    cfg: SimConfig,
-) -> ExitSampleSet:
-    """Simulate first exit of the stable path from (e^v, e^u) for all paths.
-
-    The path starts at 1 and is observed at multiples of cfg.step; the
-    first grid point at or beyond a barrier terminates it.  The killed
-    kind classifies nonpositive positions as killed; the conditioned
-    kinds assign the Doob weight at the exit position and censor ruined
-    paths (weight 0).  Horizon exhaustion also censors.
-
-    Path i is defined on its own stream path_rng(cfg.seed, i), drawn in
-    blocks of 512 steps: the block's 512 uniforms, then its 512
-    exponentials.  A path that ends inside a block, at a barrier or at
-    the horizon, has still drawn the whole block.  The paths are run in
-    lockstep batches of 32, one matrix pass per block over the paths
-    still running; a finished path frees its row for the next one at
-    once.  Streams and results are bit-identical to running each path
-    alone.  The exit positions of a chunk are classified with boolean
-    masks, and theta and the weight are formed with math.log and ** on
-    the positions as Python floats.
-
-    A run of n paths uses k = min(CPUs in the affinity set, 8, n // 256)
-    processes when k >= 2 (so 512 paths or more, on 2 CPUs or more, where
-    os.fork exists); otherwise it runs here alone.  range(n) is cut into
-    k contiguous chunks of n // k or n // k + 1 paths.  This process runs
-    the first; forked children run the others and write their rows into
-    one shared anonymous mmap, and all are reaped before the set is
-    returned.  Path i still draws only from path_rng(cfg.seed, i), and its
-    row is computed by the same operations in whichever process runs it,
-    so every row is bit-identical to the one-process run.  A worker that
-    fails raises WorkerError; its rows are never returned.
-    """
+def _simulate(kind, p, window, cfg, n_levels=1):
+    """The sets at steps 2^j cfg.step, j = n_levels - 1, ..., 0, off one run."""
     p.require_two_sided()
     try:
         eu = math.exp(window.u)
@@ -342,18 +327,21 @@ def simulate_exit(
     draw = increment_sampler(p, cfg.step)
     h_exp = kind.h_exponent(p)
     n = cfg.n_paths
+    coarser = range(n_levels - 1, -1, -1)
+    cfgs = [replace(cfg, step=cfg.step * 2**j) for j in coarser]
+    levels = [(2.0 ** (j / p.alpha), c.max_steps) for j, c in zip(coarser, cfgs)]
     k = _n_workers(n)
-    rows = _shared_rows(n)
+    rows = [a.reshape(n_levels, n) for a in _shared_rows(n_levels * n)]
     side, theta, h_weight, steps = rows
 
     def fill(lo, hi):
-        pos, steps[lo:hi], exited = _run_paths(
-            draw, hi - lo, cfg.seed, cfg.max_steps, eu, ev, lo
+        pos, steps[:, lo:hi], exited = _run_paths(
+            draw, hi - lo, cfg.seed, levels, eu, ev, lo
         )
         up = exited & (pos >= eu)
         ruined = exited & (pos <= 0.0)
         down = exited & ~up & ~ruined
-        c_side, c_theta, c_weight = side[lo:hi], theta[lo:hi], h_weight[lo:hi]
+        c_side, c_theta, c_weight = side[:, lo:hi], theta[:, lo:hi], h_weight[:, lo:hi]
         c_side[:] = SIDE_CENSORED
         c_side[up] = SIDE_UP
         c_side[down] = SIDE_DOWN
@@ -373,31 +361,44 @@ def simulate_exit(
     _run_chunks(fill, [n * j // k for j in range(k + 1)])
     for a in rows:
         a.setflags(write=False)
-    global _last_run
-    s = ExitSampleSet(kind, p, window, cfg, side, theta, h_weight, steps)
-    _last_run = weakref.ref(s)
-    return s
+    return [
+        ExitSampleSet(kind, p, window, c, *(a[j] for a in rows))
+        for j, c in enumerate(cfgs)
+    ]
 
 
-def _live_prefix(kind, p, window, cfg):
-    """The first cfg.n_paths rows of the last run, if it is alive and has them.
+def simulate_exit(
+    kind: Kind,
+    p: StableParams,
+    window: ExitWindow,
+    cfg: SimConfig,
+) -> ExitSampleSet:
+    """Simulate first exit of the stable path from (e^v, e^u) for all paths.
 
-    Path i depends on (kind, p, window, step, seed, max_time) and i alone,
-    so a run of those settings with at least cfg.n_paths paths holds the
-    run of cfg as its first rows.  None when there is no such run.
+    The path starts at 1 and is observed at multiples of cfg.step; the
+    first grid point at or beyond a barrier terminates it.  The killed
+    kind classifies nonpositive positions as killed; the conditioned
+    kinds assign the Doob weight at the exit position and censor ruined
+    paths (weight 0).  Horizon exhaustion also censors.  Each call runs
+    its paths; nothing is kept from one call to the next.
+
+    Path i is defined on its own stream path_rng(cfg.seed, i), drawn in
+    blocks of 512 steps: the block's 512 uniforms, then its 512
+    exponentials.  A path that ends inside a block, at a barrier or at
+    the horizon, has still drawn the whole block.  Paths run in lockstep
+    batches of 32, bit-identical to running each path alone; theta and
+    the weight are math.log and ** of the exit positions as Python floats.
+
+    A run of n paths uses k = min(CPUs in the affinity set, 8, n // 256)
+    processes when k >= 2 (so 512 paths or more, on 2 CPUs or more, where
+    os.fork exists); otherwise it runs here alone.  range(n) is cut into
+    k contiguous chunks.  This process runs the first; forked children
+    run the others and write their rows into one shared anonymous mmap,
+    and all are reaped before the set is returned, every row bit-identical
+    to the one-process run.  A worker that fails raises WorkerError; its
+    rows are never returned.
     """
-    s = _last_run() if _last_run is not None else None
-    if s is None or s.config.n_paths < cfg.n_paths:
-        return None
-    c, n = s.config, cfg.n_paths
-    if (s.kind, s.params, s.window, c.step, c.seed, c.max_time) != (
-        kind, p, window, cfg.step, cfg.seed, cfg.max_time
-    ):
-        return None
-    return ExitSampleSet(
-        kind, p, window, cfg,
-        s.side[:n], s.theta[:n], s.h_weight[:n], s.steps_used[:n],
-    )
+    return _simulate(kind, p, window, cfg)[0]
 
 
 def step_refinement_report(
@@ -409,30 +410,28 @@ def step_refinement_report(
 ) -> list[dict]:
     """Simulate at step, step/2, ..., reporting estimator drift.
 
-    Each level reuses the configured seed (common random numbers).  Level 0
-    is the run of cfg itself: when the sample set simulate_exit returned
-    last is still alive and has the same kind, params, window, step, seed
-    and max_time and at least cfg.n_paths paths, level 0 reads its first
-    cfg.n_paths rows instead of simulating them again; the rows are the
-    same either way.  The rows carry the up-exit probability estimate and
-    the mean up-side overshoot so downstream tolerances can cite the
-    observed bias decay.
+    Level j runs at cfg.step / 2^j with the configured seed (common random
+    numbers).  Path i draws the same variates at every level, and its
+    increments at step 2^m dt are 2^(m/alpha) times those at dt, so every
+    level is read off one run at the finest step.  That level is
+    bit-identical to simulate_exit at its step; a coarser one equals
+    simulate_exit at its own step up to its positions' last bits, which
+    decide a side or a step only for a path within rounding of a barrier.
+    The rows carry the up-exit probability estimate and the mean up-side
+    overshoot so downstream tolerances can cite the observed bias decay.
     """
-    if levels < 2:
-        raise DomainError("levels must be >= 2")
+    if not isinstance(levels, numbers.Integral) or levels < 2:
+        raise DomainError(f"levels must be an integer >= 2, got {levels!r}")
+    fine = replace(cfg, step=math.ldexp(cfg.step, 1 - levels))
     rows = []
-    for level in range(levels):
-        lcfg = SimConfig(cfg.n_paths, cfg.step / 2**level, cfg.seed, cfg.max_time)
-        s = _live_prefix(kind, p, window, lcfg) if level == 0 else None
-        if s is None:
-            s = simulate_exit(kind, p, window, lcfg)
+    for level, s in enumerate(_simulate(kind, p, window, fine, levels)):
         up = s.side == SIDE_UP
         w_up = float(np.sum(s.h_weight[up]))
         rows.append(
             {
                 "level": level,
-                "step": lcfg.step,
-                "p_up": w_up / lcfg.n_paths,
+                "step": s.config.step,
+                "p_up": w_up / s.config.n_paths,
                 "mean_theta_up": (
                     float(np.sum(s.h_weight[up] * s.theta[up])) / w_up
                     if w_up > 0.0
@@ -452,6 +451,8 @@ def extrapolated_bias(report: list[dict], field: str) -> float:
     """
     if len(report) < 2:
         raise DomainError("need a report with >= 2 levels")
+    if any(field not in row for row in report[-2:]):
+        raise DomainError(f"the report rows have no field {field!r}")
     return abs(report[-1][field] - report[-2][field])
 
 

@@ -611,9 +611,7 @@ def _suite_montecarlo(seed, n_paths, step):
             target,
             tol,
             detail=f"binomial SE {se:.4g}, extrapolated step bias {bias:.4g} "
-            "(drift from the counted paths to a step/2 run); the refinement's "
-            "level 0 is not simulated again: it reads the counted sample set's "
-            "bit-identical determinism re-run",
+            "(drift from step to step/2; both levels are read off one step/2 run)",
         )
     )
 

@@ -1,8 +1,8 @@
-import gc
 import math
 import os
 import signal
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,6 +167,24 @@ def _per_path(draw, n_paths, seed, max_steps, eu, ev, start=0):
     return pos, steps, exited
 
 
+def _one_level(draw, n_paths, seed, max_steps, eu, ev, start=0):
+    """The batched simulator's rows for a single level of max_steps steps."""
+    rows = montecarlo._run_paths(draw, n_paths, seed, [(1.0, max_steps)], eu, ev, start)
+    return tuple(a[0] for a in rows)
+
+
+def _as_levels(rows_of):
+    """A _run_paths stand-in for a one-level run, from a function with
+    _per_path's signature."""
+
+    def run(draw, n_paths, seed, levels, eu, ev, start=0):
+        [(scale, max_steps)] = levels
+        assert scale == 1.0
+        return tuple(a[None] for a in rows_of(draw, n_paths, seed, max_steps, eu, ev, start))
+
+    return run
+
+
 class TestLockstepBatch:
     """The batched simulator reproduces the per-path definition bit for bit."""
 
@@ -222,7 +240,7 @@ class TestLockstepBatch:
         # Horizons inside, at the end of and one past the first block.
         draw = increment_sampler(P, 1e-5)
         args = (40, 6, max_steps, math.exp(0.05), math.exp(-0.05))
-        got = montecarlo._run_paths(draw, *args)
+        got = _one_level(draw, *args)
         for a, b in zip(got, _per_path(draw, *args)):
             assert np.array_equal(a, b)
         _, steps, exited = got
@@ -294,7 +312,7 @@ class TestLockstepBatch:
         cfg = SimConfig(n_paths, step, seed, max_time=max_time)
         draw = increment_sampler(p, step)
         args = (n_paths, seed, cfg.max_steps, math.exp(u), math.exp(v), start)
-        for got, want in zip(montecarlo._run_paths(draw, *args), _per_path(draw, *args)):
+        for got, want in zip(_one_level(draw, *args), _per_path(draw, *args)):
             assert np.array_equal(got, want)
 
     def test_draws_match_per_path_count(self):
@@ -309,7 +327,7 @@ class TestLockstepBatch:
             return base(rngs, n, out=out)
 
         window = ExitWindow(-3.0, 3.0)
-        _, steps, _ = montecarlo._run_paths(
+        _, steps, _ = _one_level(
             counting_draw, cfg.n_paths, cfg.seed, cfg.max_steps,
             math.exp(window.u), math.exp(window.v),
         )
@@ -321,7 +339,7 @@ def _assert_matches_per_path(monkeypatch, kind, p, window, cfg):
     """Run simulate_exit batched and per path; assert bit equality."""
     batched = simulate_exit(kind, p, window, cfg)
     with monkeypatch.context() as m:
-        m.setattr(montecarlo, "_run_paths", _per_path)
+        m.setattr(montecarlo, "_run_paths", _as_levels(_per_path))
         single = simulate_exit(kind, p, window, cfg)
     _assert_same_rows(batched, single)
     return batched
@@ -373,7 +391,7 @@ class TestClassification:
             assert (n_paths, start, eu_, ev_) == (len(pos), 0, eu, ev)
             return pos.copy(), steps.copy(), exited.copy()
 
-        monkeypatch.setattr(montecarlo, "_run_paths", chosen_rows)
+        monkeypatch.setattr(montecarlo, "_run_paths", _as_levels(chosen_rows))
         s = simulate_exit(kind, p, window, SimConfig(len(pos), 1e-3, 0))
         side, theta, h_weight = _classify_per_path(kind, p, window, pos, exited)
         assert np.array_equal(s.side, side)
@@ -399,10 +417,22 @@ class TestRefinement:
         assert 0.0 <= bias < 0.2
 
     def test_levels_validation(self):
-        with pytest.raises(DomainError):
-            step_refinement_report(Kind.STAR, P, W, CFG, levels=1)
+        for levels in (1, 0, -3, 2.5, 3.0, math.nan, "3", None):
+            with pytest.raises(DomainError, match="levels"):
+                step_refinement_report(Kind.STAR, P, W, CFG, levels=levels)
         with pytest.raises(DomainError):
             extrapolated_bias([{"p_up": 0.5}], "p_up")
+        with pytest.raises(DomainError, match="p_dn"):
+            extrapolated_bias([{"p_up": 0.5}, {"p_up": 0.4}], "p_dn")
+
+    def test_finest_step_past_the_grid_cap_is_refused_before_any_run(self, monkeypatch):
+        calls = _count_run_paths(monkeypatch)
+        # 2e-3 / 2^20 is past the 1e8 grid points of max_time 50.
+        with pytest.raises(BudgetError):
+            step_refinement_report(Kind.STAR, P, W, CFG, levels=21)
+        with pytest.raises(DomainError):  # the step underflows to 0
+            step_refinement_report(Kind.STAR, P, W, CFG, levels=10**6)
+        assert calls == []
 
 
 def _count_run_paths(monkeypatch):
@@ -418,11 +448,125 @@ def _count_run_paths(monkeypatch):
     return calls
 
 
-REUSE_CFG = SimConfig(60, 4e-3, 9)
+def _report_row(level, s):
+    """A report row computed from a sample set, as the report defines it."""
+    up = s.side == SIDE_UP
+    w_up = float(np.sum(s.h_weight[up]))
+    return {
+        "level": level,
+        "step": s.config.step,
+        "p_up": w_up / s.config.n_paths,
+        "mean_theta_up": float(np.sum(s.h_weight[up] * s.theta[up])) / w_up,
+        "censored_fraction": s.censored_fraction,
+    }
 
 
-class TestLevelZeroReuse:
-    """Level 0 of step_refinement_report reads a live run of its config."""
+SMALL_CFG = SimConfig(60, 4e-3, 9)
+
+
+class TestRefinementLevels:
+    """Every level of a report is read off the finest level's paths, and
+    equals simulate_exit at its own step: sides and steps exactly, theta
+    and the weights up to rounding."""
+
+    @pytest.mark.parametrize(
+        "kind, p, window, cfg, levels",
+        [
+            (Kind.STAR, P, W, SimConfig(120, 4e-3, 61), 2),
+            (Kind.UP, P, W, SimConfig(120, 4e-3, 62), 2),
+            (Kind.DOWN, P, W, SimConfig(120, 4e-3, 63), 2),
+            (Kind.STAR, StableParams(1.0, 0.5), W, SimConfig(120, 4e-3, 64), 2),
+            (Kind.STAR, StableParams(0.8, 0.3), W, SimConfig(120, 4e-3, 65), 3),
+            (Kind.UP, StableParams(1.2, 0.5), W, SimConfig(120, 4e-3, 66), 3),
+            (Kind.DOWN, StableParams(0.8, 0.7), W, SimConfig(120, 4e-3, 67), 3),
+            # Several paths censored at the horizon of each level.
+            (Kind.UP, P, ExitWindow(-3.0, 3.0), SimConfig(60, 2e-3, 16, max_time=2.5), 2),
+        ],
+        ids=["star", "up", "down", "cauchy", "star-3", "up-3", "down-3", "horizon"],
+    )
+    def test_each_level_equals_a_run_at_its_step(self, kind, p, window, cfg, levels):
+        fine = SimConfig(cfg.n_paths, cfg.step / 2 ** (levels - 1), cfg.seed, cfg.max_time)
+        sets = montecarlo._simulate(kind, p, window, fine, levels)
+        _assert_same_rows(sets[-1], simulate_exit(kind, p, window, fine))
+        rows = step_refinement_report(kind, p, window, cfg, levels)
+        for level, (s, row) in enumerate(zip(sets, rows)):
+            assert s.config == SimConfig(
+                cfg.n_paths, cfg.step / 2**level, cfg.seed, cfg.max_time
+            )
+            alone = simulate_exit(kind, p, window, s.config)
+            assert np.array_equal(s.side, alone.side)
+            assert np.array_equal(s.steps_used, alone.steps_used)
+            # theta is a log-position, so an absolute bound on it bounds the
+            # exit position relatively.
+            np.testing.assert_allclose(s.theta, alone.theta, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(s.h_weight, alone.h_weight, rtol=1e-12, atol=0.0)
+            for a in (s.side, s.theta, s.h_weight, s.steps_used):
+                assert not a.flags.writeable
+            want = _report_row(level, alone)
+            assert row.keys() == want.keys()
+            for key in row:
+                assert row[key] == pytest.approx(want[key], rel=1e-12, abs=0.0)
+        if cfg.max_time < 50.0:
+            coarse = sets[0]
+            censored = coarse.steps_used == coarse.config.max_steps
+            assert np.count_nonzero(censored) >= 3
+            assert np.all(coarse.side[censored] == SIDE_CENSORED)
+            assert coarse.config.max_steps < sets[-1].config.max_steps
+
+    def test_a_coarse_exit_lies_beyond_its_barrier(self):
+        # Rounding cannot move a coarser level's exit back inside the window.
+        s = montecarlo._simulate(Kind.STAR, P, W, SimConfig(300, 1e-3, 68), 3)
+        for level in s:
+            pos = level.exit_position()
+            assert np.all(pos[level.side == SIDE_UP] >= math.exp(W.u))
+            assert np.all(pos[level.side == SIDE_DOWN] <= math.exp(W.v))
+            assert np.all(level.theta[~np.isnan(level.theta)] >= 0.0)
+
+    def test_a_coarse_level_on_its_barrier_exits_at_the_window_barrier(self):
+        # The first step puts the last level exactly on the coarser level's
+        # upper barrier t = 1 + (e^u - 1)/s, and then no step moves it.  At
+        # u = 0.08, 1 + s (t - 1) rounds to just below e^u.
+        s = 2.0 ** (1.0 / 1.5)
+        eu, ev = math.exp(0.08), math.exp(-0.5)
+        t = eu + (1.0 / s - 1.0) * (eu - 1.0)
+        assert 1.0 + s * (t - 1.0) < eu
+
+        def draw(rngs, n, out):
+            out[:] = 0.0
+            out[:, 0] = t - 1.0
+            return out
+
+        pos, steps, exited = montecarlo._run_paths(draw, 3, 0, [(s, 10), (1.0, 20)], eu, ev)
+        assert pos[0].tolist() == [eu] * 3
+        assert steps[0].tolist() == [1] * 3 and exited[0].all()
+        assert steps[1].tolist() == [20] * 3 and not exited[1].any()
+        assert pos[1].tolist() == [t] * 3
+
+    def test_a_level_with_no_step_before_its_horizon_censors_every_path(self):
+        # max_time 3e-3: one step at 2e-3 and none at 4e-3.
+        cfg = SimConfig(40, 4e-3, 69, max_time=3e-3)
+        sets = montecarlo._simulate(Kind.STAR, P, W, replace(cfg, step=2e-3), 2)
+        assert sets[0].config.max_steps == 0 and sets[1].config.max_steps == 1
+        assert np.all(sets[0].side == SIDE_CENSORED)
+        assert np.all(sets[0].steps_used == 0)
+        _assert_same_rows(sets[1], simulate_exit(Kind.STAR, P, W, sets[1].config))
+
+    def test_report_does_not_depend_on_what_ran_before(self, monkeypatch):
+        calls = _count_run_paths(monkeypatch)
+        fresh = step_refinement_report(Kind.STAR, P, W, SMALL_CFG, levels=2)
+        base = simulate_exit(Kind.STAR, P, W, SMALL_CFG)
+        after_base = step_refinement_report(Kind.STAR, P, W, SMALL_CFG, levels=2)
+        simulate_exit(Kind.STAR, P, W, SimConfig(150, 4e-3, 9))
+        after_larger = step_refinement_report(Kind.STAR, P, W, SMALL_CFG, levels=2)
+        # Each report is one pass at the finest step, whatever ran before.
+        assert calls == [60, 60, 60, 150, 60]
+        assert fresh == after_base == after_larger
+        assert all(math.isfinite(v) for r in fresh for v in r.values())
+        assert fresh[0] == _report_row(0, base)
+
+
+class TestStatelessRuns:
+    """A run depends on its arguments alone."""
 
     @pytest.mark.parametrize(
         "kind, p, window, cfg",
@@ -449,51 +593,11 @@ class TestLevelZeroReuse:
         if cfg.max_time < 50.0:
             assert big.n_censored >= 2
 
-    def test_report_is_the_same_with_and_without_a_live_base(self, monkeypatch):
-        calls = _count_run_paths(monkeypatch)
-        base = simulate_exit(Kind.STAR, P, W, REUSE_CFG)
-        with_base = step_refinement_report(Kind.STAR, P, W, REUSE_CFG, levels=2)
-        larger = simulate_exit(Kind.STAR, P, W, SimConfig(150, 4e-3, 9))
-        with_larger = step_refinement_report(Kind.STAR, P, W, REUSE_CFG, levels=2)
-        assert calls == [60, 60, 150, 60]
-        # A matching set that is the last one returned, then dropped: the
-        # weak reference dies with it, so the report simulates level 0.
-        dropped = simulate_exit(Kind.STAR, P, W, REUSE_CFG)
-        assert montecarlo._last_run() is dropped
-        del dropped
-        gc.collect()
-        assert montecarlo._last_run() is None
-        fresh = step_refinement_report(Kind.STAR, P, W, REUSE_CFG, levels=2)
-        assert calls[4:] == [60, 60, 60]
-        assert with_base == fresh and with_larger == fresh
-        assert all(math.isfinite(v) for r in fresh for v in r.values())
-
-    @pytest.mark.parametrize(
-        "kind, p, window, cfg",
-        [
-            (Kind.UP, P, W, REUSE_CFG),
-            (Kind.STAR, StableParams(1.5, 0.6), W, REUSE_CFG),
-            (Kind.STAR, P, ExitWindow(-0.5, 0.6), REUSE_CFG),
-            (Kind.STAR, P, W, SimConfig(60, 2e-3, 9)),
-            (Kind.STAR, P, W, SimConfig(60, 4e-3, 10)),
-            (Kind.STAR, P, W, SimConfig(60, 4e-3, 9, max_time=40.0)),
-            (Kind.STAR, P, W, SimConfig(59, 4e-3, 9)),
-        ],
-        ids=["kind", "params", "window", "step", "seed", "max_time", "fewer-paths"],
-    )
-    def test_base_differing_in_one_field_is_not_used(
-        self, monkeypatch, kind, p, window, cfg
-    ):
-        calls = _count_run_paths(monkeypatch)
-        base = simulate_exit(kind, p, window, cfg)  # alive through the report
-        step_refinement_report(Kind.STAR, P, W, REUSE_CFG, levels=2)
-        assert calls == [cfg.n_paths, 60, 60]
-
     def test_simulate_exit_always_simulates(self, monkeypatch):
         # The determinism check of verify compares two real runs.
         calls = _count_run_paths(monkeypatch)
-        a = simulate_exit(Kind.STAR, P, W, REUSE_CFG)
-        b = simulate_exit(Kind.STAR, P, W, REUSE_CFG)
+        a = simulate_exit(Kind.STAR, P, W, SMALL_CFG)
+        b = simulate_exit(Kind.STAR, P, W, SMALL_CFG)
         assert calls == [60, 60] and a is not b
         _assert_same_rows(a, b)
 
@@ -569,13 +673,15 @@ class TestSplitRuns:
         assert calls == [333]
         assert [SPLIT_CFG.n_paths * j // 3 for j in range(4)] == [0, 333, 667, 1001]
 
-    def test_refinement_report_is_the_same(self, monkeypatch):
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_refinement_report_is_the_same(self, monkeypatch, levels):
         cfg = SimConfig(600, 4e-3, 9)
         with monkeypatch.context() as m:
             _force_workers(m, 1)
-            serial = step_refinement_report(Kind.STAR, P, W, cfg, levels=2)
-        _force_workers(monkeypatch, 2)
-        split = step_refinement_report(Kind.STAR, P, W, cfg, levels=2)
+            serial = step_refinement_report(Kind.STAR, P, W, cfg, levels=levels)
+        forks = _force_workers(monkeypatch, 2)
+        split = step_refinement_report(Kind.STAR, P, W, cfg, levels=levels)
+        assert len(forks) == 1
         assert split == serial
         _assert_no_child_left()
 
@@ -597,11 +703,11 @@ class TestWorkerHygiene:
     def _patch_chunks(self, monkeypatch, parent_chunk=None, child_chunk=None):
         real = montecarlo._run_paths
 
-        def run_paths(draw, n_paths, seed, max_steps, eu, ev, start=0):
+        def run_paths(draw, n_paths, seed, levels, eu, ev, start=0):
             hook = parent_chunk if start == 0 else child_chunk
             if hook is not None:
                 hook()
-            return real(draw, n_paths, seed, max_steps, eu, ev, start)
+            return real(draw, n_paths, seed, levels, eu, ev, start)
 
         monkeypatch.setattr(montecarlo, "_run_paths", run_paths)
         _force_workers(monkeypatch, 3)

@@ -1,7 +1,8 @@
-"""Library entry points refuse non-finite numbers, and fractional path
-counts and seeds, with DomainError.  A NaN must fail every range check:
-the cases below returned nan, or raised a raw or unrelated error, when
-the checks were written as ``x <= 0.0``."""
+"""Library entry points refuse non-finite numbers, fractional path counts,
+seeds and level counts, and report fields that are missing, with
+DomainError.  A NaN must fail every range check: the cases below returned
+nan, or raised a raw or unrelated error, when the checks were written as
+``x <= 0.0`` (or, for the refinement report, not written at all)."""
 
 import math
 
@@ -22,7 +23,7 @@ from pssmp.exit_laws import (
 )
 from pssmp.expfun import ExpCase, ExpFunctionalModel, density_I
 from pssmp.hitting import HitQuery, hit_closed_ratio
-from pssmp.montecarlo import SimConfig
+from pssmp.montecarlo import SimConfig, extrapolated_bias, step_refinement_report
 from pssmp.scale import (
     Case,
     SpectralCase,
@@ -41,6 +42,8 @@ S = SpectralCase(Case.UP_NEG, 1.5)
 UP = ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, 1.5)
 STAR = ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, 1.5)
 NAN, INF = math.nan, math.inf
+W = ExitWindow(-0.5, 0.5)
+SIM = SimConfig(10, 1e-2, 0)
 
 CASES = {
     "psi-up-m-nan": lambda: psi_up(SpectralCase(Case.UP_NEG, 1.5, m=NAN), 1.0),
@@ -62,6 +65,18 @@ CASES = {
     "sim-n-paths-fractional": lambda: SimConfig(2.5, 1e-3, 0),
     # int() would run the streams of seed 1.
     "sim-seed-fractional": lambda: SimConfig(10, 1e-3, 1.5),
+    "refinement-levels-fractional": lambda: step_refinement_report(
+        Kind.STAR, P, W, SIM, levels=2.5
+    ),
+    "refinement-levels-nan": lambda: step_refinement_report(
+        Kind.STAR, P, W, SIM, levels=NAN
+    ),
+    "refinement-levels-str": lambda: step_refinement_report(
+        Kind.STAR, P, W, SIM, levels="3"
+    ),
+    "bias-field-missing": lambda: extrapolated_bias(
+        [{"level": 0, "p_up": 0.5}, {"level": 1, "p_up": 0.4}], "p_down"
+    ),
     "ruin-x-nan": lambda: ruin_probability(S, NAN, 1.0),
     "ruin-y-nan": lambda: ruin_probability(S, 1.0, NAN),
     "scale-fn-x-nan": lambda: scale_fn(S, NAN),
