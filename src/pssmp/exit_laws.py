@@ -1,8 +1,8 @@
 """Closed-form exit densities and extrema laws for the log-scale processes.
 
 All six two-sided overshoot densities (three process kinds, two exit
-directions) share one kernel per direction and differ only through a
-power of the exit position; keeping that structure explicit makes the
+directions) share one kernel for both directions and differ only through
+a power of the exit position; keeping that structure explicit makes the
 exponential-tilt identities between the kinds exact in floating point
 rather than approximate.
 """
@@ -77,67 +77,66 @@ def _validate_mode(p: StableParams):
         )
 
 
+def _jump_exponents(p: StableParams, direction: Direction) -> tuple[float, float]:
+    """(k, l): the jump exponents of the crossed side and of the far side."""
+    up = (p.alpha_rho_hat, p.alpha_rho)
+    return up if direction is Direction.UP else up[::-1]
+
+
 def _density(kind: Kind, p: StableParams, direction: Direction, u: float, v: float):
     """Overshoot density on the window (v, u), off the creeping side.
 
-    Checks the mode and reads the kind's tilt exponent once, and returns
-    theta -> density.  ``theta`` is a float >= 0, or an array of positive
-    floats evaluated in one pass: the formula is written once and runs on
-    ``math`` for a float and on numpy for an array, which share log,
-    log1p, expm1 and exp.  A float gives a float.  An array entry may
-    differ from the float at the same theta by a few ulp of
-    1 + |log theta|, relative: numpy's log and exp round some values one
-    ulp apart from the C library's, and the log(1 - e^-theta) term is
-    about log theta.  Every factor that involves the far barrier is
-    written so that it is exactly 0 when that barrier is infinite (log 1
-    or log1p(0)), never inf - inf; u = +inf or v = -inf gives the
-    one-sided law.
+    Rogozin's two-sided exit law (Theory Probab. Appl. 17, 1972) in log
+    scale by the Lamperti change of variable (Caballero & Chaumont, J.
+    Appl. Probab. 2006), one formula for both directions.  With b the
+    crossed barrier, c the far one, (k, l) the jump exponents of the
+    crossed and the far side and h the kind's Doob exponent, log f(theta) =
+
+        log(sin(pi k) / pi) + k log(1 - e^-|b|) + l log(1 - e^-|c|) + beta b
+        + s slope theta - k log(1 - e^-theta) - l log(1 - e^(v - u - theta))
+        - log(1 - e^(-|b| - theta)),
+
+    s = +1, slope = h - k - l, beta = h - l going up, and s = -1,
+    slope = h + 1, beta = h - (k - 1) going down: beta is exactly 0 for the
+    kind whose Doob weight cancels the barrier.  No term adds theta to a
+    barrier, and each far-barrier factor is exactly 1 at u = +inf or
+    v = -inf, which gives the one-sided law.
+
+    Returns theta -> density: a float theta >= 0 gives a float (inf past
+    the float range), an array of positive floats one numpy pass within a
+    few ulp of 1 + |log theta| of it, relative (numpy's log and exp round
+    some values one ulp apart from libm's; log(1 - e^-theta) ~ log theta).
     """
     _validate_mode(p)
-    # The tilt exponent of the Levy density: 1, alpha*rho + 1, alpha*rho.
-    gamma = kind.h_exponent(p) + 1.0
-    ar, arh = p.alpha_rho, p.alpha_rho_hat
+    h = kind.h_exponent(p)
+    k, l = _jump_exponents(p, direction)
     if direction is Direction.UP:
-        at_zero = math.inf if arh > 0 else 0.0
-        const = math.sin(math.pi * arh) / math.pi
-        # All factors of e^(u+theta) collected in log scale so large
-        # overshoots neither overflow nor lose the exponential decay.
-        log_fixed = arh * _log_expm1(u) + ar * math.log(-math.expm1(v))
-        slope = gamma - arh - ar - 1.0
-
-        def density(theta):
-            xp = np if isinstance(theta, np.ndarray) else math
-            if xp is math and theta == 0.0:
-                return at_zero
-            log_val = (
-                log_fixed
-                + slope * (u + theta)
-                - arh * xp.log(-xp.expm1(-theta))
-                - ar * xp.log1p(-xp.exp(v - u - theta))
-                - xp.log(-xp.expm1(-u - theta))
-            )
-            return const * xp.exp(log_val)
-
-        return density
-    at_zero = math.inf if ar > 0 else 0.0
-    const = math.sin(math.pi * ar) / math.pi
-    log_fixed = ar * math.log(-math.expm1(v))
-    log_u = math.log(-math.expm1(-u))
+        b, c, s_slope, beta = u, v, h - k - l, h - l
+    else:
+        b, c, s_slope, beta = v, u, -(h + 1.0), h - (k - 1.0)
+    near, gap = -abs(b), v - u
+    log_fixed = (
+        math.log(math.sin(math.pi * k) / math.pi)
+        + k * math.log(-math.expm1(near))
+        + l * math.log(-math.expm1(-abs(c)))
+        + beta * b
+    )
 
     def density(theta):
-        xp = np if isinstance(theta, np.ndarray) else math
-        if xp is math and theta == 0.0:
-            return at_zero
-        # arh * [log(e^u - 1) - log(e^(u-v+theta) - 1) - (v - theta)], with
-        # the linear parts cancelled by hand.
-        log_val = (
+        if isinstance(theta, np.ndarray):
+            xp = np
+        elif theta == 0.0:
+            return math.inf if k > 0 else 0.0
+        else:
+            xp, theta = math, float(theta)
+        log_f = (
             log_fixed
-            + gamma * (v - theta)
-            - ar * (v + xp.log(-xp.expm1(-theta)))
-            + arh * (log_u - xp.log(-xp.expm1(v - theta - u)))
-            - xp.log1p(-xp.exp(v - theta))
+            + s_slope * theta
+            - k * xp.log(-xp.expm1(-theta))
+            - l * xp.log(-xp.expm1(gap - theta))
+            - xp.log(-xp.expm1(near - theta))
         )
-        return const * xp.exp(log_val)
+        return np.exp(log_f) if xp is np else _exp_or_inf(log_f)
 
     return density
 
@@ -203,10 +202,10 @@ def exit_mass_two_sided(
         if kind is Kind.STAR and direction is Direction.UP:
             # The killed process can also jump below 0, so its up mass is not
             # 1 - down mass but the scale-function ratio W(x)/W(a) with
-            # W(x) = x^(alpha*rho), x = 1 - e^v and a = e^u - e^v.  In logs,
-            # z = x/a = 1/(1 + (e^u - 1)/(1 - e^v)) stays in range and <= 1.
+            # W(x) = x^l (far-side jump exponent), x = 1 - e^v, a = e^u - e^v.
+            # In logs, z = x/a = 1/(1 + (e^u - 1)/(1 - e^v)) stays in (0, 1].
             log_z = -float(np.logaddexp(0.0, _log_expm1(u) - math.log(-math.expm1(v))))
-            return math.exp(p.alpha_rho * log_z)
+            return math.exp(_jump_exponents(p, direction)[1] * log_z)
         # Point mass at theta = 0: everything not leaving the other way.
         other = Direction.DOWN if direction is Direction.UP else Direction.UP
         return 1.0 - exit_mass_two_sided(kind, p, window, other, tol=tol)
@@ -246,7 +245,7 @@ def overshoot_cdf_interpolant(
     dens = _density(kind, p, direction, window.u, window.v)
     # Singularity exponent at theta = 0: the density behaves like
     # C * theta^(-a0) with a0 the jump exponent of the crossed side.
-    a0 = p.alpha_rho_hat if direction is Direction.UP else p.alpha_rho
+    a0 = _jump_exponents(p, direction)[0]
     theta_max = 1.0
     while dens(theta_max) > 1e-15 and theta_max < 256.0:
         theta_max *= 2.0

@@ -329,7 +329,13 @@ def _simulate(kind, p, window, cfg, n_levels=1):
     n = cfg.n_paths
     coarser = range(n_levels - 1, -1, -1)
     cfgs = [replace(cfg, step=cfg.step * 2**j) for j in coarser]
-    levels = [(2.0 ** (j / p.alpha), c.max_steps) for j, c in zip(coarser, cfgs)]
+    try:
+        levels = [(2.0 ** (j / p.alpha), c.max_steps) for j, c in zip(coarser, cfgs)]
+    except OverflowError:
+        raise DomainError(
+            f"level scale 2^(j/alpha) overflows a float at alpha={p.alpha} "
+            f"with {n_levels} levels"
+        ) from None
     k = _n_workers(n)
     rows = [a.reshape(n_levels, n) for a in _shared_rows(n_levels * n)]
     side, theta, h_weight, steps = rows

@@ -294,7 +294,12 @@ def increment_sampler(p: StableParams, dt: float):
     theta0 = math.pi * (rho - 0.5)
     a_theta0 = alpha * theta0
     # (dt / cos(a_theta0))^(1/alpha) times the 2 of sin phi = 2T / (1 + T^2).
-    factor = 2.0 * (dt / math.cos(a_theta0)) ** (1.0 / alpha)
+    try:
+        factor = 2.0 * (dt / math.cos(a_theta0)) ** (1.0 / alpha)
+    except OverflowError:
+        raise DomainError(
+            f"increment scale dt^(1/alpha) overflows a float at dt={dt}, alpha={alpha}"
+        ) from None
     # Two scratch buffers kept between calls, regrown only when a larger
     # draw is asked for.
     scratch = [np.empty(0), np.empty(0)]

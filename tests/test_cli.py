@@ -388,6 +388,22 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:") and "overflow" in proc.stderr
 
+    def test_increment_scale_overflow_in_simulate_is_2(self, capsys):
+        rc, out, err = run(
+            capsys, "simulate", "--alpha", "0.05", "--step", "1e16", "--n-paths", "2"
+        )
+        assert rc == 2 and out == "" and "overflow" in err
+
+    def test_barrier_and_theta_next_to_zero_in_eval_are_finite(self, capsys):
+        rc, out, _ = run(
+            capsys, "eval", "--law", "exit-two-sided", "--kind", "star",
+            "--direction", "down", "--v", "-1e-300", "--grid", "1e-300:1e-299:2",
+        )
+        assert rc == 0
+        lines = [l for l in out.splitlines() if l and not l.startswith("#")]
+        values = [float(l.split(",")[1]) for l in lines[1:]]
+        assert len(values) == 2 and all(math.isfinite(v) for v in values)
+
     def test_large_barriers_in_eval_are_finite(self, capsys):
         rc, out, _ = run(
             capsys, "eval", "--law", "exit-two-sided", "--u", "800", "--v", "-800"

@@ -1,5 +1,8 @@
 import math
+import sys
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -63,6 +66,13 @@ class TestNormalization:
                 kind, p, W, Direction.UP
             ) + exit_mass_two_sided(kind, p, W, Direction.DOWN)
             assert total == pytest.approx(1.0, abs=1e-7)
+
+    def test_conditioned_up_mass_at_a_wide_window_is_one(self):
+        # 1.074 when the kernel rounded theta into u + theta.
+        mass = exit_mass_two_sided(
+            Kind.UP, P, ExitWindow(-1e16, 1e16), Direction.UP
+        )
+        assert mass == pytest.approx(1.0, abs=1e-9)
 
     def test_killed_kind_has_sub_unit_mass(self):
         total = exit_mass_two_sided(
@@ -132,15 +142,152 @@ class TestStarIsExitLawOfStable:
     """The killed kind in log scale is the plain stable exit law after
     the exponential change of variable x = e^w."""
 
+    @pytest.mark.parametrize("alpha, rho", [(1.5, 0.5), (0.8, 0.3)])
+    @pytest.mark.parametrize("direction", list(Direction))
     @pytest.mark.parametrize("theta", [0.05, 0.3, 1.0, 3.0])
-    def test_translation_to_interval_exit(self, theta):
+    def test_translation_to_interval_exit(self, theta, direction, alpha, rho):
+        p = StableParams(alpha, rho)
         u, v = W.u, W.v
         a = math.exp(u) - math.exp(v)
         x = 1.0 - math.exp(v)
-        y = math.exp(u + theta) - math.exp(u)
-        expected = rogozin_overshoot_density(P, a, x, y) * math.exp(u + theta)
-        got = exit_density_two_sided(Kind.STAR, P, W, Direction.UP, theta)
+        if direction is Direction.UP:
+            pos = math.exp(u + theta)
+            expected = rogozin_overshoot_density(p, a, x, pos - math.exp(u)) * pos
+        else:
+            # Below e^v, X is the reflected process a - X (rho -> 1 - rho),
+            # started at a - x, passing above a.
+            pos = math.exp(v - theta)
+            reflected = StableParams(alpha, 1.0 - rho)
+            expected = (
+                rogozin_overshoot_density(reflected, a, a - x, math.exp(v) - pos) * pos
+            )
+        got = exit_density_two_sided(Kind.STAR, p, W, direction, theta)
         assert got == pytest.approx(expected, rel=1e-13)
+
+
+def _reference_density(kind, p, direction, u, v, theta, dps=40):
+    """The log-scale overshoot density in mpmath, from the process scale.
+
+    Shifted by e^v, the log-scale window is (0, e^u - e^v) for the stable
+    process started at 1 - e^v.  Going up, with d = e^u - 1 and e = 1 - e^v
+    the distances from the start to the crossed and the far barrier, the
+    overshoot y above the crossed barrier has Rogozin's density
+
+        sin(pi k)/pi d^k y^-k (e / (y + d + e))^l / (y + d),
+
+    k = alpha (1 - rho), l = alpha rho.  Going down it is the same law for
+    the reflected process (rho -> 1 - rho, d = 1 - e^v, e = e^u - 1).
+    dy/dtheta is the exit position pos, and the kind's Doob weight
+    multiplies by pos^h; u = +inf or v = -inf makes e infinite and the
+    far factor 1.
+    """
+    mp = mpmath
+    with mp.workdps(dps):
+        u, v, theta = (mp.mpf(t) for t in (u, v, theta))
+        alpha, rho = mp.mpf(p.alpha), mp.mpf(p.rho)
+        h = {Kind.STAR: 0, Kind.UP: alpha * rho, Kind.DOWN: alpha * rho - 1}[kind]
+        if direction is Direction.UP:
+            pos = mp.exp(u) * mp.exp(theta)
+            d, e, y = mp.expm1(u), -mp.expm1(v), mp.exp(u) * mp.expm1(theta)
+        else:
+            rho = 1 - rho
+            pos = mp.exp(v) * mp.exp(-theta)
+            d, e, y = -mp.expm1(v), mp.expm1(u), -mp.exp(v) * mp.expm1(-theta)
+        k, l = alpha * (1 - rho), alpha * rho
+        far = 1 if mp.isinf(e) else (e / (y + d + e)) ** l
+        f = mp.sin(mp.pi * k) / mp.pi * d**k * y**-k * far / (y + d)
+        return f * pos ** (1 + h)
+
+
+# The grid holds the rows that a kernel written once per direction got
+# wrong: the window (-1e-9, 1e-9) at theta 1e-12, where log1p(-e^x) lost
+# digits (1.3e-8 relative going up, 5.0e-8 going down, at alpha 1.5), and
+# u = 1e12 or 1e16 with v = -0.5, where u + theta rounded theta away (2.1e-5
+# relative at u = 1e12, theta 0.5; 8.8 at u = 1e16, theta 30, alpha 1.9).
+ACCURACY_PARAMS = [(0.5, 0.6), (0.8, 0.3), (1.5, 0.5), (1.9, 0.52)]
+BARRIERS = [1e-9, 1e-4, 0.5, 3.0, 40.0, 1e12, 1e16]
+THETAS = [1e-12, 1e-6, 0.01, 0.5, 1.0, 30.0]
+
+
+def _relative_error(got, want):
+    # A density that underflows is compared absolutely, at the float
+    # range's own resolution.
+    return abs(got - want) / max(want, 1e-290)
+
+
+class TestAgainstProcessScaleLaw:
+    """Each scalar density against the 40-digit process-scale law, over
+    barriers from 1e-9 to 1e16 and overshoots from 1e-12 to 30, and over
+    the whole float range for what it may return."""
+
+    @pytest.mark.parametrize("alpha, rho", ACCURACY_PARAMS)
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_two_sided_to_1e_12(self, kind, direction, alpha, rho):
+        p = StableParams(alpha, rho)
+        worst = (0.0, ())
+        for u in BARRIERS:
+            for v in BARRIERS:
+                for theta in THETAS:
+                    got = exit_density_two_sided(
+                        kind, p, ExitWindow(-v, u), direction, theta
+                    )
+                    want = float(_reference_density(kind, p, direction, u, -v, theta))
+                    worst = max(worst, (_relative_error(got, want), (u, -v, theta)))
+        assert worst[0] <= 1e-12, worst
+
+    @pytest.mark.parametrize("alpha, rho", ACCURACY_PARAMS)
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_one_sided_to_1e_12(self, kind, direction, alpha, rho):
+        p = StableParams(alpha, rho)
+        sign = 1.0 if direction is Direction.UP else -1.0
+        for b in BARRIERS:
+            u, v = (b, -math.inf) if sign > 0 else (math.inf, -b)
+            for theta in THETAS:
+                got = exit_density_one_sided(kind, p, direction, sign * b, theta)
+                want = float(_reference_density(kind, p, direction, u, v, theta))
+                assert _relative_error(got, want) <= 1e-12, (b, theta, got, want)
+
+    @settings(max_examples=200)
+    @given(
+        alpha=st.floats(0.05, 1.99),
+        rho=st.floats(0.01, 0.99),
+        log_u=st.floats(math.log(1e-320), math.log(1e308)),
+        log_v=st.floats(math.log(1e-320), math.log(1e308)),
+        log_theta=st.none() | st.floats(math.log(1e-320), math.log(1e308)),
+        numpy_theta=st.booleans(),
+    )
+    def test_property_extreme_inputs_give_a_float(
+        self, alpha, rho, log_u, log_v, log_theta, numpy_theta
+    ):
+        # Every scalar density is a float >= 0 and nothing raises or warns;
+        # inf only at theta = 0 or where the 800-digit law is past the float
+        # range.
+        p = StableParams(alpha, rho)
+        assume(p.two_sided)
+        u, v = math.exp(log_u), -math.exp(log_v)
+        theta = 0.0 if log_theta is None else math.exp(log_theta)
+        if numpy_theta:
+            theta = np.float64(theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in Kind:
+                for direction in Direction:
+                    if direction is Direction.UP:
+                        barrier, one = u, (u, -math.inf)
+                    else:
+                        barrier, one = v, (math.inf, v)
+                    two_sided = exit_density_two_sided(
+                        kind, p, ExitWindow(v, u), direction, theta
+                    )
+                    one_sided = exit_density_one_sided(kind, p, direction, barrier, theta)
+                    for got, (uu, vv) in ((two_sided, (u, v)), (one_sided, one)):
+                        assert type(got) is float and got >= 0.0
+                        if got == math.inf and theta != 0.0:
+                            ref = _reference_density(kind, p, direction, uu, vv, theta, 800)
+                            assert mpmath.log(ref) > math.log(sys.float_info.max) - 1e-9
+
 
 
 class TestExtremaLaws:

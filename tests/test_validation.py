@@ -1,8 +1,9 @@
 """Library entry points refuse non-finite numbers, fractional path counts,
 seeds and level counts, and report fields that are missing, with
-DomainError.  A NaN must fail every range check: the cases below returned
-nan, or raised a raw or unrelated error, when the checks were written as
-``x <= 0.0`` (or, for the refinement report, not written at all)."""
+DomainError, as they do scales that overflow a float.  A NaN must fail
+every range check: the cases below returned nan, or raised a raw or
+unrelated error, when the checks were written as ``x <= 0.0`` (or, for the
+refinement report, not written at all)."""
 
 import math
 
@@ -34,7 +35,12 @@ from pssmp.scale import (
     triple_law_K,
     triple_law_density,
 )
-from pssmp.stable import Kind, StableParams, rogozin_overshoot_density
+from pssmp.stable import (
+    Kind,
+    StableParams,
+    increment_sampler,
+    rogozin_overshoot_density,
+)
 from pssmp.verify import run_suite
 
 P = StableParams(1.5, 0.5)
@@ -74,6 +80,15 @@ CASES = {
     "refinement-levels-str": lambda: step_refinement_report(
         Kind.STAR, P, W, SIM, levels="3"
     ),
+    # Scales past the float range: raw OverflowError before.
+    "refinement-level-scale-overflow": lambda: step_refinement_report(
+        Kind.STAR,
+        StableParams(0.05, 0.5),
+        W,
+        SimConfig(10, 1.0, 0, max_time=1e-8),
+        levels=53,
+    ),
+    "increment-scale-overflow": lambda: increment_sampler(StableParams(0.05, 0.5), 1e16),
     "bias-field-missing": lambda: extrapolated_bias(
         [{"level": 0, "p_up": 0.5}, {"level": 1, "p_up": 0.4}], "p_down"
     ),
