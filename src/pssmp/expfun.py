@@ -117,11 +117,11 @@ def density_I(model: ExpFunctionalModel, x: float) -> SeriesValue:
     (c x)^(-1/alpha), so very small x needs the tail asymptotics instead.
     """
     model._require(ExpCase.UP_SPECTRALLY_NEGATIVE, "density_I")
-    if not x > 0.0:
-        raise DomainError("x must be positive")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"x must be positive and finite, got {x}")
     beta = 1.0 / model.alpha
-    z = (model.c * x) ** -beta
-    log_z = math.log(z) if z > 0.0 else -math.inf
+    # log z, formed from logs: z itself overflows for subnormal x.
+    log_z = -beta * (math.log(model.c) + math.log(x))
 
     def term(n):  # Gamma(1 + n beta) sin(pi n beta) (-z)^n / n!
         return (-1.0) ** n * math.sin(math.pi * n * beta), (
@@ -168,7 +168,12 @@ def entrance_density(model: ExpFunctionalModel, t: float, x: float) -> SeriesVal
     model._require(ExpCase.UP_SPECTRALLY_NEGATIVE, "entrance_density")
     if not (t > 0.0 and x > 0.0):
         raise DomainError("t and x must be positive")
-    return density_I(model, t / x).scaled(1.0 / (model.alpha * model.m * x))
+    y = float(t) / float(x)  # as floats, an overflow is inf with no warning
+    if y == math.inf:
+        raise DomainError(
+            f"entrance density at x={x}: t/x = {t}/{x} exceeds the float range"
+        )
+    return density_I(model, y).scaled(1.0 / (model.alpha * model.m * x))
 
 
 def _sup_series(a: float, log_yy: float, tol: float, density: bool) -> SeriesValue:
@@ -195,6 +200,13 @@ def _sup_series(a: float, log_yy: float, tol: float, density: bool) -> SeriesVal
     return sum_series(term, tol=tol, start=1)
 
 
+def _log_unit(model: ExpFunctionalModel, y: float) -> float:
+    """log(y / c^(1/alpha)), the log of the unit-scale supremum variable,
+    formed as a difference of logs: the quotient underflows to 0 for
+    subnormal y."""
+    return math.log(y) - math.log(model.c) / model.alpha
+
+
 def sup_density_spectrally_positive(
     model: ExpFunctionalModel, y: float, tol: float = 1e-12
 ) -> SeriesValue:
@@ -211,7 +223,7 @@ def sup_density_spectrally_positive(
         raise DomainError("y must be positive")
     a = model.alpha
     sigma = model.c ** (1.0 / a)
-    return _sup_series(a, math.log(y / sigma), tol, density=True).scaled(1.0 / sigma)
+    return _sup_series(a, _log_unit(model, y), tol, density=True).scaled(1.0 / sigma)
 
 
 def density_I_star(model: ExpFunctionalModel, x: float) -> SeriesValue:
@@ -226,9 +238,14 @@ def density_I_star(model: ExpFunctionalModel, x: float) -> SeriesValue:
     model._require(ExpCase.STAR_SPECTRALLY_POSITIVE, "density_I_star")
     if not x > 0.0:
         raise DomainError("x must be positive")
-    a = model.alpha
-    y = x ** (-1.0 / a)
+    a, x = model.alpha, float(x)  # as a float, an overflow is inf with no warning
+    y = _exp_or_inf(-math.log(x) / a)  # x^(-1/alpha)
     jac = y / (a * x)  # (1/alpha) x^(-1-1/alpha)
+    if jac == math.inf:
+        raise DomainError(
+            f"density of I* at x={x}: the Jacobian x^(-1-1/alpha)/alpha exceeds "
+            "the float range; use the small-x asymptotics"
+        )
     sv = sup_density_spectrally_positive(model, y, 1e-10 / max(jac, 1.0)).scaled(jac)
     if not sv.converged:
         raise ConvergenceError(
@@ -289,12 +306,13 @@ def sup_survival_asymptotic(model: ExpFunctionalModel, y: float) -> tuple[float,
     def sum_to_smallest(term):
         total, prev = 0.0, math.inf
         for k in range(1, 81):
-            t = term(k)
-            mag = abs(t)
-            if mag == 0.0:
+            coef, t = term(k)
+            if coef == 0.0:
                 # A reciprocal-gamma pole annihilates this term exactly;
                 # it carries no information about the envelope, skip it.
+                # A term that underflows is kept: it ends the sum.
                 continue
+            mag = abs(t)
             if mag >= prev:
                 # Stop at the smallest term; the first omitted term
                 # magnitude bounds the truncation error.
@@ -303,17 +321,19 @@ def sup_survival_asymptotic(model: ExpFunctionalModel, y: float) -> tuple[float,
             prev = mag
         return total, prev
 
-    s1, b1 = sum_to_smallest(
-        lambda k: math.exp(-a * k * log_yy - log_gamma(k + 1.0))
-        * float(rgamma(1.0 - a * k))
-    )
+    def term1(k):
+        coef = float(rgamma(1.0 - a * k))
+        return coef, math.exp(-a * k * log_yy - log_gamma(k + 1.0)) * coef
+
     pref = math.sin(math.pi / a) / math.pi
-    s2, b2 = sum_to_smallest(
-        lambda m: pref
-        * (-1.0) ** m
-        * (float(gamma(-m - 1.0 / a)) * float(rgamma(-a * m)))
-        * math.exp(-(1.0 + a * m) * log_yy)
-    )
+
+    def term2(m):
+        gammas = float(gamma(-m - 1.0 / a)) * float(rgamma(-a * m))
+        coef = pref * (-1.0) ** m * gammas
+        return coef, coef * math.exp(-(1.0 + a * m) * log_yy)
+
+    s1, b1 = sum_to_smallest(term1)
+    s2, b2 = sum_to_smallest(term2)
     return -(s1 + s2), b1 + b2
 
 
@@ -343,7 +363,7 @@ def sup_cdf(model: ExpFunctionalModel, y: float) -> float:
                 error_estimate=bound,
             )
         return 1.0 - surv
-    s = _sup_series(a, math.log(yy), 1e-14, density=False)
+    s = _sup_series(a, _log_unit(model, y), 1e-14, density=False)
     if not s.converged:
         raise ConvergenceError(
             f"supremum CDF series did not converge at y={y}",
@@ -364,7 +384,7 @@ def cdf_I_star(model: ExpFunctionalModel, x: float) -> float:
         raise DomainError("x must be a number")
     if x <= 0.0:
         return 0.0
-    return 1.0 - sup_cdf(model, x ** (-1.0 / model.alpha))
+    return 1.0 - sup_cdf(model, _exp_or_inf(-math.log(x) / model.alpha))
 
 
 def fit_loglog_slope(xs, ys) -> float:

@@ -45,9 +45,11 @@ class QuadResult:
 
     def __post_init__(self):
         if not (self.error_estimate >= 0.0):
-            raise ValueError("error_estimate must be nonnegative")
+            raise DomainError(
+                f"error_estimate must be nonnegative, got {self.error_estimate}"
+            )
         if self.evaluations < 1:
-            raise ValueError("evaluations must be >= 1")
+            raise DomainError(f"evaluations must be >= 1, got {self.evaluations}")
 
 
 @dataclass(frozen=True)
@@ -61,9 +63,9 @@ class SeriesValue:
 
     def __post_init__(self):
         if not (self.tail_bound >= 0.0):
-            raise ValueError("tail_bound must be nonnegative")
+            raise DomainError(f"tail_bound must be nonnegative, got {self.tail_bound}")
         if self.n_terms < 1:
-            raise ValueError("n_terms must be >= 1")
+            raise DomainError(f"n_terms must be >= 1, got {self.n_terms}")
 
     def scaled(self, k: float) -> SeriesValue:
         """The same sum multiplied by k: value times k, bound times |k|."""

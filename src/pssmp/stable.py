@@ -8,6 +8,7 @@ sampling of stable increments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -33,6 +34,8 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-9
+# Half the spacing of the uniforms numpy draws: U = 0 is read as this.
+_HALF_ULP_U = 2.0**-54
 
 
 @dataclass(frozen=True)
@@ -175,41 +178,92 @@ def killed_resolvent_u(alpha: float, x: float, y: float) -> float:
     return kappa * d ** (alpha - 1.0) * inner
 
 
-# The zero counter and empty buffer of a re-keyed Philox stream.  The
-# state setter copies from it, and it is read-only, so every re-key shares it.
-_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
-_PHILOX_ZEROS.setflags(write=False)
+# Path streams are substreams of the one cycle of a PCG64DXSM LCG
+# (O'Neill 2014, with numpy's DXSM output) of period 2^128, with a fixed
+# odd increment: that of the reference PCG default stream.
+_PCG_INC = 0x5851F42D4C957F2D14057B7EF767814F
+_MASK64, _MASK128 = 2**64 - 1, 2**128 - 1
+_GOLDEN64 = 0x9E3779B97F4A7C15
+
+
+def _set_state(bit_generator, state: int):
+    """Set a PCG64DXSM bit generator to LCG state `state` with increment
+    _PCG_INC and no buffered output."""
+    bit_generator.state = {
+        "bit_generator": "PCG64DXSM",
+        "state": {"state": state, "inc": _PCG_INC},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _lcg_jump(steps: int) -> tuple[int, int]:
+    """(A, D) with the LCG state `steps` steps on from s equal to A s + D
+    mod 2^128, read off numpy's advance from states 0 and 1."""
+    bg = np.random.PCG64DXSM(0)
+    ends = []
+    for start in (0, 1):
+        _set_state(bg, start)
+        bg.advance(steps)
+        ends.append(bg.state["state"]["state"])
+    return (ends[1] - ends[0]) & _MASK128, ends[0]
+
+
+# One 2^64-step jump, s -> A s + D.  A - 1 and D are multiples of 2^66
+# and 2^64 (the low 64 bits of the LCG have period 2^64), so (A - 1)^2 and
+# (A - 1) D vanish mod 2^128: A^i = 1 + i (A - 1), and i jumps take s to
+# s + i ((A - 1) s + D).
+_JUMP_A, _JUMP_D = _lcg_jump(2**64)
+
+
+def _splitmix64(x: int) -> int:
+    """SplitMix64 output at state x (Steele, Lea & Flood 2014), a bijection
+    of [0, 2^64)."""
+    z = (x + _GOLDEN64) & _MASK64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_state(seed: int) -> tuple[int, int]:
+    """Path 0's LCG state s0 under seed, with the first two SplitMix64
+    outputs from seed as its low and high halves, and the state change
+    (A - 1) s0 + D of one 2^64-step jump from it."""
+    s0 = _splitmix64((seed + _GOLDEN64) & _MASK64) << 64 | _splitmix64(seed)
+    return s0, ((_JUMP_A - 1) * s0 + _JUMP_D) & _MASK128
 
 
 def path_rng(
     seed: int, path_index: int, reuse: np.random.Generator | None = None
 ) -> np.random.Generator:
-    """Counter-based generator for one simulated path.
+    """Keyed PCG64DXSM generator for one simulated path.
 
-    Keyed by (seed, path_index) through a 128-bit Philox key so streams
-    are independent of scheduling and worker count.  Both must lie in
-    [0, 2^64): each fills one 64-bit half of the key.  The generator,
-    ``reuse`` (a Philox generator made here before) or else a new one, is
-    keyed in place (counter 0, key (path_index, seed), empty buffer), so
-    the stream does not depend on what it drew before.  The key reads its
-    zero counter and buffer from one shared read-only array and its key
-    from a tuple, so it builds no array.
+    Path i of a seed draws the i-th of 2^64 disjoint substreams, each
+    2^64 steps long, of the one PCG64DXSM cycle of increment _PCG_INC:
+    its state is the seed's state s0 advanced by i 2^64 steps, as
+    numpy's ``advance(i << 64)`` would leave it.  s0 has the first two
+    SplitMix64 outputs from the seed as its low and high 64 bits.  The
+    low 64 bits of an LCG state fix its position on the cycle modulo
+    2^64, and SplitMix64 is a bijection, so the key is injective in
+    (seed, path_index); both must lie in [0, 2^64).  The advanced state
+    is s0 + i ((A - 1) s0 + D) mod 2^128 for the 2^64-step jump
+    s -> A s + D, one integer product once the seed's terms are cached,
+    so keying costs O(1) whatever i is.  The generator, ``reuse`` (one
+    made here before) or else a new one, is set to that state with no
+    buffered output, so the stream does not depend on what it drew
+    before, on the batching or on the worker count.
     """
     seed, path_index = int(seed), int(path_index)
     if not (0 <= seed < 2**64 and 0 <= path_index < 2**64):
         raise DomainError(
             f"seed and path index must lie in [0, 2^64), got {seed} and {path_index}"
         )
+    s0, jump = _seed_state(seed)
+    state = (s0 + path_index * jump) & _MASK128
     if reuse is None:
-        reuse = np.random.Generator(np.random.Philox())
-    reuse.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _PHILOX_ZEROS, "key": (path_index, seed)},
-        "buffer": _PHILOX_ZEROS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+        reuse = np.random.Generator(np.random.PCG64DXSM(0))
+    _set_state(reuse.bit_generator, state)
     return reuse
 
 
@@ -217,11 +271,16 @@ def increment_sampler(p: StableParams, dt: float):
     """Vectorized sampler of stable increments over time step dt.
 
     Returns draw(rngs, n, out=None) -> ndarray of shape (len(rngs), n):
-    row r holds n independent increments drawn from rngs[r], which
-    supplies n uniforms and then (unless alpha = 1) n exponentials.
-    ``out``, a C-contiguous float array of that shape, receives the
-    increments in place.  Uses the trigonometric construction from
-    uniform and exponential variates (Chambers, Mallows & Stuck 1976);
+    row r holds n independent increments drawn from rngs[r] in one call
+    of 2n uniforms (n for alpha = 1): the first n are the angle variates
+    U, the last n the U' of the exponentials W = -log(1 - U'), by
+    inversion, with 1 - U' exact.  numpy's per-call cost is that of about
+    250 uniforms, and its ziggurat exponential costs about 1.5 ns an
+    element more than a uniform and a vectorized log, so one call of
+    uniforms per row is the cheaper source.  ``out``, a C-contiguous
+    float array of that shape, receives the increments in place.  Uses
+    the trigonometric construction from uniform and exponential
+    variates (Chambers, Mallows & Stuck 1976);
     the skewness is chosen so that P(X_1 > 0) = rho, and increments
     scale as dt^(1/alpha).  For alpha > 1 that needs rho in
     [1 - 1/alpha, 1/alpha]; outside it no strictly stable law exists and
@@ -240,22 +299,30 @@ def increment_sampler(p: StableParams, dt: float):
     The last two hold because |v| <= pi/2 and |psi| <= pi/2 over the
     whole feasible (alpha, rho), so cos v and cos psi are nonnegative;
     for alpha > 1, a rho accepted within 1e-9 beyond a feasible end is
-    moved onto that end.  The form needs three tangents, two logarithms
-    and one exponential per increment, and no power, sine or cosine:
-    numpy 2.4 on an AVX-512 x86-64 host takes 1.2-2.8 ns per float64
-    element for tan, log, log1p and exp, 4.3 ns for power and 16-18 ns
-    for sin and cos.  Against a 160-bit evaluation of the same transform
-    at the (U, W) drawn, the relative error stays below 1e-11 over the
-    feasible (alpha, rho) with alpha in [0.1, 2): the worst seen is about
-    1e-12, at small alpha.  It can exceed that only where one of the
-    three factors is within about 1e-5 of zero, where the rounding of v
-    dominates on any route.  Each row is bit-identical to the same
-    transform applied to that generator alone, whatever the batching or
-    worker count, but not to the rows of the earlier samplers (direct
-    sin and cos, then cosines from half-angle tangents), which differ
-    from these by up to about 6e-13 / alpha relative, near U = 0 or 1.
-    The sampler keeps its scratch buffers between calls, so one sampler
-    must not draw in two threads at once.
+    moved onto that end.  No angle goes through a rounded v: psi is
+    (alpha - 1) pi U + (alpha theta0 - (alpha - 1) pi / 2), phi / 2 is
+    alpha pi (U + rho - 1) / 2, and tan^2 v is 1 / tan^2(pi m) with
+    m = min(U, 1 - U), which is exact.  So (cos v)^(-1/alpha), a power up
+    to 10 of a cosine that vanishes as U nears 0 or 1, keeps its relative
+    accuracy there; U = 0 is read as 2^-54, half the spacing of numpy's
+    uniforms.  The form needs three tangents, two logarithms and one
+    exponential per increment, and no power, sine or cosine: numpy 2.4
+    on an AVX-512 x86-64 host takes 1.2-2.8 ns per float64 element for
+    tan, log, log1p and exp, 4.3 ns for power and 16-18 ns for sin and
+    cos.  Against a 160-bit evaluation of the same transform at the
+    (U, W) drawn, the relative error stays below 1e-11 over the feasible
+    (alpha, rho) with alpha in [0.1, 2), U at 0, 2^-53 and 1 - 2^-53
+    included: the worst seen is about 3e-12.  It can exceed that only
+    where sin phi or cos psi is within about 1e-5 of zero: sin phi for
+    rho < 1/2, where rho - 1 is rounded, and cos psi as U nears 0 or 1
+    at a feasible end of rho for alpha > 1.  Each row is bit-identical
+    to the same transform applied to that generator alone, whatever the
+    batching or worker count, but not to the rows of the earlier
+    samplers (direct sin and cos; cosines from half-angle tangents;
+    tangents of v = (U - 1/2) pi), which lost the relative accuracy of
+    (cos v)^(-1/alpha) as U neared 0 or 1: about 1 at U = 1 - 2^-53 and
+    alpha = 0.1.  The sampler keeps its scratch buffers between calls,
+    so one sampler must not draw in two threads at once.
     """
     if not (0.0 < dt < math.inf):
         raise DomainError(f"dt must be finite and positive, got {dt}")
@@ -290,9 +357,8 @@ def increment_sampler(p: StableParams, dt: float):
     rho = p.rho
     if alpha > 1.0:
         rho = min(max(rho, 1.0 - 1.0 / alpha), 1.0 / alpha)
-    # The angle that pins P(X_1 > 0) = rho.
-    theta0 = math.pi * (rho - 0.5)
-    a_theta0 = alpha * theta0
+    # alpha theta0, theta0 the angle that pins P(X_1 > 0) = rho.
+    a_theta0 = alpha * (math.pi * (rho - 0.5))
     # (dt / cos(a_theta0))^(1/alpha) times the 2 of sin phi = 2T / (1 + T^2).
     try:
         factor = 2.0 * (dt / math.cos(a_theta0)) ** (1.0 / alpha)
@@ -300,30 +366,34 @@ def increment_sampler(p: StableParams, dt: float):
         raise DomainError(
             f"increment scale dt^(1/alpha) overflows a float at dt={dt}, alpha={alpha}"
         ) from None
-    # Two scratch buffers kept between calls, regrown only when a larger
-    # draw is asked for.
-    scratch = [np.empty(0), np.empty(0)]
+    # psi = (alpha - 1) v + a_theta0 as an affine function of U.
+    psi_slope = (alpha - 1.0) * math.pi
+    psi_0 = a_theta0 - psi_slope / 2.0
+    # Three scratch buffers kept between calls, regrown only when a larger
+    # draw is asked for: the rows' 2n uniforms, and two of n per row.
+    scratch = [np.empty(0)] * 3
 
     def draw(rngs, n, out=None):
         # In-place form of
-        #   v = (U - 1/2) pi,  W ~ Exp(1),
-        #   psi = a_theta0 + (alpha - 1) v,  T = tan(alpha (v + theta0) / 2),
-        #   e = exp([log1p(tan^2 v) + (alpha - 1) log((1 + tan^2 psi) W^2)]
-        #           / (2 alpha)),
+        #   U, U' uniforms,  W = -log(1 - U') ~ Exp(1),
+        #   m = max(min(U, 1 - U), 2^-54),
+        #   psi = (alpha - 1) pi U + (a_theta0 - (alpha - 1) pi / 2),
+        #   c = log1p(1 / tan^2(pi m)),  T = tan(alpha pi (U + rho - 1) / 2),
+        #   e = exp([c + (alpha - 1) log((1 + tan^2 psi) W^2)] / (2 alpha)),
         #   T / (1 + T^2) * e * factor,
-        # in that operation order.  Halving is exact, so T is taken at
-        # exactly half the angle a direct sin would round to.
+        # in that operation order.
         v = np.empty((len(rngs), n)) if out is None else out
-        if scratch[0].size < v.size:
-            scratch[:] = [np.empty(v.size), np.empty(v.size)]
-        w, s = (b[: v.size].reshape(v.shape) for b in scratch)
-        for rng, v_row, w_row in zip(rngs, v, w):
-            rng.random(out=v_row)
-            rng.standard_exponential(out=w_row)
-        v -= 0.5
-        v *= math.pi
-        np.multiply(v, alpha - 1.0, out=s)
-        s += a_theta0
+        if scratch[1].size < v.size:
+            scratch[:] = [np.empty(2 * v.size), np.empty(v.size), np.empty(v.size)]
+        uw = scratch[0][: 2 * v.size].reshape(len(rngs), 2 * n)
+        w, s = (b[: v.size].reshape(v.shape) for b in scratch[1:])
+        for rng, row in zip(rngs, uw):
+            rng.random(out=row)
+        np.copyto(v, uw[:, :n])  # U, contiguous
+        np.subtract(1.0, uw[:, n:], out=w)  # 1 - U', exact
+        np.log(w, out=w)  # -W: only W^2 is used
+        np.multiply(v, psi_slope, out=s)
+        s += psi_0
         np.tan(s, out=s)
         s *= s
         s += 1.0
@@ -331,14 +401,19 @@ def increment_sampler(p: StableParams, dt: float):
         s *= w
         np.log(s, out=s)
         s *= alpha - 1.0
-        np.tan(v, out=w)  # w is free from here on
+        np.subtract(1.0, v, out=w)  # w is free from here on
+        np.minimum(v, w, out=w)
+        np.maximum(w, _HALF_ULP_U, out=w)
+        w *= math.pi
+        np.tan(w, out=w)
         w *= w
+        np.divide(1.0, w, out=w)
         np.log1p(w, out=w)
         w += s
         w *= 0.5 / alpha
         np.exp(w, out=w)
-        v += theta0
-        v *= alpha / 2.0
+        v += rho - 1.0
+        v *= alpha * math.pi / 2.0
         np.tan(v, out=v)
         np.multiply(v, v, out=s)
         s += 1.0

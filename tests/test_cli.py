@@ -31,6 +31,7 @@ from pssmp.exit_laws import ExitWindow, min_cdf_up
 from pssmp.expfun import ExpCase, ExpFunctionalModel
 from pssmp.montecarlo import (
     SIDE_CENSORED,
+    SIDE_DOWN,
     SIDE_KILLED,
     SIDE_LABELS,
     SimConfig,
@@ -356,7 +357,13 @@ class TestExitCodes:
 
     def test_verify_montecarlo_with_no_up_exit_is_3(self, capsys):
         # The one up-kind path leaves downwards: the KS check has no sample.
-        for seed in (1, 2, 3, 5):
+        # The suite runs it at seed + 1, with the suite's parameters below.
+        for seed in (1, 3, 4, 5):
+            up_run = simulate_exit(
+                Kind.UP, StableParams(1.5, 0.5), ExitWindow(-0.5, 0.5),
+                SimConfig(1, 2e-3, seed + 1),
+            )
+            assert up_run.side.tolist() == [SIDE_DOWN], seed
             rc, out, err = run(
                 capsys, "verify", "montecarlo", "--n-paths", "1", "--seed", str(seed)
             )
@@ -556,6 +563,25 @@ class TestExitCodes:
         # Terms past the float range end the series as not converged.
         rc, _, err = run(capsys, "eval", "--law", *opts)
         assert rc == 3 and "did not converge" in err
+
+    @pytest.mark.parametrize(
+        "opts, names",
+        [
+            (
+                ("entrance-density", "--alpha", "1.5", "--t", "1"),
+                "entrance density at x=5e-324",
+            ),
+            (
+                ("expfun-density", "--kind", "star", "--alpha", "1.2"),
+                "density of I* at x=5e-324",
+            ),
+        ],
+    )
+    def test_subnormal_x_is_2_and_names_x(self, capsys, opts, names):
+        # t/x, or the Jacobian x^(-1-1/alpha), exceeds the float range.
+        rc, out, err = run(capsys, "eval", "--law", *opts, "--grid", "5e-324:1e-300:2")
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and names in err
 
     def test_missing_config_file_is_2(self, capsys):
         assert run(capsys, "eval", "--law", "psi", "--config", "/nope.cfg")[0] == 2

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pssmp.errors import ConvergenceError, DomainError, NumericError
+from pssmp.errors import ConvergenceError, DomainError, NumericError, PssmpError
 from pssmp.expfun import (
     ExpCase,
     ExpFunctionalModel,
@@ -13,6 +13,7 @@ from pssmp.expfun import (
     density_I,
     density_I_star,
     density_I_star_as_printed,
+    entrance_density,
     entrance_moment,
     fit_loglog_slope,
     laplace_I,
@@ -181,6 +182,64 @@ class TestKilledFunctional:
         model = ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, 1.7)
         sv = density_I_star(model, 0.01)
         assert sv.converged and sv.tail_bound > abs(sv.value)
+
+
+class TestExtremeArguments:
+    """Subnormal, huge and infinite arguments give a finite value or a
+    package error, never a raw ValueError or OverflowError."""
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.2, 1.99])
+    @pytest.mark.parametrize("x", [5e-324, 1e-310, 1e-300, 1e300, math.inf])
+    def test_value_or_package_error(self, alpha, x):
+        up = ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, alpha)
+        star = ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, alpha)
+        calls = [
+            lambda: density_I(up, x).value,
+            lambda: entrance_density(up, 1.0, x).value,
+            lambda: density_I_star(star, x).value,
+            lambda: sup_density_spectrally_positive(star, x).value,
+            lambda: sup_cdf(star, x),
+            lambda: cdf_I_star(star, x),
+        ]
+        for call in calls:
+            try:
+                value = call()
+            except PssmpError:
+                continue
+            assert math.isfinite(value)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5])
+    def test_sup_cdf_at_a_subnormal_is_its_leading_term(self, alpha):
+        # Near 0 the CDF is a_1 yy^(alpha - 1), a_1 = 1/(Gamma(1/alpha)
+        # Gamma(alpha)), yy = y / c^(1/alpha); y / c^(1/alpha) itself
+        # underflows to 0 here.
+        star = ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, alpha)
+        y = 5e-324
+        log_yy = math.log(y) - math.log(star.c) / alpha
+        want = math.exp((alpha - 1.0) * log_yy) / (
+            math.gamma(1.0 / alpha) * math.gamma(alpha)
+        )
+        assert sup_cdf(star, y) == pytest.approx(want, rel=1e-12)
+        assert cdf_I_star(star, y) == 0.0 and sup_cdf(star, math.inf) == 1.0
+
+    @pytest.mark.parametrize("y", [1e200, 1e300, math.inf])
+    def test_survival_terms_past_the_float_range_end_the_sum(self, y):
+        # Terms that underflow are not reciprocal-gamma poles: they end the
+        # asymptotic sums with a zero bound, so the CDF is 1.
+        star = ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, 1.2)
+        surv, bound = sup_survival_asymptotic(star, y)
+        assert 0.0 <= surv < 1e-200 and bound == 0.0
+        assert sup_cdf(star, y) == 1.0
+
+    def test_tiny_x_errors_name_the_law_and_x(self):
+        up = ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, 1.5)
+        star = ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, 1.2)
+        with pytest.raises(DomainError, match=r"entrance density at x=5e-324"):
+            entrance_density(up, 1.0, 5e-324)
+        with pytest.raises(DomainError, match=r"density of I\* at x=5e-324"):
+            density_I_star(star, 5e-324)
+        with pytest.raises(DomainError, match="finite"):
+            density_I(up, math.inf)
 
 
 class TestSeriesBoundsAgainstMpmath:

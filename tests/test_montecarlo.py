@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pssmp.errors import BudgetError, DomainError, WorkerError
 from pssmp.exit_laws import ExitWindow, exit_mass_two_sided, Direction
-from pssmp import montecarlo, stable
+from pssmp import montecarlo
 from pssmp.montecarlo import (
     SIDE_CENSORED,
     SIDE_DOWN,
@@ -157,7 +157,9 @@ def _per_path(draw, n_paths, seed, max_steps, eu, ev, start=0):
     for i in range(n_paths):
         rng, x, done = path_rng(seed, start + i), 1.0, 0
         while done < max_steps:
-            path = x + np.cumsum(draw([rng], 512)[0])[: max_steps - done]
+            increments = draw([rng], 512)[0]
+            increments[0] += x
+            path = np.cumsum(increments)[: max_steps - done]
             hit = np.flatnonzero((path >= eu) | (path <= ev))
             k = int(hit[0]) if hit.size else path.size - 1
             if hit.size or done + path.size == max_steps:
@@ -247,16 +249,20 @@ class TestLockstepBatch:
         assert np.any(~exited) and np.all(steps[~exited] == max_steps)
 
     def test_exits_on_first_and_last_columns(self, monkeypatch):
-        # Seed 36 has a path that exits on the last step of a block.
-        cfg = SimConfig(100, 1e-4, 36)
+        # Seed 11 has paths that exit on the first and on the last step of
+        # a block; the test is void unless both happen.
+        cfg = SimConfig(100, 1e-4, 11)
+        s = simulate_exit(Kind.STAR, P, self.NARROW, cfg)
+        col = (s.steps_used - 1) % 512  # column of the exit in its block
+        exited = s.side != SIDE_CENSORED
+        assert np.any(exited & (col == 0)), "no exit on a block's first column"
+        assert np.any(exited & (col == 511)), "no exit on a block's last column"
         batched = _assert_matches_per_path(monkeypatch, Kind.STAR, P, self.NARROW, cfg)
-        col = (batched.steps_used - 1) % 512  # column of the exit in its block
-        exited = batched.side != SIDE_CENSORED
-        assert np.any(exited & (col == 0)) and np.any(exited & (col == 511))
+        _assert_same_rows(batched, s)
 
     def test_reused_stream_equals_fresh_stream(self):
-        # Re-keying resets the counter, the buffered block of Philox output
-        # and the buffered 32-bit half that a float32 draw leaves behind.
+        # Re-keying resets the state and the buffered 32-bit half that a
+        # float32 draw leaves behind.
         g = path_rng(8, 3)
         g.random(7)
         g.standard_exponential(5)
@@ -279,13 +285,6 @@ class TestLockstepBatch:
             assert np.array_equal(
                 g.standard_exponential(50), fresh.standard_exponential(50)
             )
-        # Every re-key reads the one shared zero array, which stays read-only
-        # and zero.
-        zeros = stable._PHILOX_ZEROS
-        assert not zeros.flags.writeable
-        with pytest.raises(ValueError):
-            zeros[0] = 1
-        assert np.array_equal(zeros, np.zeros(4, dtype=np.uint64))
 
     @settings(max_examples=30)
     @given(
@@ -456,7 +455,11 @@ def _report_row(level, s):
         "level": level,
         "step": s.config.step,
         "p_up": w_up / s.config.n_paths,
-        "mean_theta_up": float(np.sum(s.h_weight[up] * s.theta[up])) / w_up,
+        "mean_theta_up": (
+            float(np.sum(s.h_weight[up] * s.theta[up])) / w_up
+            if w_up > 0.0
+            else float("nan")
+        ),
         "censored_fraction": s.censored_fraction,
     }
 
@@ -466,8 +469,8 @@ SMALL_CFG = SimConfig(60, 4e-3, 9)
 
 class TestRefinementLevels:
     """Every level of a report is read off the finest level's paths, and
-    equals simulate_exit at its own step: sides and steps exactly, theta
-    and the weights up to rounding."""
+    equals simulate_exit at its own step: sides and steps exactly, exit
+    positions and weights up to rounding."""
 
     @pytest.mark.parametrize(
         "kind, p, window, cfg, levels",
@@ -496,16 +499,22 @@ class TestRefinementLevels:
             alone = simulate_exit(kind, p, window, s.config)
             assert np.array_equal(s.side, alone.side)
             assert np.array_equal(s.steps_used, alone.steps_used)
-            # theta is a log-position, so an absolute bound on it bounds the
-            # exit position relatively.
-            np.testing.assert_allclose(s.theta, alone.theta, rtol=0.0, atol=1e-12)
+            # Positions are sums of increments of order one, so the runs agree
+            # up to rounding at that scale: relatively, and absolutely near 0,
+            # where a down exit's theta = v - log(x) would magnify a last-bit
+            # difference of x (to 1e-12 at x = 6e-4).
+            np.testing.assert_allclose(
+                s.exit_position(), alone.exit_position(), rtol=1e-12, atol=1e-14
+            )
             np.testing.assert_allclose(s.h_weight, alone.h_weight, rtol=1e-12, atol=0.0)
             for a in (s.side, s.theta, s.h_weight, s.steps_used):
                 assert not a.flags.writeable
             want = _report_row(level, alone)
             assert row.keys() == want.keys()
             for key in row:
-                assert row[key] == pytest.approx(want[key], rel=1e-12, abs=0.0)
+                assert row[key] == pytest.approx(
+                    want[key], rel=1e-12, abs=0.0, nan_ok=True
+                )
         if cfg.max_time < 50.0:
             coarse = sets[0]
             censored = coarse.steps_used == coarse.config.max_steps
@@ -562,7 +571,8 @@ class TestRefinementLevels:
         assert calls == [60, 60, 60, 150, 60]
         assert fresh == after_base == after_larger
         assert all(math.isfinite(v) for r in fresh for v in r.values())
-        assert fresh[0] == _report_row(0, base)
+        # Level 0 equals the run at its own step up to rounding.
+        assert fresh[0] == pytest.approx(_report_row(0, base), rel=1e-12, abs=0.0)
 
 
 class TestStatelessRuns:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from pssmp.errors import ConvergenceError, DomainError
+from pssmp.errors import ConvergenceError, DomainError, PssmpError
 from pssmp.numerics import (
     QuadResult,
     SeriesValue,
@@ -131,5 +131,14 @@ class TestSeries:
     def test_invariants(self):
         with pytest.raises(ValueError):
             SeriesValue(1.0, -1.0, 3, True)
+        # A bound that is not a number, as inf * 0 leaves it, is a package
+        # error, so the CLI maps it to an exit code.
+        for bound in (-1.0, math.nan):
+            with pytest.raises(PssmpError, match="tail_bound"):
+                SeriesValue(1.0, bound, 3, True)
+        with pytest.raises(PssmpError, match="n_terms"):
+            SeriesValue(1.0, 0.0, 0, True)
+        with pytest.raises(PssmpError, match="error_estimate"):
+            QuadResult(1.0, math.nan, 10)
         with pytest.raises(DomainError):
             sum_series(lambda n: (0.0, ()), tol=-1.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from pssmp import stable
 from pssmp.errors import DomainError
 from pssmp.numerics import integrate_adaptive
 from pssmp.stable import (
@@ -163,18 +164,18 @@ def _two_sided_grid():
 
 
 class _FixedUniforms:
-    """A generator stub: random(out=) writes fixed uniforms, and the
-    exponentials come from a Philox stream."""
+    """A generator stub: random(out=) writes fixed uniforms at the start of
+    out, and fills the rest of it (the uniforms behind W) from a path
+    stream."""
 
     def __init__(self, uniforms, rng):
         self.uniforms, self.rng = uniforms, rng
 
     def random(self, out):
-        out[...] = self.uniforms
+        k = len(self.uniforms)
+        out[:k] = self.uniforms
+        self.rng.random(out=out[k:])
         return out
-
-    def standard_exponential(self, out):
-        return self.rng.standard_exponential(out=out)
 
 
 class TestSampling:
@@ -190,18 +191,60 @@ class TestSampling:
     @pytest.mark.parametrize(
         "seed, index", [(0, 0), (8, 40), (2**63, 2**63), (2**64 - 1, 2**64 - 1)]
     )
-    def test_stream_is_the_packed_philox_key(self, seed, index):
-        # Key (index, seed) is the 128-bit key seed * 2^64 + index, the
-        # layout every earlier version drew its streams from.
-        want = np.random.Generator(np.random.Philox(key=(seed << 64) | index))
+    def test_stream_is_the_keyed_pcg64dxsm_substream(self, seed, index):
+        # The seed's state has SplitMix64 outputs 1 and 2 from the seed as its
+        # low and high halves; path `index` starts index * 2^64 steps on, as
+        # numpy's own advance puts it, on the PCG default increment.
+        def splitmix64(x):
+            z = x % 2**64
+            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+            return z ^ (z >> 31)
+
+        gamma, inc = 0x9E3779B97F4A7C15, 0x5851F42D4C957F2D14057B7EF767814F
+        lo, hi = splitmix64(seed + gamma), splitmix64(seed + 2 * gamma)
+        bg = np.random.PCG64DXSM()
+        bg.state = {
+            "bit_generator": "PCG64DXSM",
+            "state": {"state": hi << 64 | lo, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        bg.advance(index << 64)
+        want = np.random.Generator(bg)
         got = path_rng(seed, index)
         assert np.array_equal(got.random(50), want.random(50))
         assert np.array_equal(
             got.standard_exponential(50), want.standard_exponential(50)
         )
 
+    def test_jump_constants(self):
+        # The closed-form jump rests on A = 1 mod 2^66 and D = 0 mod 2^64.
+        assert (stable._JUMP_A - 1) % 2**66 == 0 and stable._JUMP_D % 2**64 == 0
+        assert stable._JUMP_A != 1 and stable._JUMP_D != 0
+
+    @pytest.mark.parametrize("seed, index", [(0, 0), (2**64 - 2, 2**64 - 2)])
+    def test_neighbouring_streams_are_uncorrelated(self, seed, index):
+        # Neighbours in path index share the low half of their LCG state and
+        # neighbours in seed have unrelated states; neither may show as a
+        # correlation of their uniforms above 5 standard errors.
+        n = 100_000
+        a = path_rng(seed, index).random(n)
+        for other in (path_rng(seed, index + 1), path_rng(seed + 1, index)):
+            r = np.corrcoef(a, other.random(n))[0, 1]
+            assert abs(r) < 5.0 / math.sqrt(n)
+
+    def test_key_is_injective(self):
+        # Distinct (seed, index) pairs, the ends of both ranges included,
+        # start at distinct states and draw distinct first outputs.
+        ends = (0, 1, 2, 3, 2**63, 2**64 - 2, 2**64 - 1)
+        keys = [(s, i) for s in ends for i in ends]
+        states = {path_rng(s, i).bit_generator.state["state"]["state"] for s, i in keys}
+        firsts = {int(path_rng(s, i).bit_generator.random_raw()) for s, i in keys}
+        assert len(states) == len(firsts) == len(keys)
+
     def test_seed_and_index_range(self):
-        # Each fills one 64-bit half of the Philox key; nothing is masked.
+        # Seed and index each take the whole of [0, 2^64); nothing is masked.
         path_rng(2**64 - 1, 2**64 - 1)
         for seed, index in ((-1, 0), (2**64, 0), (0, -1), (0, 2**64)):
             with pytest.raises(DomainError):
@@ -210,22 +253,24 @@ class TestSampling:
     @pytest.mark.parametrize("alpha, rho", [(1.5, 0.5), (0.8, 0.3), (1.0, 0.5)])
     def test_rows_match_per_stream_transform(self, alpha, rho):
         # Row r of a batched draw equals the transform written out on
-        # rng r alone: n uniforms, then n exponentials, same operation order.
+        # rng r alone: 2n uniforms, the last n turned into W = -log(1 - U'),
+        # same operation order.
         p, dt, n = StableParams(alpha, rho), 1e-3, 1000
-        theta0 = math.pi * (rho - 0.5)
-        a_theta0 = alpha * theta0
+        a_theta0 = alpha * (math.pi * (rho - 0.5))
         factor = 2.0 * (dt / math.cos(a_theta0)) ** (1.0 / alpha)
 
         def reference(rng):
-            v = (rng.random(n) - 0.5) * math.pi
             if alpha == 1.0:
-                return dt * np.tan(v)
-            w = rng.standard_exponential(n)
-            tan_psi = np.tan(v * (alpha - 1.0) + a_theta0)
+                return dt * np.tan((rng.random(n) - 0.5) * math.pi)
+            u, u2 = np.split(rng.random(2 * n), 2)
+            w = -np.log(1.0 - u2)
+            slope = (alpha - 1.0) * math.pi
+            tan_psi = np.tan(u * slope + (a_theta0 - slope / 2.0))
             log_tail = np.log((tan_psi * tan_psi + 1.0) * w * w) * (alpha - 1.0)
-            tan_v = np.tan(v)
-            e = np.exp((np.log1p(tan_v * tan_v) + log_tail) * (0.5 / alpha))
-            t = np.tan((v + theta0) * (alpha / 2.0))
+            # 1 + tan^2 v = 1 + 1 / tan^2(pi min(U, 1 - U)), U = 0 read as 2^-54.
+            cot_v = np.tan(np.maximum(np.minimum(u, 1.0 - u), 2.0**-54) * math.pi)
+            e = np.exp((np.log1p(1.0 / (cot_v * cot_v)) + log_tail) * (0.5 / alpha))
+            t = np.tan((u + (rho - 1.0)) * (alpha * math.pi / 2.0))
             return t / (t * t + 1.0) * e * factor
 
         draw = increment_sampler(p, dt)
@@ -252,25 +297,27 @@ class TestSampling:
     )
     def test_property_increments_match_mpmath_cms(self, alpha, rho_frac, seed):
         # The Chambers-Mallows-Stuck transform at 160 bits, at the exact
-        # (U, W) the sampler drew from the same stream: the relative error
-        # includes the rounding of v = (U - 1/2) pi and theta0.
+        # U and W = -log(1 - U') of the uniforms the sampler drew from the
+        # same stream: the relative error includes the sampler's rounding
+        # of its angles, theta0 and W.
         mpmath = pytest.importorskip("mpmath")
         assume(abs(alpha - 1.0) >= 1e-12)
         lo, hi = max(0.01, 1.0 - 1.0 / alpha), min(0.99, 1.0 / alpha)
         rho, dt, n = lo + rho_frac * (hi - lo), 1e-3, 50
         x = increment_sampler(StableParams(alpha, rho), dt)([path_rng(seed, 0)], n)[0]
         rng = path_rng(seed, 0)
-        u, w = rng.random(n), rng.standard_exponential(n)
+        u, u2 = np.split(rng.random(2 * n), 2)
         with mpmath.workprec(160):
             a, pi = mpmath.mpf(alpha), mpmath.pi
             a_theta0 = a * pi * (mpmath.mpf(rho) - 0.5)
-            for ui, wi, xi in zip(u, w, x):
+            for ui, u2i, xi in zip(u, u2, x):
                 v = pi * (mpmath.mpf(ui) - 0.5)
+                wi = -mpmath.log(1 - mpmath.mpf(u2i))
                 want = (
                     mpmath.mpf(dt) ** (1 / a)
                     * mpmath.sin(a * v + a_theta0)
                     / (mpmath.cos(a_theta0) * mpmath.cos(v)) ** (1 / a)
-                    * (mpmath.cos(a_theta0 + (a - 1) * v) / mpmath.mpf(wi))
+                    * (mpmath.cos(a_theta0 + (a - 1) * v) / wi)
                     ** ((1 - a) / a)
                 )
                 assert abs(xi - want) <= 1e-11 * abs(want), (ui, wi, xi, want)
