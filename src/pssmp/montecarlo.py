@@ -197,10 +197,8 @@ def _run_paths(draw, n_paths, seed, levels, eu, ev, start=0):
     while live:
         out = buf[: live * _BLOCK].reshape(live, _BLOCK)
         blk = draw(rngs[:live], _BLOCK, out=out)
-        # Positions: x plus the increments, summed left to right.  Adding x
-        # to the first column, not to every column, saves a broadcast pass.
-        blk[:, 0] += x[:live]
         np.cumsum(blk, axis=1, out=blk)
+        blk += x[:live, None]
         # A row can end its level in this block only if its highest or
         # lowest position is past a barrier, or its horizon falls inside.
         hi, lo = blk.max(axis=1), blk.min(axis=1)

@@ -182,38 +182,8 @@ def killed_resolvent_u(alpha: float, x: float, y: float) -> float:
 # (O'Neill 2014, with numpy's DXSM output) of period 2^128, with a fixed
 # odd increment: that of the reference PCG default stream.
 _PCG_INC = 0x5851F42D4C957F2D14057B7EF767814F
-_MASK64, _MASK128 = 2**64 - 1, 2**128 - 1
+_MASK64 = 2**64 - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
-
-
-def _set_state(bit_generator, state: int):
-    """Set a PCG64DXSM bit generator to LCG state `state` with increment
-    _PCG_INC and no buffered output."""
-    bit_generator.state = {
-        "bit_generator": "PCG64DXSM",
-        "state": {"state": state, "inc": _PCG_INC},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-def _lcg_jump(steps: int) -> tuple[int, int]:
-    """(A, D) with the LCG state `steps` steps on from s equal to A s + D
-    mod 2^128, read off numpy's advance from states 0 and 1."""
-    bg = np.random.PCG64DXSM(0)
-    ends = []
-    for start in (0, 1):
-        _set_state(bg, start)
-        bg.advance(steps)
-        ends.append(bg.state["state"]["state"])
-    return (ends[1] - ends[0]) & _MASK128, ends[0]
-
-
-# One 2^64-step jump, s -> A s + D.  A - 1 and D are multiples of 2^66
-# and 2^64 (the low 64 bits of the LCG have period 2^64), so (A - 1)^2 and
-# (A - 1) D vanish mod 2^128: A^i = 1 + i (A - 1), and i jumps take s to
-# s + i ((A - 1) s + D).
-_JUMP_A, _JUMP_D = _lcg_jump(2**64)
 
 
 def _splitmix64(x: int) -> int:
@@ -226,12 +196,10 @@ def _splitmix64(x: int) -> int:
 
 
 @functools.lru_cache(maxsize=16)
-def _seed_state(seed: int) -> tuple[int, int]:
-    """Path 0's LCG state s0 under seed, with the first two SplitMix64
-    outputs from seed as its low and high halves, and the state change
-    (A - 1) s0 + D of one 2^64-step jump from it."""
-    s0 = _splitmix64((seed + _GOLDEN64) & _MASK64) << 64 | _splitmix64(seed)
-    return s0, ((_JUMP_A - 1) * s0 + _JUMP_D) & _MASK128
+def _seed_state(seed: int) -> int:
+    """Path 0's LCG state under seed, with the first two SplitMix64
+    outputs from seed as its low and high halves."""
+    return _splitmix64((seed + _GOLDEN64) & _MASK64) << 64 | _splitmix64(seed)
 
 
 def path_rng(
@@ -241,29 +209,31 @@ def path_rng(
 
     Path i of a seed draws the i-th of 2^64 disjoint substreams, each
     2^64 steps long, of the one PCG64DXSM cycle of increment _PCG_INC:
-    its state is the seed's state s0 advanced by i 2^64 steps, as
-    numpy's ``advance(i << 64)`` would leave it.  s0 has the first two
-    SplitMix64 outputs from the seed as its low and high 64 bits.  The
-    low 64 bits of an LCG state fix its position on the cycle modulo
-    2^64, and SplitMix64 is a bijection, so the key is injective in
-    (seed, path_index); both must lie in [0, 2^64).  The advanced state
-    is s0 + i ((A - 1) s0 + D) mod 2^128 for the 2^64-step jump
-    s -> A s + D, one integer product once the seed's terms are cached,
-    so keying costs O(1) whatever i is.  The generator, ``reuse`` (one
-    made here before) or else a new one, is set to that state with no
-    buffered output, so the stream does not depend on what it drew
-    before, on the batching or on the worker count.
+    the seed's state s0, advanced by numpy's ``advance(i << 64)``, whose
+    cost does not grow with i.  s0 has the first two SplitMix64 outputs
+    from the seed as its low and high 64 bits.  The low 64 bits of an
+    LCG state fix its position on the cycle modulo 2^64, and SplitMix64
+    is a bijection, so the key is injective in (seed, path_index); both
+    must lie in [0, 2^64).  The generator, ``reuse`` (one made here
+    before) or else a new one, is set to that state with no buffered
+    output, so the stream does not depend on what it drew before, on the
+    batching or on the worker count.
     """
     seed, path_index = int(seed), int(path_index)
     if not (0 <= seed < 2**64 and 0 <= path_index < 2**64):
         raise DomainError(
             f"seed and path index must lie in [0, 2^64), got {seed} and {path_index}"
         )
-    s0, jump = _seed_state(seed)
-    state = (s0 + path_index * jump) & _MASK128
     if reuse is None:
         reuse = np.random.Generator(np.random.PCG64DXSM(0))
-    _set_state(reuse.bit_generator, state)
+    bit_generator = reuse.bit_generator
+    bit_generator.state = {
+        "bit_generator": "PCG64DXSM",
+        "state": {"state": _seed_state(seed), "inc": _PCG_INC},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bit_generator.advance(path_index << 64)
     return reuse
 
 
