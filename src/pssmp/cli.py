@@ -40,14 +40,13 @@ from .exit_laws import (
     max_cdf_down,
     min_cdf_up,
 )
-from .expfun import ExpCase, ExpFunctionalModel, TailCheck
+from .expfun import TailCheck
 from .hitting import HitQuery, hit_closed_ratio
 from .montecarlo import SIDE_LABELS, SimConfig, simulate_exit
 from .scale import (
     Case,
     SpectralCase,
     TripleLawPoint,
-    default_m,
     psi_down,
     psi_up,
     ruin_probability,
@@ -99,7 +98,6 @@ _OPTIONS = {
     "a": (_finite, None),
     "b": (_finite, 2.0),
     "t": (_finite, 1.0),
-    "m": (_finite, None),
     "phi": (_finite, None),
     "eta": (_finite, None),
     "grid": (str, None),
@@ -217,11 +215,10 @@ def _window(args) -> ExitWindow:
     return ExitWindow(_arg(args, "v"), _arg(args, "u"))
 
 
-def _expfun_model(p: StableParams, star: bool = False) -> ExpFunctionalModel:
-    """UP spectrally negative model (weight c_minus), or STAR (c_plus)."""
-    if star:
-        return ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, p.alpha, p.c_plus)
-    return ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, p.alpha, p.c_minus)
+def _one_sided(p: StableParams, case: Case) -> SpectralCase:
+    """The case's model, with c_plus (DownPos) or c_minus as its jump weight."""
+    weight = p.c_plus if case is Case.DOWN_POS else p.c_minus
+    return SpectralCase(case, p.alpha, weight)
 
 
 def _emit(lines, out):
@@ -288,11 +285,8 @@ def _extrema_star(args, p, grid):
 
 def _spectral(args, p):
     """The spectrally one-sided case, with its metadata pairs."""
-    case = Case(_arg(args, "case"))
-    weight = p.c_plus if case is Case.DOWN_POS else p.c_minus
-    m = args.m if args.m is not None else default_m(p.alpha, weight)
-    s = SpectralCase(case, p.alpha, m=m)
-    return s, [("case", s.case.value), ("m", s.mean)]
+    s = _one_sided(p, Case(_arg(args, "case")))
+    return s, [("case", s.case.value), ("m", s.m)]
 
 
 def _scale_fn(args, p, grid):
@@ -357,27 +351,27 @@ def _expfun_density(args, p, grid):
     kind = Kind(_arg(args, "kind"))
     if kind is Kind.DOWN:
         raise DomainError("expfun-density has kinds up and star, not down")
-    model = _expfun_model(p, star=kind is Kind.STAR)
+    model = _one_sided(p, Case.DOWN_POS if kind is Kind.STAR else Case.UP_NEG)
     density = expfun.density_I_star if kind is Kind.STAR else expfun.density_I
     vals = [density(model, xx) for xx in grid]
     return [("kind", kind.value)], _with_bounds(grid, vals)
 
 
 def _expfun_moments(args, p, grid):
-    model = _expfun_model(p)
+    model = _one_sided(p, Case.UP_NEG)
     ks = sorted({max(1, int(round(k))) for k in grid})
     return [], [(float(k), expfun.neg_moment_I(model, k)) for k in ks]
 
 
 def _entrance_density(args, p, grid):
     t = _arg(args, "t")
-    model = _expfun_model(p)
+    model = _one_sided(p, Case.UP_NEG)
     vals = [expfun.entrance_density(model, t, xx) for xx in grid]
     return [("t", t)], _with_bounds(grid, vals)
 
 
 def _tails(args, p, grid):
-    up, star = _expfun_model(p), _expfun_model(p, star=True)
+    up, star = _one_sided(p, Case.UP_NEG), _one_sided(p, Case.DOWN_POS)
     rows = [
         ("up-right", expfun.tail_exponent_check(up, TailCheck.UP_RIGHT)),
         ("star-left", expfun.tail_exponent_check(star, TailCheck.STAR_LEFT)),

@@ -77,12 +77,6 @@ def _validate_mode(p: StableParams):
         )
 
 
-def _jump_exponents(p: StableParams, direction: Direction) -> tuple[float, float]:
-    """(k, l): the jump exponents of the crossed side and of the far side."""
-    up = (p.alpha_rho_hat, p.alpha_rho)
-    return up if direction is Direction.UP else up[::-1]
-
-
 def _density(kind: Kind, p: StableParams, direction: Direction, u: float, v: float):
     """Overshoot density on the window (v, u), off the creeping side.
 
@@ -109,10 +103,11 @@ def _density(kind: Kind, p: StableParams, direction: Direction, u: float, v: flo
     """
     _validate_mode(p)
     h = kind.h_exponent(p)
-    k, l = _jump_exponents(p, direction)
     if direction is Direction.UP:
+        k, l = p.up_jump_exponent, p.down_jump_exponent
         b, c, s_slope, beta = u, v, h - k - l, h - l
     else:
+        k, l = p.down_jump_exponent, p.up_jump_exponent
         b, c, s_slope, beta = v, u, -(h + 1.0), h - (k - 1.0)
     near, gap = -abs(b), v - u
     log_fixed = (
@@ -202,10 +197,10 @@ def exit_mass_two_sided(
         if kind is Kind.STAR and direction is Direction.UP:
             # The killed process can also jump below 0, so its up mass is not
             # 1 - down mass but the scale-function ratio W(x)/W(a) with
-            # W(x) = x^l (far-side jump exponent), x = 1 - e^v, a = e^u - e^v.
+            # W(x) = x^l (l the downward exponent), x = 1 - e^v, a = e^u - e^v.
             # In logs, z = x/a = 1/(1 + (e^u - 1)/(1 - e^v)) stays in (0, 1].
             log_z = -float(np.logaddexp(0.0, _log_expm1(u) - math.log(-math.expm1(v))))
-            return math.exp(_jump_exponents(p, direction)[1] * log_z)
+            return math.exp(p.down_jump_exponent * log_z)
         # Point mass at theta = 0: everything not leaving the other way.
         other = Direction.DOWN if direction is Direction.UP else Direction.UP
         return 1.0 - exit_mass_two_sided(kind, p, window, other, tol=tol)
@@ -245,7 +240,7 @@ def overshoot_cdf_interpolant(
     dens = _density(kind, p, direction, window.u, window.v)
     # Singularity exponent at theta = 0: the density behaves like
     # C * theta^(-a0) with a0 the jump exponent of the crossed side.
-    a0 = _jump_exponents(p, direction)[0]
+    a0 = p.up_jump_exponent if direction is Direction.UP else p.down_jump_exponent
     theta_max = 1.0
     while dens(theta_max) > 1e-15 and theta_max < 256.0:
         theta_max *= 2.0
@@ -268,61 +263,61 @@ def overshoot_cdf_interpolant(
 def min_cdf_up(p: StableParams, z: float) -> float:
     """CDF of the all-time drop of the conditioned-to-stay-positive process.
 
-    P(-inf of the UP process <= z) = (1 - e^-z)^(alpha*rho).
+    P(-inf of the UP process <= z) = (1 - e^-z)^k, k the downward exponent.
     """
     _validate_mode(p)
     if not z >= 0.0:
         raise DomainError("z must be nonnegative")
-    return (-math.expm1(-z)) ** p.alpha_rho
+    return (-math.expm1(-z)) ** p.down_jump_exponent
 
 
 def max_cdf_down(p: StableParams, z: float) -> float:
     """CDF of the all-time rise of the conditioned-to-hit-zero process.
 
-    P(sup of the DOWN process <= z) = (1 - e^-z)^(alpha*(1-rho)).
+    P(sup of the DOWN process <= z) = (1 - e^-z)^k, k the upward exponent.
     """
     _validate_mode(p)
     if not z >= 0.0:
         raise DomainError("z must be nonnegative")
-    return (-math.expm1(-z)) ** p.alpha_rho_hat
+    return (-math.expm1(-z)) ** p.up_jump_exponent
 
 
 def extrema_density_star(p: StableParams, z: float, which: str = "max") -> float:
     """Density of the all-time maximum or minimum of the killed process.
 
-    Both are beta-type laws in closed form.  The killed process drops
-    below -z with probability I_{e^-z}(1 - alpha*rho, alpha*rho), the
-    one-sided down exit mass; differentiating gives the minimum density
-    (e^z - 1)^(alpha*rho - 1) / (Gamma(alpha*rho) Gamma(1 - alpha*rho)).
-    Both densities diverge at z = 0 and are inf wherever they exceed the
-    float range.
+    Both are beta-type laws in closed form, in the upward and downward jump
+    exponents k and l.  The killed process drops below -z with probability
+    I_{e^-z}(1 - l, l), the one-sided down exit mass; differentiating gives
+    the minimum density (e^z - 1)^(l - 1) / (Gamma(l) Gamma(1 - l)).  Both
+    densities diverge at z = 0 and are inf wherever they exceed the float
+    range.
     """
     p.require_two_sided()
     if not z >= 0.0:
         raise DomainError("z must be nonnegative")
-    ar, arh = p.alpha_rho, p.alpha_rho_hat
+    k, l = p.up_jump_exponent, p.down_jump_exponent
     if which == "max":
         if z == 0.0:
-            return math.inf if ar < 1.0 else 0.0
-        const = math.exp(log_gamma(p.alpha) - log_gamma(ar) - log_gamma(arh))
+            return math.inf if l < 1.0 else 0.0
+        const = math.exp(log_gamma(p.alpha) - log_gamma(l) - log_gamma(k))
         try:
-            return const * math.exp(-z * arh) * (-math.expm1(-z)) ** (ar - 1.0)
+            return const * math.exp(-z * k) * (-math.expm1(-z)) ** (l - 1.0)
         except OverflowError:  # only at subnormal z, where 1 - e^-z = z
-            return _exp_or_inf(math.log(const) + (ar - 1.0) * math.log(z))
+            return _exp_or_inf(math.log(const) + (l - 1.0) * math.log(z))
     if which == "min":
         if z == 0.0:
             return math.inf
-        log_norm = log_gamma(ar) + log_gamma(1.0 - ar)
-        return _exp_or_inf((ar - 1.0) * _log_expm1(z) - log_norm)
+        log_norm = log_gamma(l) + log_gamma(1.0 - l)
+        return _exp_or_inf((l - 1.0) * _log_expm1(z) - log_norm)
     raise DomainError(f"which must be 'max' or 'min', got {which!r}")
 
 
 def extrema_min_star_as_printed(p: StableParams, z: float) -> float:
     """Printed candidate for the killed process's minimum density.
 
-    (e^z - 1)^(alpha*rho) / (Gamma(alpha*rho) * Gamma(1 - alpha*rho)):
+    (e^z - 1)^l / (Gamma(l) * Gamma(1 - l)), l the downward jump exponent:
     the closed form of ``extrema_density_star(which="min")`` with the
-    exponent alpha*rho in place of alpha*rho - 1.  It grows without bound
+    exponent l in place of l - 1.  It grows without bound
     in z, so it cannot be a probability density; it is exposed only so
     reports can show it next to the derived law.
     """
@@ -331,6 +326,6 @@ def extrema_min_star_as_printed(p: StableParams, z: float) -> float:
         raise DomainError("z must be nonnegative")
     if z == 0.0:
         return 0.0
-    ar = p.alpha_rho
-    log_norm = log_gamma(ar) + log_gamma(1.0 - ar)
-    return _exp_or_inf(ar * _log_expm1(z) - log_norm)
+    l = p.down_jump_exponent
+    log_norm = log_gamma(l) + log_gamma(1.0 - l)
+    return _exp_or_inf(l * _log_expm1(z) - log_norm)

@@ -7,13 +7,15 @@ exp(-(lambda/c)^(1/alpha)); its density and the entrance-law density
 derive from the classical subordinator power series.  For the killed
 process with no negative jumps, the functional is a negative power of
 the running supremum of a spectrally positive stable process, whose
-series density is transformed accordingly.
+series density is transformed accordingly.  Both take a
+``scale.SpectralCase``: UP_NEG for I, and DOWN_POS for I*, since a process
+with no negative jumps creeps down to 0, so conditioning it to hit 0
+continuously changes nothing (h = 0).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -21,11 +23,9 @@ from scipy.special import gamma, rgamma
 
 from .errors import ConvergenceError, DomainError, NumericError
 from .numerics import SeriesValue, _exp_or_inf, log_gamma, sum_series
-from .scale import default_c, default_m
+from .scale import Case, SpectralCase
 
 __all__ = [
-    "ExpCase",
-    "ExpFunctionalModel",
     "neg_moment_I",
     "laplace_I",
     "density_I",
@@ -44,41 +44,9 @@ __all__ = [
 ]
 
 
-class ExpCase(Enum):
-    UP_SPECTRALLY_NEGATIVE = "up-neg"
-    STAR_SPECTRALLY_POSITIVE = "star-pos"
-
-
-@dataclass(frozen=True)
-class ExpFunctionalModel:
-    """Case, stable index and subordinator scale for exponential functionals.
-
-    c and m are ``scale.default_c`` and ``scale.default_m`` of jump_weight,
-    which is c_minus (UP_SPECTRALLY_NEGATIVE) or c_plus
-    (STAR_SPECTRALLY_POSITIVE).
-    """
-
-    case: ExpCase
-    alpha: float
-    jump_weight: float = 1.0
-
-    def __post_init__(self):
-        if not (1.0 < self.alpha < 2.0):
-            raise DomainError("alpha must lie in (1, 2)")
-        if not (0.0 < self.jump_weight < math.inf):
-            raise DomainError("jump weight must be positive and finite")
-
-    @property
-    def c(self) -> float:
-        return default_c(self.alpha, self.jump_weight)
-
-    @property
-    def m(self) -> float:
-        return default_m(self.alpha, self.jump_weight)
-
-    def _require(self, case: ExpCase, what: str):
-        if self.case is not case:
-            raise DomainError(f"{what} is defined for the {case.value} case only")
+def _require(model: SpectralCase, case: Case, what: str):
+    if model.case is not case:
+        raise DomainError(f"{what} is defined for the {case.value} case only")
 
 
 def _moment_in_range(name: str, k: int, scale: float, log_value: float) -> float:
@@ -90,9 +58,9 @@ def _moment_in_range(name: str, k: int, scale: float, log_value: float) -> float
     return value
 
 
-def neg_moment_I(model: ExpFunctionalModel, k: int) -> float:
+def neg_moment_I(model: SpectralCase, k: int) -> float:
     """E(I^-k) = alpha m^k Gamma(k alpha) / (Gamma(alpha)^k (k-1)!)."""
-    model._require(ExpCase.UP_SPECTRALLY_NEGATIVE, "neg_moment_I")
+    _require(model, Case.UP_NEG, "neg_moment_I")
     if k < 1 or int(k) != k:
         raise DomainError("k must be a positive integer")
     a, m = model.alpha, model.m
@@ -100,15 +68,15 @@ def neg_moment_I(model: ExpFunctionalModel, k: int) -> float:
     return _moment_in_range("E(I^-k)", k, a, log_value)
 
 
-def laplace_I(model: ExpFunctionalModel, lam: float) -> float:
+def laplace_I(model: SpectralCase, lam: float) -> float:
     """Laplace transform E(exp(-lambda I)) = exp(-(lambda/c)^(1/alpha))."""
-    model._require(ExpCase.UP_SPECTRALLY_NEGATIVE, "laplace_I")
+    _require(model, Case.UP_NEG, "laplace_I")
     if not lam >= 0.0:
         raise DomainError("lambda must be nonnegative")
     return math.exp(-((lam / model.c) ** (1.0 / model.alpha)))
 
 
-def density_I(model: ExpFunctionalModel, x: float) -> SeriesValue:
+def density_I(model: SpectralCase, x: float) -> SeriesValue:
     """Series density of the exponential functional at x > 0.
 
     This is the density of the index-1/alpha positive stable law scaled
@@ -116,7 +84,7 @@ def density_I(model: ExpFunctionalModel, x: float) -> SeriesValue:
     its truncation bound is below 1e-10.  The series variable is
     (c x)^(-1/alpha), so very small x needs the tail asymptotics instead.
     """
-    model._require(ExpCase.UP_SPECTRALLY_NEGATIVE, "density_I")
+    _require(model, Case.UP_NEG, "density_I")
     if not 0.0 < x < math.inf:
         raise DomainError(f"x must be positive and finite, got {x}")
     beta = 1.0 / model.alpha
@@ -141,9 +109,9 @@ def density_I(model: ExpFunctionalModel, x: float) -> SeriesValue:
     return sv
 
 
-def entrance_moment(model: ExpFunctionalModel, k: int, t: float) -> float:
+def entrance_moment(model: SpectralCase, k: int, t: float) -> float:
     """k-th moment of the entrance law at time t: (mt)^k Gamma(alpha(k+1)) / (Gamma(alpha)^(k+1) k!)."""
-    model._require(ExpCase.UP_SPECTRALLY_NEGATIVE, "entrance_moment")
+    _require(model, Case.UP_NEG, "entrance_moment")
     if k < 1 or int(k) != k:
         raise DomainError("k must be a positive integer")
     if not t > 0.0:
@@ -158,14 +126,14 @@ def entrance_moment(model: ExpFunctionalModel, k: int, t: float) -> float:
     return _moment_in_range("entrance moment", k, 1.0, log_value)
 
 
-def entrance_density(model: ExpFunctionalModel, t: float, x: float) -> SeriesValue:
+def entrance_density(model: SpectralCase, t: float, x: float) -> SeriesValue:
     """Density at x of the process entered from 0, at time t.
 
     Defined through the exponential functional: the position at time t
     equals t/I in law with a size bias of I^-1, so
     p_t(x) = density_I(t/x) / (alpha m x).
     """
-    model._require(ExpCase.UP_SPECTRALLY_NEGATIVE, "entrance_density")
+    _require(model, Case.UP_NEG, "entrance_density")
     if not (t > 0.0 and x > 0.0):
         raise DomainError("t and x must be positive")
     y = float(t) / float(x)  # as floats, an overflow is inf with no warning
@@ -200,7 +168,7 @@ def _sup_series(a: float, log_yy: float, tol: float, density: bool) -> SeriesVal
     return sum_series(term, tol=tol, start=1)
 
 
-def _log_unit(model: ExpFunctionalModel, y: float) -> float:
+def _log_unit(model: SpectralCase, y: float) -> float:
     """log(y / c^(1/alpha)), the log of the unit-scale supremum variable,
     formed as a difference of logs: the quotient underflows to 0 for
     subnormal y."""
@@ -208,7 +176,7 @@ def _log_unit(model: ExpFunctionalModel, y: float) -> float:
 
 
 def sup_density_spectrally_positive(
-    model: ExpFunctionalModel, y: float, tol: float = 1e-12
+    model: SpectralCase, y: float, tol: float = 1e-12
 ) -> SeriesValue:
     """Series density of the time-1 supremum of the spectrally positive process.
 
@@ -218,7 +186,7 @@ def sup_density_spectrally_positive(
     exponential functional (I = c^-1 I_unit in law); at c = 1 this is the
     quoted series verbatim.
     """
-    model._require(ExpCase.STAR_SPECTRALLY_POSITIVE, "supremum density")
+    _require(model, Case.DOWN_POS, "supremum density")
     if not y > 0.0:
         raise DomainError("y must be positive")
     a = model.alpha
@@ -226,7 +194,7 @@ def sup_density_spectrally_positive(
     return _sup_series(a, _log_unit(model, y), tol, density=True).scaled(1.0 / sigma)
 
 
-def density_I_star(model: ExpFunctionalModel, x: float) -> SeriesValue:
+def density_I_star(model: SpectralCase, x: float) -> SeriesValue:
     """Density at x of the killed process's exponential functional.
 
     Built by change of variables from the supremum density f:
@@ -235,7 +203,7 @@ def density_I_star(model: ExpFunctionalModel, x: float) -> SeriesValue:
     variable loses accuracy for small x; a convergence error then
     recommends the tail asymptotics.
     """
-    model._require(ExpCase.STAR_SPECTRALLY_POSITIVE, "density_I_star")
+    _require(model, Case.DOWN_POS, "density_I_star")
     if not x > 0.0:
         raise DomainError("x must be positive")
     a, x = model.alpha, float(x)  # as a float, an overflow is inf with no warning
@@ -256,7 +224,7 @@ def density_I_star(model: ExpFunctionalModel, x: float) -> SeriesValue:
     return sv
 
 
-def density_I_star_as_printed(model: ExpFunctionalModel, x: float) -> SeriesValue:
+def density_I_star_as_printed(model: SpectralCase, x: float) -> SeriesValue:
     """Closed-form candidate series with exponent alpha(2 - n alpha).
 
     It is c^(2/alpha) f(c^(1/alpha) x^(-alpha)) for the supremum density f.
@@ -264,7 +232,7 @@ def density_I_star_as_printed(model: ExpFunctionalModel, x: float) -> SeriesValu
     cannot be a probability density; exposed only so reports can show it
     next to the change-of-variables construction.
     """
-    model._require(ExpCase.STAR_SPECTRALLY_POSITIVE, "density_I_star_as_printed")
+    _require(model, Case.DOWN_POS, "density_I_star_as_printed")
     if not x > 0.0:
         raise DomainError("x must be positive")
     sigma = model.c ** (1.0 / model.alpha)
@@ -272,14 +240,14 @@ def density_I_star_as_printed(model: ExpFunctionalModel, x: float) -> SeriesValu
     return f.scaled(sigma * sigma)
 
 
-def left_mass_bound(model: ExpFunctionalModel, x: float) -> float:
+def left_mass_bound(model: SpectralCase, x: float) -> float:
     """Chernoff bound on P(I <= x) from the explicit Laplace transform.
 
     P(I <= x) <= exp(lambda x - (lambda/c)^(1/alpha)) at the optimal
     lambda; decays like exp(-const x^(-1/(alpha-1))), so it certifies
     that the mass below a small-x series cutoff is negligible.
     """
-    model._require(ExpCase.UP_SPECTRALLY_NEGATIVE, "left_mass_bound")
+    _require(model, Case.UP_NEG, "left_mass_bound")
     if not x > 0.0:
         raise DomainError("x must be positive")
     beta = 1.0 / model.alpha
@@ -288,7 +256,7 @@ def left_mass_bound(model: ExpFunctionalModel, x: float) -> float:
     return math.exp(min(lam * x - cb * lam**beta, 0.0))
 
 
-def sup_survival_asymptotic(model: ExpFunctionalModel, y: float) -> tuple[float, float]:
+def sup_survival_asymptotic(model: SpectralCase, y: float) -> tuple[float, float]:
     """Large-y survival P(sup > y) with a truncation-error bound.
 
     Both asymptotic series (powers y^(-alpha k) and y^(-1-alpha m)) are
@@ -296,7 +264,7 @@ def sup_survival_asymptotic(model: ExpFunctionalModel, y: float) -> tuple[float,
     omitted term magnitudes, the standard control for alternating
     asymptotic expansions.
     """
-    model._require(ExpCase.STAR_SPECTRALLY_POSITIVE, "sup_survival_asymptotic")
+    _require(model, Case.DOWN_POS, "sup_survival_asymptotic")
     a = model.alpha
     yy = y / model.c ** (1.0 / a)
     if not yy > 1.0:
@@ -340,14 +308,14 @@ def sup_survival_asymptotic(model: ExpFunctionalModel, y: float) -> tuple[float,
 _SUP_SERIES_LIMIT = 4.6  # unit-scale y beyond which the power series cancels away
 
 
-def sup_cdf(model: ExpFunctionalModel, y: float) -> float:
+def sup_cdf(model: SpectralCase, y: float) -> float:
     """P(sup <= y) for the time-1 supremum of the spectrally positive process.
 
     Term-by-term integral of the supremum density for moderate y; the
     large-y asymptotic expansion of the survival beyond the range where
     the power series holds up in double precision.
     """
-    model._require(ExpCase.STAR_SPECTRALLY_POSITIVE, "sup_cdf")
+    _require(model, Case.DOWN_POS, "sup_cdf")
     if math.isnan(y):
         raise DomainError("y must be a number")
     if y <= 0.0:
@@ -373,13 +341,13 @@ def sup_cdf(model: ExpFunctionalModel, y: float) -> float:
     return min(max(s.value, 0.0), 1.0)
 
 
-def cdf_I_star(model: ExpFunctionalModel, x: float) -> float:
+def cdf_I_star(model: SpectralCase, x: float) -> float:
     """P(I <= x) for the killed-process functional: a supremum tail event.
 
     The functional equals the inverse alpha-th power of the supremum, so
     its CDF at x is the supremum's survival at x^(-1/alpha).
     """
-    model._require(ExpCase.STAR_SPECTRALLY_POSITIVE, "cdf_I_star")
+    _require(model, Case.DOWN_POS, "cdf_I_star")
     if math.isnan(x):
         raise DomainError("x must be a number")
     if x <= 0.0:
@@ -401,7 +369,7 @@ class TailCheck(Enum):
     STAR_LEFT = "star-left"  # CDF near 0 of I for the killed case
 
 
-def tail_exponent_check(model: ExpFunctionalModel, which: TailCheck):
+def tail_exponent_check(model: SpectralCase, which: TailCheck):
     """Fitted log-log slope of the requested distribution tail.
 
     Each fit uses 9 points spread log-uniformly over one decade.  UP_RIGHT
@@ -411,13 +379,13 @@ def tail_exponent_check(model: ExpFunctionalModel, which: TailCheck):
     STAR_LEFT fits the CDF P(I <= x) of the killed functional at small x.
     """
     if which is TailCheck.UP_RIGHT:
-        model._require(ExpCase.UP_SPECTRALLY_NEGATIVE, "UP_RIGHT tail")
+        _require(model, Case.UP_NEG, "UP_RIGHT tail")
         xs = np.geomspace(200.0, 2000.0, 9) / model.c
         ys = [density_I(model, x).value for x in xs]
         return fit_loglog_slope(xs, ys)
 
     if which is TailCheck.STAR_LEFT:
-        model._require(ExpCase.STAR_SPECTRALLY_POSITIVE, "STAR_LEFT tail")
+        _require(model, Case.DOWN_POS, "STAR_LEFT tail")
         xs = np.geomspace(0.05, 0.5, 9) / model.c
         ys = [cdf_I_star(model, x) for x in xs]
         if min(ys) <= 0.0:

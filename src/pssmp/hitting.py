@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
+from .numerics import _exp_or_inf
 from .stable import Kind, StableParams, killed_resolvent_u
 
 __all__ = [
@@ -121,7 +122,9 @@ def hit_prob_lamperti(kind: Kind, alpha: float, v: float, u: float) -> float:
         raise DomainError("need v < 0 < u")
     if kind is Kind.STAR:
         raise DomainError("two-point hitting is defined for the UP and DOWN kinds")
-    f = hit_closed_ratio(HitQuery(alpha, 1.0, math.exp(v), math.exp(u)))
+    if (eu := _exp_or_inf(u)) == math.inf:
+        raise DomainError(f"upper target e^u overflows a float at u={u}")
+    f = hit_closed_ratio(HitQuery(alpha, 1.0, math.exp(v), eu))
     expo = kind.h_exponent(StableParams(alpha, 0.5))
     prob = math.exp(v) ** expo * f
     if not (-1e-10 <= prob <= 1.0 + 1e-10):

@@ -3,9 +3,9 @@
 These are the spectrally one-sided specializations: the conditioned-to-
 stay-positive process with no positive jumps (UpNeg), the conditioned-
 to-hit-zero process with no positive jumps (DownNeg) and with no
-negative jumps (DownPos).  The mean normalization m defaults to
-c * Gamma(alpha) with c = c_minus * Gamma(2 - alpha) / (alpha*(alpha-1)),
-the unique value consistent with the exponential-functional moments.
+negative jumps (DownPos).  The mean normalization is m = c * Gamma(alpha)
+with c = c_minus * Gamma(2 - alpha) / (alpha*(alpha-1)), the unique value
+consistent with the exponential-functional moments.
 
 The triple law's constant K is C(alpha) times the probability that the
 barrier is ever passed; the DownNeg law is the UpNeg law reweighted by
@@ -16,6 +16,7 @@ psi_up(theta - 1) defines (Kyprianou, *Fluctuations of Levy Processes*,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -65,22 +66,28 @@ def default_m(alpha: float, c_weight: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class SpectralCase:
-    """A spectrally one-sided case with its mean normalization m, which the
-    triple laws do not read: they depend on alpha alone."""
+    """A one-sided case, its index and its active side's jump weight (c_minus
+    for UpNeg and DownNeg, c_plus for DownPos), whose ``default_c`` and
+    ``default_m`` are c and m: a mean normalization m is the weight
+    m / default_m(alpha).  ``expfun`` takes UpNeg for I and DownPos for I*."""
 
     case: Case
     alpha: float
-    m: float | None = None
+    jump_weight: float = 1.0
 
     def __post_init__(self):
         if not (1.0 < self.alpha < 2.0):
             raise DomainError("alpha must lie in (1, 2) for one-sided cases")
-        if self.m is not None and not (0.0 < self.m < math.inf):
-            raise DomainError("m must be positive and finite")
+        if not (0.0 < self.jump_weight < math.inf):
+            raise DomainError("jump weight must be positive and finite")
 
-    @property
-    def mean(self) -> float:
-        return self.m if self.m is not None else default_m(self.alpha)
+    @functools.cached_property
+    def c(self) -> float:
+        return default_c(self.alpha, self.jump_weight)
+
+    @functools.cached_property
+    def m(self) -> float:
+        return default_m(self.alpha, self.jump_weight)
 
 
 def _laplace_exponent(s: SpectralCase, theta: float) -> float:
@@ -90,7 +97,7 @@ def _laplace_exponent(s: SpectralCase, theta: float) -> float:
     gammas overflow (theta past 171); where the value itself leaves the
     float range, NumericError is raised.
     """
-    value = s.mean * float(poch(theta, s.alpha)) / math.gamma(s.alpha)
+    value = s.m * float(poch(theta, s.alpha)) / math.gamma(s.alpha)
     if not math.isfinite(value):
         raise NumericError(
             f"Laplace exponent at theta={theta:g} exceeds the float range"
@@ -125,7 +132,7 @@ def scale_fn(s: SpectralCase, x: float) -> float:
     """
     if not x >= 0.0:
         raise DomainError("x must be nonnegative")
-    value = (-math.expm1(-x)) ** (s.alpha - 1.0) / s.mean
+    value = (-math.expm1(-x)) ** (s.alpha - 1.0) / s.m
     if s.case is Case.DOWN_NEG:
         half = _exp_or_inf(0.5 * x)
         value = value * half * half
@@ -172,11 +179,11 @@ def _depth(s: SpectralCase, barrier: float) -> float:
     return depth
 
 
-def _jump(a: float, s: float, q: float) -> float:
-    """The jump factor e^(q s) J(s), J(s) = e^(-a s) (1 - e^-s)^(-1-a)."""
+def _log_jump(a: float, s: float, q: float) -> float:
+    """log of the jump factor e^(q s) J(s), J(s) = e^(-a s) (1 - e^-s)^(-1-a)."""
     if s <= 0.0:
         return math.inf
-    return math.exp((q - a) * s - (1.0 + a) * math.log(-math.expm1(-s)))
+    return (q - a) * s - (1.0 + a) * math.log(-math.expm1(-s))
 
 
 def _jump_tail(a: float, phi: float, q: float) -> float:
@@ -230,16 +237,26 @@ def triple_law_K(s: SpectralCase, barrier: float) -> float:
 
 
 def triple_law_density(s: SpectralCase, pt: TripleLawPoint) -> float:
-    """Normalized joint density of (overshoot, undershoot, prior extremum)."""
+    """Normalized joint density of (overshoot, undershoot, prior extremum),
+    inf past the float range, as at its poles theta + phi = 0, eta = |barrier|."""
     depth = _depth(s, pt.barrier)
-    if not (pt.theta >= 0.0 and pt.phi >= pt.eta and 0.0 <= pt.eta <= depth):
-        raise DomainError("need theta >= 0, phi >= eta, eta in [0, |barrier|]")
+    if not (pt.theta >= 0.0 and pt.eta <= pt.phi < math.inf and 0.0 <= pt.eta <= depth):
+        raise DomainError("need theta >= 0, finite phi >= eta, eta in [0, |barrier|]")
     K = triple_law_K(s, pt.barrier)
     if pt.eta == depth:
         return math.inf  # the integrable pole of (1 - e^w)^(alpha - 2) at w = 0
     A, q = _kernel(s, depth)
-    J = _jump(s.alpha, pt.theta + pt.phi, q)
-    return A(pt.eta) * math.exp(-q * (pt.phi - pt.eta)) * J / K
+    tilt, log_J = -q * (pt.phi - pt.eta), _log_jump(s.alpha, pt.theta + pt.phi, q)
+    try:
+        f = A(pt.eta) * math.exp(tilt) * math.exp(log_J) / K
+    except OverflowError:  # a factor next to a pole
+        f = math.inf
+    if f < math.inf:
+        return f
+    # Past the float range of a factor or of the product: the same in logs.
+    w = pt.eta - depth
+    log_A = (1.0 - q) * w + (s.alpha - 2.0) * math.log(-math.expm1(w))
+    return _exp_or_inf(log_A + tilt + log_J - math.log(K))
 
 
 def triple_law_total_mass(s: SpectralCase, barrier: float, tol: float = 1e-7) -> float:

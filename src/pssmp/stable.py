@@ -20,7 +20,7 @@ from .errors import DomainError
 
 # integrate_adaptive is not called here.  It stays imported because
 # bench/test_bench.py asserts stable.integrate_adaptive is the numerics one.
-from .numerics import integrate_adaptive, log_gamma
+from .numerics import _exp_or_inf, integrate_adaptive, log_gamma
 
 __all__ = [
     "StableParams",
@@ -68,8 +68,18 @@ class StableParams:
 
     @property
     def alpha_rho_hat(self) -> float:
-        """alpha * (1 - rho), the exponent attached to the negative side."""
         return self.alpha * (1.0 - self.rho)
+
+    # The one place that says which of the two belongs to which side.
+    @property
+    def up_jump_exponent(self) -> float:
+        """Jump exponent of an upward passage (the overshoot's singularity)."""
+        return self.alpha * (1.0 - self.rho)
+
+    @property
+    def down_jump_exponent(self) -> float:
+        """Jump exponent of a downward passage (the undershoot's singularity)."""
+        return self.alpha * self.rho
 
     @property
     def two_sided(self) -> bool:
@@ -82,13 +92,13 @@ class StableParams:
 
     @property
     def spectrally_negative(self) -> bool:
-        """No positive jumps: alpha in (1,2) with alpha*(1-rho) = 1."""
-        return self.alpha > 1.0 and abs(self.alpha_rho_hat - 1.0) <= _BOUNDARY_TOL
+        """No positive jumps: alpha in (1,2) with upward jump exponent 1."""
+        return self.alpha > 1.0 and abs(self.up_jump_exponent - 1.0) <= _BOUNDARY_TOL
 
     @property
     def spectrally_positive(self) -> bool:
-        """No negative jumps: alpha in (1,2) with alpha*rho = 1."""
-        return self.alpha > 1.0 and abs(self.alpha_rho - 1.0) <= _BOUNDARY_TOL
+        """No negative jumps: alpha in (1,2) with downward jump exponent 1."""
+        return self.alpha > 1.0 and abs(self.down_jump_exponent - 1.0) <= _BOUNDARY_TOL
 
     def require_two_sided(self):
         if not self.two_sided:
@@ -101,8 +111,8 @@ class StableParams:
 class Kind(Enum):
     """The three log-scale processes derived from a stable process.
 
-    A kind has one exponent, h, formed from alpha*rho directly since
-    (alpha*rho + 1) - 1 differs from alpha*rho in the last bit for many
+    A kind has one exponent, h, formed from the downward jump exponent
+    directly since (k + 1) - 1 differs from k in the last bit for many
     (alpha, rho); the Levy density's tilt exponent is gamma = h + 1.
     """
 
@@ -112,12 +122,20 @@ class Kind(Enum):
 
     def h_exponent(self, p: StableParams) -> float:
         """Power of the position in the kind's Doob weight x^h (grid Monte
-        Carlo, two-point hitting): 0, alpha*rho and alpha*rho - 1."""
+        Carlo, two-point hitting): 0, k and k - 1, k the downward jump
+        exponent."""
         if self is Kind.STAR:
             return 0.0
         if self is Kind.UP:
-            return p.alpha_rho
-        return p.alpha_rho - 1.0
+            return p.down_jump_exponent
+        return p.down_jump_exponent - 1.0
+
+
+def _log_sum(p: float, q: float) -> float:
+    """log(p + q) for p, q >= 0 not both 0, also where p + q overflows."""
+    if p + q < math.inf:
+        return math.log(p + q)
+    return math.log(0.5 * p + 0.5 * q) + math.log(2.0)  # exact halves
 
 
 def rogozin_overshoot_density(p: StableParams, a: float, x: float, y: float) -> float:
@@ -126,23 +144,25 @@ def rogozin_overshoot_density(p: StableParams, a: float, x: float, y: float) -> 
     For the stable process started at x in (0, a), this is the
     (sub-probability) density of X at first passage above a, minus a,
     on the event that the upper barrier is reached before the process
-    leaves the positive half-line.
+    leaves the positive half-line: sin(pi k)/pi (a - x)^k x^l y^-k
+    (y + a)^-l / (y + a - x), k and l the upward and downward jump
+    exponents, as a sum of logs: inf past the float range, never NaN.
     """
     p.require_two_sided()
-    if not (a > 0.0 and 0.0 < x < a) or math.isnan(y):
-        raise DomainError("need 0 < x < a and y not NaN")
+    if not (0.0 < x < a < math.inf) or math.isnan(y):
+        raise DomainError("need 0 < x < a, a finite and y not NaN")
     if y <= 0.0:
         return 0.0
-    ar, arh = p.alpha_rho, p.alpha_rho_hat
-    return (
-        math.sin(math.pi * arh)
-        / math.pi
-        * (a - x) ** arh
-        * x**ar
-        * y**-arh
-        * (y + a) ** -ar
-        / (y + a - x)
+    k, l, y = p.up_jump_exponent, p.down_jump_exponent, float(y)
+    log_f = (
+        math.log(math.sin(math.pi * k) / math.pi)
+        + k * math.log(a - x)
+        + l * math.log(x)
+        - k * math.log(y)
+        - l * _log_sum(y, a)
+        - _log_sum(y, a - x)
     )
+    return _exp_or_inf(log_f)
 
 
 def exit_up_probability(p: StableParams, a: float, x: float) -> float:
@@ -150,7 +170,7 @@ def exit_up_probability(p: StableParams, a: float, x: float) -> float:
     p.require_two_sided()
     if not (a > 0.0 and 0.0 < x < a):
         raise DomainError("need 0 < x < a")
-    return float(betainc(p.alpha_rho, p.alpha_rho_hat, x / a))
+    return float(betainc(p.down_jump_exponent, p.up_jump_exponent, x / a))
 
 
 def killed_resolvent_u(alpha: float, x: float, y: float) -> float:

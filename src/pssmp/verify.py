@@ -30,7 +30,7 @@ from .exit_laws import (
     min_cdf_up,
     overshoot_cdf_interpolant,
 )
-from .expfun import ExpCase, ExpFunctionalModel, TailCheck
+from .expfun import TailCheck
 from .hitting import HitQuery, hit_closed_ratio, hit_matrix_method, hit_prob_lamperti
 from .montecarlo import (
     SIDE_DOWN,
@@ -118,8 +118,8 @@ def _suite_normalization():
                     1e-10,
                     detail="quadrature of the killed kind's up-exit density against "
                     "Rogozin's exit probability from 1 - e^v in (0, e^u - e^v); both "
-                    "read rho the same way, so this cannot see a swap of alpha*rho "
-                    "and alpha*(1 - rho)",
+                    "take their exponents from StableParams' side exponents, so this "
+                    "cannot see a swap of alpha*rho and alpha*(1 - rho)",
                 )
             )
     return checks
@@ -142,9 +142,10 @@ def esscher_max_relative_error(seed: int, n_draws: int) -> float:
         up = exit_density_two_sided(Kind.UP, p, w, Direction.UP, theta)
         down = exit_density_two_sided(Kind.DOWN, p, w, Direction.UP, theta)
         star = exit_density_two_sided(Kind.STAR, p, w, Direction.UP, theta)
+        # up / kind is e^(u + theta) to the power h_UP - h_kind: 1 for DOWN.
         e = math.exp(w.u + theta)
         worst = max(worst, abs(up / down / e - 1.0))
-        worst = max(worst, abs(up / star / e**p.alpha_rho - 1.0))
+        worst = max(worst, abs(up / star / e ** Kind.UP.h_exponent(p) - 1.0))
     return worst
 
 
@@ -234,8 +235,8 @@ def _suite_extrema():
             None,
             status="finding",
             detail="quoted min density grows with z (ratio at z=4 vs z=2), "
-            "so it is not integrable: it is the closed form with exponent "
-            "alpha*rho in place of alpha*rho - 1",
+            "so it is not integrable: it is the closed form with the downward "
+            "jump exponent l in place of l - 1",
         )
     )
     return checks
@@ -412,7 +413,7 @@ def _suite_hitting():
     return checks
 
 
-def density_I_mass(model: ExpFunctionalModel) -> float:
+def density_I_mass(model: SpectralCase) -> float:
     """Total mass of the series density, certified below the series cutoff.
 
     The series cancels catastrophically for very small arguments; the
@@ -428,7 +429,7 @@ def density_I_mass(model: ExpFunctionalModel) -> float:
     return body + bound
 
 
-def density_I_star_mass(model: ExpFunctionalModel) -> float:
+def density_I_star_mass(model: SpectralCase) -> float:
     """Total mass of the change-of-variables density of the killed functional.
 
     Three exactly complementary pieces: the CDF below a small-x cutoff
@@ -448,7 +449,7 @@ def density_I_star_mass(model: ExpFunctionalModel) -> float:
 
 def _suite_expfun():
     checks = []
-    model = ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, 1.5)
+    model = SpectralCase(Case.UP_NEG, 1.5)
     for k in range(1, 6):
         quad = (
             integrate_adaptive(
@@ -521,7 +522,7 @@ def _suite_expfun():
             f"alpha = 1 + 1/alpha",
         )
     )
-    star = ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, 1.5)
+    star = SpectralCase(Case.DOWN_POS, 1.5)
     checks.append(
         _check(
             "density-I-star-mass",

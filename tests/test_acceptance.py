@@ -34,7 +34,7 @@ from pssmp.exit_laws import (
     min_cdf_up,
     overshoot_cdf_interpolant,
 )
-from pssmp.expfun import ExpCase, ExpFunctionalModel, TailCheck
+from pssmp.expfun import TailCheck
 from pssmp.hitting import HitQuery, hit_closed_ratio, hit_matrix_method, hit_prob_lamperti
 from pssmp.montecarlo import (
     SIDE_DOWN,
@@ -233,7 +233,7 @@ def test_criterion_6a_expfun_identities():
     """Moment-Laplace identity within 1e-8; density mass within 1e-6;
     negative moments within 1e-5; entrance-law moments within 1e-5."""
     _C6_T0.append(time.perf_counter())
-    model = ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, 1.5)
+    model = SpectralCase(Case.UP_NEG, 1.5)
     for k in range(1, 6):
         quad = integrate_adaptive(
             lambda lam: lam ** (k - 1) * expfun.laplace_I(model, lam),
@@ -282,7 +282,7 @@ def test_criterion_6b_tail_slope_as_stated():
     the way criterion 8 checks its quoted forms.  The two values coincide
     only at the golden ratio.
     """
-    model = ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, 1.5)
+    model = SpectralCase(Case.UP_NEG, 1.5)
     slope = expfun.tail_exponent_check(model, TailCheck.UP_RIGHT)
     derived = -(1.0 + 1.0 / model.alpha)
     quoted = -model.alpha
@@ -440,7 +440,7 @@ def test_criterion_8_adjudication_findings():
     if printed_growth <= 1.0:
         failures.append("quoted min density unexpectedly decays")
 
-    star = ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, 1.5)
+    star = SpectralCase(Case.DOWN_POS, 1.5)
     slope = expfun.tail_exponent_check(star, TailCheck.STAR_LEFT)
     if abs(slope - 1.0) > 0.05:
         failures.append(f"left-CDF slope {slope:.3f}")

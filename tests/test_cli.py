@@ -28,7 +28,6 @@ from pssmp.cli import (
 )
 from pssmp.errors import ConfigurationError, DomainError, WorkerError
 from pssmp.exit_laws import ExitWindow, min_cdf_up
-from pssmp.expfun import ExpCase, ExpFunctionalModel
 from pssmp.montecarlo import (
     SIDE_CENSORED,
     SIDE_DOWN,
@@ -37,7 +36,7 @@ from pssmp.montecarlo import (
     SimConfig,
     simulate_exit,
 )
-from pssmp.scale import default_m
+from pssmp.scale import Case, SpectralCase, default_m
 from pssmp.stable import Kind, StableParams
 from pssmp.verify import SUITES, run_suite
 
@@ -106,16 +105,10 @@ class TestEval:
         assert len(rows) >= 2
 
     @pytest.mark.parametrize(
-        "case,flag,model_case",
-        [
-            ("up-neg", "--c-minus", ExpCase.UP_SPECTRALLY_NEGATIVE),
-            ("down-neg", "--c-minus", ExpCase.UP_SPECTRALLY_NEGATIVE),
-            ("down-pos", "--c-plus", ExpCase.STAR_SPECTRALLY_POSITIVE),
-        ],
+        "case,flag",
+        [("up-neg", "--c-minus"), ("down-neg", "--c-minus"), ("down-pos", "--c-plus")],
     )
-    def test_spectral_m_follows_the_active_jump_weight(
-        self, capsys, case, flag, model_case
-    ):
+    def test_spectral_m_follows_the_active_jump_weight(self, capsys, case, flag):
         def m_of(*opts):
             rc, out, _ = run(capsys, "eval", "--law", "psi", "--case", case, *opts)
             assert rc == 0
@@ -124,7 +117,7 @@ class TestEval:
         other = "--c-plus" if flag == "--c-minus" else "--c-minus"
         assert m_of() == m_of(other, "2") == default_m(1.5)
         m = m_of("--alpha", "1.5", flag, "2")
-        assert m == 2.0 * default_m(1.5) == ExpFunctionalModel(model_case, 1.5, 2.0).m
+        assert m == 2.0 * default_m(1.5) == SpectralCase(Case(case), 1.5, 2.0).m
 
     def test_downneg_triple_law_needs_no_ladder_rate(self, capsys):
         # The down-neg law is the Esscher tilt of up-neg, a function of
@@ -136,6 +129,17 @@ class TestEval:
             capsys, "eval", "--law", "triple-law", "--case", "down-neg", "--q-ladder", "0.7"
         )
         assert rc == 2 and out == "" and "--q-ladder" in err
+
+    def test_m_is_the_jump_weight(self, capsys):
+        # A mean normalization m is the jump weight m / default_m(alpha): it
+        # has no option of its own, and --m is an unknown option.
+        rc, out, err = run(capsys, "eval", "--law", "psi", "--m", "2")
+        assert rc == 2 and out == "" and "unknown option --m" in err
+        weight = 2.0 / default_m(1.5)
+        rc, out, _ = run(capsys, "eval", "--law", "psi", "--c-minus", repr(weight))
+        assert rc == 0
+        m = float(next(l for l in out.splitlines() if l.startswith("# m="))[4:])
+        assert m == pytest.approx(2.0, rel=1e-15)
 
     def test_rogozin_start_outside_interval_is_refused(self, capsys):
         # --x is evaluated as given: inside (0, a) the metadata records it,
@@ -287,8 +291,8 @@ class TestExitCodes:
         assert run(capsys, "eval", "--law", "psi", "--alpha", "3.0")[0] == 2
         assert run(capsys, "eval", "--no-such-flag")[0] == 2
         # Non-finite numbers are refused before they reach a law (psi
-        # printed nan rows for --m nan).
-        assert run(capsys, "eval", "--law", "psi", "--m", "nan")[0] == 2
+        # printed nan rows for a nan mean normalization).
+        assert run(capsys, "eval", "--law", "psi", "--c-minus", "nan")[0] == 2
         assert run(capsys, "eval", "--law", "exit-one-sided", "--u", "inf")[0] == 2
 
     def test_one_sided_parameters_rejected_where_two_sided_needed(self, capsys):
@@ -583,6 +587,35 @@ class TestExitCodes:
         assert rc == 2 and out == ""
         assert err.startswith("error:") and names in err
 
+    @pytest.mark.parametrize(
+        "opts,grid,first",
+        [
+            # y^-k is past the float range at y = 5e-324 (the row was nan).
+            (("--alpha", "1.99", "--a", "1e-300", "--x", "1e-308"), "5e-324:1e-300:2", "inf"),
+            # y + a overflows, the density does not (both rows were nan).
+            (("--alpha", "1.5", "--a", "1e308", "--x", "1e300"), "1e308:1.7e308:2", None),
+        ],
+    )
+    def test_rogozin_density_at_the_float_range_is_0(self, capsys, opts, grid, first):
+        rc, out, err = run(
+            capsys, "eval", "--law", "rogozin-density", *opts, "--grid", grid
+        )
+        assert rc == 0 and err == ""
+        values = [l.split(",")[1] for l in out.splitlines()[-2:]]
+        assert "nan" not in values
+        assert all(float(v) > 0.0 for v in values)
+        if first is not None:
+            assert values[0] == first
+
+    def test_triple_law_next_to_its_pole_is_0(self, capsys):
+        # theta + phi = 1e-300 raised a raw OverflowError (a traceback).
+        rc, out, err = run(
+            capsys, "eval", "--law", "triple-law", "--case", "up-neg", "--alpha", "1.5",
+            "--v", "-1", "--eta", "0", "--phi", "1e-300", "--grid", "0:1e-300:2",
+        )
+        assert rc == 0 and err == ""
+        assert [l.split(",")[1] for l in out.splitlines()[-2:]] == ["inf", "inf"]
+
     def test_missing_config_file_is_2(self, capsys):
         assert run(capsys, "eval", "--law", "psi", "--config", "/nope.cfg")[0] == 2
 
@@ -809,7 +842,7 @@ _FAST_LAWS = (
 )
 _FUZZ_OPTIONS = (
     "kind", "case", "direction", "which", "alpha", "rho", "c-plus", "c-minus",
-    "u", "v", "x", "a", "b", "t", "m", "phi", "eta", "grid",
+    "u", "v", "x", "a", "b", "t", "phi", "eta", "grid",
 )
 _FUZZ_VALUES = (
     "1.5", "0.5", "-0.5", "0.3", "2", "1", "0", "-1", "1e-300", "5e-324", "1e200",

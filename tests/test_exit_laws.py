@@ -43,7 +43,7 @@ class TestTiltStructure:
         down = exit_density_two_sided(Kind.DOWN, P, W, Direction.UP, theta)
         pos = math.exp(W.u + theta)  # exit position
         assert up / down == pytest.approx(pos, rel=5e-15)
-        assert up / star == pytest.approx(pos**P.alpha_rho, rel=5e-15)
+        assert up / star == pytest.approx(pos ** Kind.UP.h_exponent(P), rel=5e-15)
 
     @pytest.mark.parametrize("theta", [0.05, 0.5, 2.0, 10.0])
     def test_down_direction_ratios(self, theta):
@@ -52,7 +52,7 @@ class TestTiltStructure:
         down = exit_density_two_sided(Kind.DOWN, P, W, Direction.DOWN, theta)
         pos = math.exp(W.v - theta)
         assert up / down == pytest.approx(pos, rel=5e-15)
-        assert up / star == pytest.approx(pos**P.alpha_rho, rel=5e-15)
+        assert up / star == pytest.approx(pos ** Kind.UP.h_exponent(P), rel=5e-15)
 
 
 class TestNormalization:
@@ -175,25 +175,27 @@ def _reference_density(kind, p, direction, u, v, theta, dps=40):
 
         sin(pi k)/pi d^k y^-k (e / (y + d + e))^l / (y + d),
 
-    k = alpha (1 - rho), l = alpha rho.  Going down it is the same law for
-    the reflected process (rho -> 1 - rho, d = 1 - e^v, e = e^u - 1).
-    dy/dtheta is the exit position pos, and the kind's Doob weight
+    k and l the upward and downward jump exponents of ``StableParams``.
+    Going down it is the same law for the reflected process, with k and l
+    trading places, d = 1 - e^v and e = e^u - 1.  The reference checks the
+    numerics of one side's law; which exponent belongs to which side is
+    checked against simulated paths in test_side_exponents.py.  dy/dtheta is the exit position pos, and the kind's Doob weight
     multiplies by pos^h; u = +inf or v = -inf makes e infinite and the
     far factor 1.
     """
     mp = mpmath
     with mp.workdps(dps):
         u, v, theta = (mp.mpf(t) for t in (u, v, theta))
-        alpha, rho = mp.mpf(p.alpha), mp.mpf(p.rho)
-        h = {Kind.STAR: 0, Kind.UP: alpha * rho, Kind.DOWN: alpha * rho - 1}[kind]
+        up, down = mp.mpf(p.up_jump_exponent), mp.mpf(p.down_jump_exponent)
+        h = {Kind.STAR: 0, Kind.UP: down, Kind.DOWN: down - 1}[kind]
         if direction is Direction.UP:
             pos = mp.exp(u) * mp.exp(theta)
             d, e, y = mp.expm1(u), -mp.expm1(v), mp.exp(u) * mp.expm1(theta)
+            k, l = up, down
         else:
-            rho = 1 - rho
             pos = mp.exp(v) * mp.exp(-theta)
             d, e, y = -mp.expm1(v), mp.expm1(u), -mp.exp(v) * mp.expm1(-theta)
-        k, l = alpha * (1 - rho), alpha * rho
+            k, l = down, up
         far = 1 if mp.isinf(e) else (e / (y + d + e)) ** l
         f = mp.sin(mp.pi * k) / mp.pi * d**k * y**-k * far / (y + d)
         return f * pos ** (1 + h)
@@ -324,7 +326,7 @@ class TestExtremaLaws:
     def test_as_printed_min_density_in_log_form(self):
         # (e^z - 1)^(alpha rho) / (Gamma(alpha rho) Gamma(1 - alpha rho)),
         # formed in logs: finite at z 800, where e^z overflows.
-        ar = P.alpha_rho
+        ar = P.down_jump_exponent
         norm = math.gamma(ar) * math.gamma(1.0 - ar)
         assert extrema_min_star_as_printed(P, 0.0) == 0.0
         assert extrema_min_star_as_printed(P, 2.0) == pytest.approx(
@@ -333,6 +335,49 @@ class TestExtremaLaws:
         assert extrema_min_star_as_printed(P, 800.0) == pytest.approx(
             math.exp(800.0 * ar) / norm, rel=1e-12
         )
+
+
+def _mpmath_extrema_density(p, z, which, dps=50):
+    """The killed process's extrema densities at dps digits, k and l the
+    upward and downward jump exponents: the maximum's
+    Gamma(alpha)/(Gamma(l) Gamma(k)) e^(-k z) (1 - e^-z)^(l - 1), the
+    minimum's (e^z - 1)^(l - 1) / (Gamma(l) Gamma(1 - l))."""
+    mp = mpmath
+    with mp.workdps(dps):
+        k, l, z = (mp.mpf(t) for t in (p.up_jump_exponent, p.down_jump_exponent, z))
+        if which == "max":
+            const = mp.gamma(p.alpha) / (mp.gamma(l) * mp.gamma(k))
+            return const * mp.exp(-k * z) * (-mp.expm1(-z)) ** (l - 1)
+        return mp.expm1(z) ** (l - 1) / (mp.gamma(l) * mp.gamma(1 - l))
+
+
+class TestExtremaExtremeInputs:
+    @settings(max_examples=200)
+    @given(
+        alpha=st.floats(0.05, 1.99),
+        rho=st.floats(0.01, 0.99),
+        log_z=st.none() | st.floats(math.log(5e-324), math.log(1e308)),
+        which=st.sampled_from(["max", "min"]),
+    )
+    def test_property_extreme_inputs_give_a_float(self, alpha, rho, log_z, which):
+        # A float >= 0, never NaN and no warning; inf only at z = 0 or where
+        # the 50-digit law is past the float range, and finite values within
+        # 1e-9 of it.
+        p = StableParams(alpha, rho)
+        assume(p.two_sided)
+        z = 0.0 if log_z is None else math.exp(log_z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = extrema_density_star(p, z, which)
+        assert type(got) is float and got >= 0.0
+        if z == 0.0:
+            assert got == math.inf
+            return
+        want = _mpmath_extrema_density(p, z, which)
+        if got == math.inf:
+            assert want > sys.float_info.max * (1.0 - 1e-9)
+        else:
+            assert abs(got - want) <= 1e-9 * want + 1e-300, (got, want)
 
 
 def _min_density_by_difference(p, z):
@@ -356,7 +401,7 @@ class TestStarMinimumClosedForm:
     @pytest.mark.parametrize("alpha,rho", _MIN_PARAMS)
     def test_cdf_matches_one_sided_exit_mass(self, alpha, rho):
         p = StableParams(alpha, rho)
-        ar = p.alpha_rho
+        ar = p.down_jump_exponent
         for z in (0.01, 0.3, 1.0, 3.0, 10.0):
             drop = exit_mass_one_sided(Kind.STAR, p, Direction.DOWN, -z, tol=1e-12)
             closed = betainc(1.0 - ar, ar, math.exp(-z))
@@ -402,6 +447,19 @@ class TestStarMinimumClosedForm:
         assert got == pytest.approx(math.exp(log_const - 0.99 * math.log(z)), rel=1e-12)
 
 
+def _creeping_model(alpha, side):
+    """The model at alpha that creeps through the upper barrier (side UP: no
+    positive jumps) or the lower one (side DOWN: no negative jumps), picked
+    by its one-sided property rather than by rho, as verify.exit_law_of
+    picks it, so that it follows the library's convention."""
+    up = side is Direction.UP
+    for rho in (1.0 - 1.0 / alpha, 1.0 / alpha):
+        p = StableParams(alpha, rho, c_plus=0.0 if up else 1.0, c_minus=1.0 if up else 0.0)
+        if p.spectrally_negative if up else p.spectrally_positive:
+            return p
+    raise AssertionError(f"no one-sided model at alpha={alpha}")
+
+
 def _creeping_up_mass(p, w):
     """z^(alpha - 1), z = (1 - e^v)/(e^u - e^v): W(x)/W(a) for the
     spectrally negative stable process from x = 1 - e^v in (0, a)."""
@@ -413,7 +471,7 @@ class TestCreeping:
     def test_spectrally_negative_up_side(self):
         # The killed process can jump below 0 before it exits, so its up
         # mass is W(x)/W(a), short of 1 - down mass by the killed mass.
-        p = StableParams(1.5, 1.0 - 1.0 / 1.5, c_plus=0.0)
+        p = _creeping_model(1.5, Direction.UP)
         assert creeping_side(p, Direction.UP)
         up = exit_mass_two_sided(Kind.STAR, p, W, Direction.UP)
         down = exit_mass_two_sided(Kind.STAR, p, W, Direction.DOWN)
@@ -430,7 +488,7 @@ class TestCreeping:
         # The conditioned kinds have unit total mass, so their up mass is
         # 1 - down mass, by quadrature; it must equal the Doob tilt
         # e^(u*h) of the killed kind's closed-form up mass.
-        p = StableParams(alpha, 1.0 - 1.0 / alpha, c_plus=0.0)
+        p = _creeping_model(alpha, Direction.UP)
         star = exit_mass_two_sided(Kind.STAR, p, w, Direction.UP)
         for kind in (Kind.UP, Kind.DOWN):
             h = kind.h_exponent(p)
@@ -442,14 +500,14 @@ class TestCreeping:
               ExitWindow(-800.0, 800.0), ExitWindow(-1e308, 1e308)]
     )
     def test_killed_up_mass_in_range_for_extreme_windows(self, w):
-        p = StableParams(1.5, 1.0 - 1.0 / 1.5, c_plus=0.0)
+        p = _creeping_model(1.5, Direction.UP)
         up = exit_mass_two_sided(Kind.STAR, p, w, Direction.UP)
         assert 0.0 <= up <= 1.0
 
     def test_spectrally_positive_down_side(self):
         # With no negative jumps the killed process cannot pass below 0
         # without first creeping through e^v, so 1 - up mass is right here.
-        p = StableParams(1.5, 1.0 / 1.5, c_minus=0.0)
+        p = _creeping_model(1.5, Direction.DOWN)
         assert creeping_side(p, Direction.DOWN)
         assert exit_density_two_sided(Kind.UP, p, W, Direction.DOWN, 0.5) == 0.0
         up = exit_mass_two_sided(Kind.STAR, p, W, Direction.UP)
@@ -458,7 +516,7 @@ class TestCreeping:
 
     def test_one_sided_barrier_checked_on_a_creeping_side(self):
         # The barrier is checked before the creeping shortcut returns 0.
-        p = StableParams(1.5, 1.0 - 1.0 / 1.5, c_plus=0.0)
+        p = _creeping_model(1.5, Direction.UP)
         assert exit_density_one_sided(Kind.STAR, p, Direction.UP, 0.5, 0.5) == 0.0
         for bad in (-0.5, 0.0, math.inf, math.nan):
             with pytest.raises(DomainError, match="upper barrier"):
@@ -515,7 +573,7 @@ class TestInterpolant:
         assert cdf(1e9) == pytest.approx(1.0, abs=1e-12)
 
     def test_creeping_side_rejected(self):
-        p = StableParams(1.5, 1.0 - 1.0 / 1.5, c_plus=0.0)
+        p = _creeping_model(1.5, Direction.UP)
         with pytest.raises(DomainError):
             overshoot_cdf_interpolant(Kind.STAR, p, Direction.UP, window=W)
 

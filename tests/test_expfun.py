@@ -6,8 +6,6 @@ import pytest
 
 from pssmp.errors import ConvergenceError, DomainError, NumericError, PssmpError
 from pssmp.expfun import (
-    ExpCase,
-    ExpFunctionalModel,
     TailCheck,
     cdf_I_star,
     density_I,
@@ -25,10 +23,11 @@ from pssmp.expfun import (
     tail_exponent_check,
 )
 from pssmp.numerics import integrate_adaptive, log_gamma
+from pssmp.scale import Case, SpectralCase
 from pssmp.verify import density_I_star_mass
 
-UP = ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, 1.5)
-STAR = ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, 1.5)
+UP = SpectralCase(Case.UP_NEG, 1.5)
+STAR = SpectralCase(Case.DOWN_POS, 1.5)
 
 
 def talbot_inverse(F, t, m=48):
@@ -61,7 +60,7 @@ class TestModel:
         with pytest.raises(DomainError):
             density_I_star(UP, 1.0)
         with pytest.raises(DomainError):
-            ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, 0.9)
+            SpectralCase(Case.UP_NEG, 0.9)
         with pytest.raises(DomainError):
             entrance_moment(UP, 0, 1.0)
 
@@ -112,7 +111,7 @@ class TestSpectrallyNegativeFunctional:
 
     def test_jump_weight_scaling(self):
         # Doubling the jump weight scales I by the inverse ratio of c.
-        heavy = ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, 1.5, jump_weight=2.0)
+        heavy = SpectralCase(Case.UP_NEG, 1.5, jump_weight=2.0)
         r = heavy.c / UP.c
         x = 0.8
         assert density_I(heavy, x).value == pytest.approx(
@@ -172,14 +171,14 @@ class TestKilledFunctional:
         # The supremum series does not reach its tolerance at the small-x
         # cutoff tuned to alpha 1.5; that is a ConvergenceError (exit 3),
         # not a raw ZeroDivisionError from an underflowed reciprocal gamma.
-        model = ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, 1.2)
+        model = SpectralCase(Case.DOWN_POS, 1.2)
         with pytest.raises(ConvergenceError):
             density_I_star_mass(model)
 
     def test_library_keeps_rows_the_cli_refuses(self):
         # At alpha 1.7 and x 0.01 the series cancels to a meaningless
         # value; the library reports it with an honest bound far above it.
-        model = ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, 1.7)
+        model = SpectralCase(Case.DOWN_POS, 1.7)
         sv = density_I_star(model, 0.01)
         assert sv.converged and sv.tail_bound > abs(sv.value)
 
@@ -191,8 +190,8 @@ class TestExtremeArguments:
     @pytest.mark.parametrize("alpha", [1.01, 1.2, 1.99])
     @pytest.mark.parametrize("x", [5e-324, 1e-310, 1e-300, 1e300, math.inf])
     def test_value_or_package_error(self, alpha, x):
-        up = ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, alpha)
-        star = ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, alpha)
+        up = SpectralCase(Case.UP_NEG, alpha)
+        star = SpectralCase(Case.DOWN_POS, alpha)
         calls = [
             lambda: density_I(up, x).value,
             lambda: entrance_density(up, 1.0, x).value,
@@ -213,7 +212,7 @@ class TestExtremeArguments:
         # Near 0 the CDF is a_1 yy^(alpha - 1), a_1 = 1/(Gamma(1/alpha)
         # Gamma(alpha)), yy = y / c^(1/alpha); y / c^(1/alpha) itself
         # underflows to 0 here.
-        star = ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, alpha)
+        star = SpectralCase(Case.DOWN_POS, alpha)
         y = 5e-324
         log_yy = math.log(y) - math.log(star.c) / alpha
         want = math.exp((alpha - 1.0) * log_yy) / (
@@ -226,14 +225,14 @@ class TestExtremeArguments:
     def test_survival_terms_past_the_float_range_end_the_sum(self, y):
         # Terms that underflow are not reciprocal-gamma poles: they end the
         # asymptotic sums with a zero bound, so the CDF is 1.
-        star = ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, 1.2)
+        star = SpectralCase(Case.DOWN_POS, 1.2)
         surv, bound = sup_survival_asymptotic(star, y)
         assert 0.0 <= surv < 1e-200 and bound == 0.0
         assert sup_cdf(star, y) == 1.0
 
     def test_tiny_x_errors_name_the_law_and_x(self):
-        up = ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, 1.5)
-        star = ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, 1.2)
+        up = SpectralCase(Case.UP_NEG, 1.5)
+        star = SpectralCase(Case.DOWN_POS, 1.2)
         with pytest.raises(DomainError, match=r"entrance density at x=5e-324"):
             entrance_density(up, 1.0, 5e-324)
         with pytest.raises(DomainError, match=r"density of I\* at x=5e-324"):
@@ -265,11 +264,11 @@ class TestSeriesBoundsAgainstMpmath:
     @pytest.mark.parametrize(
         "case, alpha, x",
         [
-            (ExpCase.STAR_SPECTRALLY_POSITIVE, 1.8, 0.01),
-            (ExpCase.STAR_SPECTRALLY_POSITIVE, 1.5, 0.05),
-            (ExpCase.STAR_SPECTRALLY_POSITIVE, 1.2, 0.2),
-            (ExpCase.UP_SPECTRALLY_NEGATIVE, 1.5, 0.05),
-            (ExpCase.UP_SPECTRALLY_NEGATIVE, 1.8, 0.05),
+            (Case.DOWN_POS, 1.8, 0.01),
+            (Case.DOWN_POS, 1.5, 0.05),
+            (Case.DOWN_POS, 1.2, 0.2),
+            (Case.UP_NEG, 1.5, 0.05),
+            (Case.UP_NEG, 1.8, 0.05),
         ],
     )
     def test_error_bound_covers_the_error(self, case, alpha, x):
@@ -277,9 +276,9 @@ class TestSeriesBoundsAgainstMpmath:
         # the sum; the bound must still cover the rounding they leave.
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 80
-        model = ExpFunctionalModel(case, alpha)
+        model = SpectralCase(case, alpha)
         a, c, xx = mp.mpf(alpha), mp.mpf(model.c), mp.mpf(x)
-        if case is ExpCase.STAR_SPECTRALLY_POSITIVE:
+        if case is Case.DOWN_POS:
             got = density_I_star(model, x)
             sigma, y = c ** (1 / a), xx ** (-1 / a)
             ref = self._direct(
@@ -303,7 +302,7 @@ class TestSeriesBoundsAgainstMpmath:
         # 1/Gamma(1 - n + 1/alpha) underflows; the log form keeps the terms.
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 80
-        model = ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, 1.2)
+        model = SpectralCase(Case.DOWN_POS, 1.2)
         y = 8.0
         yy = mp.mpf(y) / mp.mpf(model.c) ** (1 / mp.mpf(1.2))
         ref = self._direct(

@@ -77,7 +77,7 @@ class TestSimulation:
         s = simulate_exit(Kind.UP, P, W, CFG)
         pos = s.exit_position()
         live = (s.side == SIDE_UP) | (s.side == SIDE_DOWN)
-        assert np.allclose(s.h_weight[live], pos[live] ** P.alpha_rho)
+        assert np.allclose(s.h_weight[live], pos[live] ** Kind.UP.h_exponent(P))
         # ruin is impossible under the conditioned law: censored, weight 0
         assert np.all(s.h_weight[s.side == SIDE_CENSORED] == 0.0)
         assert not np.any(s.side == SIDE_KILLED)

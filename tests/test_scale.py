@@ -1,12 +1,16 @@
 import math
+import sys
+import warnings
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pssmp import scale
 from pssmp.errors import DomainError, NumericError
 from pssmp.numerics import integrate_adaptive
 from pssmp.scale import (
-    _jump,
+    _log_jump,
     _jump_tail,
     Case,
     SpectralCase,
@@ -54,7 +58,7 @@ class TestLaplaceExponents:
         with mpmath.workdps(130):
             a, t = mpmath.mpf(1.5), mpmath.mpf(theta)
             want = (
-                mpmath.mpf(s.mean)
+                mpmath.mpf(s.m)
                 * mpmath.exp(mpmath.loggamma(t + a) - mpmath.loggamma(t))
                 / mpmath.gamma(a)
             )
@@ -77,12 +81,13 @@ class TestLaplaceExponents:
         s = SpectralCase(Case.UP_NEG, 1.5)
         h = 1e-6
         deriv = psi_up(s, h) / h
-        assert deriv == pytest.approx(s.mean, rel=1e-4)
-        assert s.mean == pytest.approx(default_m(1.5), rel=1e-15)
+        assert deriv == pytest.approx(s.m, rel=1e-4)
+        assert s.m == pytest.approx(default_m(1.5), rel=1e-15)
 
-    def test_custom_m_scales_linearly(self):
+    def test_jump_weight_scales_m_linearly(self):
         base = SpectralCase(Case.UP_NEG, 1.5)
-        doubled = SpectralCase(Case.UP_NEG, 1.5, m=2.0 * base.mean)
+        doubled = SpectralCase(Case.UP_NEG, 1.5, jump_weight=2.0)
+        assert doubled.m == 2.0 * base.m
         assert psi_up(doubled, 3.0) == pytest.approx(2.0 * psi_up(base, 3.0), rel=1e-15)
 
     def test_domain(self):
@@ -91,7 +96,7 @@ class TestLaplaceExponents:
         with pytest.raises(DomainError):
             psi_up(SpectralCase(Case.UP_NEG, 1.5), -1.0)
         with pytest.raises(DomainError):
-            SpectralCase(Case.UP_NEG, 1.5, m=-1.0)
+            SpectralCase(Case.UP_NEG, 1.5, jump_weight=-1.0)
 
 
 class TestScaleAndRuin:
@@ -100,7 +105,7 @@ class TestScaleAndRuin:
         assert scale_fn(s, 0.0) == 0.0
         x = 0.8
         assert scale_fn(s, x) == pytest.approx(
-            (-math.expm1(-x)) ** 0.5 / s.mean, rel=1e-14
+            (-math.expm1(-x)) ** 0.5 / s.m, rel=1e-14
         )
         d = SpectralCase(Case.DOWN_NEG, 1.5)
         assert scale_fn(d, x) == pytest.approx(
@@ -183,7 +188,7 @@ class TestSeparableKernel:
         # one; q = 1 is the DownNeg tail.
         scale = math.exp((a - q) * phi)
         quad = integrate_adaptive(
-            lambda r: _jump(a, math.exp(r), q) * math.exp(r) * scale,
+            lambda r: math.exp(_log_jump(a, math.exp(r), q) + r) * scale,
             math.log(phi),
             math.log(800.0),
             tol=1e-13,
@@ -350,3 +355,74 @@ class TestKAgainstMpmath:
         mpmath = pytest.importorskip("mpmath")
         K = triple_law_K(SpectralCase(Case.UP_NEG, a), -depth)
         assert K == pytest.approx(_mpmath_K(mpmath, a, depth, dps), rel=1e-12)
+
+
+def _mpmath_triple_density(s, pt, dps=50):
+    """The triple law A(eta) e^(-q (phi - eta)) e^(q s) J(s) / K at dps digits,
+    s = theta + phi, with K = C(alpha) times the probability of passage."""
+    mp = mpmath
+    with mp.workdps(dps):
+        a, d = mp.mpf(s.alpha), mp.mpf(abs(pt.barrier))
+        theta, phi, eta = (mp.mpf(t) for t in (pt.theta, pt.phi, pt.eta))
+        q = 1 if s.case is Case.DOWN_NEG else 0
+        C = mp.gamma(a - 1) * mp.gamma(2 - a) / (a * (a - 1))
+        K = C if q else C * (1 - (-mp.expm1(-d)) ** (a - 1))
+        w, ss = eta - d, theta + phi
+        A = mp.exp((1 - q) * w) * (-mp.expm1(w)) ** (a - 2)
+        J = mp.exp((q - a) * ss) * (-mp.expm1(-ss)) ** (-1 - a)
+        return A * mp.exp(-q * (phi - eta)) * J / K
+
+
+_LOG_TINY, _LOG_HUGE = math.log(5e-324), math.log(1e308)
+
+
+class TestTripleLawExtremeInputs:
+    @settings(max_examples=200)
+    @given(
+        case=st.sampled_from(list(Case)),
+        alpha=st.floats(1.0001, 1.9999),
+        log_depth=st.floats(_LOG_TINY, _LOG_HUGE),
+        eta_frac=st.floats(0.0, 1.0),
+        log_gap=st.none() | st.floats(_LOG_TINY, _LOG_HUGE),
+        log_theta=st.none() | st.floats(_LOG_TINY, _LOG_HUGE),
+    )
+    def test_property_extreme_inputs_give_a_float(
+        self, case, alpha, log_depth, eta_frac, log_gap, log_theta
+    ):
+        # A float >= 0, never NaN and nothing raised but the DomainError of
+        # a K past the float range; inf only at a pole or where the 50-digit
+        # law is past the float range, and finite values within 1e-9 of it.
+        s = SpectralCase(case, alpha)
+        depth = math.exp(log_depth)
+        eta = eta_frac * depth
+        phi = eta + (0.0 if log_gap is None else math.exp(log_gap))
+        assume(math.isfinite(phi))
+        theta = 0.0 if log_theta is None else math.exp(log_theta)
+        barrier = depth if case is Case.DOWN_POS else -depth
+        pt = TripleLawPoint(barrier, theta, phi, eta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = triple_law_density(s, pt)
+            except DomainError as exc:
+                assert case is not Case.DOWN_NEG and depth > 700.0, exc
+                assert "float range" in str(exc)
+                return
+        assert type(got) is float and got >= 0.0
+        if eta == depth or theta + phi == 0.0:
+            assert got == math.inf
+            return
+        want = _mpmath_triple_density(s, pt)
+        if got == math.inf:
+            assert want > sys.float_info.max * (1.0 - 1e-9)
+        else:
+            assert abs(got - want) <= 1e-9 * want + 1e-300, (got, want)
+
+    @pytest.mark.parametrize("case", list(Case))
+    @pytest.mark.parametrize("alpha", [1.0001, 1.5, 1.9999])
+    def test_next_to_the_jump_pole_is_inf(self, case, alpha):
+        # theta + phi = 2e-300: e^(q s) J(s) is past the float range; this
+        # raised a raw OverflowError.
+        barrier = 1.0 if case is Case.DOWN_POS else -1.0
+        pt = TripleLawPoint(barrier, 1e-300, 1e-300, 0.0)
+        assert triple_law_density(SpectralCase(case, alpha), pt) == math.inf

@@ -1,5 +1,8 @@
 import math
+import sys
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -39,20 +42,21 @@ class TestStableParams:
     def test_one_sided_boundaries(self):
         sn = StableParams(1.5, 1.0 - 1.0 / 1.5, c_plus=0.0)
         assert sn.spectrally_negative and not sn.spectrally_positive
-        assert sn.alpha_rho_hat == pytest.approx(1.0, abs=1e-12)
+        assert sn.up_jump_exponent == pytest.approx(1.0, abs=1e-12)
         sp = StableParams(1.5, 1.0 / 1.5, c_minus=0.0)
         assert sp.spectrally_positive
-        assert sp.alpha_rho == pytest.approx(1.0, abs=1e-12)
+        assert sp.down_jump_exponent == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.8, 1.2, 1.5, 1.8])
     @pytest.mark.parametrize("rho", [0.3, 0.5, 0.7])
-    def test_h_exponent_is_formed_from_alpha_rho(self, alpha, rho):
-        # Exact equality: (alpha*rho + 1) - 1 would miss alpha*rho in the
-        # last bit for several of these pairs.
+    def test_h_exponent_is_formed_from_the_downward_exponent(self, alpha, rho):
+        # Exact equality: (k + 1) - 1 would miss k in the last bit for
+        # several of these pairs.
         p = StableParams(alpha, rho)
+        k = p.down_jump_exponent
         assert Kind.STAR.h_exponent(p) == 0.0
-        assert Kind.UP.h_exponent(p) == p.alpha_rho
-        assert Kind.DOWN.h_exponent(p) == p.alpha_rho - 1.0
+        assert Kind.UP.h_exponent(p) == k
+        assert Kind.DOWN.h_exponent(p) == k - 1.0
 
 
 class TestTwoSidedExit:
@@ -85,9 +89,75 @@ class TestTwoSidedExit:
         with pytest.raises(DomainError):
             rogozin_overshoot_density(p, 1.0, 1.5, 0.3)
         with pytest.raises(DomainError):
+            rogozin_overshoot_density(p, math.inf, 1.5, 0.3)
+        with pytest.raises(DomainError):
             exit_up_probability(StableParams(1.5, 0.3), 1.0, 0.5)
         with pytest.raises(DomainError):
             exit_up_probability(p, 1.0, 1.5)
+
+
+def _mpmath_rogozin(p, a, x, y, dps=50):
+    """sin(pi k)/pi (a - x)^k x^l y^-k (y + a)^-l / (y + a - x) at dps
+    digits, k and l the upward and downward jump exponents."""
+    with mpmath.workdps(dps):
+        k, l = mpmath.mpf(p.up_jump_exponent), mpmath.mpf(p.down_jump_exponent)
+        a, x, y = mpmath.mpf(a), mpmath.mpf(x), mpmath.mpf(y)
+        return (
+            mpmath.sin(mpmath.pi * k) / mpmath.pi
+            * (a - x) ** k * x**l * y**-k * (y + a) ** -l / (y + a - x)
+        )
+
+
+_LOG_TINY, _LOG_HUGE = math.log(5e-324), math.log(1e308)
+
+
+class TestRogozinExtremeInputs:
+    @settings(max_examples=300)
+    @given(
+        alpha=st.floats(0.05, 1.99),
+        rho=st.floats(0.01, 0.99),
+        log_a=st.floats(_LOG_TINY, _LOG_HUGE),
+        log_ratio=st.floats(_LOG_TINY, math.log(1.0 - 2.0**-52)),
+        log_y=st.floats(_LOG_TINY, _LOG_HUGE),
+    )
+    def test_property_extreme_inputs_give_a_float(
+        self, alpha, rho, log_a, log_ratio, log_y
+    ):
+        # (a, x/a, y) log-uniform from subnormal to 1e308: a float >= 0,
+        # never NaN and no warning; inf only where the 50-digit law is past
+        # the float range, and finite values within 1e-9 of it.
+        p = StableParams(alpha, rho)
+        assume(p.two_sided)
+        a = math.exp(log_a)
+        x = a * math.exp(log_ratio)
+        assume(0.0 < x < a)
+        y = math.exp(log_y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rogozin_overshoot_density(p, a, x, y)
+        assert type(got) is float and got >= 0.0
+        want = _mpmath_rogozin(p, a, x, y)
+        if got == math.inf:
+            assert want > sys.float_info.max * (1.0 - 1e-9)
+        else:
+            assert abs(got - want) <= 1e-9 * want + 1e-300, (got, want)
+
+    def test_subnormal_overshoot_is_inf(self):
+        # y^-k at y = 5e-324 is past the float range: this raised a raw
+        # OverflowError.
+        p = StableParams(1.99, 0.5)
+        assert rogozin_overshoot_density(p, 1e-300, 1e-308, 5e-324) == math.inf
+        assert rogozin_overshoot_density(p, 1e-300, 1e-308, 1e-300) == pytest.approx(
+            float(_mpmath_rogozin(p, 1e-300, 1e-308, 1e-300)), rel=1e-12
+        )
+
+    def test_overflowing_sum_is_finite(self):
+        # y + a overflows; the density does not (it printed nan).
+        p = StableParams(1.5, 0.5)
+        for y in (1e308, 1.7e308):
+            got = rogozin_overshoot_density(p, 1e308, 1e300, y)
+            want = float(_mpmath_rogozin(p, 1e308, 1e300, y))
+            assert 0.0 < got and got == pytest.approx(want, abs=1e-322)
 
 
 class TestResolvent:

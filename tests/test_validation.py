@@ -22,8 +22,8 @@ from pssmp.exit_laws import (
     max_cdf_down,
     min_cdf_up,
 )
-from pssmp.expfun import ExpCase, ExpFunctionalModel, density_I
-from pssmp.hitting import HitQuery, hit_closed_ratio
+from pssmp.expfun import density_I
+from pssmp.hitting import HitQuery, hit_closed_ratio, hit_prob_lamperti
 from pssmp.montecarlo import SimConfig, extrapolated_bias, step_refinement_report
 from pssmp.scale import (
     Case,
@@ -45,14 +45,14 @@ from pssmp.verify import run_suite
 
 P = StableParams(1.5, 0.5)
 S = SpectralCase(Case.UP_NEG, 1.5)
-UP = ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, 1.5)
-STAR = ExpFunctionalModel(ExpCase.STAR_SPECTRALLY_POSITIVE, 1.5)
+UP = SpectralCase(Case.UP_NEG, 1.5)
+STAR = SpectralCase(Case.DOWN_POS, 1.5)
 NAN, INF = math.nan, math.inf
 W = ExitWindow(-0.5, 0.5)
 SIM = SimConfig(10, 1e-2, 0)
 
 CASES = {
-    "psi-up-m-nan": lambda: psi_up(SpectralCase(Case.UP_NEG, 1.5, m=NAN), 1.0),
+    "psi-up-jump-weight-inf": lambda: psi_up(SpectralCase(Case.UP_NEG, 1.5, INF), 1.0),
     "exit-theta-nan": lambda: exit_density_two_sided(
         Kind.UP, P, ExitWindow(-0.5, 0.5), Direction.UP, NAN
     ),
@@ -61,7 +61,7 @@ CASES = {
     ),
     "stable-c-plus-nan": lambda: StableParams(1.5, 0.5, c_plus=NAN),
     "density-I-jump-weight-nan": lambda: density_I(
-        ExpFunctionalModel(ExpCase.UP_SPECTRALLY_NEGATIVE, 1.5, jump_weight=NAN), 1.0
+        SpectralCase(Case.UP_NEG, 1.5, jump_weight=NAN), 1.0
     ),
     "hit-x-nan": lambda: hit_closed_ratio(HitQuery(1.5, NAN, 0.5, 2.0)),
     "sim-step-nan": lambda: SimConfig(10, NAN, 0),
@@ -99,12 +99,17 @@ CASES = {
     "triple-density-theta-nan": lambda: triple_law_density(
         S, TripleLawPoint(-1.0, NAN, 0.5, 0.3)
     ),
+    # phi = inf gave NaN, from -0 * inf in the kernel's e^(-q (phi - eta)).
+    "triple-density-phi-inf": lambda: triple_law_density(
+        S, TripleLawPoint(-1.0, 1.0, INF, 0.5)
+    ),
     "min-cdf-up-z-nan": lambda: min_cdf_up(P, NAN),
     "max-cdf-down-z-nan": lambda: max_cdf_down(P, NAN),
     "extrema-max-z-nan": lambda: extrema_density_star(P, NAN, which="max"),
     "extrema-min-z-nan": lambda: extrema_density_star(P, NAN, which="min"),
     "extrema-min-printed-z-nan": lambda: extrema_min_star_as_printed(P, NAN),
     "rogozin-y-nan": lambda: rogozin_overshoot_density(P, 2.0, 1.0, NAN),
+    "rogozin-a-inf": lambda: rogozin_overshoot_density(P, INF, 1.0, 0.5),
     "laplace-I-nan": lambda: expfun.laplace_I(UP, NAN),
     "left-mass-bound-nan": lambda: expfun.left_mass_bound(UP, NAN),
     "density-I-x-nan": lambda: density_I(UP, NAN),
@@ -117,6 +122,7 @@ CASES = {
     "sup-survival-y-nan": lambda: expfun.sup_survival_asymptotic(STAR, NAN),
     "sup-cdf-y-nan": lambda: expfun.sup_cdf(STAR, NAN),
     "cdf-I-star-x-nan": lambda: expfun.cdf_I_star(STAR, NAN),
+    "hit-lamperti-e-u-overflow": lambda: hit_prob_lamperti(Kind.UP, 1.5, -1.0, 800.0),
     "suite-esscher-seed-fractional": lambda: run_suite("esscher", seed=1.5),
     "suite-hitting-seed-fractional": lambda: run_suite("hitting", seed=1.5),
 }
@@ -126,6 +132,13 @@ CASES = {
 def test_non_finite_input_is_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_two_point_hitting_names_the_overflowing_target():
+    # e^800 is past the float range: the error names u, as the simulation's
+    # does for its upper barrier, instead of a raw OverflowError.
+    with pytest.raises(DomainError, match="u=800"):
+        hit_prob_lamperti(Kind.UP, 1.5, -1.0, 800.0)
 
 
 # A one-sided barrier must be finite and on its own side of 0: u > 0 for
