@@ -6,14 +6,16 @@ cross-validation suite and emits a versioned JSON report.  Output is
 plain CSV/JSON so any downstream tool can consume it.
 
 Two tables drive it: ``_OPTIONS`` (each option's converter or allowed
-values and default) and ``_LAW_TABLE`` (each law's CSV header, default grid
-and row function).  One converter, ``_cast``, checks every option value,
+values and default) and ``_LAW_TABLE`` (each law's CSV header, default grid,
+row function and the model it reads, whose metadata the CSV records: (alpha,
+rho), or a one-sided model with or without its jump weight).  One converter, ``_cast``, checks every option value,
 whether it came as a flag or as a config-file line; the command line is a
 plain walk over ``--flag value`` pairs (see ``_parse``).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -90,8 +92,7 @@ _OPTIONS = {
     "which": (("max", "min"), "max"),
     "alpha": (_finite, 1.5),
     "rho": (_finite, 0.5),
-    "c_plus": (_finite, 1.0),
-    "c_minus": (_finite, 1.0),
+    "jump_weight": (_finite, 1.0),
     "u": (_finite, 0.5),
     "v": (_finite, -0.5),
     "x": (_finite, 1.0),
@@ -202,23 +203,33 @@ def _merge_config(args):
             setattr(args, key, value)
 
 
-_PARAM_KEYS = ("alpha", "rho", "c_plus", "c_minus")
+def _stable(args):
+    """The two-sided model (alpha, rho) and its metadata pairs."""
+    p = StableParams(_arg(args, "alpha"), _arg(args, "rho"))
+    return p, [("alpha", p.alpha), ("rho", p.rho)]
 
 
-def _params(args) -> StableParams:
-    """The stable parameters and their metadata pairs."""
-    p = StableParams(*(_arg(args, k) for k in _PARAM_KEYS))
-    return p, [(k, getattr(p, k)) for k in _PARAM_KEYS]
+def _spectral(args, case: Case | None = None, weighted: bool = True):
+    """The one-sided model of ``case``, else of --case, and its metadata
+    pairs: alpha, the --case, and the jump weight and m where the law reads
+    them.  A law that does not keeps the unit weight, and ignores
+    --jump-weight as it does every option it does not read."""
+    meta = [] if case else [("case", _arg(args, "case"))]
+    weight = _arg(args, "jump_weight") if weighted else 1.0
+    s = SpectralCase(case or Case(_arg(args, "case")), _arg(args, "alpha"), weight)
+    if weighted:
+        meta += [("jump_weight", weight), ("m", s.m)]
+    return s, [("alpha", s.alpha)] + meta
+
+
+# ruin is a ratio of W, and K normalizes the triple law: neither reads m.
+_unweighted = functools.partial(_spectral, weighted=False)
+# The functionals of I, and I* too: a model has one active side, one weight.
+_up_neg = functools.partial(_spectral, case=Case.UP_NEG)
 
 
 def _window(args) -> ExitWindow:
     return ExitWindow(_arg(args, "v"), _arg(args, "u"))
-
-
-def _one_sided(p: StableParams, case: Case) -> SpectralCase:
-    """The case's model, with c_plus (DownPos) or c_minus as its jump weight."""
-    weight = p.c_plus if case is Case.DOWN_POS else p.c_minus
-    return SpectralCase(case, p.alpha, weight)
 
 
 def _emit(lines, out):
@@ -242,8 +253,8 @@ def _emit_csv(meta, header, rows, out):
 
 # ------------------------------------------------------------------ laws
 #
-# Each row function takes (args, params, grid) and returns the metadata
-# pairs that follow the stable parameters, then the CSV rows.
+# Each row function takes (args, model, grid) and returns the metadata
+# pairs that follow the model's, then the CSV rows.
 
 
 def _rogozin_density(args, p, grid):
@@ -273,7 +284,7 @@ def _exit_one_sided(args, p, grid):
 
 
 def _pointwise(fn):
-    """Row function of a law of (params, z) alone."""
+    """Row function of a law of (model, z) alone."""
     return lambda args, p, grid: ([], [(z, fn(p, z)) for z in grid])
 
 
@@ -283,36 +294,23 @@ def _extrema_star(args, p, grid):
     return [("which", which)], rows
 
 
-def _spectral(args, p):
-    """The spectrally one-sided case, with its metadata pairs."""
-    s = _one_sided(p, Case(_arg(args, "case")))
-    return s, [("case", s.case.value), ("m", s.m)]
-
-
-def _scale_fn(args, p, grid):
-    s, meta = _spectral(args, p)
-    return meta, [(z, scale_fn(s, z)) for z in grid]
-
-
-def _psi(args, p, grid):
-    s, meta = _spectral(args, p)
+def _psi(args, s, grid):
     fn = psi_up if s.case is Case.UP_NEG else psi_down
-    return meta, [(t, fn(s, t)) for t in grid]
+    return [], [(t, fn(s, t)) for t in grid]
 
 
-def _ruin(args, p, grid):
-    s, meta = _spectral(args, p)
+def _ruin(args, s, grid):
     x = _arg(args, "x")
-    return meta + [("x", x)], [(y, ruin_probability(s, x, y)) for y in grid]
+    return [("x", x)], [(y, ruin_probability(s, x, y)) for y in grid]
 
 
-def _triple_law(args, p, grid):
-    s, _ = _spectral(args, p)
+def _triple_law(args, s, grid):
     # Only DownPos passes above, through u; the other cases pass below v.
-    barrier = _arg(args, "u", 1.0) if s.case is Case.DOWN_POS else _arg(args, "v", -1.0)
+    side, fallback = ("u", 1.0) if s.case is Case.DOWN_POS else ("v", -1.0)
+    barrier = _arg(args, side, fallback)
     eta = _arg(args, "eta", abs(barrier) / 2.0)
     phi = _arg(args, "phi", eta + 0.5)
-    meta = [("case", s.case.value), ("barrier", barrier), ("phi", phi), ("eta", eta)]
+    meta = [(side, barrier), ("phi", phi), ("eta", eta)]
     rows = [
         (t, triple_law_density(s, TripleLawPoint(barrier, t, phi, eta))) for t in grid
     ]
@@ -347,34 +345,37 @@ def _with_bounds(grid, series_values):
     return rows
 
 
-def _expfun_density(args, p, grid):
+def _star(up: SpectralCase) -> SpectralCase:
+    """The DownPos model of I*, with the jump weight of the UpNeg one."""
+    return SpectralCase(Case.DOWN_POS, up.alpha, up.jump_weight)
+
+
+def _expfun_density(args, up, grid):
     kind = Kind(_arg(args, "kind"))
     if kind is Kind.DOWN:
         raise DomainError("expfun-density has kinds up and star, not down")
-    model = _one_sided(p, Case.DOWN_POS if kind is Kind.STAR else Case.UP_NEG)
-    density = expfun.density_I_star if kind is Kind.STAR else expfun.density_I
-    vals = [density(model, xx) for xx in grid]
+    if kind is Kind.STAR:
+        vals = [expfun.density_I_star(_star(up), xx) for xx in grid]
+    else:
+        vals = [expfun.density_I(up, xx) for xx in grid]
     return [("kind", kind.value)], _with_bounds(grid, vals)
 
 
-def _expfun_moments(args, p, grid):
-    model = _one_sided(p, Case.UP_NEG)
+def _expfun_moments(args, model, grid):
     ks = sorted({max(1, int(round(k))) for k in grid})
     return [], [(float(k), expfun.neg_moment_I(model, k)) for k in ks]
 
 
-def _entrance_density(args, p, grid):
+def _entrance_density(args, model, grid):
     t = _arg(args, "t")
-    model = _one_sided(p, Case.UP_NEG)
     vals = [expfun.entrance_density(model, t, xx) for xx in grid]
     return [("t", t)], _with_bounds(grid, vals)
 
 
-def _tails(args, p, grid):
-    up, star = _one_sided(p, Case.UP_NEG), _one_sided(p, Case.DOWN_POS)
+def _tails(args, up, grid):
     rows = [
         ("up-right", expfun.tail_exponent_check(up, TailCheck.UP_RIGHT)),
-        ("star-left", expfun.tail_exponent_check(star, TailCheck.STAR_LEFT)),
+        ("star-left", expfun.tail_exponent_check(_star(up), TailCheck.STAR_LEFT)),
     ]
     return [], rows
 
@@ -383,26 +384,25 @@ class _Law(NamedTuple):
     header: str
     grid: str | None  # default grid spec; None for a law that takes no grid
     rows: Callable
+    model: Callable  # args -> (the model the law reads, its metadata pairs)
 
 
 _LAW_TABLE = {
-    "rogozin-density": _Law("y,value", "0.01:5:50", _rogozin_density),
-    "exit-two-sided": _Law("theta,value", "0.01:5:50", _exit_two_sided),
-    "exit-one-sided": _Law("theta,value", "0.01:5:50", _exit_one_sided),
-    "min-cdf-up": _Law("z,value", "0:5:50", _pointwise(min_cdf_up)),
-    "max-cdf-down": _Law("z,value", "0:5:50", _pointwise(max_cdf_down)),
-    "extrema-star": _Law("z,value", "0.01:5:50", _extrema_star),
-    "scale-fn": _Law("x,value", "0.01:5:50", _scale_fn),
-    "psi": _Law("theta,value", "0:8:50", _psi),
-    "ruin": _Law("y,value", "0.1:5:50", _ruin),
-    "triple-law": _Law("theta,value", "0.01:3:50", _triple_law),
-    "hit-two-point": _Law("x,value", "0.6:1.9:20", _hit_two_point),
-    "expfun-density": _Law("x,value,error_bound", "0.2:20:50:log", _expfun_density),
-    "expfun-moments": _Law("k,value", "1:5:5", _expfun_moments),
-    "entrance-density": _Law(
-        "x,value,error_bound", "0.05:10:50:log", _entrance_density
-    ),
-    "tails": _Law("check,slope", None, _tails),
+    "rogozin-density": _Law("y,value", "0.01:5:50", _rogozin_density, _stable),
+    "exit-two-sided": _Law("theta,value", "0.01:5:50", _exit_two_sided, _stable),
+    "exit-one-sided": _Law("theta,value", "0.01:5:50", _exit_one_sided, _stable),
+    "min-cdf-up": _Law("z,value", "0:5:50", _pointwise(min_cdf_up), _stable),
+    "max-cdf-down": _Law("z,value", "0:5:50", _pointwise(max_cdf_down), _stable),
+    "extrema-star": _Law("z,value", "0.01:5:50", _extrema_star, _stable),
+    "scale-fn": _Law("x,value", "0.01:5:50", _pointwise(scale_fn), _spectral),
+    "psi": _Law("theta,value", "0:8:50", _psi, _spectral),
+    "ruin": _Law("y,value", "0.1:5:50", _ruin, _unweighted),
+    "triple-law": _Law("theta,value", "0.01:3:50", _triple_law, _unweighted),
+    "hit-two-point": _Law("x,value", "0.6:1.9:20", _hit_two_point, _stable),
+    "expfun-density": _Law("x,value,error_bound", "0.2:20:50:log", _expfun_density, _up_neg),
+    "expfun-moments": _Law("k,value", "1:5:5", _expfun_moments, _up_neg),
+    "entrance-density": _Law("x,value,error_bound", "0.05:10:50:log", _entrance_density, _up_neg),
+    "tails": _Law("check,slope", None, _tails, _up_neg),
 }
 LAWS = tuple(_LAW_TABLE)
 
@@ -413,10 +413,10 @@ def cmd_eval(args) -> int:
         raise DomainError(
             f"--law must be one of: {', '.join(LAWS)} (got {args.law!r})"
         )
-    p, meta = _params(args)
+    model, meta = law.model(args)
     spec = args.grid or law.grid
     grid = parse_grid(spec) if spec else None
-    law_meta, rows = law.rows(args, p, grid)
+    law_meta, rows = law.rows(args, model, grid)
     # One format per row, the bytes _fmt gives value by value: every column
     # holds floats but the check names of tails.
     row = ",".join("%s" if c == "check" else "%.17g" for c in law.header.split(","))
@@ -431,7 +431,7 @@ def cmd_simulate(args) -> int:
     values: the bytes _fmt would give value by value, formatted once a row.
     """
     kind = Kind(_arg(args, "kind", "star"))
-    p, param_meta = _params(args)
+    p, param_meta = _stable(args)
     w = _window(args)
     cfg = SimConfig(_arg(args, "n_paths"), _arg(args, "step"), _arg(args, "seed"))
     sample = simulate_exit(kind, p, w, cfg)

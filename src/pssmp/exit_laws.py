@@ -299,11 +299,13 @@ def extrema_density_star(p: StableParams, z: float, which: str = "max") -> float
     if which == "max":
         if z == 0.0:
             return math.inf if l < 1.0 else 0.0
-        const = math.exp(log_gamma(p.alpha) - log_gamma(l) - log_gamma(k))
-        try:
-            return const * math.exp(-z * k) * (-math.expm1(-z)) ** (l - 1.0)
-        except OverflowError:  # only at subnormal z, where 1 - e^-z = z
-            return _exp_or_inf(math.log(const) + (l - 1.0) * math.log(z))
+        log_const = log_gamma(p.alpha) - log_gamma(l) - log_gamma(k)
+        try:  # a normal constant keeps its digits in the product
+            if log_const > -708.0:
+                return math.exp(log_const) * math.exp(-z * k) * (-math.expm1(-z)) ** (l - 1.0)
+        except OverflowError:  # only at subnormal z
+            pass
+        return _exp_or_inf(log_const - z * k + (l - 1.0) * math.log(-math.expm1(-z)))
     if which == "min":
         if z == 0.0:
             return math.inf

@@ -51,7 +51,7 @@ def _require(model: SpectralCase, case: Case, what: str):
 
 def _moment_in_range(name: str, k: int, scale: float, log_value: float) -> float:
     """scale * e^log_value, or NumericError naming k where that is not a
-    finite float (past k ~ 1e308 the log itself is inf - inf)."""
+    finite float (past k ~ 2.6e305 the log itself is inf or inf - inf)."""
     value = scale * _exp_or_inf(log_value)
     if not math.isfinite(value):
         raise NumericError(f"{name} at k={k:.6g} exceeds the float range")
@@ -356,11 +356,14 @@ def cdf_I_star(model: SpectralCase, x: float) -> float:
 
 
 def fit_loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(y) against log(x)."""
+    """Least-squares slope of log(y) against log(x), over finite positive
+    points with at least two distinct x (else there is no slope to fit)."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if xs.size < 2 or np.any(xs <= 0.0) or np.any(ys <= 0.0):
-        raise DomainError("need >= 2 strictly positive points for a log-log fit")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise DomainError("a log-log fit needs finite points")
+    if np.unique(xs).size < 2 or np.any(xs <= 0.0) or np.any(ys <= 0.0):
+        raise DomainError("need strictly positive points at >= 2 distinct x for a log-log fit")
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
@@ -380,16 +383,14 @@ def tail_exponent_check(model: SpectralCase, which: TailCheck):
     """
     if which is TailCheck.UP_RIGHT:
         _require(model, Case.UP_NEG, "UP_RIGHT tail")
-        xs = np.geomspace(200.0, 2000.0, 9) / model.c
-        ys = [density_I(model, x).value for x in xs]
-        return fit_loglog_slope(xs, ys)
-
-    if which is TailCheck.STAR_LEFT:
+        lo, law = 200.0, lambda x: density_I(model, x).value
+    elif which is TailCheck.STAR_LEFT:
         _require(model, Case.DOWN_POS, "STAR_LEFT tail")
-        xs = np.geomspace(0.05, 0.5, 9) / model.c
-        ys = [cdf_I_star(model, x) for x in xs]
-        if min(ys) <= 0.0:
-            raise DomainError("insufficient range before the CDF underflows")
-        return fit_loglog_slope(xs, ys)
-
-    raise DomainError(f"unknown tail check {which!r}")
+        lo, law = 0.05, lambda x: cdf_I_star(model, x)
+    else:
+        raise DomainError(f"unknown tail check {which!r}")
+    # A decade past the float range (a tiny jump weight) has inf points,
+    # which the density or the fit refuses; a CDF that underflows to 0 too.
+    with np.errstate(over="ignore"):
+        xs = np.geomspace(lo, 10.0 * lo, 9) / model.c
+    return fit_loglog_slope(xs, [law(x) for x in xs])

@@ -76,11 +76,13 @@ class SeriesValue:
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
+    """Natural log of the gamma function for x > 0: -log x, to which it rounds,
+    where gammaln overflows at tiny x; inf past the float range (x > ~2.56e305)."""
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
-    return float(_special.gammaln(x))
+    value = float(_special.gammaln(x))
+    return -math.log(x) if value == math.inf and x < 1.0 else value
 
 
 def _log_expm1(x: float) -> float:

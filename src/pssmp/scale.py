@@ -4,8 +4,8 @@ These are the spectrally one-sided specializations: the conditioned-to-
 stay-positive process with no positive jumps (UpNeg), the conditioned-
 to-hit-zero process with no positive jumps (DownNeg) and with no
 negative jumps (DownPos).  The mean normalization is m = c * Gamma(alpha)
-with c = c_minus * Gamma(2 - alpha) / (alpha*(alpha-1)), the unique value
-consistent with the exponential-functional moments.
+with c = w * Gamma(2 - alpha) / (alpha*(alpha-1)), w the jump weight, the
+unique value consistent with the exponential-functional moments.
 
 The triple law's constant K is C(alpha) times the probability that the
 barrier is ever passed; the DownNeg law is the UpNeg law reweighted by
@@ -48,28 +48,28 @@ class Case(Enum):
     DOWN_POS = "down-pos"  # conditioned to hit 0, no negative jumps
 
 
-def default_c(alpha: float, c_weight: float) -> float:
-    """Subordinator scale c = c_weight * Gamma(2 - alpha) / (alpha*(alpha-1)).
+def default_c(alpha: float, jump_weight: float) -> float:
+    """Subordinator scale c = jump_weight * Gamma(2 - alpha) / (alpha*(alpha-1)).
 
-    c_weight is the jump weight on the active side (c_minus for the
-    spectrally negative cases, c_plus for the spectrally positive one).
+    The jump weight is that of the one active side: the negative jumps of
+    the spectrally negative cases, the positive ones of DownPos.
     """
     if not (1.0 < alpha < 2.0):
         raise DomainError("one-sided cases require alpha in (1, 2)")
-    return c_weight * math.exp(log_gamma(2.0 - alpha)) / (alpha * (alpha - 1.0))
+    return jump_weight * math.exp(log_gamma(2.0 - alpha)) / (alpha * (alpha - 1.0))
 
 
-def default_m(alpha: float, c_weight: float = 1.0) -> float:
+def default_m(alpha: float, jump_weight: float = 1.0) -> float:
     """Mean normalization m = c * Gamma(alpha), c from ``default_c``."""
-    return default_c(alpha, c_weight) * math.exp(log_gamma(alpha))
+    return default_c(alpha, jump_weight) * math.exp(log_gamma(alpha))
 
 
 @dataclass(frozen=True)
 class SpectralCase:
-    """A one-sided case, its index and its active side's jump weight (c_minus
-    for UpNeg and DownNeg, c_plus for DownPos), whose ``default_c`` and
-    ``default_m`` are c and m: a mean normalization m is the weight
-    m / default_m(alpha).  ``expfun`` takes UpNeg for I and DownPos for I*."""
+    """A one-sided case, its index and the jump weight of its one active side,
+    the only jump weight any law reads, whose ``default_c`` and ``default_m``
+    are c and m: a mean normalization m is the weight m / default_m(alpha).
+    ``expfun`` takes UpNeg for I and DownPos for I*."""
 
     case: Case
     alpha: float

@@ -40,27 +40,21 @@ _HALF_ULP_U = 2.0**-54
 
 @dataclass(frozen=True)
 class StableParams:
-    """Stable process parameters: index, positivity parameter, jump weights.
+    """Stable process parameters: index and positivity parameter.
 
-    ``rho`` is the positivity parameter P(X_1 > 0).  ``c_plus`` and
-    ``c_minus`` weight the positive and negative jump tails; they only
-    enter the two-sided test and the normalization constants of the
-    spectrally one-sided models, the (alpha, rho) pair drives every exit
-    law.
+    ``rho`` is the positivity parameter P(X_1 > 0).  The pair drives every
+    two-sided law; a jump weight only scales the spectrally one-sided
+    models, and is held by ``scale.SpectralCase``.
     """
 
     alpha: float
     rho: float
-    c_plus: float = 1.0
-    c_minus: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 2.0):
             raise DomainError(f"alpha must lie in (0, 2), got {self.alpha}")
         if not (0.0 < self.rho < 1.0):
             raise DomainError(f"rho must lie in (0, 1), got {self.rho}")
-        if not (0.0 <= self.c_plus < math.inf and 0.0 <= self.c_minus < math.inf):
-            raise DomainError("jump weights must be finite and nonnegative")
 
     @property
     def alpha_rho(self) -> float:
@@ -83,11 +77,11 @@ class StableParams:
 
     @property
     def two_sided(self) -> bool:
-        """True when both jump directions are active."""
+        """True when both jump directions are active: both side exponents in
+        (0, 1), where a tiny alpha can round one to 0."""
         return (
-            self.alpha_rho < 1.0 - _BOUNDARY_TOL
-            and self.alpha_rho_hat < 1.0 - _BOUNDARY_TOL
-            and self.c_plus * self.c_minus > 0.0
+            0.0 < self.alpha_rho < 1.0 - _BOUNDARY_TOL
+            and 0.0 < self.alpha_rho_hat < 1.0 - _BOUNDARY_TOL
         )
 
     @property
@@ -103,8 +97,7 @@ class StableParams:
     def require_two_sided(self):
         if not self.two_sided:
             raise DomainError(
-                "operation requires two-sided jumps: alpha*rho and "
-                "alpha*(1-rho) in (0,1) with c_plus*c_minus > 0"
+                "operation requires two-sided jumps: alpha*rho and alpha*(1-rho) in (0,1)"
             )
 
 

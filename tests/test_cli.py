@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pssmp
 from pssmp.cli import (
@@ -68,9 +68,9 @@ class TestGridAndConfig:
 
     def test_load_config(self, tmp_path):
         f = tmp_path / "run.cfg"
-        f.write_text("# comment\nalpha = 1.2\nc-minus=2.0\n\nseed=9\n")
+        f.write_text("# comment\nalpha = 1.2\njump-weight=2.0\n\nseed=9\n")
         values = load_config(str(f))
-        assert values == {"alpha": "1.2", "c_minus": "2.0", "seed": "9"}
+        assert values == {"alpha": "1.2", "jump_weight": "2.0", "seed": "9"}
         bad = tmp_path / "bad.cfg"
         bad.write_text("alpha 1.2\n")
         with pytest.raises(ConfigurationError):
@@ -104,19 +104,17 @@ class TestEval:
         rows = [l for l in out.splitlines() if l and not l.startswith("#")]
         assert len(rows) >= 2
 
-    @pytest.mark.parametrize(
-        "case,flag",
-        [("up-neg", "--c-minus"), ("down-neg", "--c-minus"), ("down-pos", "--c-plus")],
-    )
-    def test_spectral_m_follows_the_active_jump_weight(self, capsys, case, flag):
+    @pytest.mark.parametrize("case", ["up-neg", "down-neg", "down-pos"])
+    def test_spectral_m_follows_the_jump_weight(self, capsys, case):
+        # A one-sided model has one active side, so one --jump-weight serves
+        # every case.
         def m_of(*opts):
             rc, out, _ = run(capsys, "eval", "--law", "psi", "--case", case, *opts)
             assert rc == 0
             return float(next(l for l in out.splitlines() if l.startswith("# m="))[4:])
 
-        other = "--c-plus" if flag == "--c-minus" else "--c-minus"
-        assert m_of() == m_of(other, "2") == default_m(1.5)
-        m = m_of("--alpha", "1.5", flag, "2")
+        assert m_of() == default_m(1.5)
+        m = m_of("--alpha", "1.5", "--jump-weight", "2")
         assert m == 2.0 * default_m(1.5) == SpectralCase(Case(case), 1.5, 2.0).m
 
     def test_downneg_triple_law_needs_no_ladder_rate(self, capsys):
@@ -136,7 +134,7 @@ class TestEval:
         rc, out, err = run(capsys, "eval", "--law", "psi", "--m", "2")
         assert rc == 2 and out == "" and "unknown option --m" in err
         weight = 2.0 / default_m(1.5)
-        rc, out, _ = run(capsys, "eval", "--law", "psi", "--c-minus", repr(weight))
+        rc, out, _ = run(capsys, "eval", "--law", "psi", "--jump-weight", repr(weight))
         assert rc == 0
         m = float(next(l for l in out.splitlines() if l.startswith("# m="))[4:])
         assert m == pytest.approx(2.0, rel=1e-15)
@@ -168,8 +166,8 @@ class TestEval:
         # Each row is formatted once; the bytes are those of _fmt on each value.
         rc, out, _ = run(capsys, "eval", *argv)
         args = _parse(["eval", *argv])
-        p, _ = pssmp.cli._params(args)
-        _, rows = _LAW_TABLE[args.law].rows(args, p, parse_grid(args.grid))
+        law = _LAW_TABLE[args.law]
+        _, rows = law.rows(args, law.model(args)[0], parse_grid(args.grid))
         want = [",".join(map(_fmt, row)) for row in rows]
         assert rc == 0 and out.splitlines()[-len(want):] == want
 
@@ -292,14 +290,35 @@ class TestExitCodes:
         assert run(capsys, "eval", "--no-such-flag")[0] == 2
         # Non-finite numbers are refused before they reach a law (psi
         # printed nan rows for a nan mean normalization).
-        assert run(capsys, "eval", "--law", "psi", "--c-minus", "nan")[0] == 2
+        assert run(capsys, "eval", "--law", "psi", "--jump-weight", "nan")[0] == 2
         assert run(capsys, "eval", "--law", "exit-one-sided", "--u", "inf")[0] == 2
 
     def test_one_sided_parameters_rejected_where_two_sided_needed(self, capsys):
+        # rho = 1 - 1/alpha is a spectrally one-sided boundary.
         rc, _, err = run(
-            capsys, "eval", "--law", "extrema-star", "--c-minus", "0"
+            capsys, "eval", "--law", "extrema-star", "--rho", repr(1.0 - 1.0 / 1.5)
         )
         assert rc == 2 and "two-sided" in err
+
+    def test_tail_grid_past_the_float_range_is_2(self, capsys):
+        # geomspace / c overflowed to inf at a tiny jump weight: a raw
+        # LinAlgError from the fit, with LAPACK lines on stderr.
+        rc, out, err = run(capsys, "eval", "--law", "tails", "--jump-weight", "1e-310")
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--grid", "2e305:2e305:2"),
+            ("--jump-weight", "1e-3", "--grid", "3e305:3e305:2"),
+        ],
+    )
+    def test_moments_past_the_gamma_range_are_3(self, capsys, flags):
+        # log Gamma(k alpha) overflows here; a -log x fallback for it made
+        # these rows print a moment of 0 with exit 0.
+        rc, out, err = run(capsys, "eval", "--law", "expfun-moments", *flags)
+        assert rc == 3 and out == "" and "exceeds the float range" in err
 
     @pytest.mark.parametrize(
         "flags",
@@ -731,7 +750,9 @@ class TestParser:
             ["simulate", "--seed", "1.5"],
             ["eval", "stray"],
             ["verify", "hitting", "scale"],
-            ["eval", "--c_minus", "2"],
+            ["eval", "--jump_weight", "2"],
+            ["eval", "--c-plus", "1"],
+            ["eval", "--c-minus", "1"],
         ],
     )
     def test_usage_errors_are_2(self, capsys, argv):
@@ -762,6 +783,58 @@ class TestParser:
         with pytest.raises(SystemExit):
             _reference_parser().parse_args(["eval", "--v", "-1e-3"])
 
+
+
+# Other values of each option for the metadata test: every other choice,
+# and for a number values that every law which reads it takes.
+_OTHER_NUMBERS = {
+    "alpha": ("1.2", "0.8"),
+    "rho": ("0.4",),
+    "jump_weight": ("2", "1e-310"),
+    "u": ("0.7",),
+    "v": ("-0.7",),
+    "x": ("0.8",),
+    "a": ("1.5",),
+    "b": ("3",),
+    "t": ("0.5",),
+    "phi": ("1.5",),
+    "eta": ("0.2",),
+    "n_paths": ("50",),
+    "step": ("2e-3",),
+    "seed": ("1",),
+}
+
+
+def _rows(argv):
+    """(exit code, the non-'#' lines) of a request, and its metadata keys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    lines = out.getvalue().splitlines()
+    keys = {l[2:].partition("=")[0] for l in lines if l.startswith("# ")}
+    return (rc, [l for l in lines if not l.startswith("#")]), keys
+
+
+@pytest.mark.parametrize(
+    "request_", [("eval", "--law", law) for law in LAWS] + [("simulate",)], ids=" ".join
+)
+def test_metadata_records_exactly_the_options_a_law_reads(request_):
+    # A recorded option has a value that changes the rows or the exit code;
+    # an option not recorded changes neither, whatever its value.  Earlier
+    # versions recorded every stable parameter for every law: ruin recorded
+    # rho, and exit-two-sided a jump weight, that changed nothing.
+    plain, recorded = _rows(request_)
+    assert plain[0] == 0
+    for key, (spec, default) in _OPTIONS.items():
+        if key in ("suite", "law", "grid", "out"):
+            continue
+        others = [v for v in spec if v != default] if isinstance(spec, tuple) else _OTHER_NUMBERS[key]
+        flag = "--" + key.replace("_", "-")
+        changed = [v for v in others if _rows(request_ + (flag, v))[0] != plain]
+        if key in recorded:
+            assert changed, f"{key} is recorded, but no value in {others} changes the output"
+        else:
+            assert not changed, f"{key} is not recorded, but {changed} changes the output"
 
 
 class TestConfigPrecedence:
@@ -795,6 +868,8 @@ class TestConfigPrecedence:
             "alpha=abc",
             "seed=1.5",
             "m=nan",
+            "c_plus=1",
+            "c_minus=1",
         ],
     )
     def test_unknown_config_key_is_2(self, capsys, tmp_path, line):
@@ -815,54 +890,49 @@ class TestConfigPrecedence:
 
     def test_config_values_are_cast(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("kind=star\ndirection=down\nc-minus=2\ngrid=0.5:2:3\n")
+        cfg.write_text("kind=star\ndirection=down\nu=2\ngrid=0.5:2:3\n")
         _, from_file, _ = run(
             capsys, "eval", "--law", "exit-two-sided", "--config", str(cfg)
         )
         _, from_flags, _ = run(
             capsys, "eval", "--law", "exit-two-sided", "--kind", "star",
-            "--direction", "down", "--c-minus", "2", "--grid", "0.5:2:3",
+            "--direction", "down", "--u", "2", "--grid", "0.5:2:3",
         )
         assert from_file == from_flags and "# direction=down" in from_file
+        assert "# u=2\n" in from_file
 
 
-# Laws that answer in milliseconds at any parameters, so the fuzz test can
-# draw many requests; the slow laws run once each in TestEval.
-_FAST_LAWS = (
-    "rogozin-density",
-    "exit-two-sided",
-    "exit-one-sided",
-    "min-cdf-up",
-    "max-cdf-down",
-    "scale-fn",
-    "psi",
-    "ruin",
-    "hit-two-point",
-    "expfun-moments",
-)
+# Every law answers a 3-point grid in a few milliseconds in-process, so the
+# fuzz test draws from all of them.
 _FUZZ_OPTIONS = (
-    "kind", "case", "direction", "which", "alpha", "rho", "c-plus", "c-minus",
+    "kind", "case", "direction", "which", "alpha", "rho", "jump-weight",
     "u", "v", "x", "a", "b", "t", "phi", "eta", "grid",
 )
 _FUZZ_VALUES = (
-    "1.5", "0.5", "-0.5", "0.3", "2", "1", "0", "-1", "1e-300", "5e-324", "1e200",
-    "800", "-800",
+    "1.5", "0.5", "-0.5", "0.3", "2", "1", "0", "-1", "1e-300", "1e-310", "5e-324",
+    "1e200", "800", "-800",
     "nan", "inf", "-inf", "abc", "", "up", "down", "star", "max", "min",
     "up-neg", "down-neg", "down-pos", "0.2:2:3", "1:5:3:log", "0:1:1", "1:2:3:cubic",
-    "0:1:x", "1:1000:3", "0:1e200:3", "0:800:3", "0:1:10000000000000",
+    "0:1:x", "1:1000:3", "0:1e200:3", "0:800:3", "0:1:10000000000000", "3e305:3e305:2",
 )
 
 
 class TestFuzz:
-    @settings(max_examples=50)
+    @settings(max_examples=75)
     @given(
-        law=st.sampled_from(_FAST_LAWS),
+        law=st.sampled_from(LAWS),
         options=st.dictionaries(
             st.sampled_from(_FUZZ_OPTIONS),
             st.tuples(st.sampled_from(_FUZZ_VALUES), st.booleans()),
             max_size=6,
         ),
     )
+    # A side exponent rounded to 0 (a raw ValueError), log Gamma past the
+    # float range (nan rows), a tail grid past it (a raw LinAlgError).
+    @example(law="rogozin-density", options={"alpha": ("5e-324", True)})
+    @example(law="exit-two-sided", options={"alpha": ("5e-324", False)})
+    @example(law="extrema-star", options={"alpha": ("1e-320", True), "grid": ("0.5:1:2", True)})
+    @example(law="tails", options={"jump-weight": ("1e-310", False)})
     def test_exit_code_is_documented(self, law, options):
         # Each option is given as a flag or as a config-file line.
         argv = ["eval", "--law", law]

@@ -84,6 +84,22 @@ class TestSpectrallyNegativeFunctional:
         with pytest.raises(NumericError, match="k=500"):
             entrance_moment(UP, 500, 1.0)
 
+    @pytest.mark.parametrize(
+        "model, k",
+        [
+            (UP, 2 * 10**305),
+            (SpectralCase(Case.UP_NEG, 1.5, 1e-3), 3 * 10**305),
+        ],
+        ids=["k-2e305", "jump-weight-1e-3-k-3e305"],
+    )
+    def test_moments_where_log_gamma_overflows_are_numeric_errors(self, model, k):
+        # gammaln overflows above about 2.56e305: log Gamma there is +inf,
+        # not -log x, so these moments are refused rather than printed as 0.
+        with pytest.raises(NumericError, match="exceeds the float range"):
+            neg_moment_I(model, k)
+        with pytest.raises(NumericError, match="exceeds the float range"):
+            entrance_moment(model, k, 1.0)
+
     def test_laplace_endpoints(self):
         assert laplace_I(UP, 0.0) == 1.0
         assert laplace_I(UP, 1e6) < 1e-6

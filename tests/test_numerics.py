@@ -18,6 +18,14 @@ class TestSpecialFunctions:
         assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
         assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
 
+    def test_log_gamma_past_gammaln_overflow(self):
+        # Below about 5.5e-309 log Gamma(x) rounds to -log x; above about
+        # 2.56e305 it exceeds the float range and stays inf.
+        assert log_gamma(5e-324) == -math.log(5e-324)
+        assert log_gamma(1e-310) == -math.log(1e-310)
+        assert log_gamma(1e306) == math.inf
+        assert log_gamma(1.7976931348623157e308) == math.inf
+
     def test_log_gamma_domain(self):
         for bad in (0.0, -1.5, math.inf, math.nan):
             with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import warnings
@@ -28,22 +29,39 @@ class TestStableParams:
         with pytest.raises(DomainError):
             StableParams(1.5, 0.0)
         with pytest.raises(DomainError):
-            StableParams(1.5, 0.5, c_plus=-1.0)
+            StableParams(1.5, math.nan)
+
+    def test_the_parameters_are_alpha_and_rho(self):
+        # Every law of StableParams reads (alpha, rho) alone; a jump weight
+        # only scales a one-sided model, and SpectralCase holds it.
+        assert [f.name for f in dataclasses.fields(StableParams)] == ["alpha", "rho"]
+        with pytest.raises(TypeError):
+            StableParams(1.5, 0.5, c_plus=1.0)
 
     def test_two_sided_classification(self):
         assert StableParams(1.5, 0.5).two_sided
         assert StableParams(0.8, 0.3).two_sided
         # alpha*(1-rho) >= 1: upward jumps only reach the lower barrier by creeping
         assert not StableParams(1.5, 0.3).two_sided
-        assert not StableParams(1.5, 0.5, c_plus=0.0).two_sided
         with pytest.raises(DomainError):
             StableParams(1.5, 0.3).require_two_sided()
+        # The smallest alpha with both side exponents positive: 5e-324 each.
+        assert StableParams(1e-323, 0.5).two_sided
+
+    @pytest.mark.parametrize("alpha, rho", [(5e-324, 0.5), (1e-323, 0.2), (1e-320, 1.0 - 2**-53)])
+    def test_a_side_exponent_rounded_to_zero_is_not_two_sided(self, alpha, rho):
+        # alpha*rho or alpha*(1 - rho) rounds to 0, outside (0, 1).
+        p = StableParams(alpha, rho)
+        assert 0.0 in (p.up_jump_exponent, p.down_jump_exponent)
+        assert not p.two_sided
+        with pytest.raises(DomainError, match="two-sided"):
+            p.require_two_sided()
 
     def test_one_sided_boundaries(self):
-        sn = StableParams(1.5, 1.0 - 1.0 / 1.5, c_plus=0.0)
+        sn = StableParams(1.5, 1.0 - 1.0 / 1.5)
         assert sn.spectrally_negative and not sn.spectrally_positive
         assert sn.up_jump_exponent == pytest.approx(1.0, abs=1e-12)
-        sp = StableParams(1.5, 1.0 / 1.5, c_minus=0.0)
+        sp = StableParams(1.5, 1.0 / 1.5)
         assert sp.spectrally_positive
         assert sp.down_jump_exponent == pytest.approx(1.0, abs=1e-12)
 
@@ -432,8 +450,8 @@ class TestSampling:
         cases = [
             StableParams(1.5, 1.0 - 1.0 / 1.5 + 1e-6),
             StableParams(1.5, 1.0 / 1.5 - 1e-6),
-            StableParams(1.5, 1.0 - 1.0 / 1.5, c_plus=0.0),
-            StableParams(1.5, 1.0 / 1.5, c_minus=0.0),
+            StableParams(1.5, 1.0 - 1.0 / 1.5),
+            StableParams(1.5, 1.0 / 1.5),
         ]
         with np.errstate(all="raise"):
             for p in cases:

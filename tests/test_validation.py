@@ -1,6 +1,7 @@
 """Library entry points refuse non-finite numbers, fractional path counts,
 seeds and level counts, and report fields that are missing, with
-DomainError, as they do scales that overflow a float.  A NaN must fail
+DomainError, as they do scales that overflow a float, fits with no slope
+and side exponents that round to 0.  A NaN must fail
 every range check: the cases below returned nan, or raised a raw or
 unrelated error, when the checks were written as ``x <= 0.0`` (or, for the
 refinement report, not written at all)."""
@@ -9,6 +10,7 @@ import math
 
 import pytest
 
+from pssmp.cli import main
 from pssmp.errors import DomainError
 from pssmp import expfun
 from pssmp.exit_laws import (
@@ -59,7 +61,7 @@ CASES = {
     "exit-one-sided-theta-nan": lambda: exit_density_one_sided(
         Kind.UP, P, Direction.UP, 0.5, NAN
     ),
-    "stable-c-plus-nan": lambda: StableParams(1.5, 0.5, c_plus=NAN),
+    "stable-rho-nan": lambda: StableParams(1.5, NAN),
     "density-I-jump-weight-nan": lambda: density_I(
         SpectralCase(Case.UP_NEG, 1.5, jump_weight=NAN), 1.0
     ),
@@ -125,6 +127,21 @@ CASES = {
     "hit-lamperti-e-u-overflow": lambda: hit_prob_lamperti(Kind.UP, 1.5, -1.0, 800.0),
     "suite-esscher-seed-fractional": lambda: run_suite("esscher", seed=1.5),
     "suite-hitting-seed-fractional": lambda: run_suite("hitting", seed=1.5),
+    # polyfit returned nan for a nan point, and raised a raw LinAlgError for
+    # an inf one (the tail grid of a tiny jump weight).
+    "fit-loglog-y-nan": lambda: expfun.fit_loglog_slope([1.0, 2.0], [1.0, NAN]),
+    "fit-loglog-x-inf": lambda: expfun.fit_loglog_slope([1.0, INF], [1.0, 2.0]),
+    "fit-loglog-one-distinct-x": lambda: expfun.fit_loglog_slope([1.0, 1.0], [1.0, 2.0]),
+    "tail-check-grid-overflow": lambda: expfun.tail_exponent_check(
+        SpectralCase(Case.DOWN_POS, 1.5, 1e-310), expfun.TailCheck.STAR_LEFT
+    ),
+    # alpha * rho rounds to 0: log(sin(pi 0) / pi) raised a raw ValueError.
+    "rogozin-side-exponent-zero": lambda: rogozin_overshoot_density(
+        StableParams(5e-324, 0.5), 2.0, 1.0, 0.5
+    ),
+    "exit-side-exponent-zero": lambda: exit_density_two_sided(
+        Kind.STAR, StableParams(5e-324, 0.5), W, Direction.UP, 0.5
+    ),
 }
 
 
@@ -132,6 +149,16 @@ CASES = {
 def test_non_finite_input_is_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("law", ["rogozin-density", "exit-two-sided"])
+def test_side_exponent_rounded_to_zero_exits_2(capsys, law):
+    # At alpha 5e-324 both side exponents round to 0: a raw ValueError
+    # traceback and exit 1 before, a one-line usage error now.
+    rc = main(["eval", "--law", law, "--alpha", "5e-324"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_two_point_hitting_names_the_overflowing_target():
