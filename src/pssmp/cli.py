@@ -42,15 +42,13 @@ from .exit_laws import (
     max_cdf_down,
     min_cdf_up,
 )
-from .expfun import TailCheck
 from .hitting import HitQuery, hit_closed_ratio
 from .montecarlo import SIDE_LABELS, SimConfig, simulate_exit
 from .scale import (
     Case,
     SpectralCase,
     TripleLawPoint,
-    psi_down,
-    psi_up,
+    psi,
     ruin_probability,
     scale_fn,
     triple_law_density,
@@ -294,11 +292,6 @@ def _extrema_star(args, p, grid):
     return [("which", which)], rows
 
 
-def _psi(args, s, grid):
-    fn = psi_up if s.case is Case.UP_NEG else psi_down
-    return [], [(t, fn(s, t)) for t in grid]
-
-
 def _ruin(args, s, grid):
     x = _arg(args, "x")
     return [("x", x)], [(y, ruin_probability(s, x, y)) for y in grid]
@@ -374,8 +367,8 @@ def _entrance_density(args, model, grid):
 
 def _tails(args, up, grid):
     rows = [
-        ("up-right", expfun.tail_exponent_check(up, TailCheck.UP_RIGHT)),
-        ("star-left", expfun.tail_exponent_check(_star(up), TailCheck.STAR_LEFT)),
+        ("up-right", expfun.tail_exponent_check(up)),
+        ("star-left", expfun.tail_exponent_check(_star(up))),
     ]
     return [], rows
 
@@ -395,7 +388,7 @@ _LAW_TABLE = {
     "max-cdf-down": _Law("z,value", "0:5:50", _pointwise(max_cdf_down), _stable),
     "extrema-star": _Law("z,value", "0.01:5:50", _extrema_star, _stable),
     "scale-fn": _Law("x,value", "0.01:5:50", _pointwise(scale_fn), _spectral),
-    "psi": _Law("theta,value", "0:8:50", _psi, _spectral),
+    "psi": _Law("theta,value", "0:8:50", _pointwise(psi), _spectral),
     "ruin": _Law("y,value", "0.1:5:50", _ruin, _unweighted),
     "triple-law": _Law("theta,value", "0.01:3:50", _triple_law, _unweighted),
     "hit-two-point": _Law("x,value", "0.6:1.9:20", _hit_two_point, _stable),

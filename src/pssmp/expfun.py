@@ -16,7 +16,6 @@ continuously changes nothing (h = 0).
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 from scipy.special import gamma, rgamma
@@ -38,7 +37,6 @@ __all__ = [
     "sup_survival_asymptotic",
     "cdf_I_star",
     "left_mass_bound",
-    "TailCheck",
     "fit_loglog_slope",
     "tail_exponent_check",
 ]
@@ -367,30 +365,29 @@ def fit_loglog_slope(xs, ys) -> float:
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
-class TailCheck(Enum):
-    UP_RIGHT = "up-right"  # density of I at large x, UP spectrally negative case
-    STAR_LEFT = "star-left"  # CDF near 0 of I for the killed case
+def tail_exponent_check(model: SpectralCase):
+    """Fitted log-log slope of the model's distribution tail.
 
-
-def tail_exponent_check(model: SpectralCase, which: TailCheck):
-    """Fitted log-log slope of the requested distribution tail.
-
-    Each fit uses 9 points spread log-uniformly over one decade.  UP_RIGHT
-    fits the density of the spectrally negative functional at large x; the
-    law is positive stable of index 1/alpha, so the slope is
-    -(1 + 1/alpha) (the survival P(I >= x) would give -1/alpha).
-    STAR_LEFT fits the CDF P(I <= x) of the killed functional at small x.
+    Each fit uses 9 points spread log-uniformly over one decade.  For
+    UpNeg it fits the density of I at large x; the law is positive stable
+    of index 1/alpha, so the slope is -(1 + 1/alpha) (the survival
+    P(I >= x) would give -1/alpha).  For DownPos it fits the CDF
+    P(I* <= x) of the killed functional at small x.  A decade past the
+    float range (a tiny or huge jump weight) is a DomainError that names
+    the weight and the decade.
     """
-    if which is TailCheck.UP_RIGHT:
-        _require(model, Case.UP_NEG, "UP_RIGHT tail")
+    if model.case is Case.UP_NEG:
         lo, law = 200.0, lambda x: density_I(model, x).value
-    elif which is TailCheck.STAR_LEFT:
-        _require(model, Case.DOWN_POS, "STAR_LEFT tail")
+    elif model.case is Case.DOWN_POS:
         lo, law = 0.05, lambda x: cdf_I_star(model, x)
     else:
-        raise DomainError(f"unknown tail check {which!r}")
-    # A decade past the float range (a tiny jump weight) has inf points,
-    # which the density or the fit refuses; a CDF that underflows to 0 too.
+        raise DomainError("tail checks are defined for the up-neg and down-pos cases")
     with np.errstate(over="ignore"):
         xs = np.geomspace(lo, 10.0 * lo, 9) / model.c
+    if not np.all(np.isfinite(xs) & (xs > 0.0)):
+        raise DomainError(
+            f"the {model.case.value} tail fit's decade [{lo:g}, {10.0 * lo:g}]/c "
+            f"leaves the float range at jump weight {model.jump_weight:g} "
+            f"(c = {model.c:.6g})"
+        )
     return fit_loglog_slope(xs, [law(x) for x in xs])

@@ -33,6 +33,7 @@ __all__ = [
     "default_m",
     "psi_up",
     "psi_down",
+    "psi",
     "scale_fn",
     "ruin_probability",
     "TripleLawPoint",
@@ -120,6 +121,12 @@ def psi_down(s: SpectralCase, theta: float) -> float:
     # theta - 1 + alpha >= alpha - 1 > 0, so only 1/Gamma(theta-1) can
     # hit a pole, and it vanishes there instead.
     return _laplace_exponent(s, theta - 1.0)
+
+
+def psi(s: SpectralCase, theta: float) -> float:
+    """The Laplace exponent of s's case: psi_up for UpNeg, else psi_down,
+    though scale_fn takes DownPos as the UpNeg law (ROADMAP item 19)."""
+    return psi_up(s, theta) if s.case is Case.UP_NEG else psi_down(s, theta)
 
 
 def scale_fn(s: SpectralCase, x: float) -> float:

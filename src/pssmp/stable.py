@@ -255,21 +255,23 @@ def increment_sampler(p: StableParams, dt: float):
 
     Returns draw(rngs, n, out=None) -> ndarray of shape (len(rngs), n):
     row r holds n independent increments drawn from rngs[r] in one call
-    of 2n uniforms (n for alpha = 1): the first n are the angle variates
-    U, the last n the U' of the exponentials W = -log(1 - U'), by
-    inversion, with 1 - U' exact.  numpy's per-call cost is that of about
-    250 uniforms, and its ziggurat exponential costs about 1.5 ns an
-    element more than a uniform and a vectorized log, so one call of
-    uniforms per row is the cheaper source.  ``out``, a C-contiguous
+    of 2n uniforms: the first n are the angle variates U, the last n the
+    U' of the exponentials W = -log(1 - U'), by inversion, with 1 - U'
+    exact.  numpy's per-call cost is that of about 250 uniforms, and its
+    ziggurat exponential costs about 1.5 ns an element more than a uniform
+    and a vectorized log, so one call of uniforms per row is the cheaper
+    source.  ``out``, a C-contiguous
     float array of that shape, receives the increments in place.  Uses
     the trigonometric construction from uniform and exponential
     variates (Chambers, Mallows & Stuck 1976);
     the skewness is chosen so that P(X_1 > 0) = rho, and increments
     scale as dt^(1/alpha).  For alpha > 1 that needs rho in
     [1 - 1/alpha, 1/alpha]; outside it no strictly stable law exists and
-    DomainError is raised.  dt must be finite and positive.
+    DomainError is raised.  dt must be finite and positive.  At alpha = 1
+    the transform is tan(v) dt + tan(pi (rho - 1/2)) dt, a Cauchy increment
+    plus the drift of the strictly 1-stable law with that rho.
 
-    For alpha != 1, with v = (U - 1/2) pi, psi = alpha theta0 +
+    With v = (U - 1/2) pi, psi = alpha theta0 +
     (alpha - 1) v, phi = alpha (v + theta0) and T = tan(phi / 2), the
     transform is formed in log form,
 
@@ -310,23 +312,6 @@ def increment_sampler(p: StableParams, dt: float):
     if not (0.0 < dt < math.inf):
         raise DomainError(f"dt must be finite and positive, got {dt}")
     alpha = p.alpha
-    if abs(alpha - 1.0) < 1e-12:
-        if abs(p.rho - 0.5) > 1e-12:
-            raise DomainError("alpha = 1 supported only in the symmetric case")
-        scale = dt  # Cauchy: linear scaling
-
-        def draw_cauchy(rngs, n, out=None):
-            v = np.empty((len(rngs), n)) if out is None else out
-            for rng, row in zip(rngs, v):
-                rng.random(out=row)
-            v -= 0.5
-            v *= math.pi
-            np.tan(v, out=v)
-            v *= scale
-            return v
-
-        return draw_cauchy
-
     # For alpha > 1 both alpha*rho and alpha*(1 - rho) must be at most 1,
     # else cos psi turns negative on part of the range of v.
     if alpha > 1.0 and max(p.alpha_rho, p.alpha_rho_hat) > 1.0 + _BOUNDARY_TOL:

@@ -1,10 +1,12 @@
 """Cross-validation suites: every closed form checked against an oracle.
 
 Each suite returns a list of check records; ``run_suite`` wraps them in
-a versioned report.  A check's status is "pass"/"fail" against its
-stated tolerance, or "finding" for documented discrepancies between a
-quoted closed form and the independently derived construction — findings
-report both values and never fail a run.
+a versioned report.  Every record has a ``name``, ``law``, ``status``,
+``measured``, ``target``, ``tolerance`` and ``detail``.  A check's status
+is "pass" exactly when |measured - target| <= tolerance, else "fail" (a
+NaN fails).  A "finding" records a documented discrepancy: a quoted closed
+form, or a law known to be at fault (measured), against the derived
+construction (target); it has no tolerance and never fails a run.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,11 +33,11 @@ from .exit_laws import (
     min_cdf_up,
     overshoot_cdf_interpolant,
 )
-from .expfun import TailCheck
 from .hitting import HitQuery, hit_closed_ratio, hit_matrix_method, hit_prob_lamperti
 from .montecarlo import (
     SIDE_DOWN,
     SIDE_UP,
+    ExitSampleSet,
     SimConfig,
     extrapolated_bias,
     ks_distance,
@@ -51,22 +54,24 @@ __all__ = ["SUITES", "run_suite", "report_passed"]
 SCHEMA = "report_v1"
 
 
-def _check(name, law, measured, tolerance, passed=None, status=None, detail=None):
-    if status is None:
-        status = "pass" if passed else "fail"
+def _check(name, law, measured, target, tolerance, detail=None):
+    """A check record: "pass" exactly when |measured - target| <= tolerance."""
     return {
         "name": name,
         "law": law,
-        "status": status,
+        "status": "pass" if abs(measured - target) <= tolerance else "fail",
         "measured": measured,
+        "target": target,
         "tolerance": tolerance,
         "detail": detail,
     }
 
 
-def _tol_check(name, law, measured, target, tolerance, detail=None):
-    err = abs(measured - target)
-    return _check(name, law, measured, tolerance, passed=err <= tolerance, detail=detail)
+def _finding(name, law, measured, target, detail):
+    """A documented discrepancy: the quoted or faulty form (measured)
+    against the derived construction (target)."""
+    record = _check(name, law, measured, target, math.inf, detail)
+    return {**record, "status": "finding", "tolerance": None}
 
 
 def _feasible_grid(alphas, rhos):
@@ -87,7 +92,7 @@ def _suite_normalization():
                     kind, p, w, Direction.UP
                 ) + exit_mass_two_sided(kind, p, w, Direction.DOWN)
                 checks.append(
-                    _tol_check(
+                    _check(
                         f"two-sided-mass-{kind.value}-a{p.alpha}-r{p.rho}-u{w.u}-v{w.v}",
                         "exit-two-sided",
                         total,
@@ -102,13 +107,13 @@ def _suite_normalization():
                     f"star-submass-a{p.alpha}-r{p.rho}-u{w.u}-v{w.v}",
                     "exit-two-sided",
                     star,
-                    1.0,
-                    passed=0.0 < star < 1.0,
-                    detail="killed process exits with probability < 1",
+                    0.5,
+                    math.nextafter(0.5, 0.0),
+                    detail="killed process exits with probability in (0, 1)",
                 )
             )
             checks.append(
-                _tol_check(
+                _check(
                     f"star-up-mass-rogozin-a{p.alpha}-r{p.rho}-u{w.u}-v{w.v}",
                     "exit-two-sided",
                     star_up,
@@ -156,8 +161,8 @@ def _suite_esscher(seed):
             "tilt-ratio-pointwise",
             "exit-two-sided",
             worst,
+            0.0,
             1e-12,
-            passed=worst <= 1e-12,
             detail="max relative error over 200 random draws",
         )
     ]
@@ -185,7 +190,7 @@ def _suite_extrema():
         for z in (0.5, 2.0):
             derived = 1.0 - exit_mass_one_sided(Kind.UP, p, Direction.DOWN, -z)
             checks.append(
-                _tol_check(
+                _check(
                     f"min-cdf-up-a{p.alpha}-r{p.rho}-z{z}",
                     "min-cdf-up",
                     min_cdf_up(p, z),
@@ -195,7 +200,7 @@ def _suite_extrema():
             )
             derived = 1.0 - exit_mass_one_sided(Kind.DOWN, p, Direction.UP, z)
             checks.append(
-                _tol_check(
+                _check(
                     f"max-cdf-down-a{p.alpha}-r{p.rho}-z{z}",
                     "max-cdf-down",
                     max_cdf_down(p, z),
@@ -207,7 +212,7 @@ def _suite_extrema():
             lambda z: extrema_density_star(p, z, which="max"), 0.0, math.inf, tol=1e-10
         ).value
         checks.append(
-            _tol_check(
+            _check(
                 f"star-max-mass-a{p.alpha}-r{p.rho}", "extrema-star", mass, 1.0, 1e-8
             )
         )
@@ -217,8 +222,8 @@ def _suite_extrema():
             "star-min-derived-mass",
             "extrema-star",
             star_min_derived_mass(p),
+            1.0,
             1e-5,
-            status="finding",
             detail="quadrature of the closed-form density on [0.05, 6], head and "
             "tail by quadrature of the one-sided down exit law; compare the "
             "quoted form below",
@@ -228,15 +233,15 @@ def _suite_extrema():
         p, 2.0
     )
     checks.append(
-        _check(
+        _finding(
             "star-min-as-printed-growth",
             "extrema-star",
             printed_ratio,
-            None,
-            status="finding",
-            detail="quoted min density grows with z (ratio at z=4 vs z=2), "
-            "so it is not integrable: it is the closed form with the downward "
-            "jump exponent l in place of l - 1",
+            extrema_density_star(p, 4.0, which="min")
+            / extrema_density_star(p, 2.0, which="min"),
+            detail="quoted min density grows with z (ratio at z=4 vs z=2; the "
+            "target is the closed form's ratio), so it is not integrable: it is "
+            "the closed form with the downward jump exponent l in place of l - 1",
         )
     )
     return checks
@@ -245,23 +250,29 @@ def _suite_extrema():
 def _suite_scale():
     checks = []
     for alpha in (1.2, 1.8):
-        s = SpectralCase(Case.UP_NEG, alpha)
-        for theta in (2.0, 8.0):
-            lap = integrate_adaptive(
-                lambda x: math.exp(-theta * x) * scale_fn(s, x), 0.0, math.inf, tol=1e-11
-            ).value
-            checks.append(
-                _tol_check(
-                    f"laplace-identity-a{alpha}-t{theta}",
-                    "scale-fn",
-                    lap * psi_up(s, theta),
-                    1.0,
-                    1e-8,
+        for case in Case:
+            s = SpectralCase(case, alpha)
+            for theta in (2.0, 8.0):
+                # e^(-theta x) W(x) decays like e^(-(theta - 1) x) for DownNeg,
+                # whose W leaves the float range near x = 710; past
+                # 30 / (theta - 1) lies a fraction below 1e-12 of the integral.
+                hi = 30.0 / (theta - 1.0) if case is Case.DOWN_NEG else math.inf
+                lap = integrate_adaptive(
+                    lambda x: math.exp(-theta * x) * scale_fn(s, x), 0.0, hi, tol=1e-11
+                ).value
+                name = f"laplace-identity-{case.value}-a{alpha}-t{theta}"
+                product = lap * scale.psi(s, theta)
+                if case is not Case.DOWN_POS:
+                    checks.append(_check(name, "scale-fn", product, 1.0, 1e-8))
+                    continue
+                detail = (
+                    "psi prints psi_up(theta - 1) for down-pos, where scale-fn "
+                    "takes the up-neg law: (theta - 1)/(theta - 1 + alpha)"
                 )
-            )
-        d = SpectralCase(Case.DOWN_NEG, alpha)
+                checks.append(_finding(name, "psi", product, 1.0, detail))
+        up, d = SpectralCase(Case.UP_NEG, alpha), SpectralCase(Case.DOWN_NEG, alpha)
         worst = max(
-            abs(psi_down(d, t) - psi_up(s, t - 1.0)) / max(abs(psi_up(s, t - 1.0)), 1.0)
+            abs(psi_down(d, t) - psi_up(up, t - 1.0)) / max(abs(psi_up(up, t - 1.0)), 1.0)
             for t in (1.5, 3.0, 7.0)
         )
         checks.append(
@@ -269,8 +280,8 @@ def _suite_scale():
                 f"psi-shift-a{alpha}",
                 "psi",
                 worst,
+                0.0,
                 1e-14,
-                passed=worst <= 1e-14,
                 detail="holds by construction: psi_down is psi_up's "
                 "Laplace-exponent helper at theta - 1, so the two share code "
                 "and the drift is exactly 0; the independent route is the "
@@ -280,7 +291,7 @@ def _suite_scale():
         )
     s = SpectralCase(Case.UP_NEG, 1.5)
     checks.append(
-        _tol_check(
+        _check(
             "triple-law-self-normalization",
             "triple-law",
             triple_law_total_mass(s, -1.0),
@@ -297,7 +308,7 @@ def _suite_scale():
             got = triple_law_theta_marginal(SpectralCase(case, 1.5), b, t)
             worst = max(worst, abs(got / exit_law_of(case, 1.5, b, t) - 1.0))
     checks.append(
-        _tol_check(
+        _check(
             "triple-law-overshoot-marginal",
             "triple-law",
             worst,
@@ -312,13 +323,12 @@ def _suite_scale():
     printed, K = scale.triple_law_K_printed_upneg(s, -1.0), scale.triple_law_K(s, -1.0)
     C = scale.triple_law_K(SpectralCase(Case.DOWN_NEG, 1.5), -1.0)  # P = 1 for DownNeg
     checks.append(
-        _check(
+        _finding(
             "triple-law-K-as-printed",
             "triple-law",
             printed,
-            None,
-            status="finding",
-            detail=f"printed UpNeg constant against K = {K:.6g} (alpha 1.5, v -1): "
+            K,
+            detail="printed UpNeg constant against K (alpha 1.5, v -1): "
             "both subtract C(alpha)(1 - e^v)^(alpha-1), but the printed first "
             f"term is {printed + C - K:.5g} where K has C(alpha) = {C:.5g}",
         )
@@ -370,8 +380,8 @@ def _suite_hitting():
             "matrix-vs-closed-ratio",
             "hit-two-point",
             worst,
+            0.0,
             1e-10,
-            passed=worst <= 1e-10,
             detail="both routes take the same 2x2-determinant ratio of "
             "killed_resolvent_u values (closed form in 2F1), one of them "
             "through an LU inverse of U, so this checks shared code; the "
@@ -388,8 +398,8 @@ def _suite_hitting():
             "scaling-invariance",
             "hit-two-point",
             drift,
+            0.0,
             1e-14,
-            passed=drift <= 1e-14,
             detail="self-similarity: the probability at (c x, c a, c b) is the "
             "one at (x, a, b) = (1, 0.5, 2), for c in 1e-3, 7.25 and 1e3",
         )
@@ -399,15 +409,15 @@ def _suite_hitting():
         for kind in (Kind.UP, Kind.DOWN)
         for v, u in ((-0.5, 0.5), (-2.0, 1.0))
     ]
-    ok = all(0.0 <= pr <= 1.0 for pr in probs)
     checks.append(
         _check(
             "lamperti-hit-range",
             "hit-two-point",
-            max(probs),
-            1.0,
-            passed=ok,
-            detail="tilted two-point hitting probabilities stay in [0, 1]",
+            float(np.max(np.abs(np.subtract(probs, np.clip(probs, 0.0, 1.0))))),
+            0.0,
+            0.0,
+            detail="largest distance of a tilted two-point hitting probability "
+            "outside [0, 1] (a NaN propagates)",
         )
     )
     return checks
@@ -462,7 +472,7 @@ def _suite_expfun():
         )
         closed = expfun.neg_moment_I(model, k)
         checks.append(
-            _tol_check(
+            _check(
                 f"moment-laplace-k{k}",
                 "expfun-moments",
                 quad / closed,
@@ -472,7 +482,7 @@ def _suite_expfun():
             )
         )
     checks.append(
-        _tol_check("density-I-mass", "expfun-density", density_I_mass(model), 1.0, 1e-6)
+        _check("density-I-mass", "expfun-density", density_I_mass(model), 1.0, 1e-6)
     )
     for k in (1, 2):
         got = integrate_adaptive(
@@ -482,7 +492,7 @@ def _suite_expfun():
             tol=1e-9,
         ).value
         checks.append(
-            _tol_check(
+            _check(
                 f"density-neg-moment-k{k}",
                 "expfun-density",
                 got / expfun.neg_moment_I(model, k),
@@ -500,7 +510,7 @@ def _suite_expfun():
             tol=1e-9,
         ).value
         checks.append(
-            _tol_check(
+            _check(
                 f"entrance-moment-k{k}",
                 "entrance-density",
                 got / expfun.entrance_moment(model, k, t),
@@ -508,9 +518,9 @@ def _suite_expfun():
                 1e-5,
             )
         )
-    slope = expfun.tail_exponent_check(model, TailCheck.UP_RIGHT)
+    slope = expfun.tail_exponent_check(model)
     checks.append(
-        _tol_check(
+        _check(
             "density-I-right-tail-slope",
             "tails",
             slope,
@@ -528,8 +538,8 @@ def _suite_expfun():
             "density-I-star-mass",
             "expfun-density",
             density_I_star_mass(star),
+            1.0,
             1e-5,
-            status="finding",
             detail="change-of-variables construction integrates to 1",
         )
     )
@@ -538,29 +548,78 @@ def _suite_expfun():
         / expfun.density_I_star_as_printed(star, 5.0).value
     )
     checks.append(
-        _check(
+        _finding(
             "density-I-star-as-printed-growth",
             "expfun-density",
             printed_ratio,
-            None,
-            status="finding",
+            expfun.density_I_star(star, 10.0).value
+            / expfun.density_I_star(star, 5.0).value,
             detail="quoted exponent makes the series grow at infinity "
-            "(ratio at x=10 vs x=5), so it cannot integrate to 1",
+            "(ratio at x=10 vs x=5; the target is the derived density's ratio), "
+            "so it cannot integrate to 1",
         )
     )
-    left_slope = expfun.tail_exponent_check(star, TailCheck.STAR_LEFT)
     checks.append(
         _check(
             "I-star-left-cdf-slope",
             "tails",
-            left_slope,
+            expfun.tail_exponent_check(star),
+            1.0,
             0.05,
-            status="finding",
             detail="measured small-x log-log slope of the CDF; the first-passage "
             "construction forces +1, not the quoted -1",
         )
     )
     return checks
+
+
+class UpFractionBand(NamedTuple):
+    """The killed kind's up-exit fraction among the paths that exit, its
+    closed-form target, and the band 3 se + 2 bias from the binomial SE
+    and the extrapolated step bias."""
+
+    measured: float
+    target: float
+    tolerance: float
+    se: float
+    bias: float
+
+
+def star_up_fraction(run: ExitSampleSet, report: list[dict]) -> UpFractionBand:
+    """The up-exit fraction of ``run``, killed-kind samples, with the bias
+    extrapolated from ``report``, a ``step_refinement_report`` of the same
+    kind, parameters and window."""
+    p, w = run.params, run.window
+    up_mass = exit_mass_two_sided(Kind.STAR, p, w, Direction.UP)
+    down_mass = exit_mass_two_sided(Kind.STAR, p, w, Direction.DOWN)
+    target = up_mass / (up_mass + down_mass)
+    exits = (run.side == SIDE_UP) | (run.side == SIDE_DOWN)
+    n_exit = int(np.count_nonzero(exits))
+    if n_exit == 0:
+        raise BudgetError(
+            f"none of the {run.config.n_paths} killed-kind paths left through a "
+            "barrier (all were killed); raise n_paths"
+        )
+    frac = float(np.count_nonzero(run.side == SIDE_UP)) / n_exit
+    se = math.sqrt(target * (1.0 - target) / n_exit)
+    bias = extrapolated_bias(report, "p_up")
+    return UpFractionBand(frac, target, 3.0 * se + 2.0 * bias, se, bias)
+
+
+def tilt_reweighting_z(down_run: ExitSampleSet, up_run: ExitSampleSet) -> float:
+    """z-score of the down kind's up-exit frequency, reweighted by one power
+    of the exit position, against the up kind's weighted frequency: the two
+    tilts differ by that power, so both estimate one probability."""
+    n_down, n_up = down_run.config.n_paths, up_run.config.n_paths
+    pos = down_run.exit_position()
+    reweighted = down_run.h_weight * np.where(np.isnan(pos), 0.0, pos)
+    up_event = (down_run.side == SIDE_UP).astype(float)
+    m1 = float(np.sum(reweighted * up_event)) / n_down
+    se1 = float(np.std(reweighted * up_event)) / math.sqrt(n_down)
+    up_weighted = up_run.h_weight * (up_run.side == SIDE_UP).astype(float)
+    m2 = float(np.sum(up_weighted)) / n_up
+    se2 = float(np.std(up_weighted)) / math.sqrt(n_up)
+    return (m1 - m2) / math.hypot(se1, se2)
 
 
 def _suite_montecarlo(seed, n_paths, step):
@@ -582,36 +641,23 @@ def _suite_montecarlo(seed, n_paths, step):
             "determinism",
             "simulate",
             float(same),
-            None,
-            passed=same,
+            1.0,
+            0.0,
             detail="identical seed and step give bit-identical sample sets",
         )
     )
     a.require_censoring_below()
 
-    up_mass = exit_mass_two_sided(Kind.STAR, p, w, Direction.UP)
-    down_mass = exit_mass_two_sided(Kind.STAR, p, w, Direction.DOWN)
-    target = up_mass / (up_mass + down_mass)
-    exits = (a.side == SIDE_UP) | (a.side == SIDE_DOWN)
-    n_exit = int(np.count_nonzero(exits))
-    if n_exit == 0:
-        raise BudgetError(
-            f"none of the {n_paths} killed-kind paths left through a barrier "
-            "(all were killed); raise n_paths"
-        )
-    frac = float(np.count_nonzero(a.side == SIDE_UP)) / n_exit
-    se = math.sqrt(target * (1.0 - target) / n_exit)
     report = step_refinement_report(Kind.STAR, p, w, cfg, levels=2)
-    bias = extrapolated_bias(report, "p_up")
-    tol = 3.0 * se + 2.0 * bias
+    band = star_up_fraction(a, report)
     checks.append(
-        _tol_check(
+        _check(
             "star-up-fraction",
             "exit-two-sided",
-            frac,
-            target,
-            tol,
-            detail=f"binomial SE {se:.4g}, extrapolated step bias {bias:.4g} "
+            band.measured,
+            band.target,
+            band.tolerance,
+            detail=f"binomial SE {band.se:.4g}, extrapolated step bias {band.bias:.4g} "
             "(drift from step to step/2; both levels are read off one step/2 run)",
         )
     )
@@ -635,14 +681,13 @@ def _suite_montecarlo(seed, n_paths, step):
     cutoff = resolved_overshoot_cutoff(p, step)
     ks = ks_distance(theta, cdf, weights=hw, cutoff=cutoff)
     n_eff = float(np.sum(hw)) ** 2 / float(np.sum(hw**2))
-    ks_tol = 2.5 * 1.36 / math.sqrt(n_eff) + 2.0 * bias
     checks.append(
         _check(
             "up-overshoot-ks",
             "exit-two-sided",
             ks,
-            ks_tol,
-            passed=ks <= ks_tol,
+            0.0,
+            2.5 * 1.36 / math.sqrt(n_eff) + 2.0 * band.bias,
             detail=f"weighted KS vs closed-form CDF over overshoots >= {cutoff:.4g} "
             f"(5 step^(1/alpha)), effective n {n_eff:.0f}; full-range KS "
             f"{ks_distance(theta, cdf, weights=hw):.4f} includes the "
@@ -653,23 +698,13 @@ def _suite_montecarlo(seed, n_paths, step):
     down_run = simulate_exit(
         Kind.DOWN, p, w, SimConfig(n_paths, step, (seed + 2) % 2**64)
     )
-    pos = down_run.exit_position()
-    reweighted = down_run.h_weight * np.where(np.isnan(pos), 0.0, pos)
-    up_event = (down_run.side == SIDE_UP).astype(float)
-    m1 = float(np.sum(reweighted * up_event)) / n_paths
-    se1 = float(np.std(reweighted * up_event)) / math.sqrt(n_paths)
-    up_weighted = up_run.h_weight * (up_run.side == SIDE_UP).astype(float)
-    m2 = float(np.sum(up_weighted)) / n_paths
-    se2 = float(np.std(up_weighted)) / math.sqrt(n_paths)
-    combined = math.hypot(se1, se2)
-    z = (m1 - m2) / combined if combined > 0 else 0.0
     checks.append(
         _check(
             "esscher-reweighting",
             "simulate",
-            z,
+            tilt_reweighting_z(down_run, up_run),
+            0.0,
             3.0,
-            passed=abs(z) <= 3.0,
             detail="down-kind samples reweighted by the exit position reproduce "
             "up-kind statistics (z-score)",
         )

@@ -34,13 +34,10 @@ from pssmp.exit_laws import (
     min_cdf_up,
     overshoot_cdf_interpolant,
 )
-from pssmp.expfun import TailCheck
 from pssmp.hitting import HitQuery, hit_closed_ratio, hit_matrix_method, hit_prob_lamperti
 from pssmp.montecarlo import (
-    SIDE_DOWN,
     SIDE_UP,
     SimConfig,
-    extrapolated_bias,
     ks_distance,
     resolved_overshoot_cutoff,
     simulate_exit,
@@ -54,6 +51,8 @@ from pssmp.verify import (
     density_I_star_mass,
     esscher_max_relative_error,
     star_min_derived_mass,
+    star_up_fraction,
+    tilt_reweighting_z,
 )
 
 ALPHAS = (0.8, 1.2, 1.5, 1.8)
@@ -283,7 +282,7 @@ def test_criterion_6b_tail_slope_as_stated():
     only at the golden ratio.
     """
     model = SpectralCase(Case.UP_NEG, 1.5)
-    slope = expfun.tail_exponent_check(model, TailCheck.UP_RIGHT)
+    slope = expfun.tail_exponent_check(model)
     derived = -(1.0 + 1.0 / model.alpha)
     quoted = -model.alpha
     failures = list(_C6_FAILURES)
@@ -320,7 +319,6 @@ def _mc_runs():
     _MC.update(
         p=p,
         w=w,
-        n_paths=n_paths,
         t0=t0,
         star=simulate_exit(Kind.STAR, p, w, SimConfig(n_paths, step, seed)),
         report=step_refinement_report(
@@ -337,36 +335,16 @@ def test_criterion_7a_montecarlo_frequencies():
     exit-side frequency within 3 binomial SE + twice the extrapolated step
     bias; tilt reweighting across kinds consistent within 3 SE."""
     mc = _mc_runs()
-    p, w, n_paths = mc["p"], mc["w"], mc["n_paths"]
-    star, up_run, down_run = mc["star"], mc["up_run"], mc["down_run"]
-
+    star = mc["star"]
     star.require_censoring_below(1e-3)
-    up_mass = exit_mass_two_sided(Kind.STAR, p, w, Direction.UP)
-    down_mass = exit_mass_two_sided(Kind.STAR, p, w, Direction.DOWN)
-    target = up_mass / (up_mass + down_mass)
-    exits = (star.side == SIDE_UP) | (star.side == SIDE_DOWN)
-    n_exit = int(np.count_nonzero(exits))
-    frac = float(np.count_nonzero(star.side == SIDE_UP)) / n_exit
-    se = math.sqrt(target * (1.0 - target) / n_exit)
-    bias = extrapolated_bias(mc["report"], "p_up")
-    tol = 3.0 * se + 2.0 * bias
-    if abs(frac - target) > tol:
+    band = star_up_fraction(star, mc["report"])
+    if abs(band.measured - band.target) > band.tolerance:
         _C7_FAILURES.append(
-            f"up fraction {frac:.5f} vs {target:.5f} (tol {tol:.5f}, "
-            f"se {se:.5f}, bias {bias:.5f})"
+            f"up fraction {band.measured:.5f} vs {band.target:.5f} (tol "
+            f"{band.tolerance:.5f}, se {band.se:.5f}, bias {band.bias:.5f})"
         )
 
-    pos = down_run.exit_position()
-    # One power of the exit position converts down-kind weights into
-    # up-kind weights, so the reweighted up-side frequency must agree.
-    rw = down_run.h_weight * np.where(np.isnan(pos), 0.0, pos)
-    ev_d = (down_run.side == SIDE_UP).astype(float)
-    m1 = float(np.sum(rw * ev_d)) / n_paths
-    se1 = float(np.std(rw * ev_d)) / math.sqrt(n_paths)
-    ev_u = (up_run.side == SIDE_UP).astype(float)
-    m2 = float(np.sum(up_run.h_weight * ev_u)) / n_paths
-    se2 = float(np.std(up_run.h_weight * ev_u)) / math.sqrt(n_paths)
-    z = (m1 - m2) / math.hypot(se1, se2)
+    z = tilt_reweighting_z(mc["down_run"], mc["up_run"])
     if abs(z) > 3.0:
         _C7_FAILURES.append(f"tilt reweighting z={z:.2f}")
     assert not _C7_FAILURES
@@ -441,7 +419,7 @@ def test_criterion_8_adjudication_findings():
         failures.append("quoted min density unexpectedly decays")
 
     star = SpectralCase(Case.DOWN_POS, 1.5)
-    slope = expfun.tail_exponent_check(star, TailCheck.STAR_LEFT)
+    slope = expfun.tail_exponent_check(star)
     if abs(slope - 1.0) > 0.05:
         failures.append(f"left-CDF slope {slope:.3f}")
 

@@ -270,7 +270,7 @@ class TestVerify:
         assert report["suite"] == "hitting"
         assert report["seed"] == 1
         for check in report["checks"]:
-            assert {"name", "law", "status", "measured", "tolerance"} <= set(check)
+            assert {"name", "law", "status", "measured", "target", "tolerance"} <= set(check)
             assert check["status"] in ("pass", "fail", "finding")
 
     def test_unknown_suite(self, capsys):
@@ -300,12 +300,15 @@ class TestExitCodes:
         )
         assert rc == 2 and "two-sided" in err
 
-    def test_tail_grid_past_the_float_range_is_2(self, capsys):
-        # geomspace / c overflowed to inf at a tiny jump weight: a raw
-        # LinAlgError from the fit, with LAPACK lines on stderr.
-        rc, out, err = run(capsys, "eval", "--law", "tails", "--jump-weight", "1e-310")
+    @pytest.mark.parametrize("weight", ["1e-310", "1e308"])
+    def test_tail_grid_past_the_float_range_is_2(self, capsys, weight):
+        # geomspace / c overflowed to inf at a tiny jump weight (a raw
+        # LinAlgError from the fit, with LAPACK lines on stderr, then an
+        # error naming only "x"); c itself overflows at a huge one.
+        rc, out, err = run(capsys, "eval", "--law", "tails", "--jump-weight", weight)
         assert rc == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        assert f"jump weight {float(weight):g}" in err and "[200, 2000]/c" in err
 
     @pytest.mark.parametrize(
         "flags",

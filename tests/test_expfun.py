@@ -6,7 +6,6 @@ import pytest
 
 from pssmp.errors import ConvergenceError, DomainError, NumericError, PssmpError
 from pssmp.expfun import (
-    TailCheck,
     cdf_I_star,
     density_I,
     density_I_star,
@@ -352,10 +351,14 @@ class TestTailExponents:
     def test_up_right_slope(self):
         # Measured decay of the density at large x: the (1 + 1/alpha)
         # power, consistent with a stable law of index 1/alpha.
-        slope = tail_exponent_check(UP, TailCheck.UP_RIGHT)
+        slope = tail_exponent_check(UP)
         assert slope == pytest.approx(-(1.0 + 1.0 / UP.alpha), abs=0.05)
 
     def test_star_left_slope(self):
         # Measured growth of the CDF near 0: linear.
-        slope = tail_exponent_check(STAR, TailCheck.STAR_LEFT)
+        slope = tail_exponent_check(STAR)
         assert slope == pytest.approx(1.0, abs=0.05)
+
+    def test_down_neg_has_no_tail_check(self):
+        with pytest.raises(DomainError, match="up-neg and down-pos"):
+            tail_exponent_check(SpectralCase(Case.DOWN_NEG, 1.5))

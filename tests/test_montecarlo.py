@@ -301,10 +301,10 @@ class TestLockstepBatch:
     def test_property_bit_equal_to_per_path(
         self, alpha, skew, v, u, seed, n_paths, step, max_time, start
     ):
-        # skew places rho inside the two-sided range: (0, 1) for alpha < 1,
-        # (1 - 1/alpha, 1/alpha) for alpha > 1; Cauchy only at rho = 1/2.
+        # skew places rho inside the two-sided range: (0, 1) for alpha <= 1,
+        # (1 - 1/alpha, 1/alpha) for alpha > 1.
         lo = max(0.0, 1.0 - 1.0 / alpha)
-        p = StableParams(alpha, 0.5 if alpha == 1.0 else lo + skew * (1.0 - 2.0 * lo))
+        p = StableParams(alpha, lo + skew * (1.0 - 2.0 * lo))
         assert p.two_sided
         cfg = SimConfig(n_paths, step, seed, max_time=max_time)
         draw = increment_sampler(p, step)

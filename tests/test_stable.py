@@ -332,7 +332,9 @@ class TestSampling:
             with pytest.raises(DomainError):
                 path_rng(seed, index)
 
-    @pytest.mark.parametrize("alpha, rho", [(1.5, 0.5), (0.8, 0.3), (1.0, 0.5)])
+    @pytest.mark.parametrize(
+        "alpha, rho", [(1.5, 0.5), (0.8, 0.3), (1.0, 0.5), (1.0, 0.7)]
+    )
     def test_rows_match_per_stream_transform(self, alpha, rho):
         # Row r of a batched draw equals the transform written out on
         # rng r alone: 2n uniforms, the last n turned into W = -log(1 - U'),
@@ -342,8 +344,6 @@ class TestSampling:
         factor = 2.0 * (dt / math.cos(a_theta0)) ** (1.0 / alpha)
 
         def reference(rng):
-            if alpha == 1.0:
-                return dt * np.tan((rng.random(n) - 0.5) * math.pi)
             u, u2 = np.split(rng.random(2 * n), 2)
             w = -np.log(1.0 - u2)
             slope = (alpha - 1.0) * math.pi
@@ -480,21 +480,24 @@ class TestSampling:
         for p in _two_sided_grid():
             increment_sampler(p, 1e-3)
 
-    def test_cauchy_case(self):
-        p = StableParams(1.0, 0.5)
-        x = increment_sampler(p, 1.0)([path_rng(5, 0)], 50_000)[0]
-        # quartiles of the standard-ish Cauchy sit at +-scale
-        frac = float(np.mean(np.abs(x) < np.median(np.abs(x))))
-        assert frac == pytest.approx(0.5, abs=0.02)
-        with pytest.raises(DomainError):
-            increment_sampler(StableParams(1.0, 0.6), 1.0)
+    def test_cauchy_quartiles_sit_at_the_step(self):
+        # At alpha = 1, rho = 1/2 the increment is Cauchy with scale dt.
+        dt = 1e-2
+        x = increment_sampler(StableParams(1.0, 0.5), dt)([path_rng(5, 0)], 50_000)[0]
+        assert float(np.mean(np.abs(x) < dt)) == pytest.approx(0.5, abs=0.01)
+
+    @pytest.mark.parametrize("rho", [0.2, 0.6, 0.9])
+    def test_alpha_one_is_positive_with_probability_rho(self, rho):
+        draw = increment_sampler(StableParams(1.0, rho), 1e-2)
+        x = draw([path_rng(5, 0)], 50_000)[0]
+        assert float(np.mean(x > 0.0)) == pytest.approx(rho, abs=0.01)
 
     def test_single_draw(self):
         v = sample_stable_increment(StableParams(1.5, 0.5), 0.01, path_rng(9, 0))
         assert isinstance(v, float) and math.isfinite(v)
 
     def test_bad_dt(self):
-        # Both branches: a NaN or infinite step would give NaN or inf rows.
+        # A NaN or infinite step would give NaN or inf rows.
         for alpha in (1.5, 1.0):
             for dt in (0.0, -1e-3, math.nan, math.inf, -math.inf):
                 with pytest.raises(DomainError, match="dt must be finite and positive"):

@@ -133,7 +133,7 @@ CASES = {
     "fit-loglog-x-inf": lambda: expfun.fit_loglog_slope([1.0, INF], [1.0, 2.0]),
     "fit-loglog-one-distinct-x": lambda: expfun.fit_loglog_slope([1.0, 1.0], [1.0, 2.0]),
     "tail-check-grid-overflow": lambda: expfun.tail_exponent_check(
-        SpectralCase(Case.DOWN_POS, 1.5, 1e-310), expfun.TailCheck.STAR_LEFT
+        SpectralCase(Case.DOWN_POS, 1.5, 1e-310)
     ),
     # alpha * rho rounds to 0: log(sin(pi 0) / pi) raised a raw ValueError.
     "rogozin-side-exponent-zero": lambda: rogozin_overshoot_density(
