@@ -7,10 +7,16 @@ is "pass" exactly when |measured - target| <= tolerance, else "fail" (a
 NaN fails).  A "finding" records a documented discrepancy: a quoted closed
 form, or a law known to be at fault (measured), against the derived
 construction (target); it has no tolerance and never fails a run.
+
+Each suite is the concatenation of check builders, each of which takes its
+grid and tolerance as keyword arguments with the suite's values as
+defaults.  ``criterion(n)`` calls the same builders at the grid and
+threshold that acceptance criterion n states.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import time
@@ -49,7 +55,7 @@ from .numerics import integrate_adaptive, log_gamma
 from .scale import Case, SpectralCase, psi_down, psi_up, scale_fn, triple_law_total_mass
 from .stable import Kind, StableParams, exit_up_probability
 
-__all__ = ["SUITES", "run_suite", "report_passed"]
+__all__ = ["SUITES", "run_suite", "report_passed", "criterion"]
 
 SCHEMA = "report_v1"
 
@@ -75,59 +81,61 @@ def _finding(name, law, measured, target, detail):
 
 
 def _feasible_grid(alphas, rhos):
-    for a in alphas:
-        for r in rhos:
-            p = StableParams(a, r)
-            if p.two_sided:
-                yield p
+    """The (alpha, rho) combinations with a two-sided exit density."""
+    grid = (StableParams(a, r) for a in alphas for r in rhos)
+    return tuple(p for p in grid if p.two_sided)
 
 
-def _suite_normalization():
-    checks = []
-    windows = [ExitWindow(-1.0, 0.25), ExitWindow(-0.25, 1.0)]
-    for p in _feasible_grid((0.8, 1.5), (0.5, 0.7)):
-        for w in windows:
-            for kind in (Kind.UP, Kind.DOWN):
-                total = exit_mass_two_sided(
-                    kind, p, w, Direction.UP
-                ) + exit_mass_two_sided(kind, p, w, Direction.DOWN)
-                checks.append(
-                    _check(
-                        f"two-sided-mass-{kind.value}-a{p.alpha}-r{p.rho}-u{w.u}-v{w.v}",
-                        "exit-two-sided",
-                        total,
-                        1.0,
-                        1e-6,
-                    )
-                )
-            star_up = exit_mass_two_sided(Kind.STAR, p, w, Direction.UP)
-            star = star_up + exit_mass_two_sided(Kind.STAR, p, w, Direction.DOWN)
-            checks.append(
-                _check(
-                    f"star-submass-a{p.alpha}-r{p.rho}-u{w.u}-v{w.v}",
-                    "exit-two-sided",
-                    star,
-                    0.5,
-                    math.nextafter(0.5, 0.0),
-                    detail="killed process exits with probability in (0, 1)",
-                )
-            )
-            checks.append(
-                _check(
-                    f"star-up-mass-rogozin-a{p.alpha}-r{p.rho}-u{w.u}-v{w.v}",
-                    "exit-two-sided",
-                    star_up,
-                    exit_up_probability(
-                        p, math.exp(w.u) - math.exp(w.v), -math.expm1(w.v)
-                    ),
-                    1e-10,
-                    detail="quadrature of the killed kind's up-exit density against "
-                    "Rogozin's exit probability from 1 - e^v in (0, e^u - e^v); both "
-                    "take their exponents from StableParams' side exponents, so this "
-                    "cannot see a swap of alpha*rho and alpha*(1 - rho)",
-                )
-            )
-    return checks
+_SUITE_GRID = _feasible_grid((0.8, 1.5), (0.5, 0.7))
+
+
+def _normalization_checks(
+    params=_SUITE_GRID,
+    windows=(ExitWindow(-1.0, 0.25), ExitWindow(-0.25, 1.0)),
+    tol=1e-9,
+    kinds=(Kind.UP, Kind.DOWN, Kind.STAR),
+):
+    """The exit masses of each kind in ``kinds`` on every window; ``tol`` is
+    the quadrature tolerance of each mass."""
+    return [
+        check
+        for p in params
+        for w in windows
+        for kind in kinds
+        for check in _mass_checks(kind, p, w, tol)
+    ]
+
+
+def _mass_checks(kind, p, w, tol):
+    """A conditioned kind's up and down masses sum to 1; the killed kind's
+    sum to a sub-probability, and its up mass is Rogozin's."""
+    up = exit_mass_two_sided(kind, p, w, Direction.UP, tol=tol)
+    total = up + exit_mass_two_sided(kind, p, w, Direction.DOWN, tol=tol)
+    at = f"a{p.alpha}-r{p.rho}-u{w.u}-v{w.v}"
+    if kind is not Kind.STAR:
+        name = f"two-sided-mass-{kind.value}-{at}"
+        return [_check(name, "exit-two-sided", total, 1.0, 1e-6)]
+    return [
+        _check(
+            f"star-submass-{at}",
+            "exit-two-sided",
+            total,
+            0.5,
+            math.nextafter(0.5, 0.0),
+            detail="killed process exits with probability in (0, 1)",
+        ),
+        _check(
+            f"star-up-mass-rogozin-{at}",
+            "exit-two-sided",
+            up,
+            exit_up_probability(p, math.exp(w.u) - math.exp(w.v), -math.expm1(w.v)),
+            1e-10,
+            detail="quadrature of the killed kind's up-exit density against "
+            "Rogozin's exit probability from 1 - e^v in (0, e^u - e^v); both "
+            "take their exponents from StableParams' side exponents, so this "
+            "cannot see a swap of alpha*rho and alpha*(1 - rho)",
+        ),
+    ]
 
 
 def esscher_max_relative_error(seed: int, n_draws: int) -> float:
@@ -154,8 +162,8 @@ def esscher_max_relative_error(seed: int, n_draws: int) -> float:
     return worst
 
 
-def _suite_esscher(seed):
-    worst = esscher_max_relative_error(seed, 200)
+def _esscher_checks(seed, n_draws=200):
+    worst = esscher_max_relative_error(seed, n_draws)
     return [
         _check(
             "tilt-ratio-pointwise",
@@ -163,7 +171,7 @@ def _suite_esscher(seed):
             worst,
             0.0,
             1e-12,
-            detail="max relative error over 200 random draws",
+            detail=f"max relative error over {n_draws} random draws",
         )
     ]
 
@@ -184,10 +192,12 @@ def star_min_derived_mass(p: StableParams) -> float:
     return head + body + tail
 
 
-def _suite_extrema():
+def _extrema_checks(params=_SUITE_GRID, levels=(0.5, 2.0)):
+    """The closed-form extrema CDFs against one-sided exit masses, and the
+    killed kind's maximum density against mass 1."""
     checks = []
-    for p in _feasible_grid((0.8, 1.5), (0.5, 0.7)):
-        for z in (0.5, 2.0):
+    for p in params:
+        for z in levels:
             derived = 1.0 - exit_mass_one_sided(Kind.UP, p, Direction.DOWN, -z)
             checks.append(
                 _check(
@@ -216,6 +226,13 @@ def _suite_extrema():
                 f"star-max-mass-a{p.alpha}-r{p.rho}", "extrema-star", mass, 1.0, 1e-8
             )
         )
+    return checks
+
+
+def _star_min_checks():
+    """The killed kind's minimum density: the derived mass, and the growth
+    of the quoted form."""
+    checks = []
     p = StableParams(1.5, 0.5)
     checks.append(
         _check(
@@ -247,12 +264,15 @@ def _suite_extrema():
     return checks
 
 
-def _suite_scale():
+def _scale_checks(alphas=(1.2, 1.8), thetas=(2.0, 8.0), tol=1e-7, cases=tuple(Case)):
+    """The Laplace identity of each case's scale function at each theta, the
+    shift psi_down(theta) = psi_up(theta - 1), and the triple law's mass at
+    quadrature tolerance ``tol``."""
     checks = []
-    for alpha in (1.2, 1.8):
-        for case in Case:
+    for alpha in alphas:
+        for case in cases:
             s = SpectralCase(case, alpha)
-            for theta in (2.0, 8.0):
+            for theta in thetas:
                 # e^(-theta x) W(x) decays like e^(-(theta - 1) x) for DownNeg,
                 # whose W leaves the float range near x = 710; past
                 # 30 / (theta - 1) lies a fraction below 1e-12 of the integral.
@@ -294,7 +314,7 @@ def _suite_scale():
         _check(
             "triple-law-self-normalization",
             "triple-law",
-            triple_law_total_mass(s, -1.0),
+            triple_law_total_mass(s, -1.0, tol=tol),
             1.0,
             1e-5,
             detail="K is closed form, C(alpha) times the probability of "
@@ -302,6 +322,13 @@ def _suite_scale():
             "eta inside phi, over the closed-form theta integral",
         )
     )
+    return checks
+
+
+def _triple_law_checks():
+    """The triple law's theta marginal against exit_laws, and the printed
+    UpNeg constant against K."""
+    checks = []
     worst = 0.0
     for case, b in ((Case.UP_NEG, -1.0), (Case.DOWN_NEG, -1.0), (Case.DOWN_POS, 1.0)):
         for t in (0.05, 2.0):
@@ -320,6 +347,7 @@ def _suite_scale():
             "which shares no code with scale",
         )
     )
+    s = SpectralCase(Case.UP_NEG, 1.5)
     printed, K = scale.triple_law_K_printed_upneg(s, -1.0), scale.triple_law_K(s, -1.0)
     C = scale.triple_law_K(SpectralCase(Case.DOWN_NEG, 1.5), -1.0)  # P = 1 for DownNeg
     checks.append(
@@ -368,11 +396,13 @@ def triple_law_theta_marginal(s: SpectralCase, barrier: float, theta: float) -> 
     return integrate_adaptive(over_u, 0.0, depth ** (a - 1.0), tol=1e-10).value
 
 
-def _suite_hitting():
+def _hitting_checks(triples=((0.5, 1.0, 2.0), (2.0, 0.5, 1.0), (1.0, 2.0, 0.5))):
+    """The two two-point hitting routes on each (x, a, b) of ``triples``,
+    self-similarity, and the tilted hitting probabilities' range."""
     checks = []
     worst = 0.0
     for alpha in (1.2, 1.5, 1.8):
-        for x, a, b in ((0.5, 1.0, 2.0), (2.0, 0.5, 1.0), (1.0, 2.0, 0.5)):
+        for x, a, b in triples:
             q = HitQuery(alpha, x, a, b)
             worst = max(worst, abs(hit_matrix_method(q) - hit_closed_ratio(q)))
     checks.append(
@@ -457,7 +487,10 @@ def density_I_star_mass(model: SpectralCase) -> float:
     return left + body + right
 
 
-def _suite_expfun():
+def _expfun_up_checks():
+    """The UP functional I at alpha 1.5: moments of the transform, the
+    density's mass and negative moments, the entrance law's moments and the
+    density's right-tail slope."""
     checks = []
     model = SpectralCase(Case.UP_NEG, 1.5)
     for k in range(1, 6):
@@ -532,6 +565,13 @@ def _suite_expfun():
             f"alpha = 1 + 1/alpha",
         )
     )
+    return checks
+
+
+def _expfun_star_checks():
+    """The killed functional I* at alpha 1.5: the derived density's mass,
+    the quoted form's growth and the CDF's left slope."""
+    checks = []
     star = SpectralCase(Case.DOWN_POS, 1.5)
     checks.append(
         _check(
@@ -622,35 +662,74 @@ def tilt_reweighting_z(down_run: ExitSampleSet, up_run: ExitSampleSet) -> float:
     return (m1 - m2) / math.hypot(se1, se2)
 
 
-def _suite_montecarlo(seed, n_paths, step):
-    checks = []
-    p = StableParams(1.5, 0.5)
-    w = ExitWindow(-0.5, 0.5)
-    cfg = SimConfig(n_paths, step, seed)
+def _kind_runs(n_paths, step, seed, report_paths):
+    """Seeded runs of the three kinds at alpha 1.5, rho 0.5 on the window
+    (-0.5, 0.5), and the killed kind's refinement report on report_paths
+    paths.  A killed-kind run with too many censored paths is refused
+    before the others are simulated."""
+    p, w = StableParams(1.5, 0.5), ExitWindow(-0.5, 0.5)
+    star = simulate_exit(Kind.STAR, p, w, SimConfig(n_paths, step, seed))
+    star.require_censoring_below()
+    report = step_refinement_report(
+        Kind.STAR, p, w, SimConfig(report_paths, step, seed), levels=2
+    )
+    # Derived seeds wrap inside the [0, 2^64) seed range.
+    up_run = simulate_exit(Kind.UP, p, w, SimConfig(n_paths, step, (seed + 1) % 2**64))
+    down_run = simulate_exit(
+        Kind.DOWN, p, w, SimConfig(n_paths, step, (seed + 2) % 2**64)
+    )
+    return star, report, up_run, down_run
 
-    a = simulate_exit(Kind.STAR, p, w, cfg)
-    b = simulate_exit(Kind.STAR, p, w, cfg)
+
+def _suite_montecarlo(seed, n_paths, step):
+    runs = _kind_runs(n_paths, step, seed, n_paths)
+    a = runs[0]
+    b = simulate_exit(Kind.STAR, a.params, a.window, a.config)
     same = (
         np.array_equal(a.side, b.side)
         and np.array_equal(a.theta, b.theta, equal_nan=True)
         and np.array_equal(a.h_weight, b.h_weight)
         and np.array_equal(a.steps_used, b.steps_used)
     )
-    checks.append(
-        _check(
-            "determinism",
-            "simulate",
-            float(same),
-            1.0,
-            0.0,
-            detail="identical seed and step give bit-identical sample sets",
-        )
+    determinism = _check(
+        "determinism",
+        "simulate",
+        float(same),
+        1.0,
+        0.0,
+        detail="identical seed and step give bit-identical sample sets",
     )
-    a.require_censoring_below()
+    return [determinism, *_montecarlo_checks(*runs)]
 
-    report = step_refinement_report(Kind.STAR, p, w, cfg, levels=2)
-    band = star_up_fraction(a, report)
-    checks.append(
+
+def _up_overshoots(up_run):
+    """The up kind's up-exit overshoots, their weights and exit positions,
+    the closed-form overshoot CDF, and the cutoff of the resolved range."""
+    sel = up_run.side == SIDE_UP
+    if not sel.any():
+        raise BudgetError(
+            f"none of the {up_run.config.n_paths} up-kind paths left through the "
+            "upper barrier, so up-overshoot-ks has no sample; raise --n-paths"
+        )
+    p, w = up_run.params, up_run.window
+    cdf, _ = overshoot_cdf_interpolant(Kind.UP, p, Direction.UP, window=w)
+    # The overshoot density diverges at 0 and the grid cannot resolve
+    # overshoots below step^(1/alpha), so over the full range the KS has a
+    # floor decaying only like step^((1 - alpha(1-rho))/alpha) whatever the
+    # weights; the sup runs over the resolved range instead.
+    cutoff = resolved_overshoot_cutoff(p, up_run.config.step)
+    pos = up_run.exit_position()[sel]
+    return up_run.theta[sel], up_run.h_weight[sel], pos, cdf, cutoff
+
+
+def _montecarlo_checks(star, report, up_run, down_run, ks_tol=None):
+    """The statistics of seeded runs of the three kinds: the killed kind's
+    up-exit fraction (``report`` is a ``step_refinement_report`` of its
+    kind, parameters and window), the up kind's overshoot KS and the tilt
+    reweighting.  The KS passes within its statistical and step-bias band,
+    or within ``ks_tol`` when one is given."""
+    band = star_up_fraction(star, report)
+    checks = [
         _check(
             "star-up-fraction",
             "exit-two-sided",
@@ -660,43 +739,23 @@ def _suite_montecarlo(seed, n_paths, step):
             detail=f"binomial SE {band.se:.4g}, extrapolated step bias {band.bias:.4g} "
             "(drift from step to step/2; both levels are read off one step/2 run)",
         )
-    )
-
-    # Derived seeds wrap inside the [0, 2^64) seed range.
-    up_run = simulate_exit(
-        Kind.UP, p, w, SimConfig(n_paths, step, (seed + 1) % 2**64)
-    )
-    sel = up_run.side == SIDE_UP
-    if not sel.any():
-        raise BudgetError(
-            f"none of the {n_paths} up-kind paths left through the upper "
-            "barrier, so up-overshoot-ks has no sample; raise --n-paths"
-        )
-    cdf, _ = overshoot_cdf_interpolant(Kind.UP, p, Direction.UP, window=w)
-    theta, hw = up_run.theta[sel], up_run.h_weight[sel]
-    # The overshoot density diverges at 0 and the grid cannot resolve
-    # overshoots below step^(1/alpha), so over the full range the KS has a
-    # floor decaying only like step^((1 - alpha(1-rho))/alpha) whatever the
-    # weights; the sup runs over the resolved range instead.
-    cutoff = resolved_overshoot_cutoff(p, step)
+    ]
+    theta, hw, _, cdf, cutoff = _up_overshoots(up_run)
     ks = ks_distance(theta, cdf, weights=hw, cutoff=cutoff)
     n_eff = float(np.sum(hw)) ** 2 / float(np.sum(hw**2))
+    band_tol = 2.5 * 1.36 / math.sqrt(n_eff) + 2.0 * band.bias
     checks.append(
         _check(
             "up-overshoot-ks",
             "exit-two-sided",
             ks,
             0.0,
-            2.5 * 1.36 / math.sqrt(n_eff) + 2.0 * band.bias,
+            band_tol if ks_tol is None else ks_tol,
             detail=f"weighted KS vs closed-form CDF over overshoots >= {cutoff:.4g} "
             f"(5 step^(1/alpha)), effective n {n_eff:.0f}; full-range KS "
             f"{ks_distance(theta, cdf, weights=hw):.4f} includes the "
             f"unresolved small overshoots",
         )
-    )
-
-    down_run = simulate_exit(
-        Kind.DOWN, p, w, SimConfig(n_paths, step, (seed + 2) % 2**64)
     )
     checks.append(
         _check(
@@ -712,18 +771,69 @@ def _suite_montecarlo(seed, n_paths, step):
     return checks
 
 
+def _criterion_montecarlo():
+    """Criterion 7: 1e5 paths of each kind and a 20,000-path report at step
+    1e-4, with the KS stated as < 0.02.  A stated tolerance does not shrink
+    with the sample, so the criterion adds the KS of the same overshoots
+    under the down kind's tilt, a finding that shows whether it tells the
+    tilts apart."""
+    runs = _kind_runs(100_000, 1e-4, 0, 20_000)
+    checks = _montecarlo_checks(*runs, ks_tol=math.nextafter(0.02, 0.0))
+    theta, hw, pos, cdf, cutoff = _up_overshoots(runs[2])
+    finding = _finding(
+        "down-tilt-overshoot-ks",
+        "exit-two-sided",
+        ks_distance(theta, cdf, weights=hw / pos, cutoff=cutoff),
+        next(c["measured"] for c in checks if c["name"] == "up-overshoot-ks"),
+        detail="the same overshoots and range under the down kind's tilt, one "
+        "power of the exit position fewer (target: the up kind's KS); a KS that "
+        "tells the tilts apart lies well above the up kind's",
+    )
+    return checks + [finding]
+
+
 _SUITE_FNS = {
-    "normalization": _suite_normalization,
-    "esscher": _suite_esscher,
-    "extrema": _suite_extrema,
-    "scale": _suite_scale,
-    "hitting": _suite_hitting,
-    "expfun": _suite_expfun,
+    "normalization": _normalization_checks,
+    "esscher": _esscher_checks,
+    "extrema": lambda: _extrema_checks() + _star_min_checks(),
+    "scale": lambda: _scale_checks() + _triple_law_checks(),
+    "hitting": _hitting_checks,
+    "expfun": lambda: _expfun_up_checks() + _expfun_star_checks(),
     "montecarlo": _suite_montecarlo,
 }
 
 # Suite names in the order ``all`` runs them.
 SUITES = tuple(_SUITE_FNS)
+
+
+_CRITERION_GRID = _feasible_grid((0.8, 1.2, 1.5, 1.8), (0.3, 0.5, 0.7))
+_LEVELS = (0.25, 1.0, 3.0)
+
+# Each acceptance criterion at its stated grid and threshold.
+_CRITERIA = {
+    1: lambda: _normalization_checks(
+        params=_CRITERION_GRID,
+        windows=tuple(ExitWindow(-v, u) for u in _LEVELS for v in _LEVELS),
+        tol=1e-8,
+        kinds=(Kind.UP, Kind.DOWN),
+    ),
+    2: lambda: _esscher_checks(0, n_draws=1000),
+    3: lambda: _extrema_checks(params=_CRITERION_GRID, levels=_LEVELS),
+    4: lambda: _scale_checks(
+        alphas=(1.2, 1.5, 1.8), thetas=(2.0, 4.0, 8.0), tol=1e-6, cases=(Case.UP_NEG,)
+    ),
+    5: lambda: _hitting_checks(triples=tuple(itertools.permutations((0.5, 1.0, 2.0)))),
+    6: _expfun_up_checks,
+    7: _criterion_montecarlo,
+    8: lambda: _star_min_checks() + _expfun_star_checks(),
+}
+
+
+def criterion(n: int) -> list[dict]:
+    """The check records of acceptance criterion n (1 to 8)."""
+    if not isinstance(n, numbers.Integral) or n not in _CRITERIA:
+        raise DomainError(f"criterion must be an integer from 1 to 8, got {n!r}")
+    return _CRITERIA[n]()
 
 
 def report_passed(report: dict) -> bool:

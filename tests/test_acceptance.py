@@ -1,443 +1,311 @@
 """End-to-end acceptance checks, one numbered criterion per test.
 
-Each criterion prints a single PASS/FAIL line (bypassing capture so the
-lines always appear in the run log) and then asserts.  Two criteria also
-assert that they can tell the right law from a wrong one:
+The criteria are ``verify`` check records: ``verify.criterion(n)`` builds
+criterion n with the suites' own check builders, at the grid and threshold
+the criterion states.  This file holds each stated target and threshold
+once, as a literal, and asserts for every criterion that
 
-- 6b asserts the right-tail slope -(1 + 1/alpha) that the law of the
-  exponential functional forces, and that the slope lies more than 0.05
-  from the -alpha once stated for it (measured -1.673 at alpha = 1.5);
-- 7b asserts the overshoot law over the overshoots a grid of the stated
-  step resolves, theta >= 5 step^(1/alpha), and that the down-kind tilt
-  of the same samples fails that check.  The full-range KS, 0.114 at
-  step 1e-4, is a grid floor that decays like step^(1/6); it is printed,
-  not asserted.
+- its records are exactly the named checks below, each following the
+  record contract, so that a criterion cannot pass on a shrunk list;
+- every check passes (a finding is reported, never passed);
+- each record's target and tolerance are the stated ones, so that an edit
+  to ``verify`` cannot loosen a criterion or move its target (a target
+  computed by an independent route, the exit mass behind an extremum CDF
+  or the killed kind's exit-side fraction, is taken from ``verify``; C7a's
+  band is held to the 4 digits its detail prints);
+- its time budget holds;
+- its discriminating bounds hold, read off the records: the checks can
+  tell the right law from a wrong one (6b, 7b and 8, see their tests).
+
+Each criterion is computed once per pytest run, by whichever of its tests
+runs first, and adds one ``CRITERION n: PASS/FAIL`` line, printed from its
+records, to the terminal summary.  To run one criterion:
+``pytest tests/test_acceptance.py -k criterion_6``.
 """
 
 import math
-import sys
+import re
 import time
+from functools import cache
 
-import numpy as np
 import pytest
 
-from conftest import CRITERION_LINES
-from pssmp import expfun, hitting
-from pssmp.exit_laws import (
-    Direction,
-    ExitWindow,
-    exit_mass_one_sided,
-    exit_mass_two_sided,
-    extrema_density_star,
-    extrema_min_star_as_printed,
-    max_cdf_down,
-    min_cdf_up,
-    overshoot_cdf_interpolant,
-)
-from pssmp.hitting import HitQuery, hit_closed_ratio, hit_matrix_method, hit_prob_lamperti
-from pssmp.montecarlo import (
-    SIDE_UP,
-    SimConfig,
-    ks_distance,
-    resolved_overshoot_cutoff,
-    simulate_exit,
-    step_refinement_report,
-)
-from pssmp.numerics import integrate_adaptive, log_gamma
-from pssmp.scale import Case, SpectralCase, psi_down, psi_up, scale_fn, triple_law_total_mass
-from pssmp.stable import Kind, StableParams
-from pssmp.verify import (
-    density_I_mass,
-    density_I_star_mass,
-    esscher_max_relative_error,
-    star_min_derived_mass,
-    star_up_fraction,
-    tilt_reweighting_z,
-)
+from conftest import CRITERION_LINES, assert_record_contract
+from pssmp import hitting, verify
+from pssmp.hitting import HitQuery, hit_closed_ratio
 
-ALPHAS = (0.8, 1.2, 1.5, 1.8)
-RHOS = (0.3, 0.5, 0.7)
+# The (alpha, rho) of alpha in {0.8, 1.2, 1.5, 1.8}, rho in {0.3, 0.5, 0.7}
+# with both jump directions active (alpha*rho < 1 and alpha*(1 - rho) < 1).
+FEASIBLE = (
+    (0.8, 0.3), (0.8, 0.5), (0.8, 0.7),
+    (1.2, 0.3), (1.2, 0.5), (1.2, 0.7),
+    (1.5, 0.5), (1.8, 0.5),
+)
 LEVELS = (0.25, 1.0, 3.0)
+ALPHAS = (1.2, 1.5, 1.8)
+
+# A target that verify computes by an independent route: one minus the
+# one-sided exit mass for an extremum CDF, or the killed kind's closed-form
+# exit-side fraction.
+ORACLE = "computed by verify"
+
+# Criterion 7a's band, 3 binomial SE plus twice the extrapolated step bias,
+# is the one threshold computed from its run.
+BAND = (3.0, 2.0)
+
+# Each criterion's checks and their stated (target, tolerance); None marks
+# a finding, whose target is the derived form's value.
+STATED = {
+    1: {
+        f"two-sided-mass-{kind}-a{a}-r{r}-u{u}-v{-v}": (1.0, 1e-6)
+        for a, r in FEASIBLE
+        for u in LEVELS
+        for v in LEVELS
+        for kind in ("up", "down")
+    },
+    2: {"tilt-ratio-pointwise": (0.0, 1e-12)},
+    3: {
+        **{
+            f"{cdf}-a{a}-r{r}-z{z}": (ORACLE, 1e-6)
+            for a, r in FEASIBLE
+            for z in LEVELS
+            for cdf in ("min-cdf-up", "max-cdf-down")
+        },
+        **{f"star-max-mass-a{a}-r{r}": (1.0, 1e-8) for a, r in FEASIBLE},
+    },
+    4: {
+        **{
+            f"laplace-identity-up-neg-a{a}-t{t}": (1.0, 1e-8)
+            for a in ALPHAS
+            for t in (2.0, 4.0, 8.0)
+        },
+        **{f"psi-shift-a{a}": (0.0, 1e-14) for a in ALPHAS},
+        "triple-law-self-normalization": (1.0, 1e-5),
+    },
+    5: {
+        "matrix-vs-closed-ratio": (0.0, 1e-10),
+        "scaling-invariance": (0.0, 1e-14),
+        "lamperti-hit-range": (0.0, 0.0),
+    },
+    6: {
+        **{f"moment-laplace-k{k}": (1.0, 1e-8) for k in range(1, 6)},
+        "density-I-mass": (1.0, 1e-6),
+        **{f"density-neg-moment-k{k}": (1.0, 1e-5) for k in (1, 2)},
+        **{f"entrance-moment-k{k}": (1.0, 1e-5) for k in (1, 2)},
+        "density-I-right-tail-slope": (-(1.0 + 1.0 / 1.5), 0.05),
+    },
+    7: {
+        "star-up-fraction": (ORACLE, BAND),
+        "esscher-reweighting": (0.0, 3.0),
+        "up-overshoot-ks": (0.0, math.nextafter(0.02, 0.0)),  # KS < 0.02
+        "down-tilt-overshoot-ks": None,
+    },
+    8: {
+        "star-min-derived-mass": (1.0, 1e-5),
+        "star-min-as-printed-growth": None,
+        "I-star-left-cdf-slope": (1.0, 0.05),
+        "density-I-star-mass": (1.0, 1e-5),
+        "density-I-star-as-printed-growth": None,
+    },
+}
+
+BUDGET_S = {1: 30.0, 2: 1.0, 3: 30.0, 4: 60.0, 5: 5.0, 6: 120.0, 7: 600.0}
+
+# The bounds by which a criterion tells the right law from a wrong one.
+DISCRIMINATING = {
+    "density-I-right-tail-slope": (
+        "more than 0.05 from -alpha = -1.5",
+        lambda m: abs(m + 1.5) > 0.05,
+    ),
+    "down-tilt-overshoot-ks": ("above 0.02", lambda m: m > 0.02),
+    "star-min-as-printed-growth": ("above 1", lambda m: m > 1.0),
+    "density-I-star-as-printed-growth": ("above 1 in size", lambda m: abs(m) > 1.0),
+}
+
+# Criteria 6 and 7 are two tests each over one computation: the "a" test
+# asserts the failures of the records named here, the "b" test the rest.
+PART_A = {
+    6: set(STATED[6]) - {"density-I-right-tail-slope"},
+    7: {"star-up-fraction", "esscher-reweighting"},
+}
+
+# (label, record, field, format) of the values each CRITERION line shows.
+NOTES = {
+    2: [("max rel err", "tilt-ratio-pointwise", "measured", ".2e")],
+    6: [
+        ("measured slope", "density-I-right-tail-slope", "measured", ".3f"),
+        ("derived", "density-I-right-tail-slope", "target", ".3f"),
+    ],
+    7: [
+        ("KS", "up-overshoot-ks", "measured", ".4f"),
+        ("down tilt", "down-tilt-overshoot-ks", "measured", ".4f"),
+        ("", "up-overshoot-ks", "detail", ""),
+    ],
+    8: [
+        ("min mass", "star-min-derived-mass", "measured", ".6f"),
+        ("slope", "I-star-left-cdf-slope", "measured", ".3f"),
+        ("I* mass", "density-I-star-mass", "measured", ".6f"),
+    ],
+}
 
 
-def grid_params():
-    """Feasible (alpha, rho) combinations: both jump directions active.
+def _unstated(record, target, tolerance):
+    """Messages for a record whose target or tolerance is not the stated one.
+    C7a's band is rebuilt from the SE and bias its detail prints to 4
+    digits, so that tolerance is held only to a relative 5e-4."""
+    name = record["name"]
+    messages = []
+    if target is not ORACLE and record["target"] != target:
+        messages.append(f"{name} target {record['target']}, stated {target}")
+    if tolerance is BAND:
+        printed = r"binomial SE (\S+), extrapolated step bias (\S+) "
+        got = re.match(printed, record["detail"])
+        if got is None:
+            return messages + [f"{name} detail gives no SE and bias for its band"]
+        band = BAND[0] * float(got[1]) + BAND[1] * float(got[2])
+        if not math.isclose(record["tolerance"], band, rel_tol=5e-4):
+            messages.append(f"{name} tolerance {record['tolerance']}, band {band}")
+    elif record["tolerance"] != tolerance:
+        messages.append(f"{name} tolerance {record['tolerance']}, stated {tolerance}")
+    return messages
 
-    Combinations with alpha*rho >= 1 or alpha*(1-rho) >= 1 have no
-    two-sided exit density (one side is crossed only by creeping) and are
-    excluded by the same parameter predicate the library itself applies.
-    """
-    out = []
-    for a in ALPHAS:
-        for r in RHOS:
-            p = StableParams(a, r)
-            if p.two_sided:
-                out.append(p)
-    return out
+
+def _prefactor_failures():
+    """The occupation-density normalization cancels: scaling
+    killed_resolvent_u by 13 moves the closed-ratio probability by at most
+    1e-14.  It patches the library, so it is not a verify check."""
+    resolvent = hitting.killed_resolvent_u
+    failures = []
+    for alpha in ALPHAS:
+        q = HitQuery(alpha, 1.0, 0.5, 2.0)
+        base = hit_closed_ratio(q)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(hitting, "killed_resolvent_u", lambda *x: 13.0 * resolvent(*x))
+            drift = abs(hit_closed_ratio(q) - base)
+        if drift > 1e-14:
+            failures.append(f"prefactor a={alpha}: drift {drift:.2e}")
+    return failures
 
 
-def announce(n, failures, runtime=None, note=None):
-    verdict = "PASS" if not failures else "FAIL"
-    extra = ""
-    if runtime is not None:
-        extra += f" [{runtime:.1f}s]"
-    if note:
-        extra += f" ({note})"
+@cache
+def _verdict(n):
+    """Criterion n's records and its failures as (record name, message),
+    the name None for the criterion as a whole; adds the CRITERION line."""
+    t0 = time.perf_counter()
+    records = verify.criterion(n)
+    failures = [(None, m) for m in (_prefactor_failures() if n == 5 else ())]
+    runtime = time.perf_counter() - t0
+    by_name = {r["name"]: r for r in records}
+    stated = STATED[n]
+    if set(by_name) != set(stated):
+        differ = set(by_name) ^ set(stated)
+        failures.append((None, f"checks differ from the stated ones: {differ}"))
+    for name, r in by_name.items():
+        if name not in stated:
+            continue
+        if r["status"] != ("finding" if stated[name] is None else "pass"):
+            got = f"{r['measured']} vs {r['target']}"
+            failures.append((name, f"{name} {r['status']}: {got}"))
+        if stated[name] is not None:
+            failures += [(name, m) for m in _unstated(r, *stated[name])]
+        bound, holds = DISCRIMINATING.get(name, (None, lambda m: True))
+        if not holds(r["measured"]):
+            failures.append((name, f"{name} {r['measured']:.4g} is not {bound}"))
+    budget = BUDGET_S.get(n, math.inf)
+    if runtime >= budget:
+        failures.append((None, f"runtime {runtime:.1f}s over the {budget:g}s budget"))
+
+    note = [f"checks {len(records)}"] + [
+        f"{label} {by_name[name][field]:{fmt}}".strip()
+        for label, name, field, fmt in NOTES.get(n, ())
+        if name in by_name
+    ]
+    verdict = "FAIL" if failures else "PASS"
+    line = f"CRITERION {n}: {verdict} [{runtime:.1f}s] ({', '.join(note)})"
     if failures:
-        extra += " :: " + "; ".join(failures[:4])
-    line = f"CRITERION {n}: {verdict}{extra}"
+        line += " :: " + "; ".join(m for _, m in failures[:4])
     CRITERION_LINES.append(line)
-    print(line, file=sys.__stdout__, flush=True)
+    return records, failures
+
+
+def _assert_criterion(n, part=None):
+    """Assert criterion n, or its part "a" or "b" (see PART_A)."""
+    records, failures = _verdict(n)
+    assert_record_contract(records)
+    if part is not None:
+        failures = [f for f in failures if (f[0] in PART_A[n]) == (part == "a")]
+    assert not [m for _, m in failures]
 
 
 def test_criterion_1_normalization():
     """Two-sided overshoot densities of the conditioned kinds are probability
     densities: up-mass + down-mass = 1 within 1e-6 over the full grid."""
-    t0 = time.perf_counter()
-    failures = []
-    for p in grid_params():
-        for u in LEVELS:
-            for nv in LEVELS:
-                w = ExitWindow(-nv, u)
-                for kind in (Kind.UP, Kind.DOWN):
-                    total = exit_mass_two_sided(
-                        kind, p, w, Direction.UP, tol=1e-8
-                    ) + exit_mass_two_sided(kind, p, w, Direction.DOWN, tol=1e-8)
-                    if abs(total - 1.0) > 1e-6:
-                        failures.append(
-                            f"{kind.value} a={p.alpha} r={p.rho} u={u} v={-nv}: "
-                            f"mass={total:.8f}"
-                        )
-    runtime = time.perf_counter() - t0
-    if runtime >= 30.0:
-        failures.append(f"runtime {runtime:.1f}s over the 30s budget")
-    announce(1, failures, runtime, note=f"{len(grid_params())} param combos x 9 windows")
-    assert not failures
+    _assert_criterion(1)
 
 
 def test_criterion_2_esscher():
     """Exponential-tilt density ratios hold pointwise to 1e-12 relative
     error on 1000 random (parameter, window, theta) draws."""
-    t0 = time.perf_counter()
-    worst = esscher_max_relative_error(seed=0, n_draws=1000)
-    runtime = time.perf_counter() - t0
-    failures = []
-    if worst > 1e-12:
-        failures.append(f"worst relative error {worst:.3e} > 1e-12")
-    if runtime >= 1.0:
-        failures.append(f"runtime {runtime:.2f}s over the 1s budget")
-    announce(2, failures, runtime, note=f"max rel err {worst:.2e}")
-    assert not failures
+    _assert_criterion(2)
 
 
 def test_criterion_3_extrema():
     """Closed-form extrema CDFs match quadrature of the one-sided exit
     masses within 1e-6; the killed-kind maximum density integrates to 1
     within 1e-8."""
-    t0 = time.perf_counter()
-    failures = []
-    for p in grid_params():
-        for z in LEVELS:
-            drop = exit_mass_one_sided(Kind.UP, p, Direction.DOWN, -z)
-            if abs((1.0 - min_cdf_up(p, z)) - drop) > 1e-6:
-                failures.append(f"min-cdf a={p.alpha} r={p.rho} z={z}")
-            rise = exit_mass_one_sided(Kind.DOWN, p, Direction.UP, z)
-            if abs((1.0 - max_cdf_down(p, z)) - rise) > 1e-6:
-                failures.append(f"max-cdf a={p.alpha} r={p.rho} z={z}")
-        mass = integrate_adaptive(
-            lambda z: extrema_density_star(p, z, which="max"), 0.0, math.inf, tol=1e-10
-        ).value
-        if abs(mass - 1.0) > 1e-8:
-            failures.append(f"star-max mass a={p.alpha} r={p.rho}: {mass:.10f}")
-    runtime = time.perf_counter() - t0
-    if runtime >= 30.0:
-        failures.append(f"runtime {runtime:.1f}s over the 30s budget")
-    announce(3, failures, runtime)
-    assert not failures
+    _assert_criterion(3)
 
 
 def test_criterion_4_scale():
     """Laplace transform of the scale function inverts the Laplace
     exponent within 1e-8; the down exponent is the up exponent shifted by
     one to machine precision; the triple law self-normalizes within 1e-5."""
-    t0 = time.perf_counter()
-    failures = []
-    for alpha in (1.2, 1.5, 1.8):
-        s = SpectralCase(Case.UP_NEG, alpha)
-        for theta in (2.0, 4.0, 8.0):
-            lap = integrate_adaptive(
-                lambda x: math.exp(-theta * x) * scale_fn(s, x),
-                0.0,
-                math.inf,
-                tol=1e-11,
-            ).value
-            if abs(lap * psi_up(s, theta) - 1.0) > 1e-8:
-                failures.append(f"laplace a={alpha} t={theta}")
-        d = SpectralCase(Case.DOWN_NEG, alpha)
-        for theta in (1.5, 3.0, 7.0):
-            ref = psi_up(s, theta - 1.0)
-            if abs(psi_down(d, theta) - ref) > 1e-14 * max(1.0, abs(ref)):
-                failures.append(f"psi-shift a={alpha} t={theta}")
-    mass = triple_law_total_mass(SpectralCase(Case.UP_NEG, 1.5), -1.0, tol=1e-6)
-    if abs(mass - 1.0) > 1e-5:
-        failures.append(f"triple-law mass {mass:.7f}")
-    runtime = time.perf_counter() - t0
-    if runtime >= 60.0:
-        failures.append(f"runtime {runtime:.1f}s over the 60s budget")
-    announce(4, failures, runtime)
-    assert not failures
+    _assert_criterion(4)
 
 
-def test_criterion_5_hitting(monkeypatch):
+def test_criterion_5_hitting():
     """Matrix and closed-ratio two-point hitting routes agree to 1e-10 on
     all distinct permutations of (0.5, 1, 2); the occupation-density
-    normalization cancels to machine precision; tilted hitting
-    probabilities stay in [0, 1]."""
-    t0 = time.perf_counter()
-    failures = []
-    import itertools
-
-    resolvent = hitting.killed_resolvent_u  # scaled from outside below
-
-    for alpha in (1.2, 1.5, 1.8):
-        for x, a, b in itertools.permutations((0.5, 1.0, 2.0)):
-            q = HitQuery(alpha, x, a, b)
-            gap = abs(hit_matrix_method(q) - hit_closed_ratio(q))
-            if gap > 1e-10:
-                failures.append(f"routes a={alpha} ({x},{a},{b}): gap {gap:.2e}")
-        q = HitQuery(alpha, 1.0, 0.5, 2.0)
-        base = hit_closed_ratio(q)
-        with monkeypatch.context() as m:
-            m.setattr(hitting, "killed_resolvent_u", lambda *pts: 13.0 * resolvent(*pts))
-            drift = abs(hit_closed_ratio(q) - base)
-        if drift > 1e-14:
-            failures.append(f"prefactor a={alpha}: drift {drift:.2e}")
-    for kind in (Kind.UP, Kind.DOWN):
-        for v, u in ((-0.5, 0.5), (-2.0, 1.0)):
-            pr = hit_prob_lamperti(kind, 1.5, v, u)
-            if not (0.0 <= pr <= 1.0):
-                failures.append(f"lamperti {kind.value} ({v},{u}): {pr}")
-    runtime = time.perf_counter() - t0
-    if runtime >= 5.0:
-        failures.append(f"runtime {runtime:.1f}s over the 5s budget")
-    announce(5, failures, runtime)
-    assert not failures
-
-
-_C6_FAILURES = []
-_C6_T0 = []
+    normalization cancels to machine precision, and so does a rescaling of
+    the points; tilted hitting probabilities stay in [0, 1]."""
+    _assert_criterion(5)
 
 
 def test_criterion_6a_expfun_identities():
     """Moment-Laplace identity within 1e-8; density mass within 1e-6;
     negative moments within 1e-5; entrance-law moments within 1e-5."""
-    _C6_T0.append(time.perf_counter())
-    model = SpectralCase(Case.UP_NEG, 1.5)
-    for k in range(1, 6):
-        quad = integrate_adaptive(
-            lambda lam: lam ** (k - 1) * expfun.laplace_I(model, lam),
-            0.0,
-            math.inf,
-            tol=1e-10,
-        ).value / math.exp(log_gamma(k))
-        if abs(quad / expfun.neg_moment_I(model, k) - 1.0) > 1e-8:
-            _C6_FAILURES.append(f"moment-laplace k={k}")
-    if abs(density_I_mass(model) - 1.0) > 1e-6:
-        _C6_FAILURES.append("density mass")
-    for k in (1, 2):
-        got = integrate_adaptive(
-            lambda x: x ** (-k) * expfun.density_I(model, x).value,
-            0.09 / model.c,
-            math.inf,
-            tol=1e-9,
-        ).value
-        if abs(got / expfun.neg_moment_I(model, k) - 1.0) > 1e-5:
-            _C6_FAILURES.append(f"density neg moment k={k}")
-    t = 1.0
-    for k in (1, 2):
-        got = integrate_adaptive(
-            lambda x: x**k * expfun.entrance_density(model, t, x).value,
-            1e-8,
-            t * model.c / 0.09,
-            tol=1e-9,
-        ).value
-        if abs(got / expfun.entrance_moment(model, k, t) - 1.0) > 1e-5:
-            _C6_FAILURES.append(f"entrance moment k={k}")
-    assert not _C6_FAILURES
+    _assert_criterion(6, "a")
 
 
 def test_criterion_6b_tail_slope_as_stated():
-    """Right-tail slope of the density: -(1 + 1/alpha) +- 0.05, not -alpha.
-
-    The paper's negative moments E(I^-k) = alpha m^k Gamma(k alpha) /
-    (Gamma(alpha)^k (k-1)!), checked against the Laplace transform
-    exp(-(lambda/c)^(1/alpha)) in 6a, determine the law (Carleman's
-    condition holds for alpha < 2).  It is positive stable of index
-    1/alpha, so its density decays like x^(-1-1/alpha): the fitted
-    log-log slope must lie within 0.05 of -(1 + 1/alpha), -1.667 at
-    alpha = 1.5.  The slope -alpha once stated for this criterion is
-    derived nowhere in the paper or the package; the measured slope must
-    also lie more than 0.05 from it, so that discrepancy stays checked
-    the way criterion 8 checks its quoted forms.  The two values coincide
-    only at the golden ratio.
-    """
-    model = SpectralCase(Case.UP_NEG, 1.5)
-    slope = expfun.tail_exponent_check(model)
-    derived = -(1.0 + 1.0 / model.alpha)
-    quoted = -model.alpha
-    failures = list(_C6_FAILURES)
-    if abs(slope - derived) > 0.05:
-        failures.append(f"tail slope {slope:.3f} not in -(1 + 1/alpha) +- 0.05")
-    if abs(slope - quoted) <= 0.05:
-        failures.append(
-            f"tail slope {slope:.3f} within 0.05 of the quoted -alpha {quoted:.3f}"
-        )
-    runtime = time.perf_counter() - _C6_T0[0] if _C6_T0 else float("nan")
-    if runtime >= 120.0:
-        failures.append(f"runtime {runtime:.1f}s over the 120s budget")
-    announce(
-        6,
-        failures,
-        runtime,
-        note=f"measured slope {slope:.3f}, derived {derived:.3f}, quoted {quoted:.3f}",
-    )
-    assert not failures
-
-
-_MC = {}
-_C7_FAILURES = []
-
-
-def _mc_runs():
-    """Shared seeded simulation budget for criterion 7: n=1e5, step=1e-4."""
-    if _MC:
-        return _MC
-    p = StableParams(1.5, 0.5)
-    w = ExitWindow(-0.5, 0.5)
-    n_paths, step, seed = 100_000, 1e-4, 0
-    t0 = time.perf_counter()
-    _MC.update(
-        p=p,
-        w=w,
-        t0=t0,
-        star=simulate_exit(Kind.STAR, p, w, SimConfig(n_paths, step, seed)),
-        report=step_refinement_report(
-            Kind.STAR, p, w, SimConfig(20_000, step, seed), levels=2
-        ),
-        up_run=simulate_exit(Kind.UP, p, w, SimConfig(n_paths, step, seed + 1)),
-        down_run=simulate_exit(Kind.DOWN, p, w, SimConfig(n_paths, step, seed + 2)),
-    )
-    return _MC
+    """Right-tail slope of the density: -(1 + 1/alpha) +- 0.05, -1.667 at
+    alpha = 1.5, which the paper's negative moments (6a) force; and more
+    than 0.05 from the -alpha once stated for this criterion, which nothing
+    derives (README, "Verification and known findings")."""
+    _assert_criterion(6, "b")
 
 
 def test_criterion_7a_montecarlo_frequencies():
-    """Seeded path simulation reproduces the closed-form laws: killed-kind
-    exit-side frequency within 3 binomial SE + twice the extrapolated step
-    bias; tilt reweighting across kinds consistent within 3 SE."""
-    mc = _mc_runs()
-    star = mc["star"]
-    star.require_censoring_below(1e-3)
-    band = star_up_fraction(star, mc["report"])
-    if abs(band.measured - band.target) > band.tolerance:
-        _C7_FAILURES.append(
-            f"up fraction {band.measured:.5f} vs {band.target:.5f} (tol "
-            f"{band.tolerance:.5f}, se {band.se:.5f}, bias {band.bias:.5f})"
-        )
-
-    z = tilt_reweighting_z(mc["down_run"], mc["up_run"])
-    if abs(z) > 3.0:
-        _C7_FAILURES.append(f"tilt reweighting z={z:.2f}")
-    assert not _C7_FAILURES
+    """Seeded path simulation (1e5 paths of each kind at step 1e-4)
+    reproduces the closed-form laws: killed-kind exit-side frequency within
+    3 binomial SE + twice the extrapolated step bias; tilt reweighting
+    across kinds consistent within 3 SE."""
+    _assert_criterion(7, "a")
 
 
 def test_criterion_7b_overshoot_ks_as_stated():
     """Weighted KS of the conditioned-kind overshoots over the resolved
-    range, required < 0.02; the down-kind tilt, required > 0.02.
-
-    The overshoot density diverges like theta^(-alpha(1-rho)) at 0, so
-    its CDF rises like theta^(1/4) at these parameters.  A path observed
-    on a grid of step h cannot resolve overshoots smaller than the
-    increment scale h^(1/alpha) (2e-3 at h = 1e-4), below which 26% of
-    the mass lies.  Over all overshoots the KS distance therefore has a
-    grid floor that decays only like h^((1-alpha(1-rho))/alpha), h^(1/6)
-    here: 0.114 at the stated step, against 0.110 with no weights at all,
-    so the full-range value cannot tell the right law from a wrong one.
-    The sup is taken over theta >= 5 h^(1/alpha) (about 0.011); the
-    empirical CDF still counts the weight below that cutoff.  On the same
-    samples the down-kind weights (one power of the exit position fewer)
-    must give a KS distance above 0.02, so the check can fail on a wrong
-    tilt.  The full-range value is printed, not asserted.
-    """
-    mc = _mc_runs()
-    up_run = mc["up_run"]
-    cdf, _ = overshoot_cdf_interpolant(Kind.UP, mc["p"], Direction.UP, window=mc["w"])
-    sel = up_run.side == SIDE_UP
-    theta, hw = up_run.theta[sel], up_run.h_weight[sel]
-    cutoff = resolved_overshoot_cutoff(mc["p"], up_run.config.step)
-    ks = ks_distance(theta, cdf, weights=hw, cutoff=cutoff)
-    down_tilt = hw / up_run.exit_position()[sel]
-    ks_down = ks_distance(theta, cdf, weights=down_tilt, cutoff=cutoff)
-    ks_full = ks_distance(theta, cdf, weights=hw)
-    n_eff = float(np.sum(hw)) ** 2 / float(np.sum(hw**2))
-    failures = list(_C7_FAILURES)
-    if ks >= 0.02:
-        failures.append(f"weighted KS {ks:.4f} >= 0.02 over theta >= {cutoff:.4f}")
-    if ks_down <= 0.02:
-        failures.append(
-            f"down-kind tilt KS {ks_down:.4f} <= 0.02: the check cannot tell "
-            f"the tilts apart"
-        )
-    runtime = time.perf_counter() - mc["t0"]
-    if runtime >= 600.0:
-        failures.append(f"runtime {runtime:.0f}s over the 600s budget")
-    announce(
-        7,
-        failures,
-        runtime,
-        note=f"KS {ks:.4f} over theta >= {cutoff:.4f}, n_eff {n_eff:.0f}, "
-        f"down tilt {ks_down:.4f}, full-range {ks_full:.4f}",
-    )
-    assert not failures
+    range theta >= 5 step^(1/alpha), required < 0.02; on the same samples
+    the down-kind tilt, required > 0.02.  Over all overshoots the KS has a
+    grid floor (0.114 at step 1e-4, 0.110 with no weights), so the
+    full-range value is printed, not asserted (README, "Verification and
+    known findings")."""
+    _assert_criterion(7, "b")
 
 
 def test_criterion_8_adjudication_findings():
     """Documented discrepancies between quoted closed forms and the derived
     constructions: the derived laws integrate to 1 within 1e-5 while the
-    quoted alternatives are not integrable, and the measured left-CDF
-    slope of the killed functional is +1 within 0.05."""
-    t0 = time.perf_counter()
-    failures = []
-    p = StableParams(1.5, 0.5)
-
-    derived = star_min_derived_mass(p)
-    if abs(derived - 1.0) > 1e-5:
-        failures.append(f"derived min mass {derived:.7f}")
-    printed_growth = extrema_min_star_as_printed(p, 4.0) / extrema_min_star_as_printed(
-        p, 2.0
-    )
-    if printed_growth <= 1.0:
-        failures.append("quoted min density unexpectedly decays")
-
-    star = SpectralCase(Case.DOWN_POS, 1.5)
-    slope = expfun.tail_exponent_check(star)
-    if abs(slope - 1.0) > 0.05:
-        failures.append(f"left-CDF slope {slope:.3f}")
-
-    mass = density_I_star_mass(star)
-    if abs(mass - 1.0) > 1e-5:
-        failures.append(f"derived functional density mass {mass:.7f}")
-    as_printed_growth = (
-        expfun.density_I_star_as_printed(star, 10.0).value
-        / expfun.density_I_star_as_printed(star, 5.0).value
-    )
-    if abs(as_printed_growth) <= 1.0:
-        failures.append("quoted functional density unexpectedly decays")
-
-    runtime = time.perf_counter() - t0
-    announce(
-        8,
-        failures,
-        runtime,
-        note=f"min mass {derived:.6f}, slope {slope:.3f}, I* mass {mass:.6f}",
-    )
-    assert not failures
+    quoted alternatives grow, so are not integrable, and the measured
+    left-CDF slope of the killed functional is +1 within 0.05."""
+    _assert_criterion(8)

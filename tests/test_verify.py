@@ -4,15 +4,15 @@ import functools
 
 import pytest
 
-from pssmp.verify import SUITES, report_passed, run_suite
+from conftest import assert_record_contract
+from pssmp.errors import DomainError
+from pssmp.verify import SUITES, criterion, report_passed, run_suite
 
-# ``expfun`` is left out: it takes about 30 s, almost all of it in the
+# ``expfun`` is left out: it takes about 20 s, almost all of it in the
 # series densities of the exponential functional, and joins these tests
 # once the UP functional's density comes from Kanter's integral (ROADMAP
-# item 4).
+# item 4).  Criteria 6 and 8 hold its checks to the record contract.
 QUICK = [s for s in SUITES if s != "expfun"]
-
-FIELDS = {"name", "law", "status", "measured", "target", "tolerance", "detail"}
 
 
 @functools.cache
@@ -32,13 +32,10 @@ def test_suite_passes(suite):
 def test_every_check_follows_the_one_pass_rule():
     """A check passes exactly when |measured - target| <= tolerance; every
     record carries its target, and no two checks share a name."""
-    checks = [c for suite in QUICK for c in _report(suite)["checks"]]
-    for c in checks:
-        assert set(c) == FIELDS, c["name"]
-        if c["status"] == "finding":
-            assert c["tolerance"] is None, c["name"]
-        else:
-            passed = abs(c["measured"] - c["target"]) <= c["tolerance"]
-            assert c["status"] == ("pass" if passed else "fail"), c["name"]
-    names = [c["name"] for c in checks]
-    assert len(names) == len(set(names))
+    assert_record_contract([c for suite in QUICK for c in _report(suite)["checks"]])
+
+
+@pytest.mark.parametrize("n", [0, 9])
+def test_criteria_are_numbered_1_to_8(n):
+    with pytest.raises(DomainError, match="criterion must be an integer from 1 to 8"):
+        criterion(n)
