@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy.special import poch
+from scipy.special import betainc, betaincc, poch
 
 from .errors import DomainError, NumericError
 from .numerics import _exp_or_inf, _log_expm1, integrate_adaptive, log_gamma
@@ -91,18 +91,13 @@ class SpectralCase:
         return default_m(self.alpha, self.jump_weight)
 
 
-def _laplace_exponent(s: SpectralCase, theta: float) -> float:
-    """m * Gamma(theta+alpha) / (Gamma(theta) Gamma(alpha)) for theta > -alpha.
-
-    poch forms the gamma ratio directly, so it stays finite where the two
-    gammas overflow (theta past 171); where the value itself leaves the
-    float range, NumericError is raised.
-    """
-    value = s.m * float(poch(theta, s.alpha)) / math.gamma(s.alpha)
+def _laplace_exponent(s: SpectralCase, factor: float, theta: float, index: float) -> float:
+    """factor * m * Gamma(theta + index) / (Gamma(theta) Gamma(alpha)), the
+    gamma ratio formed by poch, so that it stays finite where the two gammas
+    overflow (theta past 171); a value past the float range is NumericError."""
+    value = factor * s.m * float(poch(theta, index)) / math.gamma(s.alpha)
     if not math.isfinite(value):
-        raise NumericError(
-            f"Laplace exponent at theta={theta:g} exceeds the float range"
-        )
+        raise NumericError(f"Laplace exponent at theta={theta:g} exceeds the float range")
     return value
 
 
@@ -111,16 +106,17 @@ def psi_up(s: SpectralCase, theta: float) -> float:
     if not 0.0 <= theta < math.inf:
         raise DomainError("theta must be finite and nonnegative")
     # 1/Gamma is entire, so the zero at theta = 0 falls out naturally.
-    return _laplace_exponent(s, theta)
+    return _laplace_exponent(s, 1.0, theta, s.alpha)
 
 
 def psi_down(s: SpectralCase, theta: float) -> float:
-    """Laplace exponent of the DownNeg process: psi_up shifted by one."""
+    """Laplace exponent of the DownNeg process, psi_up(theta - 1), with
+    Gamma(theta - 1) = Gamma(theta) / (theta - 1): below theta = 1.1e-16,
+    theta - 1 itself rounds onto the pole at -1, where psi_up reads 0."""
     if not 0.0 <= theta < math.inf:
         raise DomainError("theta must be finite and nonnegative")
-    # theta - 1 + alpha >= alpha - 1 > 0, so only 1/Gamma(theta-1) can
-    # hit a pole, and it vanishes there instead.
-    return _laplace_exponent(s, theta - 1.0)
+    # + 0.0 turns the -0 of theta = 0, where 1/Gamma(theta) vanishes, into 0.
+    return _laplace_exponent(s, theta - 1.0, theta, s.alpha - 1.0) + 0.0
 
 
 def psi(s: SpectralCase, theta: float) -> float:
@@ -193,29 +189,21 @@ def _log_jump(a: float, s: float, q: float) -> float:
     return (q - a) * s - (1.0 + a) * math.log(-math.expm1(-s))
 
 
+def _log_jump_tail(a: float, phi: float, q: float) -> float:
+    """log of the theta integral int_phi^inf e^(q s) J(s) ds, q = 0 or 1: in
+    u = e^s - 1 the closed form int (1 + u)^q u^(-1-a) du over u > e^phi - 1,
+    e^(q phi) (a - e^(-q phi)) (e^phi - 1)^(-a) / (a (a-1))."""
+    return q * phi - a * _log_expm1(phi) + math.log((a - math.exp(-q * phi)) / (a * (a - 1.0)))
+
+
 def _jump_tail(a: float, phi: float, q: float) -> float:
-    """The theta integral int_phi^inf e^(q s) J(s) ds, in u = e^s - 1 the
-    closed form int (1 + u)^q u^(-1-a) du over u > e^phi - 1, q = 0 or 1."""
-    log_u = _log_expm1(phi)
-    return math.exp(-a * log_u) / a + q * math.exp((1.0 - a) * log_u) / (a - 1.0)
+    """The theta integral itself, e^(``_log_jump_tail``)."""
+    return math.exp(_log_jump_tail(a, phi, q))
 
 
-def _kernel(s: SpectralCase, depth: float):
-    """(A, q) of the kernel A(eta) e^(-q (phi - eta)) e^(q s) J(s), s = theta + phi.
-
-    In w = eta - |barrier|, UpNeg and DownPos have A = e^w (1 - e^w)^(alpha-2)
-    and q = 0.  DownNeg is UpNeg reweighted by e^(-xi_tau) = e^(|barrier| +
-    theta), the Esscher tilt that psi_down(theta) = psi_up(theta - 1)
-    defines: q = 1 is the root psi_down(1) = 0, and e^(|barrier| + w) = e^eta
-    is split as e^(-(phi - eta)) e^phi, each in range: A = (1 - e^w)^(alpha-2).
-    """
-    a, q = s.alpha, 1.0 if s.case is Case.DOWN_NEG else 0.0
-
-    def A(eta):
-        w = eta - depth
-        return math.exp((1.0 - q) * w) * (-math.expm1(w)) ** (a - 2.0)
-
-    return A, q
+def _tilt(s: SpectralCase) -> float:
+    """The kernel's q: 1 for DownNeg, 0 for UpNeg and DownPos."""
+    return 1.0 if s.case is Case.DOWN_NEG else 0.0
 
 
 def _C(a: float) -> float:
@@ -224,20 +212,21 @@ def _C(a: float) -> float:
     return math.gamma(a - 1.0) * math.gamma(2.0 - a) / (a * (a - 1.0))
 
 
+def _log_rise(depth: float) -> float:
+    """log(1 - e^-depth), by expm1 below depth 0.7 and by log1p above, so
+    that it keeps its digits at every depth."""
+    return math.log(-math.expm1(-depth)) if depth < 0.7 else math.log1p(-math.exp(-depth))
+
+
 def triple_law_K(s: SpectralCase, barrier: float) -> float:
     """Normalizing constant of the triple law: C(alpha) times the probability
     of passage, 1 - (1 - e^-|barrier|)^(alpha-1) for UpNeg and DownPos and 1
-    for DownNeg, which passes surely.  The log is taken by expm1 below
-    |barrier| 0.7 and by log1p above, so K keeps its digits at every barrier;
+    for DownNeg, which passes surely.  K keeps its digits at every barrier;
     a K past the float range (|barrier| ~ 745) raises DomainError."""
     depth = _depth(s, barrier)
     if s.case is Case.DOWN_NEG:
         return _C(s.alpha)
-    if depth < 0.7:
-        log_rise = math.log(-math.expm1(-depth))
-    else:
-        log_rise = math.log1p(-math.exp(-depth))
-    K = _C(s.alpha) * -math.expm1((s.alpha - 1.0) * log_rise)
+    K = _C(s.alpha) * -math.expm1((s.alpha - 1.0) * _log_rise(depth))
     if K == 0.0:
         raise DomainError(f"triple-law K leaves the float range at barrier={barrier}")
     return K
@@ -245,63 +234,73 @@ def triple_law_K(s: SpectralCase, barrier: float) -> float:
 
 def triple_law_density(s: SpectralCase, pt: TripleLawPoint) -> float:
     """Normalized joint density of (overshoot, undershoot, prior extremum),
-    inf past the float range, as at its poles theta + phi = 0, eta = |barrier|."""
+    the kernel A(eta) e^(-q (phi - eta)) e^(q s) J(s) over K, s = theta + phi,
+    w = eta - |barrier|, A = e^((1 - q) w) (1 - e^w)^(alpha-2).  DownNeg is
+    UpNeg reweighted by e^(-xi_tau) = e^(|barrier| + theta), the Esscher tilt
+    that psi_down(theta) = psi_up(theta - 1) defines: q = 1 is the root
+    psi_down(1) = 0, and e^(|barrier| + w) = e^eta is split as
+    e^(-(phi - eta)) e^phi.  One sum of logs, so no factor leaves the float
+    range before the division by K; inf past it, as at the poles.
+    """
     depth = _depth(s, pt.barrier)
     if not (pt.theta >= 0.0 and pt.eta <= pt.phi < math.inf and 0.0 <= pt.eta <= depth):
         raise DomainError("need theta >= 0, finite phi >= eta, eta in [0, |barrier|]")
     K = triple_law_K(s, pt.barrier)
     if pt.eta == depth:
         return math.inf  # the integrable pole of (1 - e^w)^(alpha - 2) at w = 0
-    A, q = _kernel(s, depth)
-    tilt, log_J = -q * (pt.phi - pt.eta), _log_jump(s.alpha, pt.theta + pt.phi, q)
-    try:
-        f = A(pt.eta) * math.exp(tilt) * math.exp(log_J) / K
-    except OverflowError:  # a factor next to a pole
-        f = math.inf
-    if f < math.inf:
-        return f
-    # Past the float range of a factor or of the product: the same in logs.
-    w = pt.eta - depth
-    log_A = (1.0 - q) * w + (s.alpha - 2.0) * math.log(-math.expm1(w))
-    return _exp_or_inf(log_A + tilt + log_J - math.log(K))
+    a, q, w = s.alpha, _tilt(s), pt.eta - depth
+    log_A = (1.0 - q) * w + (a - 2.0) * math.log(-math.expm1(w))
+    log_J = _log_jump(a, pt.theta + pt.phi, q)
+    return _exp_or_inf(log_A - q * (pt.phi - pt.eta) + log_J - math.log(K))
 
 
 def triple_law_total_mass(s: SpectralCase, barrier: float, tol: float = 1e-7) -> float:
-    """Integral of the normalized density by nested quadrature, eta inside phi.
-
-    Should equal 1; deviations measure quadrature (not modelling) error.
-    phi is split at |barrier|.  A(0) has the size of K (e^-|barrier| for
-    UpNeg), so the quadratures integrate A / A(0).
+    """Integral of the normalized density; it should equal 1, and deviations
+    measure quadrature (not modelling) error.  Over theta it is
+    ``_log_jump_tail``, over eta in [0, min(phi, |barrier|)] e^(q (|barrier| -
+    phi)) (1 - e^-|barrier|)^(a-1) G / (a-1), G = 1 - (1 - rho)^(a-1), rho =
+    min(1, (e^phi - 1) / (e^|barrier| - 1)).  Their product over K, one sum of
+    logs, is integrated in r = log phi, split at |barrier|/2 and |barrier| so
+    that the power law at 0 and the cusp at |barrier| each end an interval.
+    Below phi = 1e-10 min(|barrier|, 1) it is e^((2 - a) r) times a constant
+    to 1e-10, so that piece is its value there over 2 - a.
     """
     K = triple_law_K(s, barrier)
-    depth = abs(barrier)
-    A, q = _kernel(s, depth)
-    a0 = A(0.0)
+    depth, a, q = abs(barrier), s.alpha, _tilt(s)
+    log_top = _log_expm1(depth)
+    const = (a - 1.0) * _log_rise(depth) + q * depth - math.log((a - 1.0) * K)
 
-    def over_eta(phi):
-        def f(eta):
-            return A(eta) / a0 * math.exp(-q * (phi - eta))
+    def in_log_phi(r):
+        phi = math.exp(min(r, 700.0))  # past phi = e^700 the integrand is 0
+        log_rho = min(_log_expm1(phi) - log_top, 0.0)
+        rho = max(math.exp(log_rho), 1e-300)  # G / rho is a - 1 below 1e-16
+        G_over_rho = -math.expm1((a - 1.0) * math.log1p(-rho)) / rho if rho < 1.0 else 1.0
+        log_G = log_rho + math.log(G_over_rho)
+        return math.exp(const + r + _log_jump_tail(a, phi, q) - q * phi + log_G)
 
-        inner = integrate_adaptive(f, 0.0, min(phi, depth), tol * 1e-2)
-        return _jump_tail(s.alpha, phi, q) * inner.value * (a0 / K)
-
-    near = integrate_adaptive(over_eta, 0.0, depth, tol).value
-    return near + integrate_adaptive(over_eta, depth, math.inf, tol).value
+    r_lo, r_top = math.log(min(depth, 1.0)) - 23.0, math.log(depth)
+    r_mid = r_top - math.log(2.0)
+    mass = in_log_phi(r_lo) / (2.0 - a)
+    for lo, hi in ((r_lo, r_mid), (r_mid, r_top), (r_top, math.inf)):
+        mass += integrate_adaptive(in_log_phi, lo, hi, tol).value
+    return mass
 
 
 def triple_law_K_printed_upneg(s: SpectralCase, v: float) -> float:
-    """The one-dimensional closed-form candidate for the UpNeg constant.
+    """The one-dimensional candidate printed for the UpNeg constant: a first
+    term minus C(a) (1 - e^v)^(a-1), where K = C(a) - C(a) (1 - e^v)^(a-1).
+    Kept as a cross-check only; ``verify scale`` reports both.
 
-    It is first - second, with second = C(alpha) (1 - e^v)^(alpha-1), while
-    K = C(alpha) - second: the printed first term stands where K has
-    C(alpha).  Kept as a cross-check only; ``verify scale`` reports both.
+    The first term, e^((a-2) v) / (a (a-1)) int_1^(e^-v) (e^-v - y) /
+    (y (y - 1)^(a-1)) dy, is C(a) e^((a-3) v) I_x(3-a, a-1), x = 1 - e^v, by
+    parts and t = (y - 1)/y; I is taken as 1 - I_(e^v)(a-1, 3-a) where x
+    rounds toward 1.  Past the float range (v < -710/(3-a)) NumericError.
     """
     if s.case is not Case.UP_NEG:
         raise DomainError("printed constant applies to the UpNeg case only")
-    a = s.alpha
-    ev = math.exp(-v)
-    integral = integrate_adaptive(
-        lambda y: (ev - y) / (y * (y - 1.0) ** (a - 1.0)), 1.0, ev, tol=1e-10
-    ).value
-    first = math.exp((a - 2.0) * v) / (a * (a - 1.0)) * integral
-    return first - _C(a) * (-math.expm1(v)) ** (a - 1.0)
+    a, x = s.alpha, -math.expm1(-_depth(s, v))
+    beta = betainc(3.0 - a, a - 1.0, x) if x < 0.5 else betaincc(a - 1.0, 3.0 - a, math.exp(v))
+    value = _C(a) * (_exp_or_inf((a - 3.0) * v) * float(beta) - x ** (a - 1.0))
+    if not math.isfinite(value):
+        raise NumericError(f"printed constant at v={v:g} exceeds the float range")
+    return value

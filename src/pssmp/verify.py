@@ -302,9 +302,11 @@ def _scale_checks(alphas=(1.2, 1.8), thetas=(2.0, 8.0), tol=1e-7, cases=tuple(Ca
                 worst,
                 0.0,
                 1e-14,
-                detail="holds by construction: psi_down is psi_up's "
-                "Laplace-exponent helper at theta - 1, so the two share code "
-                "and the drift is exactly 0; the independent route is the "
+                detail="two formulas of one exponent: psi_down as (theta - 1) m "
+                "Gamma(theta - 1 + alpha) / (Gamma(theta) Gamma(alpha)), psi_up "
+                "at theta - 1 as m Gamma(theta - 1 + alpha) / (Gamma(theta - 1) "
+                "Gamma(alpha)), each gamma ratio by poch; they share the "
+                "Laplace-exponent helper, so the independent route is the "
                 "Levy-measure oracle, the Levy-Khintchine integral of "
                 "pi(dx) = e^(gamma x) nu(e^x - 1) dx",
             )
@@ -318,8 +320,11 @@ def _scale_checks(alphas=(1.2, 1.8), thetas=(2.0, 8.0), tol=1e-7, cases=tuple(Ca
             1.0,
             1e-5,
             detail="K is closed form, C(alpha) times the probability of "
-            "passage; the mass integrates the kernel by nested quadrature, "
-            "eta inside phi, over the closed-form theta integral",
+            "passage; the theta and eta integrals of the kernel are closed "
+            "form, and one quadrature in log phi integrates their product, "
+            "without the density's A(eta): the density itself is checked by "
+            "triple-law-overshoot-marginal and by the property test against "
+            "an mpmath evaluation",
         )
     )
     return checks
@@ -358,7 +363,9 @@ def _triple_law_checks():
             K,
             detail="printed UpNeg constant against K (alpha 1.5, v -1): "
             "both subtract C(alpha)(1 - e^v)^(alpha-1), but the printed first "
-            f"term is {printed + C - K:.5g} where K has C(alpha) = {C:.5g}",
+            f"term is {printed + C - K:.5g} where K has C(alpha) = {C:.5g}; "
+            "the printed integral is taken in closed form, as an incomplete "
+            "beta, not by quadrature",
         )
     )
     return checks
@@ -457,9 +464,9 @@ def density_I_mass(model: SpectralCase) -> float:
     """Total mass of the series density, certified below the series cutoff.
 
     The series cancels catastrophically for very small arguments; the
-    integral starts at a cutoff where the evaluation is still sound and
-    the omitted left mass is bounded (negligibly) by the Chernoff bound
-    from the explicit Laplace transform.
+    integral starts at the cutoff 0.09/c, and the omitted left mass is
+    bounded by the Chernoff bound from the explicit Laplace transform.  Just
+    above the cutoff the series is still noise (see ``expfun.density_I``).
     """
     x_lo = 0.09 / model.c
     bound = expfun.left_mass_bound(model, x_lo)

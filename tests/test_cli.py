@@ -638,6 +638,19 @@ class TestExitCodes:
         assert rc == 0 and err == ""
         assert [l.split(",")[1] for l in out.splitlines()[-2:]] == ["inf", "inf"]
 
+    def test_triple_law_at_a_deep_barrier(self, capsys):
+        # The kernel's product underflowed before the division by K and
+        # printed 0 for both rows; the values are a 100-digit mpmath
+        # evaluation of the same law.
+        rc, out, err = run(
+            capsys, "eval", "--law", "triple-law", "--case", "up-neg", "--alpha", "1.5",
+            "--v", "-600", "--eta", "300", "--phi", "300", "--grid", "0.5:1:2",
+        )
+        assert rc == 0 and err == ""
+        values = [float(l.split(",")[1]) for l in out.splitlines()[-2:]]
+        want = [1.618259776561164e-66, 7.644117920936417e-67]
+        assert values == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_missing_config_file_is_2(self, capsys):
         assert run(capsys, "eval", "--law", "psi", "--config", "/nope.cfg")[0] == 2
 

@@ -4,7 +4,7 @@ import warnings
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pssmp import scale
 from pssmp.errors import DomainError, NumericError
@@ -64,6 +64,17 @@ class TestLaplaceExponents:
             )
         assert psi_up(s, theta) == pytest.approx(float(want), rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [1.0001, 1.5])
+    @pytest.mark.parametrize("theta", [1e-17, 1e-300])
+    def test_psi_down_next_to_zero_against_mpmath(self, alpha, theta):
+        # theta - 1 rounds to -1, a pole of Gamma, below theta = 1.1e-16:
+        # psi_up(theta - 1) read 0 there, where psi_down is -m theta / (alpha - 1).
+        s = SpectralCase(Case.DOWN_NEG, alpha)
+        with mpmath.workdps(330):
+            a, t = mpmath.mpf(alpha), mpmath.mpf(theta)
+            want = mpmath.mpf(s.m) * mpmath.rgamma(t - 1) * mpmath.gamma(t - 1 + a) / mpmath.gamma(a)
+        assert psi_down(s, theta) == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
     def test_psi_past_the_float_range_is_a_numeric_error(self):
         with pytest.raises(NumericError, match="float range"):
             psi_up(SpectralCase(Case.UP_NEG, 1.5), 1e300)
@@ -74,7 +85,9 @@ class TestLaplaceExponents:
         s = SpectralCase(Case.UP_NEG, 1.5)
         assert psi_up(s, 0.0) == 0.0
         d = SpectralCase(Case.DOWN_NEG, 1.5)
-        assert psi_down(d, 1.0) == 0.0
+        # 0, not -0: the CLI prints both zeros as "0".
+        for theta in (0.0, 1.0):
+            assert psi_down(d, theta) == 0.0 and math.copysign(1.0, psi_down(d, theta)) == 1.0
 
     def test_mean_normalization(self):
         # psi'(0) = m for the UpNeg exponent.
@@ -220,12 +233,15 @@ class TestSeparableKernel:
             assert K == pytest.approx(C, rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
-    @pytest.mark.parametrize("depth", [0.25, 1.0, 5.0, 50.0])
+    @pytest.mark.parametrize("depth", [1e-9, 1e-3, 0.25, 1.0, 5.0, 50.0, 700.0])
     @pytest.mark.parametrize(
         "case,sign",
         [(Case.UP_NEG, -1.0), (Case.DOWN_POS, 1.0), (Case.DOWN_NEG, -1.0)],
     )
     def test_self_normalization_grid(self, alpha, depth, case, sign):
+        # The nested quadrature of earlier versions read 0.049, 0.363 and
+        # 0.766 at |barrier| 1e-9 (alpha 1.2, 1.5, 1.8), and raised
+        # ConvergenceError at alpha 1.2, |barrier| 700 (UpNeg, DownPos).
         s = SpectralCase(case, alpha)
         assert triple_law_total_mass(s, sign * depth) == pytest.approx(1.0, abs=1e-6)
 
@@ -243,6 +259,44 @@ class TestSeparableKernel:
 
 
 ONE_SIDED = [(Case.UP_NEG, -1.0), (Case.DOWN_POS, 1.0), (Case.DOWN_NEG, -1.0)]
+
+
+def _mpmath_printed(a, v, dps=20):
+    """The printed UpNeg constant from its defining integral at dps digits:
+    in z = y - 1 the first term's integral runs over [0, e^-v - 1], and
+    z = w^(1/(2-a)) takes out its pole z^(1-a)."""
+    with mpmath.workdps(dps):
+        a, v = mpmath.mpf(a), mpmath.mpf(v)
+        top, p = mpmath.expm1(-v), 2 - a
+        cuts = [mpmath.mpf(0)] + [mpmath.mpf(10) ** k for k in range(-6, 22, 3) if 10.0**k < top]
+        integral = mpmath.quad(
+            lambda w: (top - w ** (1 / p)) / ((1 + w ** (1 / p)) * p),
+            [z**p for z in cuts + [top]],
+        )
+        C = mpmath.gamma(a - 1) * mpmath.gamma(2 - a) / (a * (a - 1))
+        first = mpmath.exp((a - 2) * v) / (a * (a - 1)) * integral
+        return float(first - C * (-mpmath.expm1(v)) ** (a - 1))
+
+
+class TestPrintedConstant:
+    # The quadrature of earlier versions returned -2.765e22 at alpha 1.5,
+    # v -50, was 6.2e-8 off at alpha 1.8, v -1e-6, and raised a raw
+    # ZeroDivisionError at alpha 1.9999, v -1e-6.
+    @pytest.mark.parametrize(
+        "a,v",
+        [(a, v) for a in (1.2, 1.5, 1.8) for v in (-1e-6, -1.0, -50.0)] + [(1.9999, -1e-6)],
+    )
+    def test_closed_form_against_mpmath(self, monkeypatch, a, v):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return integrate_adaptive(*args, **kwargs)
+
+        monkeypatch.setattr(scale, "integrate_adaptive", counted)
+        got = triple_law_K_printed_upneg(SpectralCase(Case.UP_NEG, a), v)
+        assert calls == []
+        assert got == pytest.approx(_mpmath_printed(a, v), rel=1e-12, abs=0.0)
 
 
 class TestClosedFormK:
@@ -359,14 +413,19 @@ class TestKAgainstMpmath:
 
 def _mpmath_triple_density(s, pt, dps=50):
     """The triple law A(eta) e^(-q (phi - eta)) e^(q s) J(s) / K at dps digits,
-    s = theta + phi, with K = C(alpha) times the probability of passage."""
+    s = theta + phi, with K = C(alpha) times the probability of passage, that
+    probability formed as -expm1((alpha - 1) log(1 - e^-d)): as
+    1 - (1 - e^-d)^(alpha-1) it is 2.5e-8 off at |barrier| 100 at 50 digits,
+    and 0 from about 117.  The log is taken by log1p above d = 1, where
+    1 - e^-d rounds to 1, and by expm1 below, where e^-d rounds to 1."""
     mp = mpmath
     with mp.workdps(dps):
         a, d = mp.mpf(s.alpha), mp.mpf(abs(pt.barrier))
         theta, phi, eta = (mp.mpf(t) for t in (pt.theta, pt.phi, pt.eta))
         q = 1 if s.case is Case.DOWN_NEG else 0
         C = mp.gamma(a - 1) * mp.gamma(2 - a) / (a * (a - 1))
-        K = C if q else C * (1 - (-mp.expm1(-d)) ** (a - 1))
+        log_rise = mp.log1p(-mp.exp(-d)) if d > 1 else mp.log(-mp.expm1(-d))
+        K = C if q else C * -mp.expm1((a - 1) * log_rise)
         w, ss = eta - d, theta + phi
         A = mp.exp((1 - q) * w) * (-mp.expm1(w)) ** (a - 2)
         J = mp.exp((q - a) * ss) * (-mp.expm1(-ss)) ** (-1 - a)
@@ -378,6 +437,10 @@ _LOG_TINY, _LOG_HUGE = math.log(5e-324), math.log(1e308)
 
 class TestTripleLawExtremeInputs:
     @settings(max_examples=200)
+    # A deep barrier: the kernel's product underflowed to a subnormal before
+    # the division by K, and read 15% off (theta 33.5) or 0 (theta 35).
+    @example(Case.UP_NEG, 1.4375, math.log(552.37), 0.0, math.log(100.0), math.log(33.5))
+    @example(Case.UP_NEG, 1.4375, math.log(552.37), 0.0, math.log(100.0), math.log(35.0))
     @given(
         case=st.sampled_from(list(Case)),
         alpha=st.floats(1.0001, 1.9999),

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from pssmp.cli import main
-from pssmp.errors import DomainError
+from pssmp.errors import DomainError, NumericError
 from pssmp import expfun
 from pssmp.exit_laws import (
     Direction,
@@ -35,6 +35,7 @@ from pssmp.scale import (
     ruin_probability,
     scale_fn,
     triple_law_K,
+    triple_law_K_printed_upneg,
     triple_law_density,
 )
 from pssmp.stable import (
@@ -159,6 +160,28 @@ def test_side_exponent_rounded_to_zero_exits_2(capsys, law):
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# The printed triple-law constant raised a raw TypeError at v 0.5 (a complex
+# power) and ZeroDivisionError at NaN, and v 0 a DomainError about the
+# quadrature's evaluation count.
+@pytest.mark.parametrize("v", [0.5, NAN, 0.0])
+def test_printed_constant_barrier_is_checked(v):
+    with pytest.raises(DomainError, match="barrier"):
+        triple_law_K_printed_upneg(S, v)
+
+
+def test_printed_constant_next_to_zero_is_finite():
+    # -C(alpha) (1 - e^v)^(alpha - 1), the first term being of order
+    # |v|^(3 - alpha); it raised a DomainError before.
+    want = -math.pi / 0.75 * 1e-150
+    assert triple_law_K_printed_upneg(S, -1e-300) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_printed_constant_past_the_float_range_is_a_numeric_error():
+    # e^((3 - alpha) 700) is past the float range; it returned -4.19.
+    with pytest.raises(NumericError, match="float range"):
+        triple_law_K_printed_upneg(S, -700.0)
 
 
 def test_two_point_hitting_names_the_overflowing_target():
